@@ -6,7 +6,6 @@ eigenvalues, eigenfunctions, modes, multi-step predictions, and control-input
 extensions.
 """
 
-from ._kernels import BACKEND
 from .data import (
     Finding,
     SnapshotPairs,
@@ -16,7 +15,7 @@ from .data import (
 )
 from .differentiation import DifferentiationConfig, differentiate
 from .errors import ConfigError, DataError, KoopliftError, RegressionError
-from .model import KoopmanModel, ModeTable, RegressorConfig, fit
+from .model import KoopmanModel, ModeTable, RegressorConfig, fit, fit_hankel
 from .observables import (
     Concat,
     Custom,
@@ -40,7 +39,6 @@ from .regression import (
     fit_dmdc,
     fit_edmd,
     fit_edmdc,
-    fit_hankel,
     fit_kdmd,
 )
 from .serialize import load_model, model_from_dict, model_to_dict, save_model
@@ -56,6 +54,9 @@ from .systems import (
 )
 
 __version__ = "0.1.0"
+
+# the kernels have one implementation, in numpy; kept for callers that record it
+BACKEND = "numpy"
 
 __all__ = [
     "BACKEND",

@@ -1,21 +1,15 @@
-"""Hot numeric kernels with numba-jitted and pure-numpy implementations.
+"""Hot numeric kernels: feature lifting, Gram assembly and linear iteration.
 
-The active backend is chosen at import time: numba when importable, unless
-the environment variable ``KOOPLIFT_NUMBA`` is set to ``0``/``false``/``off``,
-in which case the numpy fallbacks are used. ``BACKEND`` records the choice.
-
-All kernels are deterministic for a fixed backend; parallel loops only ever
-write disjoint output elements, so results do not depend on thread count.
+All kernels are plain numpy and deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-# radial function ids shared by both backends
+# radial function ids for rbf_features
 RBF_THINPLATE = 0
 RBF_GAUSS = 1
 RBF_INVQUAD = 2
@@ -26,32 +20,13 @@ RBF_POLYHARMONIC = 4
 KERNEL_GAUSSIAN = 0
 KERNEL_POLYNOMIAL = 1
 
-# benchmark system ids for rk4_catalog
-SYS_SLOW_MANIFOLD = 0
-SYS_VDP = 1
-SYS_LORENZ = 2
-SYS_DUFFING = 3
 
-
-def _numba_requested() -> bool:
-    flag = os.environ.get("KOOPLIFT_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-# quieter and deterministic default; honored only if the user has not chosen
-os.environ.setdefault("NUMBA_THREADING_LAYER", "omp")
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def poly_features_numpy(X, exps):
+def poly_features(X, exps):
     """Monomial features. X is (m, n), exps is (N, n) int64 -> (m, N)."""
     return np.prod(X[:, None, :] ** exps[None, :, :], axis=2)
 
 
-def _radial_numpy(r2, kind, eps, ph_exp):
+def _radial(r2, kind, eps, ph_exp):
     if kind == RBF_THINPLATE:
         out = np.zeros_like(r2)
         pos = r2 > 0.0
@@ -73,20 +48,20 @@ def _radial_numpy(r2, kind, eps, ph_exp):
     return out
 
 
-def rbf_features_numpy(X, centers, kind, eps, ph_exp):
+def rbf_features(X, centers, kind, eps, ph_exp):
     """Radial features vs. each center. X (m, n), centers (k, n) -> (m, k)."""
     d = X[:, None, :] - centers[None, :, :]
     r2 = np.einsum("mkd,mkd->mk", d, d)
-    return _radial_numpy(r2, kind, eps, ph_exp)
+    return _radial(r2, kind, eps, ph_exp)
 
 
-def rff_features_numpy(X, W, b):
+def rff_features(X, W, b):
     """Random Fourier features sqrt(2/D) * cos(X @ W + b). X (m, n) -> (m, D)."""
     scale = math.sqrt(2.0 / W.shape[1])
     return scale * np.cos(X @ W + b[None, :])
 
 
-def gram_matrix_numpy(X, Y, kind, p0, p1, p2):
+def gram_matrix(X, Y, kind, p0, p1):
     """Kernel Gram matrix k(x_i, y_j). X (m, n), Y (k, n) -> (m, k).
 
     gaussian: p0 = sigma, k = exp(-||x-y||^2 / (2 sigma^2));
@@ -100,51 +75,7 @@ def gram_matrix_numpy(X, Y, kind, p0, p1, p2):
     return (p0 + X @ Y.T) ** int(p1)
 
 
-def _catalog_rhs_numpy(sys_id, x, u, params):
-    """Vectorized catalog right-hand sides; x is (B, n), u is (B, q)."""
-    dx = np.empty_like(x)
-    if sys_id == SYS_SLOW_MANIFOLD:
-        mu, lam = params[0], params[1]
-        dx[:, 0] = mu * x[:, 0]
-        dx[:, 1] = lam * (x[:, 1] - x[:, 0] ** 2)
-    elif sys_id == SYS_VDP:
-        mu = params[0]
-        dx[:, 0] = x[:, 1]
-        dx[:, 1] = mu * (1.0 - x[:, 0] ** 2) * x[:, 1] - x[:, 0] + u[:, 0]
-    elif sys_id == SYS_LORENZ:
-        sigma, rho, beta = params[0], params[1], params[2]
-        dx[:, 0] = sigma * (x[:, 1] - x[:, 0])
-        dx[:, 1] = x[:, 0] * (rho - x[:, 2]) - x[:, 1]
-        dx[:, 2] = x[:, 0] * x[:, 1] - beta * x[:, 2]
-    else:
-        delta, alpha, beta = params[0], params[1], params[2]
-        dx[:, 0] = x[:, 1]
-        dx[:, 1] = -delta * x[:, 1] - alpha * x[:, 0] - beta * x[:, 0] ** 3 + u[:, 0]
-    return dx
-
-
-def rk4_catalog_batch_numpy(sys_id, params, X0, dt, n_steps, U):
-    """Classical RK4 on a catalog system for a batch of initial conditions.
-
-    X0 is (B, n); U is (B, n_steps, q) held constant over each step (q may
-    be 0). Returns (B, n_steps + 1, n).
-    """
-    B, n = X0.shape
-    out = np.empty((B, n_steps + 1, n))
-    out[:, 0, :] = X0
-    x = X0.copy()
-    for k in range(n_steps):
-        u = U[:, k, :]
-        k1 = _catalog_rhs_numpy(sys_id, x, u, params)
-        k2 = _catalog_rhs_numpy(sys_id, x + 0.5 * dt * k1, u, params)
-        k3 = _catalog_rhs_numpy(sys_id, x + 0.5 * dt * k2, u, params)
-        k4 = _catalog_rhs_numpy(sys_id, x + dt * k3, u, params)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[:, k + 1, :] = x
-    return out
-
-
-def iterate_linear_numpy(A, z0, n_steps):
+def iterate_linear(A, z0, n_steps):
     """Iterate z_{k+1} = A z_k. Returns (n_steps + 1, N)."""
     N = z0.shape[0]
     out = np.empty((n_steps + 1, N), dtype=A.dtype)
@@ -156,7 +87,7 @@ def iterate_linear_numpy(A, z0, n_steps):
     return out
 
 
-def iterate_linear_controlled_numpy(A, B, z0, U):
+def iterate_linear_controlled(A, B, z0, U):
     """Iterate z_{k+1} = A z_k + B u_k with U of shape (q, n_steps)."""
     n_steps = U.shape[1]
     N = z0.shape[0]
@@ -167,250 +98,3 @@ def iterate_linear_controlled_numpy(A, B, z0, U):
         z = A @ z + B @ U[:, k]
         out[k + 1] = z
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-HAVE_NUMBA = False
-if _numba_requested():
-    try:
-        from numba import njit, prange
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _poly_features_nb(X, exps):
-        m, n = X.shape
-        N = exps.shape[0]
-        out = np.empty((m, N))
-        for i in prange(m):
-            for j in range(N):
-                r = 1.0
-                for d in range(n):
-                    e = exps[j, d]
-                    for _ in range(e):
-                        r *= X[i, d]
-                out[i, j] = r
-        return out
-
-    @njit(cache=True)
-    def _radial_nb(r2, kind, eps, ph_exp):
-        if kind == RBF_THINPLATE:
-            if r2 > 0.0:
-                return 0.5 * r2 * math.log(r2)
-            return 0.0
-        if kind == RBF_GAUSS:
-            return math.exp(-(eps * eps) * r2)
-        if kind == RBF_INVQUAD:
-            return 1.0 / (1.0 + (eps * eps) * r2)
-        if kind == RBF_INVMULTIQUAD:
-            return 1.0 / math.sqrt(1.0 + (eps * eps) * r2)
-        r = math.sqrt(r2)
-        if ph_exp % 2 == 1:
-            return r**ph_exp
-        if r > 0.0:
-            return r**ph_exp * math.log(r)
-        return 0.0
-
-    @njit(cache=True, parallel=True)
-    def _rbf_features_nb(X, centers, kind, eps, ph_exp):
-        m, n = X.shape
-        k = centers.shape[0]
-        out = np.empty((m, k))
-        for i in prange(m):
-            for j in range(k):
-                r2 = 0.0
-                for d in range(n):
-                    diff = X[i, d] - centers[j, d]
-                    r2 += diff * diff
-                out[i, j] = _radial_nb(r2, kind, eps, ph_exp)
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _rff_features_nb(X, W, b):
-        m, n = X.shape
-        D = W.shape[1]
-        scale = math.sqrt(2.0 / D)
-        out = np.empty((m, D))
-        for i in prange(m):
-            for j in range(D):
-                acc = b[j]
-                for d in range(n):
-                    acc += X[i, d] * W[d, j]
-                out[i, j] = scale * math.cos(acc)
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _gram_matrix_nb(X, Y, kind, p0, p1, p2):
-        m, n = X.shape
-        k = Y.shape[0]
-        out = np.empty((m, k))
-        for i in prange(m):
-            for j in range(k):
-                if kind == KERNEL_GAUSSIAN:
-                    r2 = 0.0
-                    for d in range(n):
-                        diff = X[i, d] - Y[j, d]
-                        r2 += diff * diff
-                    out[i, j] = math.exp(-r2 / (2.0 * p0 * p0))
-                else:
-                    dot = 0.0
-                    for d in range(n):
-                        dot += X[i, d] * Y[j, d]
-                    r = 1.0
-                    for _ in range(int(p1)):
-                        r *= p0 + dot
-                    out[i, j] = r
-        return out
-
-    @njit(cache=True)
-    def _catalog_rhs_nb(sys_id, x, u, params, dx):
-        if sys_id == SYS_SLOW_MANIFOLD:
-            dx[0] = params[0] * x[0]
-            dx[1] = params[1] * (x[1] - x[0] * x[0])
-        elif sys_id == SYS_VDP:
-            dx[0] = x[1]
-            dx[1] = params[0] * (1.0 - x[0] * x[0]) * x[1] - x[0] + u[0]
-        elif sys_id == SYS_LORENZ:
-            dx[0] = params[0] * (x[1] - x[0])
-            dx[1] = x[0] * (params[1] - x[2]) - x[1]
-            dx[2] = x[0] * x[1] - params[2] * x[2]
-        else:
-            dx[0] = x[1]
-            dx[1] = -params[0] * x[1] - params[1] * x[0] - params[2] * x[0] ** 3 + u[0]
-
-    @njit(cache=True, parallel=True)
-    def _rk4_catalog_batch_nb(sys_id, params, X0, dt, n_steps, U):
-        B, n = X0.shape
-        out = np.empty((B, n_steps + 1, n))
-        for b in prange(B):
-            x = X0[b].copy()
-            xs = np.empty(n)
-            k1 = np.empty(n)
-            k2 = np.empty(n)
-            k3 = np.empty(n)
-            k4 = np.empty(n)
-            out[b, 0, :] = x
-            for k in range(n_steps):
-                u = U[b, k, :]
-                _catalog_rhs_nb(sys_id, x, u, params, k1)
-                for d in range(n):
-                    xs[d] = x[d] + 0.5 * dt * k1[d]
-                _catalog_rhs_nb(sys_id, xs, u, params, k2)
-                for d in range(n):
-                    xs[d] = x[d] + 0.5 * dt * k2[d]
-                _catalog_rhs_nb(sys_id, xs, u, params, k3)
-                for d in range(n):
-                    xs[d] = x[d] + dt * k3[d]
-                _catalog_rhs_nb(sys_id, xs, u, params, k4)
-                for d in range(n):
-                    x[d] = x[d] + (dt / 6.0) * (
-                        k1[d] + 2.0 * k2[d] + 2.0 * k3[d] + k4[d]
-                    )
-                out[b, k + 1, :] = x
-        return out
-
-    @njit(cache=True)
-    def _iterate_linear_nb(A, z0, n_steps):
-        N = z0.shape[0]
-        out = np.empty((n_steps + 1, N), dtype=A.dtype)
-        out[0] = z0
-        z = z0.copy()
-        zn = np.empty(N, dtype=A.dtype)
-        for k in range(n_steps):
-            for i in range(N):
-                acc = A[i, 0] * z[0]
-                for j in range(1, N):
-                    acc += A[i, j] * z[j]
-                zn[i] = acc
-            for i in range(N):
-                z[i] = zn[i]
-            out[k + 1] = z
-        return out
-
-    @njit(cache=True)
-    def _iterate_linear_controlled_nb(A, B, z0, U):
-        n_steps = U.shape[1]
-        N = z0.shape[0]
-        q = B.shape[1]
-        out = np.empty((n_steps + 1, N), dtype=A.dtype)
-        out[0] = z0
-        z = z0.copy()
-        zn = np.empty(N, dtype=A.dtype)
-        for k in range(n_steps):
-            for i in range(N):
-                acc = A[i, 0] * z[0]
-                for j in range(1, N):
-                    acc += A[i, j] * z[j]
-                for j in range(q):
-                    acc += B[i, j] * U[j, k]
-                zn[i] = acc
-            for i in range(N):
-                z[i] = zn[i]
-            out[k + 1] = z
-        return out
-
-    def poly_features_numba(X, exps):
-        return _poly_features_nb(np.ascontiguousarray(X), np.ascontiguousarray(exps))
-
-    def rbf_features_numba(X, centers, kind, eps, ph_exp):
-        return _rbf_features_nb(
-            np.ascontiguousarray(X), np.ascontiguousarray(centers), kind, eps, ph_exp
-        )
-
-    def rff_features_numba(X, W, b):
-        return _rff_features_nb(
-            np.ascontiguousarray(X), np.ascontiguousarray(W), np.ascontiguousarray(b)
-        )
-
-    def gram_matrix_numba(X, Y, kind, p0, p1, p2):
-        return _gram_matrix_nb(
-            np.ascontiguousarray(X), np.ascontiguousarray(Y), kind, p0, p1, p2
-        )
-
-    def rk4_catalog_batch_numba(sys_id, params, X0, dt, n_steps, U):
-        return _rk4_catalog_batch_nb(
-            sys_id,
-            np.ascontiguousarray(params),
-            np.ascontiguousarray(X0),
-            dt,
-            n_steps,
-            np.ascontiguousarray(U),
-        )
-
-    def iterate_linear_numba(A, z0, n_steps):
-        return _iterate_linear_nb(np.ascontiguousarray(A), np.ascontiguousarray(z0), n_steps)
-
-    def iterate_linear_controlled_numba(A, B, z0, U):
-        return _iterate_linear_controlled_nb(
-            np.ascontiguousarray(A),
-            np.ascontiguousarray(B),
-            np.ascontiguousarray(z0),
-            np.ascontiguousarray(U),
-        )
-
-
-if HAVE_NUMBA:
-    BACKEND = "numba"
-    poly_features = poly_features_numba
-    rbf_features = rbf_features_numba
-    rff_features = rff_features_numba
-    gram_matrix = gram_matrix_numba
-    rk4_catalog_batch = rk4_catalog_batch_numba
-    iterate_linear = iterate_linear_numba
-    iterate_linear_controlled = iterate_linear_controlled_numba
-else:
-    BACKEND = "numpy"
-    poly_features = poly_features_numpy
-    rbf_features = rbf_features_numpy
-    rff_features = rff_features_numpy
-    gram_matrix = gram_matrix_numpy
-    rk4_catalog_batch = rk4_catalog_batch_numpy
-    iterate_linear = iterate_linear_numpy
-    iterate_linear_controlled = iterate_linear_controlled_numpy

@@ -1,9 +1,9 @@
 """The user-facing model: observables composed with a fitted operator.
 
-`fit` builds snapshot pairs, lifts both sides, runs the configured
-regression, fits the state reconstruction, and assembles an immutable
-KoopmanModel exposing prediction, simulation, spectral analytics, and
-validation scores.
+`fit` lifts each training trajectory once, slices it into snapshot pairs,
+runs the configured regression, fits the state reconstruction, and
+assembles an immutable KoopmanModel exposing prediction, simulation,
+spectral analytics, and validation scores.
 
 Multi-step simulation iterates in the lifted space and reconstructs each
 step; it never re-lifts, which would silently reintroduce nonlinearity.
@@ -32,11 +32,10 @@ from .regression import (
     RegressionResult,
     fit_edmd,
     fit_edmdc,
-    fit_hankel,
     fit_kdmd,
 )
 
-__all__ = ["RegressorConfig", "KoopmanModel", "ModeTable", "fit"]
+__all__ = ["RegressorConfig", "KoopmanModel", "ModeTable", "fit", "fit_hankel"]
 
 _UNFORCED = ("dmd", "edmd", "hdmd", "kdmd")
 _CONTROLLED = ("dmdc", "edmdc", "hdmdc")
@@ -292,29 +291,31 @@ def _stage(label: str, exc: KoopliftError) -> KoopliftError:
 
 
 def _lift_pairs(library: Observable, data: TrajectoryDataset):
-    """Lifted snapshot pair columns (Z, Zprime, U) for any library route."""
-    if isinstance(library, TimeDelay):
-        d = library.delays
-        Zs, Zps, Us = [], [], []
-        for i, traj in enumerate(data.trajectories):
-            if traj.shape[0] < d + 2:
-                raise DataError(
-                    f"trajectory {i} too short for {d} delays: has {traj.shape[0]} "
-                    f"samples, need at least {d + 2}"
-                )
+    """Lifted snapshot pair columns (Z, Zprime, U) of a dataset.
+
+    Each trajectory is lifted once, as a whole, into Y; its pairs are
+    Z = Y[:-1], Z' = Y[1:], so pairs never straddle trajectory boundaries.
+    Inputs are taken at the Z timestamps, after the library's warm-up.
+    """
+    Zs, Zps, Us = [], [], []
+    for i, traj in enumerate(data.trajectories):
+        try:
             Y = library.lift_trajectory(traj)
-            Zs.append(Y[:-1])
-            Zps.append(Y[1:])
-            if data.inputs is not None:
-                Us.append(data.inputs[i][d:-1])
-        Z = np.vstack(Zs).T
-        Zp = np.vstack(Zps).T
-        U = np.vstack(Us).T if Us else None
-        return Z, Zp, U
-    pairs = build_snapshot_pairs(data)
-    Z = library.lift_rows(np.ascontiguousarray(pairs.X.T)).T
-    Zp = library.lift_rows(np.ascontiguousarray(pairs.Xprime.T)).T
-    return Z, Zp, pairs.U
+        except DataError as exc:
+            raise DataError(f"trajectory {i}: {exc}") from None
+        if Y.shape[0] < 2:
+            raise DataError(
+                f"trajectory {i} too short: {traj.shape[0]} samples lift to "
+                f"{Y.shape[0]} snapshot(s), need at least 2"
+            )
+        Zs.append(Y[:-1])
+        Zps.append(Y[1:])
+        if data.inputs is not None:
+            Us.append(data.inputs[i][traj.shape[0] - Y.shape[0] : -1])
+    Z = np.vstack(Zs).T
+    Zp = np.vstack(Zps).T
+    U = np.vstack(Us).T if Us else None
+    return Z, Zp, U
 
 
 def _resolve_library(observables, config: RegressorConfig) -> Observable:
@@ -366,11 +367,7 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
         library.bind(n)
         all_rows = np.vstack([t for t in data.trajectories])
         library.prepare(all_rows)
-        if regressor.kind == "kdmd":
-            pairs = build_snapshot_pairs(data)
-            Z, Zp, U = pairs.X, pairs.Xprime, pairs.U
-        else:
-            Z, Zp, U = _lift_pairs(library, data)
+        Z, Zp, U = _lift_pairs(library, data)
     except KoopliftError as exc:
         raise _stage("lifting", exc) from exc
 
@@ -405,8 +402,8 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
 
     Wl = res.eigensystem.W_left
     if regressor.kind == "kdmd":
-        phi_x = (library.lift_rows(np.ascontiguousarray(Z.T))).T
-        phi_xp = (library.lift_rows(np.ascontiguousarray(Zp.T))).T
+        # the kernel lift evaluates the eigenfunctions themselves
+        phi_x, phi_xp, _ = _lift_pairs(library, data)
     else:
         phi_x = Wl.conj().T @ Z.astype(res.A.dtype)
         phi_xp = Wl.conj().T @ Zp.astype(res.A.dtype)
@@ -427,3 +424,21 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
         observables=library, regression=res, C=C, dt=data.dt, n=n, q=q,
         metadata=metadata, z0_train=z0, training_scores=scores,
     )
+
+
+def fit_hankel(trajectories, delays: int, rank=None, inputs=None,
+               dt: float = 1.0) -> RegressionResult:
+    """Delay-embedded DMD (with control when inputs are given).
+
+    The regression of `fit` with a TimeDelay(delays) library and the hdmd
+    (or, with inputs, hdmdc with ``rank`` as rank_in) regressor; snapshot
+    pairs never straddle trajectory boundaries.
+    """
+    library = TimeDelay(delays)
+    if isinstance(trajectories, np.ndarray) and trajectories.ndim == 2:
+        trajectories = [trajectories]
+    data = TrajectoryDataset(trajectories, dt, inputs)
+    Z, Zp, U = _lift_pairs(library.bind(data.n_states), data)
+    if U is None:
+        return fit_edmd(Z, Zp, rank=rank, dt=dt, kind="hdmd")
+    return fit_edmdc(Z, Zp, U, rank_in=rank, dt=dt, kind="hdmdc")

@@ -94,6 +94,14 @@ class Observable:
         """Lift a batch of states, one per row: (m, n) -> (m, N)."""
         raise NotImplementedError
 
+    def lift_trajectory(self, traj: np.ndarray) -> np.ndarray:
+        """Lift a time-ordered trajectory: (T, n) -> (T - warm-up, N).
+
+        Consecutive output rows are consecutive lifted snapshots; only
+        libraries that need past samples (time delays) consume a warm-up.
+        """
+        return self.lift_rows(traj)
+
     def lift(self, x) -> np.ndarray:
         """Lift a single state vector: (n,) -> (N,)."""
         x = np.asarray(x, dtype=float)
@@ -619,15 +627,15 @@ class KernelLift(Observable):
     def _kernel_params(self):
         cfg = self.kernel_config
         if cfg["kind"] == "gaussian":
-            return _kernels.KERNEL_GAUSSIAN, float(cfg["sigma"]), 0.0, 0.0
-        return _kernels.KERNEL_POLYNOMIAL, float(cfg.get("offset", 1.0)), float(cfg["degree"]), 0.0
+            return _kernels.KERNEL_GAUSSIAN, float(cfg["sigma"]), 0.0
+        return _kernels.KERNEL_POLYNOMIAL, float(cfg.get("offset", 1.0)), float(cfg["degree"])
 
     def lift_rows(self, X):
         X = np.asarray(X, dtype=float)
         if X.shape[1] != self.n_input:
             raise DataError(f"expected {self.n_input} columns, got {X.shape[1]}")
-        kind, p0, p1, p2 = self._kernel_params()
-        K = _kernels.gram_matrix(X, self.centers, kind, p0, p1, p2)  # (b, m)
+        kind, p0, p1 = self._kernel_params()
+        K = _kernels.gram_matrix(X, self.centers, kind, p0, p1)  # (b, m)
         return K @ self.alpha
 
     def lift(self, x):

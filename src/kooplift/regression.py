@@ -32,12 +32,17 @@ __all__ = [
     "fit_dmdc",
     "fit_edmdc",
     "fit_kdmd",
-    "fit_hankel",
     "fit_continuous_generator",
 ]
 
 RANK_CUTOFF = 1e-10  # relative singular-value cutoff, keeps exact problems exact
 GRAM_CUTOFF = 1e-12  # relative cutoff on Gram-matrix eigenvalues (~ sigma^2)
+# zero-eigenvalue class |lambda| <= ZERO_EIG_RTOL ||A||_2. Fitting a 2x2
+# nilpotent operator leaves its eigenvalues within 1.05 sqrt(eps) ||A||_2 (20k
+# random fits), while the non-normal operators of gaussian RBF fits of the
+# slow manifold have eigenvalues near 1 at only 2.2e-7 ||A||_2. 4 sqrt(eps) =
+# 6.0e-8 leaves a margin of about 4 on each side.
+ZERO_EIG_RTOL = 4.0 * np.sqrt(np.finfo(float).eps)
 
 
 @dataclass
@@ -67,15 +72,25 @@ def _sort_order(lam: np.ndarray) -> np.ndarray:
     return np.lexsort((lam.imag, -lam.real, -np.abs(lam)))
 
 
-def _continuous_eigs(lam: np.ndarray, dt: float):
+def _classify_spectrum(lam: np.ndarray, A: np.ndarray, dt: float):
+    """Snap zero-class eigenvalues of A to 0 and take continuous eigenvalues.
+
+    Rounding moves the zero eigenvalue of a defective (nilpotent) block to
+    about sqrt(eps) ||A||_2, so an exact comparison with 0 misses it.
+    Eigenvalues with |lambda| <= ZERO_EIG_RTOL * ||A||_2 form the zero class:
+    they are set to exactly 0, reported, and their continuous eigenvalue is
+    -inf. Returns (lambdas, mus, findings).
+    """
+    lam = lam.copy()
+    zero = np.abs(lam) <= ZERO_EIG_RTOL * np.linalg.norm(A, 2)
+    lam[zero] = 0.0
     mus = np.empty(lam.shape, dtype=complex)
     findings = []
-    zero = lam == 0
     if zero.any():
         mus[zero] = complex(-np.inf, 0.0)
         findings.append(
-            f"{int(zero.sum())} zero eigenvalue(s): continuous eigenvalue "
-            "reported as -inf"
+            f"{int(zero.sum())} zero eigenvalue(s) (|lambda| <= {ZERO_EIG_RTOL:.1e} "
+            "||A||_2): continuous eigenvalue reported as -inf"
         )
     nz = ~zero
     mus[nz] = np.log(lam[nz]) / dt
@@ -85,7 +100,7 @@ def _continuous_eigs(lam: np.ndarray, dt: float):
             "negative real eigenvalue(s): principal-branch log gives imaginary "
             "part pi/dt; the continuous eigenvalue is aliasing-ambiguous"
         )
-    return mus, findings
+    return lam, mus, findings
 
 
 def _normalize_pair(W_right: np.ndarray, W_left: np.ndarray):
@@ -105,7 +120,8 @@ def eig_biorthogonal(A: np.ndarray, dt: float = 1.0) -> EigenSystem:
 
     A near-defective eigenvector matrix is flagged with a finding and the
     left vectors fall back to the pseudoinverse (biorthogonality is then only
-    approximate for the affected cluster).
+    approximate for the affected cluster). Eigenvalues within
+    ZERO_EIG_RTOL * ||A||_2 of zero are returned as exactly 0.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -128,7 +144,7 @@ def eig_biorthogonal(A: np.ndarray, dt: float = 1.0) -> EigenSystem:
     else:
         W_left = np.linalg.inv(W).conj().T
     W, W_left = _normalize_pair(W, W_left)
-    mus, mu_findings = _continuous_eigs(lam, dt)
+    lam, mus, mu_findings = _classify_spectrum(lam, A, dt)
     return EigenSystem(
         lambdas=lam, mus=mus, W_right=W, W_left=W_left, dt=dt,
         findings=findings + mu_findings,
@@ -264,8 +280,9 @@ def fit_edmd(Z, Zprime, rank=None, dt: float = 1.0, kind: str = "edmd") -> Regre
     eig_full = _lift_eigensystem(eig_red, Ur)
 
     # exact modes Zprime Vr Sr^-1 w / lambda, with w scaled consistently with
-    # the canonical full-space eigenvectors so amplitudes pair up; lambda = 0
-    # falls back to the projected mode
+    # the canonical full-space eigenvectors so amplitudes pair up; the zero
+    # class (snapped to exactly 0 by eig_biorthogonal) falls back to the
+    # projected mode
     findings = []
     W_red = Ur.T @ eig_full.W_right
     ME = G.astype(complex) @ W_red
@@ -405,10 +422,10 @@ class KernelConfig:
     def gram(self, Xrows: np.ndarray, Yrows: np.ndarray) -> np.ndarray:
         if self.kind == "gaussian":
             return _kernels.gram_matrix(
-                Xrows, Yrows, _kernels.KERNEL_GAUSSIAN, self.sigma, 0.0, 0.0
+                Xrows, Yrows, _kernels.KERNEL_GAUSSIAN, self.sigma, 0.0
             )
         return _kernels.gram_matrix(
-            Xrows, Yrows, _kernels.KERNEL_POLYNOMIAL, self.offset, float(self.degree), 0.0
+            Xrows, Yrows, _kernels.KERNEL_POLYNOMIAL, self.offset, float(self.degree)
         )
 
 
@@ -461,7 +478,7 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
     lam = lam.astype(complex)
     beta = beta.astype(complex)
     order = _sort_order(lam)
-    lam = lam[order]
+    lam, mus, mu_findings = _classify_spectrum(lam[order], A_hat, dt)
     beta = beta[:, order]
     alpha = Qr @ beta  # (m, r) eigenfunction coefficients
     Xi = (G @ alpha).T  # (r, m) eigenfunction values on the training states
@@ -480,7 +497,6 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
     E = Xi_next - lam[:, None] * Xi
     fro = float(np.linalg.norm(E))
     den = float(np.linalg.norm(Xi_next))
-    mus, mu_findings = _continuous_eigs(lam, dt)
     eye = np.eye(r, dtype=complex)
     eig = EigenSystem(
         lambdas=lam, mus=mus, W_right=eye, W_left=eye.copy(), dt=dt,
@@ -493,56 +509,6 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
         sigma_min=float(np.sqrt(sr[-1])), m=m, findings=list(mu_findings),
         kernel_config=kernel, kernel_centers=Xr, kernel_alpha=alpha, modes_state=V,
     )
-
-
-def hankel_embed(traj: np.ndarray, delays: int) -> np.ndarray:
-    """Delay-embed a trajectory: (T, n) -> (T - d, n*(d+1)), most recent first."""
-    traj = np.atleast_2d(np.asarray(traj, dtype=float))
-    T = traj.shape[0]
-    if T < delays + 2:
-        raise DataError(
-            f"trajectory with {T} samples is too short for {delays} delays "
-            f"(need at least {delays + 2})"
-        )
-    return np.hstack([traj[delays - j : T - j] for j in range(delays + 1)])
-
-
-def fit_hankel(trajectories, delays: int, rank=None, inputs=None,
-               dt: float = 1.0) -> RegressionResult:
-    """Delay-embedded DMD (with control when inputs are given).
-
-    Embeds each trajectory with `delays` past samples, forms snapshot pairs
-    that never straddle trajectory boundaries, and runs fit_dmd / fit_dmdc on
-    the embedded pairs.
-    """
-    if delays < 0:
-        raise ConfigError(f"delays must be >= 0, got {delays}")
-    if isinstance(trajectories, np.ndarray) and trajectories.ndim == 2:
-        trajectories = [trajectories]
-    Zs, Zps, Us = [], [], []
-    for i, traj in enumerate(trajectories):
-        try:
-            Y = hankel_embed(np.asarray(traj, dtype=float), delays)
-        except DataError as exc:
-            raise DataError(f"trajectory {i}: {exc}") from None
-        Zs.append(Y[:-1])
-        Zps.append(Y[1:])
-        if inputs is not None:
-            u = np.asarray(inputs[i], dtype=float)
-            if u.ndim == 1:
-                u = u[:, None]
-            # inputs aligned with the most recent sample of each window
-            Us.append(u[delays:-1])
-    Z = np.vstack(Zs).T
-    Zp = np.vstack(Zps).T
-    if inputs is None:
-        res = fit_dmd(Z, Zp, rank=rank, dt=dt)
-        res.kind = "hdmd"
-    else:
-        U = np.vstack(Us).T
-        res = fit_dmdc(Z, Zp, U, rank_in=rank, dt=dt)
-        res.kind = "hdmdc"
-    return res
 
 
 def fit_continuous_generator(Z, Zdot):

@@ -11,13 +11,13 @@ reproducible across runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
 
-from . import _kernels
 from .errors import ConfigError, DataError
 
 __all__ = [
@@ -35,24 +35,51 @@ __all__ = [
 
 LINEAR2D_A = np.array([[0.8, -0.1], [0.0, 0.7]])
 
+
+# Catalog right-hand sides (x, u, t, **params) -> xdot. x is (n,) or (B, n)
+# and u, when given, (q,) or (B, q); a missing input is held at zero.
+
+def _slow_manifold(x, u=None, t=0.0, *, mu, lam):
+    dx = np.empty_like(x)
+    dx[..., 0] = mu * x[..., 0]
+    dx[..., 1] = lam * (x[..., 1] - x[..., 0] ** 2)
+    return dx
+
+
+def _vdp_osc(x, u=None, t=0.0, *, mu):
+    dx = np.empty_like(x)
+    dx[..., 0] = x[..., 1]
+    dx[..., 1] = mu * (1.0 - x[..., 0] ** 2) * x[..., 1] - x[..., 0]
+    if u is not None:
+        dx[..., 1] += u[..., 0]
+    return dx
+
+
+def _lorenz(x, u=None, t=0.0, *, sigma, rho, beta):
+    dx = np.empty_like(x)
+    dx[..., 0] = sigma * (x[..., 1] - x[..., 0])
+    dx[..., 1] = x[..., 0] * (rho - x[..., 2]) - x[..., 1]
+    dx[..., 2] = x[..., 0] * x[..., 1] - beta * x[..., 2]
+    return dx
+
+
+def _forced_duffing(x, u=None, t=0.0, *, delta, alpha, beta):
+    dx = np.empty_like(x)
+    dx[..., 0] = x[..., 1]
+    dx[..., 1] = -delta * x[..., 1] - alpha * x[..., 0] - beta * x[..., 0] ** 3
+    if u is not None:
+        dx[..., 1] += u[..., 0]
+    return dx
+
+
 _CATALOG = {
-    "slow_manifold": dict(
-        n=2, q=0, kernel_id=_kernels.SYS_SLOW_MANIFOLD,
-        defaults={"mu": -0.05, "lam": -1.0}, order=("mu", "lam"),
-    ),
-    "vdp_osc": dict(
-        n=2, q=1, kernel_id=_kernels.SYS_VDP,
-        defaults={"mu": 2.0}, order=("mu",),
-    ),
+    "slow_manifold": dict(n=2, q=0, rhs=_slow_manifold, defaults={"mu": -0.05, "lam": -1.0}),
+    "vdp_osc": dict(n=2, q=1, rhs=_vdp_osc, defaults={"mu": 2.0}),
     "lorenz": dict(
-        n=3, q=0, kernel_id=_kernels.SYS_LORENZ,
-        defaults={"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0},
-        order=("sigma", "rho", "beta"),
+        n=3, q=0, rhs=_lorenz, defaults={"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0},
     ),
     "forced_duffing": dict(
-        n=2, q=1, kernel_id=_kernels.SYS_DUFFING,
-        defaults={"delta": 0.5, "alpha": -1.0, "beta": 1.0},
-        order=("delta", "alpha", "beta"),
+        n=2, q=1, rhs=_forced_duffing, defaults={"delta": 0.5, "alpha": -1.0, "beta": 1.0},
     ),
 }
 
@@ -69,22 +96,24 @@ class SystemSpec:
     params: dict
     rhs: Optional[Callable] = None  # (x, u, t) -> xdot, vectorized over rows
     step: Optional[Callable] = None  # (x, u) -> x_next for discrete maps
-    kernel_id: Optional[int] = None
-    param_vector: tuple = field(default=())
 
 
-def system_rhs(name: str, x, u=None, t: float = 0.0, params: Optional[dict] = None):
-    """Evaluate the catalog right-hand side; x may be (n,) or (batch, n)."""
+def _catalog_entry(name: str, params: dict):
+    """The catalog entry for `name` and its defaults merged with `params`."""
     if name not in _CATALOG:
         raise ConfigError(f"unknown system {name!r}; choose from {SYSTEM_NAMES}")
     entry = _CATALOG[name]
     merged = dict(entry["defaults"])
-    if params:
-        unknown = set(params) - set(merged)
-        if unknown:
-            raise ConfigError(f"unknown parameters for {name}: {sorted(unknown)}")
-        merged.update(params)
-    pvec = np.array([merged[k] for k in entry["order"]])
+    unknown = set(params) - set(merged)
+    if unknown:
+        raise ConfigError(f"unknown parameters for {name}: {sorted(unknown)}")
+    merged.update(params)
+    return entry, merged
+
+
+def system_rhs(name: str, x, u=None, t: float = 0.0, params: Optional[dict] = None):
+    """Evaluate the catalog right-hand side; x may be (n,) or (batch, n)."""
+    entry, merged = _catalog_entry(name, params or {})
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     xb = x[None, :] if single else x
@@ -99,12 +128,15 @@ def system_rhs(name: str, x, u=None, t: float = 0.0, params: Optional[dict] = No
             ub = np.broadcast_to(ub, (xb.shape[0], ub.shape[0]))
         if q and ub.shape[1] != q:
             raise DataError(f"{name} expects {q} input channel(s), got {ub.shape[1]}")
-    dx = _kernels._catalog_rhs_numpy(entry["kernel_id"], xb, ub, pvec)
+    dx = entry["rhs"](xb, ub, t, **merged)
     return dx[0] if single else dx
 
 
 def get_system(name: str, **params) -> SystemSpec:
-    """Build a SystemSpec for a catalog system with overridden parameters."""
+    """Build a SystemSpec for a catalog system with overridden parameters.
+
+    The spec's rhs is the catalog right-hand side with its parameters bound.
+    """
     if name == "linear2d":
         if params:
             raise ConfigError("linear2d takes no parameters")
@@ -112,22 +144,10 @@ def get_system(name: str, **params) -> SystemSpec:
             name=name, n=2, q=0, params={},
             step=lambda x, u=None: linear2d_step(x),
         )
-    if name not in _CATALOG:
-        raise ConfigError(f"unknown system {name!r}; choose from {SYSTEM_NAMES}")
-    entry = _CATALOG[name]
-    merged = dict(entry["defaults"])
-    unknown = set(params) - set(merged)
-    if unknown:
-        raise ConfigError(f"unknown parameters for {name}: {sorted(unknown)}")
-    merged.update(params)
-    pvec = tuple(float(merged[k]) for k in entry["order"])
-
-    def rhs(x, u=None, t=0.0, _name=name, _p=merged):
-        return system_rhs(_name, x, u=u, t=t, params=_p)
-
+    entry, merged = _catalog_entry(name, params)
     return SystemSpec(
-        name=name, n=entry["n"], q=entry["q"], params=merged, rhs=rhs,
-        kernel_id=entry["kernel_id"], param_vector=pvec,
+        name=name, n=entry["n"], q=entry["q"], params=merged,
+        rhs=partial(entry["rhs"], **merged),
     )
 
 
@@ -160,13 +180,7 @@ def integrate_rk4_batch(spec: SystemSpec, X0, dt: float, n_steps: int, input_sig
     B = X0.shape[0]
     U = _resolve_inputs(spec.q, n_steps, input_signal, B)
     with np.errstate(over="ignore", invalid="ignore"):
-        if spec.kernel_id is not None:
-            out = _kernels.rk4_catalog_batch(
-                spec.kernel_id, np.array(spec.param_vector), X0, float(dt),
-                int(n_steps), U,
-            )
-        else:
-            out = _generic_rk4(spec.rhs, X0, float(dt), int(n_steps), U)
+        out = _rk4(spec.rhs, X0, float(dt), int(n_steps), U)
     bad = ~np.isfinite(out)
     if bad.any():
         row = int(np.nonzero(bad.any(axis=(0, 2)))[0][0])
@@ -174,7 +188,8 @@ def integrate_rk4_batch(spec: SystemSpec, X0, dt: float, n_steps: int, input_sig
     return out
 
 
-def _generic_rk4(rhs, X0, dt, n_steps, U):
+def _rk4(rhs, X0, dt, n_steps, U):
+    """Classical RK4 on a batch, inputs held over each step: (B, n_steps+1, n)."""
     B, n = X0.shape
     out = np.empty((B, n_steps + 1, n))
     out[:, 0] = X0

@@ -1,56 +1,141 @@
-"""The numba kernels and their numpy fallbacks must agree."""
+"""The numpy kernels against naive per-element reference loops."""
+
+import math
 
 import numpy as np
 import pytest
 
 from kooplift import _kernels as K
 
-pytestmark = pytest.mark.skipif(
-    not K.HAVE_NUMBA, reason="numba backend disabled or unavailable"
-)
 
-RNG = np.random.default_rng(7)
+def _rng(seed):
+    return np.random.default_rng(seed)
 
 
-def test_poly_features_match():
-    X = RNG.normal(size=(40, 3))
+# ---------------------------------------------------------------------------
+# reference implementations: one output element at a time
+# ---------------------------------------------------------------------------
+
+def _poly_ref(X, exps):
+    out = np.empty((X.shape[0], exps.shape[0]))
+    for i in range(X.shape[0]):
+        for j in range(exps.shape[0]):
+            r = 1.0
+            for d in range(X.shape[1]):
+                for _ in range(exps[j, d]):
+                    r *= X[i, d]
+            out[i, j] = r
+    return out
+
+
+def _radial_ref(r2, kind, eps, ph_exp):
+    if kind == K.RBF_THINPLATE:
+        return 0.5 * r2 * math.log(r2) if r2 > 0.0 else 0.0
+    if kind == K.RBF_GAUSS:
+        return math.exp(-(eps * eps) * r2)
+    if kind == K.RBF_INVQUAD:
+        return 1.0 / (1.0 + (eps * eps) * r2)
+    if kind == K.RBF_INVMULTIQUAD:
+        return 1.0 / math.sqrt(1.0 + (eps * eps) * r2)
+    r = math.sqrt(r2)
+    if ph_exp % 2 == 1:
+        return r**ph_exp
+    return r**ph_exp * math.log(r) if r > 0.0 else 0.0
+
+
+def _rbf_ref(X, centers, kind, eps, ph_exp):
+    out = np.empty((X.shape[0], centers.shape[0]))
+    for i in range(X.shape[0]):
+        for j in range(centers.shape[0]):
+            r2 = sum((X[i, d] - centers[j, d]) ** 2 for d in range(X.shape[1]))
+            out[i, j] = _radial_ref(r2, kind, eps, ph_exp)
+    return out
+
+
+def _rff_ref(X, W, b):
+    scale = math.sqrt(2.0 / W.shape[1])
+    out = np.empty((X.shape[0], W.shape[1]))
+    for i in range(X.shape[0]):
+        for j in range(W.shape[1]):
+            acc = b[j] + sum(X[i, d] * W[d, j] for d in range(X.shape[1]))
+            out[i, j] = scale * math.cos(acc)
+    return out
+
+
+def _gram_ref(X, Y, kind, p0, p1):
+    out = np.empty((X.shape[0], Y.shape[0]))
+    for i in range(X.shape[0]):
+        for j in range(Y.shape[0]):
+            if kind == K.KERNEL_GAUSSIAN:
+                r2 = sum((X[i, d] - Y[j, d]) ** 2 for d in range(X.shape[1]))
+                out[i, j] = math.exp(-r2 / (2.0 * p0 * p0))
+            else:
+                dot = sum(X[i, d] * Y[j, d] for d in range(X.shape[1]))
+                out[i, j] = (p0 + dot) ** int(p1)
+    return out
+
+
+def _iterate_ref(A, B, z0, U, n_steps):
+    z = list(z0)
+    out = [list(z)]
+    for k in range(n_steps):
+        zn = []
+        for i in range(A.shape[0]):
+            acc = sum(A[i, j] * z[j] for j in range(A.shape[1]))
+            if B is not None:
+                acc += sum(B[i, j] * U[j, k] for j in range(B.shape[1]))
+            zn.append(acc)
+        z = zn
+        out.append(list(z))
+    return np.array(out)
+
+
+# ---------------------------------------------------------------------------
+# features
+# ---------------------------------------------------------------------------
+
+def test_poly_features_match_reference():
+    X = _rng(1).normal(size=(40, 3))
     exps = np.array(
-        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0], [1, 1, 0], [0, 1, 2]],
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0], [1, 1, 0], [0, 1, 2],
+         [3, 0, 1]],
         dtype=np.int64,
     )
-    a = K.poly_features_numba(X, exps)
-    b = K.poly_features_numpy(X, exps)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(K.poly_features(X, exps), _poly_ref(X, exps),
+                               rtol=1e-13, atol=1e-15)
 
 
 def test_poly_features_state_columns_exact():
-    # unit-exponent rows must reproduce the state bit-for-bit on both paths
-    X = RNG.normal(size=(25, 2))
-    exps = np.array([[1, 0], [0, 1]], dtype=np.int64)
-    assert np.array_equal(K.poly_features_numba(X, exps), X)
-    assert np.array_equal(K.poly_features_numpy(X, exps), X)
+    # the constant and unit-exponent columns reproduce 1 and the state bit for bit
+    X = _rng(2).normal(size=(25, 2))
+    exps = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64)
+    out = K.poly_features(X, exps)
+    assert np.array_equal(out[:, 0], np.ones(25))
+    assert np.array_equal(out[:, 1:], X)
 
 
-@pytest.mark.parametrize("kind", [
-    K.RBF_THINPLATE, K.RBF_GAUSS, K.RBF_INVQUAD, K.RBF_INVMULTIQUAD,
-    K.RBF_POLYHARMONIC,
+@pytest.mark.parametrize("kind,ph_exp", [
+    (K.RBF_THINPLATE, 3), (K.RBF_GAUSS, 3), (K.RBF_INVQUAD, 3),
+    (K.RBF_INVMULTIQUAD, 3), (K.RBF_POLYHARMONIC, 3), (K.RBF_POLYHARMONIC, 4),
 ])
-def test_rbf_features_match(kind):
-    X = RNG.normal(size=(30, 2))
-    centers = RNG.normal(size=(7, 2))
-    a = K.rbf_features_numba(X, centers, kind, 0.8, 3)
-    b = K.rbf_features_numpy(X, centers, kind, 0.8, 3)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
-
-
-def test_rff_features_match():
-    X = RNG.normal(size=(30, 4))
-    W = RNG.normal(size=(4, 16))
-    b = RNG.uniform(0, 2 * np.pi, size=16)
+def test_rbf_features_match_reference(kind, ph_exp):
+    rng = _rng(3)
+    X = rng.normal(size=(30, 2))
+    centers = np.vstack([rng.normal(size=(6, 2)), X[:1]])  # one center at r = 0
     np.testing.assert_allclose(
-        K.rff_features_numba(X, W, b), K.rff_features_numpy(X, W, b),
+        K.rbf_features(X, centers, kind, 0.8, ph_exp),
+        _rbf_ref(X, centers, kind, 0.8, ph_exp),
         rtol=1e-12, atol=1e-14,
     )
+
+
+def test_rff_features_match_reference():
+    rng = _rng(4)
+    X = rng.normal(size=(30, 4))
+    W = rng.normal(size=(4, 16))
+    b = rng.uniform(0, 2 * np.pi, size=16)
+    np.testing.assert_allclose(K.rff_features(X, W, b), _rff_ref(X, W, b),
+                               rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind,p0,p1", [
@@ -58,51 +143,47 @@ def test_rff_features_match():
     (K.KERNEL_POLYNOMIAL, 1.0, 2.0),
     (K.KERNEL_POLYNOMIAL, 0.5, 3.0),
 ])
-def test_gram_matrix_match(kind, p0, p1):
-    X = RNG.normal(size=(20, 3))
-    Y = RNG.normal(size=(12, 3))
-    a = K.gram_matrix_numba(X, Y, kind, p0, p1, 0.0)
-    b = K.gram_matrix_numpy(X, Y, kind, p0, p1, 0.0)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
+def test_gram_matrix_match_reference(kind, p0, p1):
+    rng = _rng(5)
+    X = rng.normal(size=(20, 3))
+    Y = rng.normal(size=(12, 3))
+    np.testing.assert_allclose(
+        K.gram_matrix(X, Y, kind, p0, p1), _gram_ref(X, Y, kind, p0, p1),
+        rtol=1e-12, atol=1e-13,
+    )
 
 
-@pytest.mark.parametrize("sys_id,params,n,q", [
-    (K.SYS_SLOW_MANIFOLD, (-0.05, -1.0), 2, 0),
-    (K.SYS_VDP, (2.0,), 2, 1),
-    (K.SYS_LORENZ, (10.0, 28.0, 8.0 / 3.0), 3, 0),
-    (K.SYS_DUFFING, (0.5, -1.0, 1.0), 2, 1),
-])
-def test_rk4_catalog_match(sys_id, params, n, q):
-    X0 = RNG.uniform(-0.5, 0.5, size=(4, n))
-    U = RNG.normal(size=(4, 50, q))
-    p = np.array(params)
-    a = K.rk4_catalog_batch_numba(sys_id, p, X0, 0.01, 50, U)
-    b = K.rk4_catalog_batch_numpy(sys_id, p, X0, 0.01, 50, U)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+# ---------------------------------------------------------------------------
+# linear iteration
+# ---------------------------------------------------------------------------
 
-
-def test_iterate_linear_match():
-    A = RNG.normal(size=(5, 5)) * 0.3
-    z0 = RNG.normal(size=5)
-    a = K.iterate_linear_numba(A, z0, 40)
-    b = K.iterate_linear_numpy(A, z0, 40)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+def test_iterate_linear_match_reference():
+    rng = _rng(6)
+    A = rng.normal(size=(5, 5)) * 0.3
+    z0 = rng.normal(size=5)
+    out = K.iterate_linear(A, z0, 40)
+    assert out.shape == (41, 5)
+    ref = _iterate_ref(A, None, z0, None, 40)
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
 
 
 def test_iterate_linear_complex():
     lam = np.array([0.9 * np.exp(0.3j), 0.9 * np.exp(-0.3j), 0.5 + 0j])
     A = np.diag(lam)
     z0 = np.array([1 + 1j, 1 - 1j, 2 + 0j])
-    a = K.iterate_linear_numba(A, z0, 25)
-    b = K.iterate_linear_numpy(A, z0, 25)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+    out = K.iterate_linear(A, z0, 25)
+    assert out.dtype == complex
+    ref = _iterate_ref(A, None, z0, None, 25)
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(out[25], lam**25 * z0, rtol=1e-12)
 
 
-def test_iterate_linear_controlled_match():
-    A = RNG.normal(size=(4, 4)) * 0.3
-    B = RNG.normal(size=(4, 2))
-    z0 = RNG.normal(size=4)
-    U = RNG.normal(size=(2, 30))
-    a = K.iterate_linear_controlled_numba(A, B, z0, U)
-    b = K.iterate_linear_controlled_numpy(A, B, z0, U)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
+def test_iterate_linear_controlled_match_reference():
+    rng = _rng(7)
+    A = rng.normal(size=(4, 4)) * 0.3
+    B = rng.normal(size=(4, 2))
+    z0 = rng.normal(size=4)
+    U = rng.normal(size=(2, 30))
+    out = K.iterate_linear_controlled(A, B, z0, U)
+    assert out.shape == (31, 4)
+    np.testing.assert_allclose(out, _iterate_ref(A, B, z0, U, 30), rtol=1e-12, atol=1e-13)

@@ -421,3 +421,43 @@ def test_kdmd_pipeline_linear_data():
     assert phi0.shape == (model.metadata["rank"],)
     scores, _ = model.linearity_consistency(ds)
     assert np.nanmax(scores) <= 1e-6
+
+# ---------------------------------------------------------------------------
+# one pair-lifting route
+# ---------------------------------------------------------------------------
+
+class _CountingPolynomial(kl.Polynomial):
+    def __init__(self, degree):
+        super().__init__(degree)
+        self.rows_lifted = 0
+
+    def lift_rows(self, X):
+        self.rows_lifted += X.shape[0]
+        return super().lift_rows(X)
+
+
+def test_fit_and_validation_lift_each_sample_once(slow_manifold_small):
+    lib = _CountingPolynomial(2)
+    model = kl.fit(lib, "edmd", slow_manifold_small)
+    assert lib.rows_lifted == slow_manifold_small.n_samples
+    lib.rows_lifted = 0
+    model.linearity_consistency(slow_manifold_small)
+    assert lib.rows_lifted == slow_manifold_small.n_samples
+
+
+@pytest.mark.parametrize("controlled", [False, True])
+def test_fit_hankel_is_fit_with_time_delay(controlled):
+    rng = np.random.default_rng(8)
+    X0 = rng.uniform(-1.0, 1.0, size=(3, 2))
+    U = rng.uniform(-1.0, 1.0, size=(3, 120, 1))
+    spec = kl.get_system("vdp_osc")
+    trajs = list(kl.integrate_rk4_batch(spec, X0, 0.05, 120, U if controlled else None))
+    inputs = [np.vstack([u, u[-1:]]) for u in U] if controlled else None
+    res = kl.fit_hankel(trajs, 3, inputs=inputs, dt=0.05)
+    kind = "hdmdc" if controlled else "hdmd"
+    model = kl.fit(kl.TimeDelay(3), kind, kl.TrajectoryDataset(trajs, 0.05, inputs))
+    assert res.kind == model.regression.kind == kind
+    np.testing.assert_array_equal(res.A, model.regression.A)
+    np.testing.assert_array_equal(res.eigensystem.lambdas, model.eigenvalues)
+    if controlled:
+        np.testing.assert_array_equal(res.B, model.B)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kooplift as kl
 from kooplift.errors import ConfigError, DataError, RegressionError
@@ -98,6 +100,42 @@ def test_edmd_zero_eigenvalue_modes_fall_back_to_projected():
         res.modes_exact[:, zero], res.eigensystem.W_right[:, zero]
     )
     assert np.all(res.eigensystem.mus[zero].real == -np.inf)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log_scale=st.floats(min_value=-3.0, max_value=3.0),
+    m=st.integers(min_value=5, max_value=200),
+    angle=st.floats(min_value=0.0, max_value=2.0 * np.pi),
+    coupling=st.floats(min_value=0.1, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**31),
+    route=st.sampled_from(["edmd", "kdmd"]),
+)
+def test_nilpotent_fits_report_exact_zero_eigenvalues(log_scale, m, angle, coupling,
+                                                       seed, route):
+    # N = s u v^T with v orthogonal to u is nilpotent: both eigenvalues are 0
+    u = np.array([np.cos(angle), np.sin(angle)])
+    N = 10.0**log_scale * coupling * np.outer(u, [-u[1], u[0]])
+    Z = np.random.default_rng(seed).normal(size=(2, m))
+    if route == "edmd":
+        res = kl.fit_edmd(Z, N @ Z)
+    else:
+        linear = kl.KernelConfig(kind="polynomial", degree=1, offset=0.0)
+        res = kl.fit_kdmd(Z, N @ Z, linear)
+    assert np.all(res.eigensystem.lambdas == 0)
+    assert np.all(res.eigensystem.mus.real == -np.inf)
+    assert any("2 zero eigenvalue(s)" in f for f in res.findings)
+    assert not any("negative real" in f for f in res.findings)
+
+
+def test_nonnormal_fit_keeps_eigenvalues_out_of_the_zero_class():
+    # this fit's ||A||_2 is over 1e6 times its eigenvalues, which all lie near 1
+    data = make_slow_manifold_dataset(grid=5, t_end=20.0)
+    model = kl.fit(kl.RadialBasis("invquad", n_centers=10, seed=1), "edmd", data)
+    smallest = np.min(np.abs(model.eigenvalues))
+    assert smallest < 1e-6 * np.linalg.norm(model.regression.A_reduced, 2)
+    assert smallest > 0.9
+    assert not any("zero eigenvalue" in f for f in model.metadata["findings"])
 
 
 # ---------------------------------------------------------------------------

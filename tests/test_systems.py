@@ -152,3 +152,55 @@ def test_hdmd_on_torus_signal_recovers_tones():
         np.sort_complex(res.eigensystem.lambdas), np.sort_complex(expected), atol=1e-6
     )
     np.testing.assert_allclose(np.abs(res.eigensystem.lambdas), 1.0, atol=1e-7)
+
+
+def _catalog_rhs_ref(name, x, u):
+    dx = np.empty_like(x)
+    if name == "slow_manifold":
+        dx[:, 0] = -0.05 * x[:, 0]
+        dx[:, 1] = -1.0 * (x[:, 1] - x[:, 0] ** 2)
+    elif name == "vdp_osc":
+        dx[:, 0] = x[:, 1]
+        dx[:, 1] = 2.0 * (1.0 - x[:, 0] ** 2) * x[:, 1] - x[:, 0] + u[:, 0]
+    elif name == "lorenz":
+        dx[:, 0] = 10.0 * (x[:, 1] - x[:, 0])
+        dx[:, 1] = x[:, 0] * (28.0 - x[:, 2]) - x[:, 1]
+        dx[:, 2] = x[:, 0] * x[:, 1] - 8.0 / 3.0 * x[:, 2]
+    else:
+        dx[:, 0] = x[:, 1]
+        dx[:, 1] = -0.5 * x[:, 1] - -1.0 * x[:, 0] - 1.0 * x[:, 0] ** 3 + u[:, 0]
+    return dx
+
+
+def _rk4_ref(name, X0, dt, U):
+    out = [X0]
+    x = X0
+    for k in range(U.shape[1]):
+        u = U[:, k, :]
+        k1 = _catalog_rhs_ref(name, x, u)
+        k2 = _catalog_rhs_ref(name, x + 0.5 * dt * k1, u)
+        k3 = _catalog_rhs_ref(name, x + 0.5 * dt * k2, u)
+        k4 = _catalog_rhs_ref(name, x + dt * k3, u)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(x)
+    return np.stack(out, axis=1)
+
+
+@pytest.mark.parametrize("name", ["slow_manifold", "vdp_osc", "lorenz", "forced_duffing"])
+def test_rk4_batch_matches_reference_bit_for_bit(name):
+    rng = np.random.default_rng(11)
+    spec = kl.get_system(name)
+    X0 = rng.uniform(-0.5, 0.5, size=(4, spec.n))
+    U = rng.normal(size=(4, 50, spec.q))
+    out = kl.integrate_rk4_batch(spec, X0, 0.01, 50, U if spec.q else None)
+    np.testing.assert_array_equal(out, _rk4_ref(name, X0, 0.01, U))
+
+
+def test_catalog_spec_rhs_accepts_single_state():
+    spec = kl.get_system("forced_duffing", delta=0.1)
+    x = np.array([0.3, -0.2])
+    p = {"delta": 0.1}
+    np.testing.assert_array_equal(spec.rhs(x), kl.system_rhs("forced_duffing", x, params=p))
+    np.testing.assert_array_equal(
+        spec.rhs(x, np.array([0.5])), kl.system_rhs("forced_duffing", x, u=[0.5], params=p)
+    )
