@@ -24,14 +24,20 @@ __all__ = [
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
+    """A read-only, C-ordered copy of an array."""
+    a = np.array(a, order="C")
     a.flags.writeable = False
     return a
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One diagnostic record from a validation pass."""
+    """One diagnostic record, from a fit or from a validation pass.
+
+    ``kind`` is a stable kebab-case code to match on; ``message`` is the
+    human-readable text. Dataset checks also locate the finding by
+    trajectory, row or column; the other location fields stay None.
+    """
 
     kind: str
     trajectory: Optional[int] = None
@@ -164,8 +170,9 @@ def split_pairs_by_trajectory(pairs: SnapshotPairs):
 def validate_dataset(data: TrajectoryDataset) -> list:
     """Diagnostic consistency checks; returns an empty list for clean data.
 
-    Reports non-finite entries, zero-variance state coordinates, and input
-    matrices whose row counts do not match their trajectory.
+    Reports non-finite entries and zero-variance state coordinates. Input
+    matrices whose row counts do not match their trajectory never get here:
+    TrajectoryDataset rejects them on construction.
     """
     findings = []
     for i, traj in enumerate(data.trajectories):
@@ -192,15 +199,4 @@ def validate_dataset(data: TrajectoryDataset) -> list:
                     message=f"state coordinate {col} is constant across all samples",
                 )
             )
-    if data.inputs is not None:
-        for i, (u, traj) in enumerate(zip(data.inputs, data.trajectories)):
-            if u.shape[0] != traj.shape[0]:
-                findings.append(
-                    Finding(
-                        kind="input-misalignment",
-                        trajectory=i,
-                        message=f"inputs for trajectory {i} have {u.shape[0]} rows, "
-                        f"expected {traj.shape[0]}",
-                    )
-                )
     return findings

@@ -11,13 +11,14 @@ step; it never re-lifts, which would silently reintroduce nonlinearity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .data import TrajectoryDataset, build_snapshot_pairs
+from .data import Finding, TrajectoryDataset, _freeze, build_snapshot_pairs
 from .errors import ConfigError, DataError, KoopliftError, RegressionError
 from .observables import (
     Identity,
@@ -108,21 +109,22 @@ def _consistency_scores(phi_x: np.ndarray, phi_xp: np.ndarray, lambdas: np.ndarr
         den = np.linalg.norm(phi_x[j])
         if den == 0.0:
             scores[j] = np.nan
-            findings.append(
-                f"mode {j}: eigenfunction vanishes on the data; score undefined"
-            )
+            findings.append(Finding("vanishing-eigenfunction", message=(
+                f"mode {j}: eigenfunction vanishes on the data; score undefined")))
         else:
             scores[j] = np.linalg.norm(phi_xp[j] - lambdas[j] * phi_x[j]) / den
     return scores, findings
 
 
 class KoopmanModel:
-    """A fitted lifted-linear model; immutable after fit.
+    """A fitted lifted-linear model; read-only after fit.
 
     predict composes reconstruction, operator, and lifting with no hidden
-    recentering; simulate iterates the operator in lifted space. The real
-    part is taken after any complex arithmetic, with the largest imaginary
-    leakage recorded in ``metadata['imag_leakage_max']``.
+    recentering; simulate iterates the operator in lifted space. Both take
+    the real part of any complex result and change nothing on the model.
+    ``A``, ``B``, ``z0_train`` and ``training_scores`` are read-only arrays;
+    ``metadata`` is a read-only mapping whose ``"findings"`` is a tuple of
+    `Finding` records from the fit.
     """
 
     def __init__(self, observables: Observable, regression: RegressionResult,
@@ -135,12 +137,12 @@ class KoopmanModel:
         self.dt = float(dt)
         self.n = int(n)
         self.q = int(q)
-        self.metadata = dict(metadata)
-        self.z0_train = z0_train
-        self.training_scores = training_scores
-        self._A = np.ascontiguousarray(regression.A)
+        self.metadata = MappingProxyType(dict(metadata))
+        self.z0_train = _freeze(z0_train)
+        self.training_scores = _freeze(training_scores)
+        self._A = _freeze(regression.A)
         B = regression.B
-        self._B = None if B is None else np.ascontiguousarray(B)
+        self._B = None if B is None else _freeze(B)
 
     # -- basic properties ----------------------------------------------------
     @property
@@ -174,15 +176,6 @@ class KoopmanModel:
             return np.asarray(z[: self.n], dtype=float).copy()
         return np.asarray(x, dtype=float).reshape(-1).copy()
 
-    def _record_leakage(self, arr: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(arr):
-            leak = float(np.max(np.abs(arr.imag))) if arr.size else 0.0
-            prev = self.metadata.get("imag_leakage_max", 0.0)
-            if leak > prev:
-                self.metadata["imag_leakage_max"] = leak
-            return np.ascontiguousarray(arr.real)
-        return arr
-
     def _check_inputs(self, U, n_steps: int) -> Optional[np.ndarray]:
         if not self.controlled:
             if U is not None:
@@ -215,8 +208,7 @@ class KoopmanModel:
             if u is not None:
                 raise DataError("model is unforced; got unexpected input u")
             Z = _kernels.iterate_linear(self._A, z0, 1)
-        xnext = self.C.apply_vec(Z[1])
-        return self._record_leakage(xnext)
+        return np.ascontiguousarray(self.C.apply_vec(Z[1]).real)
 
     def simulate(self, x0, n_steps: int, U=None) -> np.ndarray:
         """Roll the model forward in lifted space; returns n_steps + 1 states.
@@ -236,8 +228,7 @@ class KoopmanModel:
             Z = _kernels.iterate_linear_controlled(self._A, self._B, z0, Uc)
         else:
             Z = _kernels.iterate_linear(self._A, z0, n_steps)
-        states = self.C.apply_cols(Z[1:].T).T
-        states = self._record_leakage(states)
+        states = self.C.apply_cols(Z[1:].T).T.real
         return np.vstack([x0_state[None, :], states])
 
     # -- spectral analytics -----------------------------------------------------
@@ -388,15 +379,13 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
     # reconstruction
     try:
         if regressor.kind == "kdmd":
-            library = KernelLift(
-                regressor.kernel.to_dict(), res.kernel_centers, res.kernel_alpha
-            )
+            library = KernelLift(regressor.kernel, res.kernel_centers, res.kernel_alpha)
             C = ReconstructionMap(C=res.modes_state, indices=None)
             z0 = library.lift(res.kernel_centers[0])
         else:
             X_state = build_snapshot_pairs(data).X
             C = fit_reconstruction(library, X_state)
-            z0 = np.asarray(Z[:, 0], dtype=res.A.dtype).copy()
+            z0 = np.asarray(Z[:, 0], dtype=res.A.dtype)
     except KoopliftError as exc:
         raise _stage("reconstruction", exc) from exc
 
@@ -417,8 +406,7 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
         "sigma_min": res.sigma_min,
         "n_features": int(res.A.shape[0]),
         "regressor": res.kind,
-        "imag_leakage_max": 0.0,
-        "findings": list(res.findings) + list(C.findings) + score_findings,
+        "findings": tuple(res.findings + C.findings + score_findings),
     }
     return KoopmanModel(
         observables=library, regression=res, C=C, dt=data.dt, n=n, q=q,

@@ -20,7 +20,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _kernels
+from .data import Finding
 from .errors import ConfigError, DataError
+from .regression import KernelConfig
 
 __all__ = [
     "Observable",
@@ -613,9 +615,9 @@ class KernelLift(Observable):
 
     kind = "kernel_lift"
 
-    def __init__(self, kernel_config: dict, centers: np.ndarray, alpha: np.ndarray):
+    def __init__(self, kernel: KernelConfig, centers: np.ndarray, alpha: np.ndarray):
         super().__init__()
-        self.kernel_config = dict(kernel_config)
+        self.kernel = kernel
         self.centers = np.array(centers, dtype=float)  # (m, n) training states
         self.alpha = np.array(alpha, dtype=complex)  # (m, r) coefficients
         self.bind(self.centers.shape[1])
@@ -624,18 +626,12 @@ class KernelLift(Observable):
     def n_output(self) -> int:
         return self.alpha.shape[1]
 
-    def _kernel_params(self):
-        cfg = self.kernel_config
-        if cfg["kind"] == "gaussian":
-            return _kernels.KERNEL_GAUSSIAN, float(cfg["sigma"]), 0.0
-        return _kernels.KERNEL_POLYNOMIAL, float(cfg.get("offset", 1.0)), float(cfg["degree"])
-
     def lift_rows(self, X):
         X = np.asarray(X, dtype=float)
         if X.shape[1] != self.n_input:
             raise DataError(f"expected {self.n_input} columns, got {X.shape[1]}")
-        kind, p0, p1 = self._kernel_params()
-        K = _kernels.gram_matrix(X, self.centers, kind, p0, p1)  # (b, m)
+        # not KernelConfig.gram: prediction-time Gram rows are lifting, not regression
+        K = _kernels.gram_matrix(X, self.centers, *self.kernel.gram_args())  # (b, m)
         return K @ self.alpha
 
     def lift(self, x):
@@ -650,7 +646,7 @@ class KernelLift(Observable):
         return {
             "kind": self.kind,
             "n_input": self.n_input,
-            "kernel": dict(self.kernel_config),
+            "kernel": self.kernel.to_dict(),
             "centers": self.centers.tolist(),
             "alpha_re": self.alpha.real.tolist(),
             "alpha_im": self.alpha.imag.tolist(),
@@ -712,10 +708,9 @@ def fit_reconstruction(library: Observable, X: np.ndarray) -> ReconstructionMap:
     Ct, _, rank, _ = np.linalg.lstsq(Z.T, X.T, rcond=1e-10)
     findings = []
     if rank < min(N, m):
-        findings.append(
+        findings.append(Finding("rank-deficient-reconstruction", message=(
             f"lifted training data is rank deficient ({rank} < {min(N, m)}); "
-            "returned the minimum-norm reconstruction"
-        )
+            "returned the minimum-norm reconstruction")))
     return ReconstructionMap(C=np.asarray(Ct).T, indices=None, findings=findings)
 
 
@@ -795,10 +790,10 @@ def observable_from_config(cfg: dict) -> Observable:
         for key in ("kernel", "centers", "alpha_re", "alpha_im"):
             if key not in cfg:
                 raise ConfigError(f"kernel_lift config needs {key!r}")
-        alpha = np.asarray(cfg["alpha_re"], dtype=float) + 1j * np.asarray(
-            cfg["alpha_im"], dtype=float
-        )
-        return KernelLift(cfg["kernel"], np.asarray(cfg["centers"], dtype=float), alpha)
+        # assigned, not added as re + 1j*im, which would turn -0.0 parts into 0.0
+        alpha = np.array(cfg["alpha_re"], dtype=complex)
+        alpha.imag = cfg["alpha_im"]
+        return KernelLift(KernelConfig.from_dict(cfg["kernel"]), cfg["centers"], alpha)
 
     if cfg.get("n_input") is not None and lib.n_input is None:
         lib.bind(int(cfg["n_input"]))

@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
+from .data import Finding
 from .errors import ConfigError, DataError, RegressionError
 
 __all__ = [
@@ -88,18 +89,16 @@ def _classify_spectrum(lam: np.ndarray, A: np.ndarray, dt: float):
     findings = []
     if zero.any():
         mus[zero] = complex(-np.inf, 0.0)
-        findings.append(
+        findings.append(Finding("zero-eigenvalue", message=(
             f"{int(zero.sum())} zero eigenvalue(s) (|lambda| <= {ZERO_EIG_RTOL:.1e} "
-            "||A||_2): continuous eigenvalue reported as -inf"
-        )
+            "||A||_2): continuous eigenvalue reported as -inf")))
     nz = ~zero
     mus[nz] = np.log(lam[nz]) / dt
     neg_real = nz & (lam.imag == 0) & (lam.real < 0)
     if neg_real.any():
-        findings.append(
+        findings.append(Finding("negative-real-eigenvalue", message=(
             "negative real eigenvalue(s): principal-branch log gives imaginary "
-            "part pi/dt; the continuous eigenvalue is aliasing-ambiguous"
-        )
+            "part pi/dt; the continuous eigenvalue is aliasing-ambiguous")))
     return lam, mus, findings
 
 
@@ -135,11 +134,10 @@ def eig_biorthogonal(A: np.ndarray, dt: float = 1.0) -> EigenSystem:
     findings = []
     cond = np.linalg.cond(W)
     if not np.isfinite(cond) or cond > 1e12:
-        findings.append(
+        findings.append(Finding("defective-eigenvectors", message=(
             f"eigenvector matrix is ill-conditioned (cond={cond:.2e}); the "
             "operator is defective within tolerance and biorthogonality is "
-            "waived for the affected cluster"
-        )
+            "waived for the affected cluster")))
         W_left = np.linalg.pinv(W).conj().T
     else:
         W_left = np.linalg.inv(W).conj().T
@@ -166,7 +164,6 @@ class RegressionResult:
     A_reduced: np.ndarray
     projection: Optional[np.ndarray] = None
     B_reduced: Optional[np.ndarray] = None
-    svd_factors: Optional[tuple] = None  # (Ur, Sr, Vr) of the input-side SVD
     eigensystem: Optional[EigenSystem] = None
     modes_exact: Optional[np.ndarray] = None  # (N, r), SVD-DMD exact modes
     use_exact_modes: bool = False
@@ -176,7 +173,6 @@ class RegressionResult:
     m: int = 0
     findings: list = field(default_factory=list)
     # kernel-variant payload
-    kernel_config: Optional["KernelConfig"] = None
     kernel_centers: Optional[np.ndarray] = None  # (m, n) training states, row-major
     kernel_alpha: Optional[np.ndarray] = None  # (m, r) eigenfunction coefficients
     modes_state: Optional[np.ndarray] = None  # (n, r) Koopman modes (kernel variant)
@@ -195,11 +191,6 @@ class RegressionResult:
         if self.projection is None:
             return self.B_reduced
         return self.projection @ self.B_reduced
-
-    @property
-    def modes_projected(self) -> np.ndarray:
-        """Right eigenvectors mapped to the full lifted space."""
-        return self.eigensystem.W_right
 
     def reported_modes(self, exact: Optional[bool] = None) -> np.ndarray:
         if exact is None:
@@ -291,7 +282,8 @@ def fit_edmd(Z, Zprime, rank=None, dt: float = 1.0, kind: str = "edmd") -> Regre
     ME[:, nz] = ME[:, nz] / lam[nz]
     if (~nz).any():
         ME[:, ~nz] = eig_full.W_right[:, ~nz]
-        findings.append("zero eigenvalue(s): exact modes fall back to projected modes")
+        findings.append(Finding("exact-mode-fallback", message=(
+            "zero eigenvalue(s): exact modes fall back to projected modes")))
 
     A_full = Ur @ At @ Ur.T
     E = Zp - A_full @ Z
@@ -299,7 +291,7 @@ def fit_edmd(Z, Zprime, rank=None, dt: float = 1.0, kind: str = "edmd") -> Regre
     denom = float(np.linalg.norm(Zp))
     return RegressionResult(
         kind=kind, rank=r, A_reduced=At, projection=Ur,
-        svd_factors=(Ur, sr, Vr), eigensystem=eig_full,
+        eigensystem=eig_full,
         modes_exact=ME, use_exact_modes=True,
         residual_fro=fro, residual_rel=fro / denom if denom > 0 else 0.0,
         sigma_min=float(sr[-1]), m=m, findings=findings + list(eig_full.findings),
@@ -357,7 +349,7 @@ def fit_edmdc(Z, Zprime, U, rank_in=None, rank_out=None, dt: float = 1.0,
     denom = float(np.linalg.norm(Zp))
     return RegressionResult(
         kind=kind, rank=r, A_reduced=A_red, projection=projection, B_reduced=B_red,
-        svd_factors=(Uo, so, Vo), eigensystem=eig_full,
+        eigensystem=eig_full,
         modes_exact=None, use_exact_modes=False,
         residual_fro=fro, residual_rel=fro / denom if denom > 0 else 0.0,
         sigma_min=float(so[-1]), m=m, findings=list(eig_full.findings),
@@ -419,14 +411,14 @@ class KernelConfig:
             reg_eps=float(d.get("reg_eps", 0.0)),
         )
 
-    def gram(self, Xrows: np.ndarray, Yrows: np.ndarray) -> np.ndarray:
+    def gram_args(self) -> tuple:
+        """The (kind, p0, p1) arguments of `_kernels.gram_matrix` for this kernel."""
         if self.kind == "gaussian":
-            return _kernels.gram_matrix(
-                Xrows, Yrows, _kernels.KERNEL_GAUSSIAN, self.sigma, 0.0
-            )
-        return _kernels.gram_matrix(
-            Xrows, Yrows, _kernels.KERNEL_POLYNOMIAL, self.offset, float(self.degree)
-        )
+            return _kernels.KERNEL_GAUSSIAN, self.sigma, 0.0
+        return _kernels.KERNEL_POLYNOMIAL, self.offset, float(self.degree)
+
+    def gram(self, Xrows: np.ndarray, Yrows: np.ndarray) -> np.ndarray:
+        return _kernels.gram_matrix(Xrows, Yrows, *self.gram_args())
 
 
 def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> RegressionResult:
@@ -507,7 +499,7 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
         eigensystem=eig, residual_fro=fro,
         residual_rel=fro / den if den > 0 else 0.0,
         sigma_min=float(np.sqrt(sr[-1])), m=m, findings=list(mu_findings),
-        kernel_config=kernel, kernel_centers=Xr, kernel_alpha=alpha, modes_state=V,
+        kernel_centers=Xr, kernel_alpha=alpha, modes_state=V,
     )
 
 

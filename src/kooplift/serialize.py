@@ -2,18 +2,21 @@
 
 Matrices are row-major with explicit shape; complex numbers are [re, im]
 pairs. Floats rely on repr round-tripping, so a saved model reproduces the
-in-memory one bit-for-bit. Writes go to a temp file in the target directory
-followed by an atomic rename, so no partial files are ever left behind.
+in-memory one bit-for-bit. Findings are objects: kind, message and any set
+location. Writes go to a temp file in the target directory followed by an
+atomic rename, so no partial files are ever left behind.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
 
 import numpy as np
 
+from .data import Finding
 from .errors import DataError
 from .model import KoopmanModel
 from .observables import ReconstructionMap, observable_from_config
@@ -57,6 +60,15 @@ def _cvec_from_json(lst) -> np.ndarray:
         raise DataError(f"malformed complex vector in model file: {exc}") from None
 
 
+def _finding_from_json(entry) -> Finding:
+    if isinstance(entry, str):  # findings were plain strings in earlier v1 files
+        return Finding("unclassified", message=entry)
+    f = Finding(**entry)  # TypeError for a non-object, a missing kind, an unknown key
+    if not (isinstance(f.kind, str) and isinstance(f.message, str)):
+        raise TypeError(f"finding kind and message must be strings: {entry!r}")
+    return f
+
+
 def model_to_dict(model: KoopmanModel) -> dict:
     eig = model.regression.eigensystem
     eigen = {
@@ -69,6 +81,11 @@ def model_to_dict(model: KoopmanModel) -> dict:
     if model.regression.modes_exact is not None:
         eigen["modes_exact"] = _matrix_to_json(model.regression.modes_exact)
     metadata = dict(model.metadata)
+    if "findings" in metadata:
+        metadata["findings"] = [
+            {k: v for k, v in dataclasses.asdict(f).items() if v is not None}
+            for f in metadata["findings"]
+        ]
     metadata["z0_train"] = _cvec_to_json(model.z0_train)
     metadata["training_scores"] = [float(s) for s in model.training_scores]
     d = {
@@ -116,8 +133,14 @@ def model_from_dict(d: dict) -> KoopmanModel:
         metadata = dict(d["metadata"])
         z0 = _cvec_from_json(metadata.pop("z0_train"))
         if not np.iscomplexobj(A):
-            z0 = np.ascontiguousarray(z0.real)
+            z0 = z0.real
         scores = np.array([float(s) for s in metadata.pop("training_scores")])
+        if "findings" in metadata:
+            if not isinstance(metadata["findings"], list):
+                raise TypeError("metadata.findings must be a list")
+            metadata["findings"] = tuple(
+                _finding_from_json(f) for f in metadata["findings"]
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file: {exc}") from None
     res = RegressionResult(

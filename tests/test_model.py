@@ -121,6 +121,20 @@ def _controlled_scalar_model():
     return kl.fit(kl.Identity(), "dmdc", ds)
 
 
+def test_fitted_model_is_read_only(slow_manifold_poly_model):
+    for model in (slow_manifold_poly_model, _controlled_scalar_model()):
+        arrays = [model.A, model.z0_train, model.training_scores]
+        if model.controlled:
+            arrays.append(model.B)
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        with pytest.raises(TypeError):
+            model.metadata["rank"] = 0
+        with pytest.raises(TypeError):
+            del model.metadata["findings"]
+
+
 def test_predict_controlled_scalar():
     model = _controlled_scalar_model()
     assert model.controlled and model.q == 1
@@ -319,7 +333,7 @@ def test_linearity_nan_sentinel():
     phi_xp = np.array([[0.0, 0.0], [1.0, 2.0]])
     scores, findings = _consistency_scores(phi_x, phi_xp, np.array([1.0, 1.0]))
     assert np.isnan(scores[0]) and scores[1] == 0.0
-    assert len(findings) == 1 and "vanishes" in findings[0]
+    assert len(findings) == 1 and findings[0].kind == "vanishing-eigenfunction"
 
 
 def test_scores_bounded_by_residual_over_sigma_min(slow_manifold_poly_model):
@@ -346,7 +360,8 @@ def test_model_reports_branch_findings():
     A = np.diag([-0.5, 0.25])
     ds = _linear_dataset(A, [[1.0, 1.0], [0.5, -1.0]], 8)
     model = kl.fit(kl.Identity(), "dmd", ds)
-    assert any("aliasing-ambiguous" in f for f in model.regression.eigensystem.findings)
+    assert any(f.kind == "negative-real-eigenvalue"
+               for f in model.regression.eigensystem.findings)
 
 
 # ---------------------------------------------------------------------------

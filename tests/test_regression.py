@@ -94,7 +94,7 @@ def test_edmd_zero_eigenvalue_modes_fall_back_to_projected():
     N = np.array([[0.0, 1.0], [0.0, 0.0]])  # nilpotent: both eigenvalues zero
     Z = RNG.normal(size=(2, 30))
     res = kl.fit_edmd(Z, N @ Z)
-    assert any("zero eigenvalue" in f for f in res.findings)
+    assert any(f.kind == "exact-mode-fallback" for f in res.findings)
     zero = res.eigensystem.lambdas == 0
     np.testing.assert_array_equal(
         res.modes_exact[:, zero], res.eigensystem.W_right[:, zero]
@@ -124,8 +124,9 @@ def test_nilpotent_fits_report_exact_zero_eigenvalues(log_scale, m, angle, coupl
         res = kl.fit_kdmd(Z, N @ Z, linear)
     assert np.all(res.eigensystem.lambdas == 0)
     assert np.all(res.eigensystem.mus.real == -np.inf)
-    assert any("2 zero eigenvalue(s)" in f for f in res.findings)
-    assert not any("negative real" in f for f in res.findings)
+    assert any(f.kind == "zero-eigenvalue" and "2 zero eigenvalue(s)" in f.message
+               for f in res.findings)
+    assert not any(f.kind == "negative-real-eigenvalue" for f in res.findings)
 
 
 def test_nonnormal_fit_keeps_eigenvalues_out_of_the_zero_class():
@@ -135,7 +136,8 @@ def test_nonnormal_fit_keeps_eigenvalues_out_of_the_zero_class():
     smallest = np.min(np.abs(model.eigenvalues))
     assert smallest < 1e-6 * np.linalg.norm(model.regression.A_reduced, 2)
     assert smallest > 0.9
-    assert not any("zero eigenvalue" in f for f in model.metadata["findings"])
+    assert not any(f.kind in ("zero-eigenvalue", "exact-mode-fallback")
+                   for f in model.metadata["findings"])
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +430,7 @@ def test_eig_sort_order_and_conjugate_adjacency():
 
 def test_eig_defective_flagged():
     es = kl.eig_biorthogonal(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    assert any("defective" in f for f in es.findings)
+    assert any(f.kind == "defective-eigenvectors" for f in es.findings)
 
 
 def test_eig_left_normalization_max_entry_one():
@@ -448,12 +450,12 @@ def test_continuous_eigenvalue_conversion_consistency():
 def test_zero_eigenvalue_sentinel():
     es = kl.eig_biorthogonal(np.array([[0.0, 0.0], [0.0, 0.5]]), dt=0.1)
     assert es.mus[-1].real == -np.inf
-    assert any("zero eigenvalue" in f for f in es.findings)
+    assert any(f.kind == "zero-eigenvalue" for f in es.findings)
 
 
 def test_negative_real_eigenvalue_branch_flag():
     es = kl.eig_biorthogonal(np.diag([-0.5, 0.25]), dt=1.0)
-    assert any("aliasing-ambiguous" in f for f in es.findings)
+    assert any(f.kind == "negative-real-eigenvalue" for f in es.findings)
     assert es.mus[0].imag == pytest.approx(np.pi)
 
 

@@ -64,6 +64,61 @@ def test_roundtrip_simulate_bit_identical(tmp_path, dataset):
         np.testing.assert_array_equal(a, b), name
 
 
+def _gaussian_kdmd(dataset):
+    return kl.fit(
+        None,
+        kl.RegressorConfig(kind="kdmd", kernel=kl.KernelConfig(kind="gaussian", sigma=1.5)),
+        kl.TrajectoryDataset([t[:30] for t in dataset.trajectories[:4]], dt=dataset.dt),
+    )
+
+
+def test_save_load_save_byte_identical(tmp_path, dataset):
+    for name, model, _ in _models(dataset):
+        p1, p2 = str(tmp_path / f"{name}1.json"), str(tmp_path / f"{name}2.json")
+        kl.save_model(model, p1)
+        kl.save_model(kl.load_model(p1), p2)
+        assert open(p1, "rb").read() == open(p2, "rb").read(), name
+
+
+def test_simulate_and_predict_leave_the_model_unchanged(tmp_path, dataset):
+    models = [("kdmd", _gaussian_kdmd(dataset)),
+              ("poly", kl.fit(kl.Polynomial(2), "edmd", dataset))]
+    for name, model in models:
+        before, after = str(tmp_path / f"{name}0.json"), str(tmp_path / f"{name}1.json")
+        kl.save_model(model, before)
+        x0 = dataset.trajectories[0][0]
+        model.simulate(x0, 50)
+        model.predict(x0)
+        kl.save_model(model, after)
+        assert open(before, "rb").read() == open(after, "rb").read(), name
+
+
+def test_nilpotent_findings_survive_the_round_trip(tmp_path):
+    N = np.array([[0.0, 1.0], [0.0, 0.0]])
+    starts = np.random.default_rng(5).normal(size=(10, 2))
+    ds = kl.TrajectoryDataset([np.array([x, N @ x, N @ N @ x]) for x in starts], dt=0.1)
+    model = kl.fit(None, "dmd", ds)
+    findings = model.metadata["findings"]
+    assert all(isinstance(f, kl.Finding) for f in findings)
+    assert [f.kind for f in findings] == ["exact-mode-fallback", "zero-eigenvalue"]
+    path = str(tmp_path / "nil.json")
+    kl.save_model(model, path)
+    assert kl.load_model(path).metadata["findings"] == findings
+
+
+def test_string_findings_of_older_files_load(dataset):
+    d = json.loads(json.dumps(model_to_dict(kl.fit(kl.Polynomial(2), "edmd", dataset))))
+    d["metadata"]["findings"] = ["mode 1: eigenfunction vanishes on the data"]
+    assert model_from_dict(d).metadata["findings"] == (
+        kl.Finding("unclassified", message="mode 1: eigenfunction vanishes on the data"),
+    )
+    for bad in ([{"message": "no kind"}], [{"kind": "x", "severity": 1}],
+                [{"kind": 3}], [7], "not a list"):
+        d["metadata"]["findings"] = bad
+        with pytest.raises(DataError, match="malformed model file"):
+            model_from_dict(d)
+
+
 def test_roundtrip_spectral_objects(tmp_path, dataset):
     model = kl.fit(kl.Polynomial(2), "edmd", dataset)
     path = str(tmp_path / "m.json")
@@ -163,6 +218,11 @@ def test_observable_config_rejects_unknown(dataset):
         kl.observable_from_config({"kind": "wavelet"})
     with pytest.raises(ConfigError, match="unknown keys"):
         kl.observable_from_config({"kind": "polynomial", "degree": 2, "foo": 1})
+    with pytest.raises(ConfigError, match="unknown keys in kernel config"):
+        kl.observable_from_config({
+            "kind": "kernel_lift", "kernel": {"kind": "gaussian", "sigma": 1.0, "foo": 1},
+            "centers": [[0.0, 0.0]], "alpha_re": [[1.0]], "alpha_im": [[0.0]],
+        })
 
 
 def test_atomic_write_replaces_not_partial(tmp_path):
