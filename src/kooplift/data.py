@@ -7,7 +7,8 @@ keeps the operator regressions literal matrix algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,11 +24,23 @@ __all__ = [
 ]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """A read-only, C-ordered copy of an array."""
-    a = np.array(a, order="C")
+def _freeze(a: np.ndarray, order: str = "K") -> np.ndarray:
+    """A read-only copy of an array, in the memory layout of the original
+    unless ``order`` says otherwise."""
+    a = np.array(a, order=order)
     a.flags.writeable = False
     return a
+
+
+def _freeze_record(record) -> None:
+    """Make a frozen dataclass's array fields read-only copies and its
+    ``findings`` field, if any, a tuple; called from ``__post_init__``."""
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            object.__setattr__(record, f.name, _freeze(value))
+        elif f.name == "findings":
+            object.__setattr__(record, f.name, tuple(value))
 
 
 @dataclass(frozen=True)
@@ -71,7 +84,7 @@ class TrajectoryDataset:
                 raise DataError(
                     f"trajectory {i} too short: {a.shape[0]} sample(s), need at least 2"
                 )
-            trajs.append(_freeze(a))
+            trajs.append(_freeze(a, "C"))
         n_set = {a.shape[1] for a in trajs}
         if len(n_set) > 1:
             raise DataError(f"trajectories disagree on state dimension: {sorted(n_set)}")
@@ -91,7 +104,7 @@ class TrajectoryDataset:
                         f"inputs for trajectory {i} have {ua.shape[0]} rows, "
                         f"expected {a.shape[0]}"
                     )
-                ins.append(_freeze(ua))
+                ins.append(_freeze(ua, "C"))
             q_set = {u.shape[1] for u in ins}
             if len(q_set) > 1:
                 raise DataError(f"input arrays disagree on channel count: {sorted(q_set)}")
@@ -119,52 +132,51 @@ class TrajectoryDataset:
 
 @dataclass(frozen=True)
 class SnapshotPairs:
-    """Column-aligned snapshot matrices X, Xprime (n x m), optional U (q x m)."""
+    """Column-aligned snapshot matrices X, Xprime (N x m), optional U (q x m)."""
 
     X: np.ndarray
     Xprime: np.ndarray
     dt: float
     U: Optional[np.ndarray] = None
-    counts: tuple = field(default=())  # pairs contributed per source trajectory
 
     @property
     def m(self) -> int:
         return self.X.shape[1]
 
 
-def build_snapshot_pairs(data: TrajectoryDataset) -> SnapshotPairs:
+def build_snapshot_pairs(data: TrajectoryDataset, library=None) -> SnapshotPairs:
     """Assemble one-step snapshot pairs from every trajectory.
 
-    A trajectory of T samples contributes T - 1 pairs; pairs never straddle
-    trajectory boundaries. Column order preserves trajectory order, then time
-    order. U columns, when inputs are present, are taken at the X timestamps.
+    With an Observable ``library`` each trajectory is lifted once, as a
+    whole, into Y with ``library.lift_trajectory``, and its pairs are
+    X = Y[:-1], X' = Y[1:]; without one the raw states are paired. Pairs
+    never straddle trajectory boundaries, and columns keep trajectory order,
+    then time order. U columns, when inputs are present, are taken at the X
+    timestamps, after the library's warm-up.
     """
     if not data.trajectories:
         raise DataError("no trajectories")
     xs, xps, us = [], [], []
-    counts = []
     for i, traj in enumerate(data.trajectories):
-        xs.append(traj[:-1])
-        xps.append(traj[1:])
-        counts.append(traj.shape[0] - 1)
+        Y = traj
+        if library is not None:
+            try:
+                Y = library.lift_trajectory(traj)
+            except DataError as exc:
+                raise DataError(f"trajectory {i}: {exc}") from None
+            if Y.shape[0] < 2:
+                raise DataError(
+                    f"trajectory {i} too short: {traj.shape[0]} samples lift to "
+                    f"{Y.shape[0]} snapshot(s), need at least 2"
+                )
+        xs.append(Y[:-1])
+        xps.append(Y[1:])
         if data.inputs is not None:
-            us.append(data.inputs[i][:-1])
+            us.append(data.inputs[i][traj.shape[0] - Y.shape[0] : -1])
     X = np.vstack(xs).T
     Xp = np.vstack(xps).T
     U = np.vstack(us).T if us else None
-    return SnapshotPairs(X=X, Xprime=Xp, dt=data.dt, U=U, counts=tuple(counts))
-
-
-def split_pairs_by_trajectory(pairs: SnapshotPairs):
-    """Recover the original trajectories from snapshot pairs (inverse of build)."""
-    trajs = []
-    start = 0
-    for c in pairs.counts:
-        X = pairs.X[:, start : start + c]
-        Xp = pairs.Xprime[:, start : start + c]
-        trajs.append(np.vstack([X.T, Xp.T[-1:]]))
-        start += c
-    return trajs
+    return SnapshotPairs(X=X, Xprime=Xp, dt=data.dt, U=U)
 
 
 def validate_dataset(data: TrajectoryDataset) -> list:

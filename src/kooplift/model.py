@@ -1,9 +1,9 @@
 """The user-facing model: observables composed with a fitted operator.
 
-`fit` lifts each training trajectory once, slices it into snapshot pairs,
-runs the configured regression, fits the state reconstruction, and
-assembles an immutable KoopmanModel exposing prediction, simulation,
-spectral analytics, and validation scores.
+`fit` lifts each training trajectory once into snapshot pairs, runs the
+configured regression, fits the state reconstruction, and assembles an
+immutable KoopmanModel exposing prediction, simulation, spectral analytics,
+and validation scores.
 
 Multi-step simulation iterates in the lifted space and reconstructs each
 step; it never re-lifts, which would silently reintroduce nonlinearity.
@@ -11,14 +11,15 @@ step; it never re-lifts, which would silently reintroduce nonlinearity.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
 from . import _kernels
-from .data import Finding, TrajectoryDataset, _freeze, build_snapshot_pairs
+from .data import Finding, TrajectoryDataset, _freeze_record, build_snapshot_pairs
 from .errors import ConfigError, DataError, KoopliftError, RegressionError
 from .observables import (
     Identity,
@@ -116,46 +117,45 @@ def _consistency_scores(phi_x: np.ndarray, phi_xp: np.ndarray, lambdas: np.ndarr
     return scores, findings
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class KoopmanModel:
     """A fitted lifted-linear model; read-only after fit.
 
     predict composes reconstruction, operator, and lifting with no hidden
     recentering; simulate iterates the operator in lifted space. Both take
     the real part of any complex result and change nothing on the model.
-    ``A``, ``B``, ``z0_train`` and ``training_scores`` are read-only arrays;
-    ``metadata`` is a read-only mapping whose ``"findings"`` is a tuple of
-    `Finding` records from the fit.
+    Attributes cannot be rebound. ``A``, ``B`` and the spectrum are those of
+    the frozen ``regression`` record; ``z0_train`` and ``training_scores``
+    are read-only arrays; ``metadata`` is a read-only mapping whose
+    ``"findings"`` is a tuple of `Finding` records from the fit.
     """
 
-    def __init__(self, observables: Observable, regression: RegressionResult,
-                 C: ReconstructionMap, dt: float, n: int, q: int,
-                 metadata: dict, z0_train: np.ndarray,
-                 training_scores: np.ndarray):
-        self.observables = observables
-        self.regression = regression
-        self.C = C
-        self.dt = float(dt)
-        self.n = int(n)
-        self.q = int(q)
-        self.metadata = MappingProxyType(dict(metadata))
-        self.z0_train = _freeze(z0_train)
-        self.training_scores = _freeze(training_scores)
-        self._A = _freeze(regression.A)
-        B = regression.B
-        self._B = None if B is None else _freeze(B)
+    observables: Observable
+    regression: RegressionResult
+    C: ReconstructionMap
+    dt: float
+    n: int
+    q: int
+    metadata: Mapping
+    z0_train: np.ndarray
+    training_scores: np.ndarray
+
+    def __post_init__(self):
+        _freeze_record(self)
+        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
 
     # -- basic properties ----------------------------------------------------
     @property
     def controlled(self) -> bool:
-        return self._B is not None
+        return self.regression.B is not None
 
     @property
     def A(self) -> np.ndarray:
-        return self._A
+        return self.regression.A
 
     @property
     def B(self) -> Optional[np.ndarray]:
-        return self._B
+        return self.regression.B
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -169,7 +169,7 @@ class KoopmanModel:
     # -- lifting helpers -------------------------------------------------------
     def _lift_state(self, x) -> np.ndarray:
         z = self.observables.lift(np.asarray(x, dtype=float))
-        return np.asarray(z, dtype=self._A.dtype)
+        return np.asarray(z, dtype=self.A.dtype)
 
     def _current_state(self, x, z) -> np.ndarray:
         if isinstance(self.observables, TimeDelay):
@@ -190,7 +190,7 @@ class KoopmanModel:
             raise DataError(
                 f"inputs must have shape ({self.q}, {n_steps}), got {U.shape}"
             )
-        return np.ascontiguousarray(U.astype(self._A.dtype, copy=False))
+        return np.ascontiguousarray(U.astype(self.A.dtype, copy=False))
 
     # -- prediction -----------------------------------------------------------
     def predict(self, x, u=None) -> np.ndarray:
@@ -202,12 +202,12 @@ class KoopmanModel:
             uvec = np.asarray(u, dtype=float).reshape(-1)
             if uvec.shape[0] != self.q:
                 raise DataError(f"u must have {self.q} channel(s), got {uvec.shape[0]}")
-            U = np.ascontiguousarray(uvec[:, None].astype(self._A.dtype, copy=False))
-            Z = _kernels.iterate_linear_controlled(self._A, self._B, z0, U)
+            U = np.ascontiguousarray(uvec[:, None].astype(self.A.dtype, copy=False))
+            Z = _kernels.iterate_linear_controlled(self.A, self.B, z0, U)
         else:
             if u is not None:
                 raise DataError("model is unforced; got unexpected input u")
-            Z = _kernels.iterate_linear(self._A, z0, 1)
+            Z = _kernels.iterate_linear(self.A, z0, 1)
         return np.ascontiguousarray(self.C.apply_vec(Z[1]).real)
 
     def simulate(self, x0, n_steps: int, U=None) -> np.ndarray:
@@ -225,9 +225,9 @@ class KoopmanModel:
         if n_steps == 0:
             return x0_state[None, :]
         if Uc is not None:
-            Z = _kernels.iterate_linear_controlled(self._A, self._B, z0, Uc)
+            Z = _kernels.iterate_linear_controlled(self.A, self.B, z0, Uc)
         else:
-            Z = _kernels.iterate_linear(self._A, z0, n_steps)
+            Z = _kernels.iterate_linear(self.A, z0, n_steps)
         states = self.C.apply_cols(Z[1:].T).T.real
         return np.vstack([x0_state[None, :], states])
 
@@ -266,10 +266,10 @@ class KoopmanModel:
         Returns (scores, findings); 0 marks a perfect Koopman eigenfunction,
         NaN marks an eigenfunction that vanishes on the data.
         """
-        Z, Zp, _ = _lift_pairs(self.observables, data)
+        pairs = build_snapshot_pairs(data, self.observables)
         Wl = self.regression.eigensystem.W_left
-        phi_x = Wl.conj().T @ Z.astype(self._A.dtype)
-        phi_xp = Wl.conj().T @ Zp.astype(self._A.dtype)
+        phi_x = Wl.conj().T @ pairs.X.astype(self.A.dtype)
+        phi_xp = Wl.conj().T @ pairs.Xprime.astype(self.A.dtype)
         return _consistency_scores(phi_x, phi_xp, self.eigenvalues)
 
 
@@ -279,34 +279,6 @@ class KoopmanModel:
 
 def _stage(label: str, exc: KoopliftError) -> KoopliftError:
     return type(exc)(f"{label} stage: {exc}")
-
-
-def _lift_pairs(library: Observable, data: TrajectoryDataset):
-    """Lifted snapshot pair columns (Z, Zprime, U) of a dataset.
-
-    Each trajectory is lifted once, as a whole, into Y; its pairs are
-    Z = Y[:-1], Z' = Y[1:], so pairs never straddle trajectory boundaries.
-    Inputs are taken at the Z timestamps, after the library's warm-up.
-    """
-    Zs, Zps, Us = [], [], []
-    for i, traj in enumerate(data.trajectories):
-        try:
-            Y = library.lift_trajectory(traj)
-        except DataError as exc:
-            raise DataError(f"trajectory {i}: {exc}") from None
-        if Y.shape[0] < 2:
-            raise DataError(
-                f"trajectory {i} too short: {traj.shape[0]} samples lift to "
-                f"{Y.shape[0]} snapshot(s), need at least 2"
-            )
-        Zs.append(Y[:-1])
-        Zps.append(Y[1:])
-        if data.inputs is not None:
-            Us.append(data.inputs[i][traj.shape[0] - Y.shape[0] : -1])
-    Z = np.vstack(Zs).T
-    Zp = np.vstack(Zps).T
-    U = np.vstack(Us).T if Us else None
-    return Z, Zp, U
 
 
 def _resolve_library(observables, config: RegressorConfig) -> Observable:
@@ -351,16 +323,18 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
             f"dataset carries inputs but {regressor.kind} is unforced; "
             "use dmdc/edmdc/hdmdc"
         )
-    library = _resolve_library(observables, regressor)
+    # a private copy: the caller's library is neither bound nor prepared here
+    library = copy.deepcopy(_resolve_library(observables, regressor))
 
     # lifting
     try:
         library.bind(n)
         all_rows = np.vstack([t for t in data.trajectories])
         library.prepare(all_rows)
-        Z, Zp, U = _lift_pairs(library, data)
+        pairs = build_snapshot_pairs(data, library)
     except KoopliftError as exc:
         raise _stage("lifting", exc) from exc
+    Z, Zp, U = pairs.X, pairs.Xprime, pairs.U
 
     # regression
     try:
@@ -392,7 +366,8 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
     Wl = res.eigensystem.W_left
     if regressor.kind == "kdmd":
         # the kernel lift evaluates the eigenfunctions themselves
-        phi_x, phi_xp, _ = _lift_pairs(library, data)
+        phi = build_snapshot_pairs(data, library)
+        phi_x, phi_xp = phi.X, phi.Xprime
     else:
         phi_x = Wl.conj().T @ Z.astype(res.A.dtype)
         phi_xp = Wl.conj().T @ Zp.astype(res.A.dtype)
@@ -406,7 +381,7 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
         "sigma_min": res.sigma_min,
         "n_features": int(res.A.shape[0]),
         "regressor": res.kind,
-        "findings": tuple(res.findings + C.findings + score_findings),
+        "findings": (*res.findings, *C.findings, *score_findings),
     }
     return KoopmanModel(
         observables=library, regression=res, C=C, dt=data.dt, n=n, q=q,
@@ -426,7 +401,7 @@ def fit_hankel(trajectories, delays: int, rank=None, inputs=None,
     if isinstance(trajectories, np.ndarray) and trajectories.ndim == 2:
         trajectories = [trajectories]
     data = TrajectoryDataset(trajectories, dt, inputs)
-    Z, Zp, U = _lift_pairs(library.bind(data.n_states), data)
-    if U is None:
-        return fit_edmd(Z, Zp, rank=rank, dt=dt, kind="hdmd")
-    return fit_edmdc(Z, Zp, U, rank_in=rank, dt=dt, kind="hdmdc")
+    pairs = build_snapshot_pairs(data, library.bind(data.n_states))
+    if pairs.U is None:
+        return fit_edmd(pairs.X, pairs.Xprime, rank=rank, dt=dt, kind="hdmd")
+    return fit_edmdc(pairs.X, pairs.Xprime, pairs.U, rank_in=rank, dt=dt, kind="hdmdc")

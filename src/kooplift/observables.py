@@ -5,22 +5,22 @@ and knows how to get back: libraries that embed the state verbatim carry the
 embedding indices (exact reconstruction), the rest fall back to a fitted
 linear reconstruction map.
 
-Libraries are immutable once bound to an input dimension; lifting the same
-input twice yields bit-identical output, with any randomness fixed by a
-stored seed.
+Libraries are immutable once bound to an input dimension, and every array a
+library holds is read-only; lifting the same input twice yields
+bit-identical output, with any randomness fixed by a stored seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .data import Finding
+from .data import Finding, _freeze, _freeze_record
 from .errors import ConfigError, DataError
 from .regression import KernelConfig
 
@@ -55,6 +55,17 @@ class Observable:
 
     def __init__(self):
         self.n_input: Optional[int] = None
+
+    def __setattr__(self, name, value):
+        # arrays are stored as read-only copies, so set-up data cannot drift
+        if isinstance(value, np.ndarray):
+            value = _freeze(value)
+        super().__setattr__(name, value)
+
+    def __setstate__(self, state):
+        # copies (copy.deepcopy, pickle) store their arrays read-only too
+        for name, value in state.items():
+            setattr(self, name, value)
 
     # -- binding ------------------------------------------------------------
     def bind(self, n_input: int) -> "Observable":
@@ -321,7 +332,7 @@ class RadialBasis(Observable):
         self.seed = int(seed)
         self.n_centers = int(n_centers)
         self.ph_exp = int(ph_exp)
-        self.centers = None if centers is None else np.array(centers, dtype=float)
+        self.centers = None if centers is None else np.asarray(centers, dtype=float)
         if self.centers is not None and self.centers.ndim != 2:
             raise ConfigError("centers must be a (k, n) matrix")
 
@@ -342,7 +353,7 @@ class RadialBasis(Observable):
             )
         rng = np.random.default_rng(self.seed)
         idx = rng.choice(m, size=self.n_centers, replace=False)
-        self.centers = np.array(X_rows[np.sort(idx)], dtype=float)
+        self.centers = np.asarray(X_rows[np.sort(idx)], dtype=float)
 
     def _require_centers(self):
         if self.centers is None:
@@ -618,8 +629,8 @@ class KernelLift(Observable):
     def __init__(self, kernel: KernelConfig, centers: np.ndarray, alpha: np.ndarray):
         super().__init__()
         self.kernel = kernel
-        self.centers = np.array(centers, dtype=float)  # (m, n) training states
-        self.alpha = np.array(alpha, dtype=complex)  # (m, r) coefficients
+        self.centers = np.asarray(centers, dtype=float)  # (m, n) training states
+        self.alpha = np.asarray(alpha, dtype=complex)  # (m, r) coefficients
         self.bind(self.centers.shape[1])
 
     @property
@@ -657,17 +668,21 @@ class KernelLift(Observable):
 # reconstruction
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ReconstructionMap:
     """Linear map recovering the state from the lifted vector, x = C z.
 
     For exact-embedding libraries `indices` selects the embedded coordinates
-    (bit-exact); otherwise C is fitted by least squares.
+    (bit-exact); otherwise C is fitted by least squares. C is a read-only
+    copy; findings are a tuple.
     """
 
     C: np.ndarray
     indices: Optional[tuple] = None
-    findings: list = field(default_factory=list)
+    findings: tuple = ()
+
+    def __post_init__(self):
+        _freeze_record(self)
 
     def apply_cols(self, Z: np.ndarray) -> np.ndarray:
         """Map lifted columns (N, m) back to state columns (n, m)."""

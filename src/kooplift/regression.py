@@ -13,14 +13,14 @@ the default relative singular-value cutoff of 1e-10.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .data import Finding
+from .data import Finding, _freeze_record
 from .errors import ConfigError, DataError, RegressionError
 
 __all__ = [
@@ -46,7 +46,7 @@ GRAM_CUTOFF = 1e-12  # relative cutoff on Gram-matrix eigenvalues (~ sigma^2)
 ZERO_EIG_RTOL = 4.0 * np.sqrt(np.finfo(float).eps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigenSystem:
     """Eigendecomposition with biorthogonal left/right vectors.
 
@@ -54,7 +54,8 @@ class EigenSystem:
     real part, then increasing imaginary part, which keeps conjugate pairs
     adjacent. Columns satisfy W_left^H W_right = I for distinct eigenvalues;
     left vectors are scaled so their max-modulus entry is 1, with the right
-    vectors rescaled to preserve biorthogonality.
+    vectors rescaled to preserve biorthogonality. Arrays are read-only
+    copies; findings are a tuple.
     """
 
     lambdas: np.ndarray  # (r,) discrete eigenvalues
@@ -62,7 +63,10 @@ class EigenSystem:
     W_right: np.ndarray  # (N, r)
     W_left: np.ndarray  # (N, r)
     dt: float = 1.0
-    findings: list = field(default_factory=list)
+    findings: tuple = ()
+
+    def __post_init__(self):
+        _freeze_record(self)
 
     @property
     def rank(self) -> int:
@@ -149,53 +153,38 @@ def eig_biorthogonal(A: np.ndarray, dt: float = 1.0) -> EigenSystem:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegressionResult:
     """A fitted linear operator with its spectral decomposition.
 
-    The operator is stored reduced: `A_reduced` is (r, r) over the basis
-    `projection` (N, r); `projection=None` means the reduced and full
-    operators coincide. Eigenvectors in `eigensystem` always live in the
-    full N-dimensional lifted space.
+    `A` (N, N) and, for controlled fits, `B` (N, q) are the operator in the
+    full lifted space; eigenvectors in `eigensystem` live there too. Arrays
+    are read-only copies; findings are a tuple.
     """
 
     kind: str
     rank: int
-    A_reduced: np.ndarray
-    projection: Optional[np.ndarray] = None
-    B_reduced: Optional[np.ndarray] = None
+    A: np.ndarray
+    B: Optional[np.ndarray] = None
     eigensystem: Optional[EigenSystem] = None
     modes_exact: Optional[np.ndarray] = None  # (N, r), SVD-DMD exact modes
-    use_exact_modes: bool = False
     residual_fro: float = 0.0
     residual_rel: float = 0.0
     sigma_min: float = 0.0
     m: int = 0
-    findings: list = field(default_factory=list)
+    findings: tuple = ()
     # kernel-variant payload
     kernel_centers: Optional[np.ndarray] = None  # (m, n) training states, row-major
     kernel_alpha: Optional[np.ndarray] = None  # (m, r) eigenfunction coefficients
     modes_state: Optional[np.ndarray] = None  # (n, r) Koopman modes (kernel variant)
 
-    @property
-    def A(self) -> np.ndarray:
-        """The operator in the full lifted space."""
-        if self.projection is None:
-            return self.A_reduced
-        return self.projection @ self.A_reduced @ self.projection.conj().T
-
-    @property
-    def B(self) -> Optional[np.ndarray]:
-        if self.B_reduced is None:
-            return None
-        if self.projection is None:
-            return self.B_reduced
-        return self.projection @ self.B_reduced
+    def __post_init__(self):
+        _freeze_record(self)
 
     def reported_modes(self, exact: Optional[bool] = None) -> np.ndarray:
-        if exact is None:
-            exact = self.use_exact_modes
-        if exact and self.modes_exact is not None:
+        """Exact modes where the fit has them (the default), else the
+        projected eigenvectors."""
+        if (exact is None or exact) and self.modes_exact is not None:
             return self.modes_exact
         return self.eigensystem.W_right
 
@@ -236,25 +225,25 @@ def _truncate_svd(M: np.ndarray, rank):
     return U[:, :r], s[:r], Vt[:r].T
 
 
-def _lift_eigensystem(eig_red: EigenSystem, projection: Optional[np.ndarray]) -> EigenSystem:
-    if projection is None:
-        return eig_red
+def _lift_eigensystem(eig_red: EigenSystem, projection: np.ndarray) -> EigenSystem:
+    """Map a reduced eigensystem to the full space through an orthonormal basis."""
     Wr = projection @ eig_red.W_right
     Wl = projection @ eig_red.W_left
     Wr, Wl = _normalize_pair(Wr, Wl)
     return EigenSystem(
         lambdas=eig_red.lambdas, mus=eig_red.mus, W_right=Wr, W_left=Wl,
-        dt=eig_red.dt, findings=list(eig_red.findings),
+        dt=eig_red.dt, findings=eig_red.findings,
     )
 
 
 def fit_edmd(Z, Zprime, rank=None, dt: float = 1.0, kind: str = "edmd") -> RegressionResult:
     """SVD-based least-squares fit of Z' ~ A Z on lifted snapshot columns.
 
-    Returns the reduced operator over the leading left-singular basis of Z,
-    its eigensystem mapped to the full space, and both projected and exact
-    SVD-DMD modes (the exact form is the default reported one; eigenvalues at
-    zero fall back to the projected mode).
+    Fits the reduced operator over the leading left-singular basis of Z and
+    returns it in the full lifted space, with its eigensystem mapped there
+    too, and both projected and exact SVD-DMD modes (the exact form is the
+    default reported one; eigenvalues at zero fall back to the projected
+    mode).
     """
     Z = _as_matrix(Z, "Z")
     Zp = _as_matrix(Zprime, "Zprime")
@@ -290,11 +279,9 @@ def fit_edmd(Z, Zprime, rank=None, dt: float = 1.0, kind: str = "edmd") -> Regre
     fro = float(np.linalg.norm(E))
     denom = float(np.linalg.norm(Zp))
     return RegressionResult(
-        kind=kind, rank=r, A_reduced=At, projection=Ur,
-        eigensystem=eig_full,
-        modes_exact=ME, use_exact_modes=True,
+        kind=kind, rank=r, A=A_full, eigensystem=eig_full, modes_exact=ME,
         residual_fro=fro, residual_rel=fro / denom if denom > 0 else 0.0,
-        sigma_min=float(sr[-1]), m=m, findings=findings + list(eig_full.findings),
+        sigma_min=float(sr[-1]), m=m, findings=(*findings, *eig_full.findings),
     )
 
 
@@ -331,28 +318,21 @@ def fit_edmdc(Z, Zprime, U, rank_in=None, rank_out=None, dt: float = 1.0,
     A = AB[:, :N]
     B = AB[:, N:]
 
-    if rank_out is not None and (not isinstance(rank_out, Integral) or rank_out < N):
-        Uout, s_out, _ = _truncate_svd(Zp, rank_out)
-        projection = Uout
-        A_red = Uout.T @ A @ Uout
-        B_red = Uout.T @ B
-        r = A_red.shape[0]
-    else:
-        projection = None
-        A_red, B_red = A, B
-        r = N
-    eig_red = eig_biorthogonal(A_red, dt)
-    eig_full = _lift_eigensystem(eig_red, projection)
-
     E = Zp - (A @ Z + B @ U)
     fro = float(np.linalg.norm(E))
     denom = float(np.linalg.norm(Zp))
+    if rank_out is not None and (not isinstance(rank_out, Integral) or rank_out < N):
+        # the operator restricted to the leading output subspace, in full space
+        P, _, _ = _truncate_svd(Zp, rank_out)
+        A_red = P.T @ A @ P
+        eig = _lift_eigensystem(eig_biorthogonal(A_red, dt), P)
+        A, B = P @ A_red @ P.T, P @ (P.T @ B)
+    else:
+        eig = eig_biorthogonal(A, dt)
     return RegressionResult(
-        kind=kind, rank=r, A_reduced=A_red, projection=projection, B_reduced=B_red,
-        eigensystem=eig_full,
-        modes_exact=None, use_exact_modes=False,
+        kind=kind, rank=eig.rank, A=A, B=B, eigensystem=eig,
         residual_fro=fro, residual_rel=fro / denom if denom > 0 else 0.0,
-        sigma_min=float(so[-1]), m=m, findings=list(eig_full.findings),
+        sigma_min=float(so[-1]), m=m, findings=eig.findings,
     )
 
 
@@ -491,14 +471,13 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
     den = float(np.linalg.norm(Xi_next))
     eye = np.eye(r, dtype=complex)
     eig = EigenSystem(
-        lambdas=lam, mus=mus, W_right=eye, W_left=eye.copy(), dt=dt,
+        lambdas=lam, mus=mus, W_right=eye, W_left=eye, dt=dt,
         findings=mu_findings,
     )
     return RegressionResult(
-        kind="kdmd", rank=r, A_reduced=np.diag(lam), projection=None,
-        eigensystem=eig, residual_fro=fro,
+        kind="kdmd", rank=r, A=np.diag(lam), eigensystem=eig, residual_fro=fro,
         residual_rel=fro / den if den > 0 else 0.0,
-        sigma_min=float(np.sqrt(sr[-1])), m=m, findings=list(mu_findings),
+        sigma_min=float(np.sqrt(sr[-1])), m=m, findings=mu_findings,
         kernel_centers=Xr, kernel_alpha=alpha, modes_state=V,
     )
 

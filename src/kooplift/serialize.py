@@ -26,6 +26,10 @@ __all__ = ["MODEL_SCHEMA_VERSION", "model_to_dict", "model_from_dict",
            "save_model", "load_model", "atomic_write_text"]
 
 MODEL_SCHEMA_VERSION = 1
+# the finding kinds each record of a loaded model takes back from
+# metadata.findings; the regression owns its eigensystem's findings too
+_EIGEN_KINDS = ("zero-eigenvalue", "negative-real-eigenvalue", "defective-eigenvectors")
+_REGRESSION_KINDS = _EIGEN_KINDS + ("exact-mode-fallback",)
 
 
 def _matrix_to_json(M: np.ndarray) -> dict:
@@ -76,7 +80,8 @@ def model_to_dict(model: KoopmanModel) -> dict:
         "mus": _cvec_to_json(eig.mus),
         "W_right": _matrix_to_json(eig.W_right),
         "W_left": _matrix_to_json(eig.W_left),
-        "use_exact_modes": bool(model.regression.use_exact_modes),
+        # still written so the file format is unchanged; loading ignores it
+        "use_exact_modes": model.regression.modes_exact is not None,
     }
     if model.regression.modes_exact is not None:
         eigen["modes_exact"] = _matrix_to_json(model.regression.modes_exact)
@@ -120,13 +125,6 @@ def model_from_dict(d: dict) -> KoopmanModel:
         C = _matrix_from_json(d["C"])
         B = _matrix_from_json(d["B"]) if "B" in d else None
         eigd = d["eigen"]
-        eig = EigenSystem(
-            lambdas=_cvec_from_json(eigd["lambdas"]),
-            mus=_cvec_from_json(eigd["mus"]),
-            W_right=_matrix_from_json(eigd["W_right"]),
-            W_left=_matrix_from_json(eigd["W_left"]),
-            dt=float(d["dt"]),
-        )
         modes_exact = (
             _matrix_from_json(eigd["modes_exact"]) if "modes_exact" in eigd else None
         )
@@ -141,21 +139,29 @@ def model_from_dict(d: dict) -> KoopmanModel:
             metadata["findings"] = tuple(
                 _finding_from_json(f) for f in metadata["findings"]
             )
+        findings = metadata.get("findings", ())
+        eig = EigenSystem(
+            lambdas=_cvec_from_json(eigd["lambdas"]),
+            mus=_cvec_from_json(eigd["mus"]),
+            W_right=_matrix_from_json(eigd["W_right"]),
+            W_left=_matrix_from_json(eigd["W_left"]),
+            dt=float(d["dt"]),
+            findings=[f for f in findings if f.kind in _EIGEN_KINDS],
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file: {exc}") from None
     res = RegressionResult(
         kind=str(metadata.get("regressor", "edmd")),
         rank=int(metadata.get("rank", eig.rank)),
-        A_reduced=A,
-        projection=None,
-        B_reduced=B,
+        A=A,
+        B=B,
         eigensystem=eig,
         modes_exact=modes_exact,
-        use_exact_modes=bool(eigd.get("use_exact_modes", False)),
         residual_fro=float(metadata.get("residual_fro", 0.0)),
         residual_rel=float(metadata.get("residual", 0.0)),
         sigma_min=float(metadata.get("sigma_min", 0.0)),
         m=int(metadata.get("m", 0)),
+        findings=[f for f in findings if f.kind in _REGRESSION_KINDS],
     )
     return KoopmanModel(
         observables=obs,

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kooplift as kl
-from kooplift.data import split_pairs_by_trajectory
 
 
 def test_build_pairs_shift_by_one():
@@ -20,7 +19,8 @@ def test_pair_count_two_trajectories():
     )
     pairs = kl.build_snapshot_pairs(ds)
     assert pairs.m == 2 + 3
-    assert pairs.counts == (2, 3)
+    np.testing.assert_array_equal(pairs.X[:, :2], ds.trajectories[0][:-1].T)
+    np.testing.assert_array_equal(pairs.X[:, 2:], ds.trajectories[1][:-1].T)
 
 
 def test_pair_count_grid_style_stacking():
@@ -115,6 +115,29 @@ def test_pairs_roundtrip_recovers_trajectories(lengths, n, seed):
     ds = kl.TrajectoryDataset(trajs, dt=0.5)
     pairs = kl.build_snapshot_pairs(ds)
     assert pairs.m == sum(T - 1 for T in lengths)
-    recovered = split_pairs_by_trajectory(pairs)
-    for orig, rec in zip(trajs, recovered):
-        np.testing.assert_array_equal(orig, rec)
+    # per-trajectory slices, concatenated: no pair straddles two trajectories
+    np.testing.assert_array_equal(pairs.X, np.vstack([t[:-1] for t in trajs]).T)
+    np.testing.assert_array_equal(pairs.Xprime, np.vstack([t[1:] for t in trajs]).T)
+
+
+def test_time_delay_pairs_start_after_the_warm_up():
+    traj = np.arange(12.0).reshape(6, 2)
+    u = np.arange(6.0)[:, None] * 10
+    ds = kl.TrajectoryDataset([traj, traj + 100.0], dt=1.0, inputs=[u, u + 1.0])
+    pairs = kl.build_snapshot_pairs(ds, kl.TimeDelay(2).bind(2))
+    # 6 samples, 2 delays: 4 embedded snapshots, 3 pairs per trajectory
+    assert pairs.m == 6
+    Y = np.hstack([traj[2:], traj[1:-1], traj[:-2]])
+    np.testing.assert_array_equal(pairs.X, np.vstack([Y[:-1], Y[:-1] + 100.0]).T)
+    np.testing.assert_array_equal(pairs.Xprime, np.vstack([Y[1:], Y[1:] + 100.0]).T)
+    # inputs sit at the X timestamps: samples 2, 3, 4 of each trajectory
+    assert pairs.U.tolist() == [[20.0, 30.0, 40.0, 21.0, 31.0, 41.0]]
+
+
+def test_time_delay_pairs_reject_a_short_trajectory():
+    ds = kl.TrajectoryDataset([np.zeros((6, 2)), np.zeros((3, 2))], dt=1.0)
+    with pytest.raises(kl.DataError, match=(
+            r"trajectory 1 too short: 3 samples lift to 1 snapshot\(s\), need at least 2")):
+        kl.build_snapshot_pairs(ds, kl.TimeDelay(2).bind(2))
+    with pytest.raises(kl.DataError, match="trajectory 1: trajectory with 3 samples is too short"):
+        kl.build_snapshot_pairs(ds, kl.TimeDelay(3).bind(2))

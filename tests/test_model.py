@@ -123,9 +123,13 @@ def _controlled_scalar_model():
 
 def test_fitted_model_is_read_only(slow_manifold_poly_model):
     for model in (slow_manifold_poly_model, _controlled_scalar_model()):
-        arrays = [model.A, model.z0_train, model.training_scores]
+        eig = model.regression.eigensystem
+        arrays = [model.A, model.z0_train, model.training_scores, model.eigenvalues,
+                  model.continuous_eigenvalues(), eig.W_right, eig.W_left, model.C.C]
         if model.controlled:
             arrays.append(model.B)
+        else:
+            arrays.append(model.regression.modes_exact)
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
@@ -133,6 +137,25 @@ def test_fitted_model_is_read_only(slow_manifold_poly_model):
             model.metadata["rank"] = 0
         with pytest.raises(TypeError):
             del model.metadata["findings"]
+        for owner, name in ((model, "metadata"), (model, "z0_train"), (model, "A"),
+                            (model.regression, "A"), (eig, "lambdas"), (model.C, "C")):
+            with pytest.raises(AttributeError):
+                setattr(owner, name, getattr(owner, name))
+        assert isinstance(model.regression.findings, tuple)
+        assert isinstance(eig.findings, tuple)
+
+
+def test_fit_leaves_the_callers_library_alone(slow_manifold_small):
+    lib = kl.RadialBasis("gauss", n_centers=5, seed=3)
+    other = make_slow_manifold_dataset(grid=2, t_end=2.0)
+    first = kl.fit(lib, "edmd", slow_manifold_small)
+    second = kl.fit(lib, "edmd", other)
+    assert lib.n_input is None and lib.centers is None
+    assert first.observables is not second.observables
+    fresh = kl.fit(kl.RadialBasis("gauss", n_centers=5, seed=3), "edmd", other)
+    np.testing.assert_array_equal(second.observables.centers, fresh.observables.centers)
+    np.testing.assert_array_equal(second.eigenvalues, fresh.eigenvalues)
+    assert not np.array_equal(first.observables.centers, second.observables.centers)
 
 
 def test_predict_controlled_scalar():
@@ -452,8 +475,8 @@ class _CountingPolynomial(kl.Polynomial):
 
 
 def test_fit_and_validation_lift_each_sample_once(slow_manifold_small):
-    lib = _CountingPolynomial(2)
-    model = kl.fit(lib, "edmd", slow_manifold_small)
+    model = kl.fit(_CountingPolynomial(2), "edmd", slow_manifold_small)
+    lib = model.observables  # fit lifts with its own copy of the library
     assert lib.rows_lifted == slow_manifold_small.n_samples
     lib.rows_lifted = 0
     model.linearity_consistency(slow_manifold_small)

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -340,3 +341,22 @@ def test_lift_rejects_wrong_dimension():
     lib = _bound(kl.Polynomial(2), 2)
     with pytest.raises(DataError):
         lib.lift(np.zeros(3))
+
+
+def test_library_arrays_are_read_only():
+    rows = np.random.default_rng(0).normal(size=(20, 2))
+    sampled = _bound(kl.RadialBasis("gauss", n_centers=4, seed=1), 2)
+    sampled.prepare(rows)
+    given = np.zeros((3, 2))
+    explicit = kl.RadialBasis("gauss", centers=given)
+    rff = _bound(kl.RandomFourier(6, seed=2), 2)
+    loaded = kl.observable_from_config(rff.config())
+    kernel = kl.KernelLift(kl.KernelConfig(), rows[:5], np.ones((5, 2), dtype=complex))
+    arrays = [_bound(kl.Polynomial(2), 2).exponents, sampled.centers, explicit.centers,
+              rff.W, rff.b, loaded.W, loaded.b, kernel.centers, kernel.alpha]
+    arrays += [copy.deepcopy(sampled).centers, copy.deepcopy(kernel).alpha]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    given[0, 0] = 1.0  # the caller's array stays theirs
+    assert explicit.centers[0, 0] == 0.0

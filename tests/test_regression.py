@@ -134,7 +134,7 @@ def test_nonnormal_fit_keeps_eigenvalues_out_of_the_zero_class():
     data = make_slow_manifold_dataset(grid=5, t_end=20.0)
     model = kl.fit(kl.RadialBasis("invquad", n_centers=10, seed=1), "edmd", data)
     smallest = np.min(np.abs(model.eigenvalues))
-    assert smallest < 1e-6 * np.linalg.norm(model.regression.A_reduced, 2)
+    assert smallest < 1e-6 * np.linalg.norm(model.A, 2)
     assert smallest > 0.9
     assert not any(f.kind in ("zero-eigenvalue", "exact-mode-fallback")
                    for f in model.metadata["findings"])
@@ -179,7 +179,7 @@ def test_dmd_equals_edmd_on_same_data():
     a = kl.fit_dmd(X, Xp)
     b = kl.fit_edmd(X, Xp)
     np.testing.assert_array_equal(a.eigensystem.lambdas, b.eigensystem.lambdas)
-    np.testing.assert_array_equal(a.A_reduced, b.A_reduced)
+    np.testing.assert_array_equal(a.A, b.A)
 
 
 def test_float_rank_acts_as_cutoff():
@@ -240,8 +240,9 @@ def test_dmdc_output_compression():
     A, B, X, Xp, U = _drss_excitation(seed=9)
     res = kl.fit_dmdc(X, Xp, U, rank_out=2)
     assert res.rank == 2
-    assert res.A_reduced.shape == (2, 2)
+    assert res.eigensystem.lambdas.shape == (2,)
     assert res.A.shape == (3, 3)
+    assert np.linalg.matrix_rank(res.A) == 2
     # reduced eigenvalues are a subset of the well-separated true spectrum
     lam_true = np.linalg.eigvals(A)
     for lam in res.eigensystem.lambdas:

@@ -103,7 +103,11 @@ def test_nilpotent_findings_survive_the_round_trip(tmp_path):
     assert [f.kind for f in findings] == ["exact-mode-fallback", "zero-eigenvalue"]
     path = str(tmp_path / "nil.json")
     kl.save_model(model, path)
-    assert kl.load_model(path).metadata["findings"] == findings
+    loaded = kl.load_model(path)
+    assert loaded.metadata["findings"] == findings
+    assert loaded.regression.findings == model.regression.findings == findings
+    assert (loaded.regression.eigensystem.findings
+            == model.regression.eigensystem.findings == findings[1:])
 
 
 def test_string_findings_of_older_files_load(dataset):
