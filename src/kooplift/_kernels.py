@@ -9,16 +9,8 @@ import math
 
 import numpy as np
 
-# radial function ids for rbf_features
-RBF_THINPLATE = 0
-RBF_GAUSS = 1
-RBF_INVQUAD = 2
-RBF_INVMULTIQUAD = 3
-RBF_POLYHARMONIC = 4
-
-# kernel ids for gram_matrix
-KERNEL_GAUSSIAN = 0
-KERNEL_POLYNOMIAL = 1
+# the radial functions rbf_features evaluates, by name
+RADIAL_KINDS = ("thinplate", "gauss", "invquad", "invmultiquad", "polyharmonic")
 
 
 def poly_features(X, exps):
@@ -27,16 +19,16 @@ def poly_features(X, exps):
 
 
 def _radial(r2, kind, eps, ph_exp):
-    if kind == RBF_THINPLATE:
+    if kind == "thinplate":
         out = np.zeros_like(r2)
         pos = r2 > 0.0
         out[pos] = 0.5 * r2[pos] * np.log(r2[pos])
         return out
-    if kind == RBF_GAUSS:
+    if kind == "gauss":
         return np.exp(-(eps * eps) * r2)
-    if kind == RBF_INVQUAD:
+    if kind == "invquad":
         return 1.0 / (1.0 + (eps * eps) * r2)
-    if kind == RBF_INVMULTIQUAD:
+    if kind == "invmultiquad":
         return 1.0 / np.sqrt(1.0 + (eps * eps) * r2)
     # polyharmonic r**p, with r**p * log(r) for even p (0 at r = 0)
     r = np.sqrt(r2)
@@ -61,18 +53,19 @@ def rff_features(X, W, b):
     return scale * np.cos(X @ W + b[None, :])
 
 
-def gram_matrix(X, Y, kind, p0, p1):
+def gram_matrix(X, Y, kind, sigma, offset, degree):
     """Kernel Gram matrix k(x_i, y_j). X (m, n), Y (k, n) -> (m, k).
 
-    gaussian: p0 = sigma, k = exp(-||x-y||^2 / (2 sigma^2));
-    polynomial: p0 = offset c, p1 = degree, k = (c + x.y)^degree.
+    gaussian: k = exp(-||x-y||^2 / (2 sigma^2));
+    polynomial: k = (offset + x.y)^degree. The other kind's parameters are
+    ignored.
     """
-    if kind == KERNEL_GAUSSIAN:
+    if kind == "gaussian":
         xx = np.sum(X * X, axis=1)[:, None]
         yy = np.sum(Y * Y, axis=1)[None, :]
         r2 = np.maximum(xx + yy - 2.0 * (X @ Y.T), 0.0)
-        return np.exp(-r2 / (2.0 * p0 * p0))
-    return (p0 + X @ Y.T) ** int(p1)
+        return np.exp(-r2 / (2.0 * sigma * sigma))
+    return (offset + X @ Y.T) ** int(degree)
 
 
 def iterate_linear(A, z0, n_steps):

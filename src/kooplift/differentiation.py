@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import UnivariateSpline
-from scipy.signal import savgol_filter
 
 from .errors import ConfigError, DataError
 
@@ -107,6 +105,9 @@ def _spectral(X, h):
 
 
 def _spline(X, t, smoothing):
+    # scipy is imported where it is used, so importing kooplift does not load it
+    from scipy.interpolate import UnivariateSpline
+
     dX = np.empty_like(X)
     for j in range(X.shape[1]):
         spl = UnivariateSpline(t, X[:, j], k=3, s=smoothing)
@@ -162,6 +163,8 @@ def differentiate(config: DifferentiationConfig, X, t) -> np.ndarray:
     elif method == "fd4":
         dX = _fd4(X, h)
     elif method == "savitzky_golay":
+        from scipy.signal import savgol_filter
+
         dX = savgol_filter(
             X, window_length=config.window, polyorder=3, deriv=1, delta=h,
             axis=0, mode="interp",

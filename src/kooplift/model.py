@@ -1,9 +1,11 @@
 """The user-facing model: observables composed with a fitted operator.
 
 `fit` lifts each training trajectory once into snapshot pairs, runs the
-configured regression, fits the state reconstruction, and assembles an
-immutable KoopmanModel exposing prediction, simulation, spectral analytics,
-and validation scores.
+configured regression, fits the state reconstruction on the lifted pairs,
+and assembles an immutable KoopmanModel exposing prediction, simulation,
+spectral analytics, and validation scores. Kernel regression is one more
+regressor: it returns its own eigenfunction lift, through which the pairs
+are lifted once more, and from there every kind runs the same code.
 
 Multi-step simulation iterates in the lifted space and reconstructs each
 step; it never re-lifts, which would silently reintroduce nonlinearity.
@@ -19,7 +21,13 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import _kernels
-from .data import Finding, TrajectoryDataset, _freeze_record, build_snapshot_pairs
+from .data import (
+    Finding,
+    SnapshotPairs,
+    TrajectoryDataset,
+    _freeze_record,
+    build_snapshot_pairs,
+)
 from .errors import ConfigError, DataError, KoopliftError, RegressionError
 from .observables import (
     Identity,
@@ -102,8 +110,14 @@ class ModeTable:
         ]
 
 
-def _consistency_scores(phi_x: np.ndarray, phi_xp: np.ndarray, lambdas: np.ndarray):
-    """Per-mode ||phi_j(X') - lambda_j phi_j(X)|| / ||phi_j(X)|| with NaN sentinel."""
+def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
+    """Per-mode ||phi_j(X') - lambda_j phi_j(X)|| / ||phi_j(X)|| with NaN sentinel,
+    over lifted snapshot pairs; phi_j(z) = w_j^H z with w_j a left eigenvector.
+    Returns (scores, findings)."""
+    Wl = regression.eigensystem.W_left
+    phi_x = Wl.conj().T @ pairs.X.astype(regression.A.dtype)
+    phi_xp = Wl.conj().T @ pairs.Xprime.astype(regression.A.dtype)
+    lambdas = regression.eigensystem.lambdas
     scores = np.empty(lambdas.shape[0])
     findings = []
     for j in range(lambdas.shape[0]):
@@ -124,7 +138,8 @@ class KoopmanModel:
     predict composes reconstruction, operator, and lifting with no hidden
     recentering; simulate iterates the operator in lifted space. Both take
     the real part of any complex result and change nothing on the model.
-    Attributes cannot be rebound. ``A``, ``B`` and the spectrum are those of
+    Attributes cannot be rebound, nor can those of the sealed
+    ``observables``. ``A``, ``B`` and the spectrum are those of
     the frozen ``regression`` record; ``z0_train`` and ``training_scores``
     are read-only arrays; ``metadata`` is a read-only mapping whose
     ``"findings"`` is a tuple of `Finding` records from the fit.
@@ -143,6 +158,7 @@ class KoopmanModel:
     def __post_init__(self):
         _freeze_record(self)
         object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
+        self.observables.seal()
 
     # -- basic properties ----------------------------------------------------
     @property
@@ -267,10 +283,7 @@ class KoopmanModel:
         NaN marks an eigenfunction that vanishes on the data.
         """
         pairs = build_snapshot_pairs(data, self.observables)
-        Wl = self.regression.eigensystem.W_left
-        phi_x = Wl.conj().T @ pairs.X.astype(self.A.dtype)
-        phi_xp = Wl.conj().T @ pairs.Xprime.astype(self.A.dtype)
-        return _consistency_scores(phi_x, phi_xp, self.eigenvalues)
+        return _consistency_scores(self.regression, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -334,45 +347,35 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
         pairs = build_snapshot_pairs(data, library)
     except KoopliftError as exc:
         raise _stage("lifting", exc) from exc
-    Z, Zp, U = pairs.X, pairs.Xprime, pairs.U
 
     # regression
     try:
         if regressor.kind == "kdmd":
-            res = fit_kdmd(Z, Zp, regressor.kernel, rank=regressor.rank, dt=data.dt)
+            res = fit_kdmd(pairs.X, pairs.Xprime, regressor.kernel, rank=regressor.rank,
+                           dt=data.dt)
         elif controlled:
             res = fit_edmdc(
-                Z, Zp, U, rank_in=regressor.rank_in, rank_out=regressor.rank_out,
-                dt=data.dt, kind=regressor.kind,
+                pairs.X, pairs.Xprime, pairs.U, rank_in=regressor.rank_in,
+                rank_out=regressor.rank_out, dt=data.dt, kind=regressor.kind,
             )
         else:
-            res = fit_edmd(Z, Zp, rank=regressor.rank, dt=data.dt, kind=regressor.kind)
+            res = fit_edmd(pairs.X, pairs.Xprime, rank=regressor.rank, dt=data.dt,
+                           kind=regressor.kind)
     except KoopliftError as exc:
         raise _stage("regression", exc) from exc
+    if regressor.kind == "kdmd":
+        # the model lifts through the fitted eigenfunctions from here on
+        library = KernelLift(regressor.kernel, res.kernel_centers, res.kernel_alpha)
+        pairs = build_snapshot_pairs(data, library)
 
-    # reconstruction
+    # reconstruction, on the lifted pairs; raw states only where it is fitted
     try:
-        if regressor.kind == "kdmd":
-            library = KernelLift(regressor.kernel, res.kernel_centers, res.kernel_alpha)
-            C = ReconstructionMap(C=res.modes_state, indices=None)
-            z0 = library.lift(res.kernel_centers[0])
-        else:
-            X_state = build_snapshot_pairs(data).X
-            C = fit_reconstruction(library, X_state)
-            z0 = np.asarray(Z[:, 0], dtype=res.A.dtype)
+        X_state = None if library.state_indices is not None else build_snapshot_pairs(data).X
+        C = fit_reconstruction(library, pairs.X, X_state)
     except KoopliftError as exc:
         raise _stage("reconstruction", exc) from exc
 
-    Wl = res.eigensystem.W_left
-    if regressor.kind == "kdmd":
-        # the kernel lift evaluates the eigenfunctions themselves
-        phi = build_snapshot_pairs(data, library)
-        phi_x, phi_xp = phi.X, phi.Xprime
-    else:
-        phi_x = Wl.conj().T @ Z.astype(res.A.dtype)
-        phi_xp = Wl.conj().T @ Zp.astype(res.A.dtype)
-    scores, score_findings = _consistency_scores(phi_x, phi_xp, res.eigensystem.lambdas)
-
+    scores, score_findings = _consistency_scores(res, pairs)
     metadata = {
         "m": res.m,
         "rank": res.rank,
@@ -385,7 +388,8 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
     }
     return KoopmanModel(
         observables=library, regression=res, C=C, dt=data.dt, n=n, q=q,
-        metadata=metadata, z0_train=z0, training_scores=scores,
+        metadata=metadata, z0_train=pairs.X[:, 0].astype(res.A.dtype),
+        training_scores=scores,
     )
 
 

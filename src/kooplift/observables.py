@@ -5,9 +5,10 @@ and knows how to get back: libraries that embed the state verbatim carry the
 embedding indices (exact reconstruction), the rest fall back to a fitted
 linear reconstruction map.
 
-Libraries are immutable once bound to an input dimension, and every array a
-library holds is read-only; lifting the same input twice yields
-bit-identical output, with any randomness fixed by a stored seed.
+Every array a library holds is read-only, and a fitted model seals its
+library, after which no attribute can be rebound (a deep copy is unsealed).
+Lifting the same input twice yields bit-identical output, with any
+randomness fixed by a stored seed.
 """
 
 from __future__ import annotations
@@ -39,15 +40,6 @@ __all__ = [
     "observable_from_config",
 ]
 
-_RBF_KIND_IDS = {
-    "thinplate": _kernels.RBF_THINPLATE,
-    "gauss": _kernels.RBF_GAUSS,
-    "invquad": _kernels.RBF_INVQUAD,
-    "invmultiquad": _kernels.RBF_INVMULTIQUAD,
-    "polyharmonic": _kernels.RBF_POLYHARMONIC,
-}
-
-
 class Observable:
     """Base class for lifting maps."""
 
@@ -57,15 +49,23 @@ class Observable:
         self.n_input: Optional[int] = None
 
     def __setattr__(self, name, value):
+        if self.__dict__.get("_sealed"):
+            raise AttributeError(f"{self.kind} library is sealed; cannot set {name!r}")
         # arrays are stored as read-only copies, so set-up data cannot drift
         if isinstance(value, np.ndarray):
             value = _freeze(value)
         super().__setattr__(name, value)
 
     def __setstate__(self, state):
-        # copies (copy.deepcopy, pickle) store their arrays read-only too
+        # copies (copy.deepcopy, pickle) store their arrays read-only too, and
+        # start unsealed, so a fitted library can be fitted again
         for name, value in state.items():
-            setattr(self, name, value)
+            if name != "_sealed":
+                setattr(self, name, value)
+
+    def seal(self) -> None:
+        """Forbid rebinding any attribute from now on; done by KoopmanModel."""
+        object.__setattr__(self, "_sealed", True)
 
     # -- binding ------------------------------------------------------------
     def bind(self, n_input: int) -> "Observable":
@@ -317,9 +317,9 @@ class RadialBasis(Observable):
         ph_exp: int = 3,
     ):
         super().__init__()
-        if rbf_kind not in _RBF_KIND_IDS:
+        if rbf_kind not in _kernels.RADIAL_KINDS:
             raise ConfigError(
-                f"unknown rbf kind {rbf_kind!r}; choose from {sorted(_RBF_KIND_IDS)}"
+                f"unknown rbf kind {rbf_kind!r}; choose from {sorted(_kernels.RADIAL_KINDS)}"
             )
         if shape_eps <= 0:
             raise ConfigError(f"shape_eps must be positive, got {shape_eps}")
@@ -377,7 +377,7 @@ class RadialBasis(Observable):
         if X.shape[1] != self.n_input:
             raise DataError(f"expected {self.n_input} columns, got {X.shape[1]}")
         feats = _kernels.rbf_features(
-            X, self.centers, _RBF_KIND_IDS[self.rbf_kind], self.shape_eps, self.ph_exp
+            X, self.centers, self.rbf_kind, self.shape_eps, self.ph_exp
         )
         return np.hstack([X, feats])
 
@@ -480,8 +480,8 @@ class Custom(Observable):
 
     def __init__(self, functions: Sequence[Callable]):
         super().__init__()
-        self.functions = list(functions)
-        self._dims: Optional[list] = None
+        self.functions = tuple(functions)
+        self._dims: Optional[tuple] = None
 
     def _on_bind(self):
         probe = np.ones(self.n_input)
@@ -494,7 +494,7 @@ class Custom(Observable):
             if out.ndim != 1 or out.size < 1:
                 raise ConfigError(f"custom function {i} must return a 1-d value")
             dims.append(out.size)
-        self._dims = dims
+        self._dims = tuple(dims)
 
     @property
     def n_output(self) -> int:
@@ -545,8 +545,8 @@ class Concat(Observable):
         for p in parts:
             if isinstance(p, TimeDelay):
                 raise ConfigError("time_delay libraries cannot be concatenated")
-        self.parts = list(parts)
-        self._keep: Optional[list] = None
+        self.parts = tuple(parts)
+        self._keep: Optional[tuple] = None
 
     def _on_bind(self):
         for p in self.parts:
@@ -557,6 +557,11 @@ class Concat(Observable):
         for p in self.parts:
             p.prepare(X_rows)
         self._refresh_layout()
+
+    def seal(self):
+        for p in self.parts:
+            p.seal()
+        super().seal()
 
     def _refresh_layout(self):
         keep = []
@@ -575,7 +580,7 @@ class Concat(Observable):
                 elif i > first_state:
                     idx[list(sidx)] = False
             keep.append(idx)
-        self._keep = keep
+        self._keep = tuple(keep)
         self._first_state = first_state
 
     def _require_layout(self):
@@ -642,7 +647,8 @@ class KernelLift(Observable):
         if X.shape[1] != self.n_input:
             raise DataError(f"expected {self.n_input} columns, got {X.shape[1]}")
         # not KernelConfig.gram: prediction-time Gram rows are lifting, not regression
-        K = _kernels.gram_matrix(X, self.centers, *self.kernel.gram_args())  # (b, m)
+        k = self.kernel
+        K = _kernels.gram_matrix(X, self.centers, k.kind, k.sigma, k.offset, k.degree)
         return K @ self.alpha
 
     def lift(self, x):
@@ -696,31 +702,30 @@ class ReconstructionMap:
         return self.C @ z
 
 
-def fit_reconstruction(library: Observable, X: np.ndarray) -> ReconstructionMap:
-    """Build the reconstruction map for a library from training columns X (n, m).
+def fit_reconstruction(library: Observable, Z: np.ndarray,
+                       X: Optional[np.ndarray]) -> ReconstructionMap:
+    """Build the reconstruction map x = C z for a bound library.
 
-    Exact-embedding libraries get the index-selection map; otherwise C is the
-    least-squares minimizer of ||X - C Phi(X)||_F with a singular-value
-    cutoff. Rank-deficient lifted data yields a warning finding and the
-    minimum-norm solution.
+    Exact-embedding libraries get the index-selection map and read neither
+    Z nor X (None will do). Otherwise C is the least-squares minimizer of
+    ||X - C Z||_F with a singular-value cutoff, over training columns: Z
+    (N, m) lifted by the library and X (n, m) the states they lift.
+    Rank-deficient lifted data yields a warning finding and the minimum-norm
+    solution.
     """
-    X = np.asarray(X)
-    n = X.shape[0]
     idx = library.state_indices
     if idx is not None:
-        N = library.n_output
-        C = np.zeros((n, N))
+        C = np.zeros((library.n_input, library.n_output))
         for row, j in enumerate(idx):
             C[row, j] = 1.0
         return ReconstructionMap(C=C, indices=tuple(idx))
-    Z = library.lift_rows(X.T).T  # (N, m)
     N, m = Z.shape
     if m < N:
         raise DataError(
             f"fitted reconstruction needs at least N={N} training columns, got m={m}"
         )
     # solve min ||X - C Z||_F  <=>  Z.T @ C.T ~ X.T
-    Ct, _, rank, _ = np.linalg.lstsq(Z.T, X.T, rcond=1e-10)
+    Ct, _, rank, _ = np.linalg.lstsq(Z.T, np.asarray(X).T, rcond=1e-10)
     findings = []
     if rank < min(N, m):
         findings.append(Finding("rank-deficient-reconstruction", message=(

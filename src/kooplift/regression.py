@@ -73,10 +73,6 @@ class EigenSystem:
         return self.lambdas.shape[0]
 
 
-def _sort_order(lam: np.ndarray) -> np.ndarray:
-    return np.lexsort((lam.imag, -lam.real, -np.abs(lam)))
-
-
 def _classify_spectrum(lam: np.ndarray, A: np.ndarray, dt: float):
     """Snap zero-class eigenvalues of A to 0 and take continuous eigenvalues.
 
@@ -132,7 +128,7 @@ def eig_biorthogonal(A: np.ndarray, dt: float = 1.0) -> EigenSystem:
     lam, W = np.linalg.eig(A)
     lam = lam.astype(complex)
     W = W.astype(complex)
-    order = _sort_order(lam)
+    order = np.lexsort((lam.imag, -lam.real, -np.abs(lam)))
     lam = lam[order]
     W = W[:, order]
     findings = []
@@ -176,7 +172,6 @@ class RegressionResult:
     # kernel-variant payload
     kernel_centers: Optional[np.ndarray] = None  # (m, n) training states, row-major
     kernel_alpha: Optional[np.ndarray] = None  # (m, r) eigenfunction coefficients
-    modes_state: Optional[np.ndarray] = None  # (n, r) Koopman modes (kernel variant)
 
     def __post_init__(self):
         _freeze_record(self)
@@ -196,6 +191,24 @@ def _as_matrix(M, name) -> np.ndarray:
     if M.ndim != 2:
         raise DataError(f"{name} must be a 2-d matrix, got shape {M.shape}")
     return M
+
+
+def _snapshot_pairs(Z, Zprime):
+    """Validate snapshot columns Z, Z' as equal-shape matrices with m >= 2."""
+    Z = _as_matrix(Z, "Z")
+    Zp = _as_matrix(Zprime, "Zprime")
+    if Z.shape != Zp.shape:
+        raise DataError(f"Z and Zprime shapes differ: {Z.shape} vs {Zp.shape}")
+    if Z.shape[1] < 2:
+        raise RegressionError(f"need at least 2 snapshot pairs, got m={Z.shape[1]}")
+    return Z, Zp
+
+
+def _residual(E: np.ndarray, target: np.ndarray):
+    """Frobenius norm of the residual E and its size relative to the target."""
+    fro = float(np.linalg.norm(E))
+    denom = float(np.linalg.norm(target))
+    return fro, fro / denom if denom > 0 else 0.0
 
 
 def _truncate_svd(M: np.ndarray, rank):
@@ -245,13 +258,7 @@ def fit_edmd(Z, Zprime, rank=None, dt: float = 1.0, kind: str = "edmd") -> Regre
     default reported one; eigenvalues at zero fall back to the projected
     mode).
     """
-    Z = _as_matrix(Z, "Z")
-    Zp = _as_matrix(Zprime, "Zprime")
-    if Z.shape != Zp.shape:
-        raise DataError(f"Z and Zprime shapes differ: {Z.shape} vs {Zp.shape}")
-    m = Z.shape[1]
-    if m < 2:
-        raise RegressionError(f"need at least 2 snapshot pairs, got m={m}")
+    Z, Zp = _snapshot_pairs(Z, Zprime)
     Ur, sr, Vr = _truncate_svd(Z, rank)
     r = sr.shape[0]
     G = Zp @ (Vr * (1.0 / sr))  # (N, r) = Zprime Vr Sr^-1
@@ -275,13 +282,11 @@ def fit_edmd(Z, Zprime, rank=None, dt: float = 1.0, kind: str = "edmd") -> Regre
             "zero eigenvalue(s): exact modes fall back to projected modes")))
 
     A_full = Ur @ At @ Ur.T
-    E = Zp - A_full @ Z
-    fro = float(np.linalg.norm(E))
-    denom = float(np.linalg.norm(Zp))
+    fro, rel = _residual(Zp - A_full @ Z, Zp)
     return RegressionResult(
         kind=kind, rank=r, A=A_full, eigensystem=eig_full, modes_exact=ME,
-        residual_fro=fro, residual_rel=fro / denom if denom > 0 else 0.0,
-        sigma_min=float(sr[-1]), m=m, findings=(*findings, *eig_full.findings),
+        residual_fro=fro, residual_rel=rel, sigma_min=float(sr[-1]), m=Z.shape[1],
+        findings=(*findings, *eig_full.findings),
     )
 
 
@@ -297,19 +302,14 @@ def fit_edmdc(Z, Zprime, U, rank_in=None, rank_out=None, dt: float = 1.0,
     When rank_out is given and below N, a second SVD of Zprime compresses the
     state block; the eigensystem is always computed from A alone.
     """
-    Z = _as_matrix(Z, "Z")
-    Zp = _as_matrix(Zprime, "Zprime")
+    Z, Zp = _snapshot_pairs(Z, Zprime)
     U = _as_matrix(U, "U")
-    if Z.shape != Zp.shape:
-        raise DataError(f"Z and Zprime shapes differ: {Z.shape} vs {Zp.shape}")
     N, m = Z.shape
     q = U.shape[0]
     if q == 0:
         raise ConfigError("no input channels given; use fit_edmd for unforced data")
     if U.shape[1] != m:
         raise DataError(f"U has {U.shape[1]} columns, expected {m}")
-    if m < 2:
-        raise RegressionError(f"need at least 2 snapshot pairs, got m={m}")
     if rank_in is not None and isinstance(rank_in, Integral) and rank_in > N + q:
         raise ConfigError(f"rank_in={rank_in} exceeds stacked dimension {N + q}")
     Omega = np.vstack([Z, U])
@@ -318,9 +318,7 @@ def fit_edmdc(Z, Zprime, U, rank_in=None, rank_out=None, dt: float = 1.0,
     A = AB[:, :N]
     B = AB[:, N:]
 
-    E = Zp - (A @ Z + B @ U)
-    fro = float(np.linalg.norm(E))
-    denom = float(np.linalg.norm(Zp))
+    fro, rel = _residual(Zp - (A @ Z + B @ U), Zp)
     if rank_out is not None and (not isinstance(rank_out, Integral) or rank_out < N):
         # the operator restricted to the leading output subspace, in full space
         P, _, _ = _truncate_svd(Zp, rank_out)
@@ -331,8 +329,8 @@ def fit_edmdc(Z, Zprime, U, rank_in=None, rank_out=None, dt: float = 1.0,
         eig = eig_biorthogonal(A, dt)
     return RegressionResult(
         kind=kind, rank=eig.rank, A=A, B=B, eigensystem=eig,
-        residual_fro=fro, residual_rel=fro / denom if denom > 0 else 0.0,
-        sigma_min=float(so[-1]), m=m, findings=eig.findings,
+        residual_fro=fro, residual_rel=rel, sigma_min=float(so[-1]), m=m,
+        findings=eig.findings,
     )
 
 
@@ -391,14 +389,9 @@ class KernelConfig:
             reg_eps=float(d.get("reg_eps", 0.0)),
         )
 
-    def gram_args(self) -> tuple:
-        """The (kind, p0, p1) arguments of `_kernels.gram_matrix` for this kernel."""
-        if self.kind == "gaussian":
-            return _kernels.KERNEL_GAUSSIAN, self.sigma, 0.0
-        return _kernels.KERNEL_POLYNOMIAL, self.offset, float(self.degree)
-
     def gram(self, Xrows: np.ndarray, Yrows: np.ndarray) -> np.ndarray:
-        return _kernels.gram_matrix(Xrows, Yrows, *self.gram_args())
+        return _kernels.gram_matrix(Xrows, Yrows, self.kind, self.sigma, self.offset,
+                                    self.degree)
 
 
 def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> RegressionResult:
@@ -406,17 +399,14 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
 
     Eigendecomposes the regularized operator (G + reg_eps*m*I)^-1 T restricted
     to the principal eigenspace of G, where G_ij = k(x_i, x_j) and
-    T_ij = k(x'_i, x_j). Eigenfunctions are phi_j(x) = sum_i alpha_ij k(x, x_i);
-    Koopman modes come from the least-squares projection of X onto the
-    eigenfunction trajectory matrix.
+    T_ij = k(x'_i, x_j). Eigenfunctions are phi_j(x) = sum_i alpha_ij k(x, x_i),
+    scaled to unit norm over the training states; the operator on them is
+    diag(lambda). The state reconstruction (and with it the Koopman modes) is
+    fitted on the eigenfunction lift by `fit_reconstruction`, as for any
+    library without an exact state embedding.
     """
-    X = _as_matrix(X, "X")
-    Xp = _as_matrix(Xprime, "Xprime")
-    if X.shape != Xp.shape:
-        raise DataError(f"X and Xprime shapes differ: {X.shape} vs {Xp.shape}")
+    X, Xp = _snapshot_pairs(X, Xprime)
     m = X.shape[1]
-    if m < 2:
-        raise RegressionError(f"need at least 2 snapshot pairs, got m={m}")
     Xr = np.ascontiguousarray(X.T)
     Xpr = np.ascontiguousarray(Xp.T)
     G = kernel.gram(Xr, Xr)
@@ -446,13 +436,9 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
             "Gram matrix is numerically singular; set reg_eps > 0 to regularize"
         )
     A_hat = (Qr.T @ T @ Qr) / denom[:, None]
-    lam, beta = np.linalg.eig(A_hat)
-    lam = lam.astype(complex)
-    beta = beta.astype(complex)
-    order = _sort_order(lam)
-    lam, mus, mu_findings = _classify_spectrum(lam[order], A_hat, dt)
-    beta = beta[:, order]
-    alpha = Qr @ beta  # (m, r) eigenfunction coefficients
+    eig_red = eig_biorthogonal(A_hat, dt)
+    lam = eig_red.lambdas
+    alpha = Qr @ eig_red.W_right  # (m, r) eigenfunction coefficients
     Xi = (G @ alpha).T  # (r, m) eigenfunction values on the training states
 
     # canonical scaling: unit-norm eigenfunction trajectories, leading entry real
@@ -463,22 +449,19 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
             scale = (np.abs(c) / c) / nrm
             Xi[j] *= scale
             alpha[:, j] *= scale
-    V = np.linalg.lstsq(Xi.T, Xr, rcond=None)[0].T  # (n, r) modes: X ~ V Xi
 
     Xi_next = (T @ alpha).T
-    E = Xi_next - lam[:, None] * Xi
-    fro = float(np.linalg.norm(E))
-    den = float(np.linalg.norm(Xi_next))
+    fro, rel = _residual(Xi_next - lam[:, None] * Xi, Xi_next)
+    # in eigenfunction coordinates the eigenvectors are the unit vectors
     eye = np.eye(r, dtype=complex)
     eig = EigenSystem(
-        lambdas=lam, mus=mus, W_right=eye, W_left=eye, dt=dt,
-        findings=mu_findings,
+        lambdas=lam, mus=eig_red.mus, W_right=eye, W_left=eye, dt=dt,
+        findings=eig_red.findings,
     )
     return RegressionResult(
         kind="kdmd", rank=r, A=np.diag(lam), eigensystem=eig, residual_fro=fro,
-        residual_rel=fro / den if den > 0 else 0.0,
-        sigma_min=float(np.sqrt(sr[-1])), m=m, findings=mu_findings,
-        kernel_centers=Xr, kernel_alpha=alpha, modes_state=V,
+        residual_rel=rel, sigma_min=float(np.sqrt(sr[-1])), m=m,
+        findings=eig.findings, kernel_centers=Xr, kernel_alpha=alpha,
     )
 
 

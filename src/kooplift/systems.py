@@ -16,7 +16,6 @@ from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, DataError
 
@@ -256,7 +255,11 @@ def drss(n: int, q: int, seed: int = 0, rho_max: float = 0.9):
             theta = rng.uniform(0.0, np.pi)
             c, sn = rho * np.cos(theta), rho * np.sin(theta)
             blocks.append(np.array([[c, sn], [-sn, c]]))
-    Ablk = scipy.linalg.block_diag(*blocks)
+    Ablk = np.zeros((n, n))
+    i = 0
+    for blk in blocks:
+        Ablk[i : i + len(blk), i : i + len(blk)] = blk
+        i += len(blk)
     G = rng.standard_normal((n, n))
     Q, R = np.linalg.qr(G)
     Q = Q * np.sign(np.diag(R))  # fix the sign convention for determinism

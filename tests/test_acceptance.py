@@ -223,8 +223,8 @@ def test_criterion_8_pipeline_invariants(full_setup, slow_manifold_small):
     recon_exact = True
     for lib in libs:
         lib.bind(2)
-        rec = kl.fit_reconstruction(lib, states.T)
         Z = lib.lift_rows(states)
+        rec = kl.fit_reconstruction(lib, Z.T, states.T)
         recon_exact &= bool(np.array_equal(rec.apply_cols(Z.T), states.T))
 
     # exactly closed (x1, x2, x1^2) lift for the dynamic identities

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +33,16 @@ def fitted_model(tmp_path_factory, data_csv):
     rc = main(["fit", str(cfg), data_csv, str(model_path), "--quiet"])
     assert rc == 0
     return str(model_path)
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(kl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, kooplift.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_fit_writes_model_with_expected_spectrum(fitted_model):

@@ -29,13 +29,13 @@ def _poly_ref(X, exps):
 
 
 def _radial_ref(r2, kind, eps, ph_exp):
-    if kind == K.RBF_THINPLATE:
+    if kind == "thinplate":
         return 0.5 * r2 * math.log(r2) if r2 > 0.0 else 0.0
-    if kind == K.RBF_GAUSS:
+    if kind == "gauss":
         return math.exp(-(eps * eps) * r2)
-    if kind == K.RBF_INVQUAD:
+    if kind == "invquad":
         return 1.0 / (1.0 + (eps * eps) * r2)
-    if kind == K.RBF_INVMULTIQUAD:
+    if kind == "invmultiquad":
         return 1.0 / math.sqrt(1.0 + (eps * eps) * r2)
     r = math.sqrt(r2)
     if ph_exp % 2 == 1:
@@ -62,16 +62,16 @@ def _rff_ref(X, W, b):
     return out
 
 
-def _gram_ref(X, Y, kind, p0, p1):
+def _gram_ref(X, Y, kind, sigma, offset, degree):
     out = np.empty((X.shape[0], Y.shape[0]))
     for i in range(X.shape[0]):
         for j in range(Y.shape[0]):
-            if kind == K.KERNEL_GAUSSIAN:
+            if kind == "gaussian":
                 r2 = sum((X[i, d] - Y[j, d]) ** 2 for d in range(X.shape[1]))
-                out[i, j] = math.exp(-r2 / (2.0 * p0 * p0))
+                out[i, j] = math.exp(-r2 / (2.0 * sigma * sigma))
             else:
                 dot = sum(X[i, d] * Y[j, d] for d in range(X.shape[1]))
-                out[i, j] = (p0 + dot) ** int(p1)
+                out[i, j] = (offset + dot) ** degree
     return out
 
 
@@ -115,8 +115,8 @@ def test_poly_features_state_columns_exact():
 
 
 @pytest.mark.parametrize("kind,ph_exp", [
-    (K.RBF_THINPLATE, 3), (K.RBF_GAUSS, 3), (K.RBF_INVQUAD, 3),
-    (K.RBF_INVMULTIQUAD, 3), (K.RBF_POLYHARMONIC, 3), (K.RBF_POLYHARMONIC, 4),
+    ("thinplate", 3), ("gauss", 3), ("invquad", 3),
+    ("invmultiquad", 3), ("polyharmonic", 3), ("polyharmonic", 4),
 ])
 def test_rbf_features_match_reference(kind, ph_exp):
     rng = _rng(3)
@@ -138,17 +138,18 @@ def test_rff_features_match_reference():
                                rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.parametrize("kind,p0,p1", [
-    (K.KERNEL_GAUSSIAN, 1.3, 0.0),
-    (K.KERNEL_POLYNOMIAL, 1.0, 2.0),
-    (K.KERNEL_POLYNOMIAL, 0.5, 3.0),
+@pytest.mark.parametrize("kind,sigma,offset,degree", [
+    ("gaussian", 1.3, 1.0, 2),
+    ("polynomial", 1.0, 1.0, 2),
+    ("polynomial", 1.0, 0.5, 3),
 ])
-def test_gram_matrix_match_reference(kind, p0, p1):
+def test_gram_matrix_match_reference(kind, sigma, offset, degree):
     rng = _rng(5)
     X = rng.normal(size=(20, 3))
     Y = rng.normal(size=(12, 3))
     np.testing.assert_allclose(
-        K.gram_matrix(X, Y, kind, p0, p1), _gram_ref(X, Y, kind, p0, p1),
+        K.gram_matrix(X, Y, kind, sigma, offset, degree),
+        _gram_ref(X, Y, kind, sigma, offset, degree),
         rtol=1e-12, atol=1e-13,
     )
 

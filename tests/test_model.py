@@ -352,11 +352,44 @@ def test_linearity_scores_identity_dynamics():
 def test_linearity_nan_sentinel():
     from kooplift.model import _consistency_scores
 
+    # with A = I the eigenfunctions are the lifted coordinates themselves
+    res = kl.RegressionResult(kind="edmd", rank=2, A=np.eye(2),
+                              eigensystem=kl.eig_biorthogonal(np.eye(2)))
     phi_x = np.array([[0.0, 0.0], [1.0, 2.0]])
     phi_xp = np.array([[0.0, 0.0], [1.0, 2.0]])
-    scores, findings = _consistency_scores(phi_x, phi_xp, np.array([1.0, 1.0]))
+    pairs = kl.SnapshotPairs(X=phi_x, Xprime=phi_xp, dt=1.0)
+    scores, findings = _consistency_scores(res, pairs)
     assert np.isnan(scores[0]) and scores[1] == 0.0
     assert len(findings) == 1 and findings[0].kind == "vanishing-eigenfunction"
+
+
+def _controlled_linear_dataset():
+    A, B = kl.drss(2, 1, seed=3)
+    rng = np.random.default_rng(0)
+    U = rng.normal(size=(60, 1))
+    rows = [rng.normal(size=2)]
+    for u in U[:-1]:
+        rows.append(A @ rows[-1] + B @ u)
+    return kl.TrajectoryDataset([np.array(rows)], dt=0.5, inputs=[U])
+
+
+def _short_slow_manifold(dataset):
+    return kl.TrajectoryDataset([t[:30] for t in dataset.trajectories[:4]], dt=dataset.dt)
+
+
+@pytest.mark.parametrize("kind", ["edmd", "edmdc", "hdmd", "kdmd"])
+def test_training_scores_are_the_training_data_consistency(kind, slow_manifold_small):
+    data = {
+        "edmd": slow_manifold_small,
+        "edmdc": _controlled_linear_dataset(),
+        "hdmd": slow_manifold_small,
+        "kdmd": _short_slow_manifold(slow_manifold_small),
+    }[kind]
+    library = kl.Polynomial(2) if kind in ("edmd", "edmdc") else None
+    regressor = kl.RegressorConfig(kind="hdmd", delays=2) if kind == "hdmd" else kind
+    model = kl.fit(library, regressor, data)
+    scores, _ = model.linearity_consistency(data)
+    np.testing.assert_array_equal(model.training_scores, scores)
 
 
 def test_scores_bounded_by_residual_over_sigma_min(slow_manifold_poly_model):
@@ -460,27 +493,84 @@ def test_kdmd_pipeline_linear_data():
     scores, _ = model.linearity_consistency(ds)
     assert np.nanmax(scores) <= 1e-6
 
+
+def test_kdmd_modes_are_the_fitted_reconstruction(slow_manifold_small):
+    data = _short_slow_manifold(slow_manifold_small)
+    model = kl.fit(None, kl.RegressorConfig(
+        kind="kdmd", kernel=kl.KernelConfig(kind="gaussian", sigma=1.5)), data)
+    assert not hasattr(model.regression, "modes_state")
+    X = kl.build_snapshot_pairs(data).X
+    Z = model.observables.lift_rows(X.T).T  # the model's own eigenfunction lift
+    # C is the least-squares map from that lift back to the states
+    oracle = np.linalg.lstsq(Z.T, X.T.astype(complex), rcond=None)[0].T
+    best = np.linalg.norm(X - oracle @ Z)
+    assert np.linalg.norm(X - model.C.C @ Z) <= best * (1 + 1e-6) + 1e-12 * np.linalg.norm(X)
+    # the Koopman modes are its columns
+    np.testing.assert_allclose(model.koopman_modes().modes, model.C.C, rtol=0, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# sealed libraries
+# ---------------------------------------------------------------------------
+
+def test_fitted_library_is_sealed(slow_manifold_small):
+    model = kl.fit(kl.RadialBasis("gauss", n_centers=4, seed=0), "edmd", slow_manifold_small)
+    with pytest.raises(AttributeError, match="sealed"):
+        model.observables.centers = model.observables.centers + 1.0
+    concat = kl.fit(kl.Concat([kl.Identity(), kl.RadialBasis("gauss", n_centers=4, seed=0)]),
+                    "edmd", slow_manifold_small)
+    part = concat.observables.parts[1]
+    with pytest.raises(AttributeError, match="sealed"):
+        part.centers = part.centers + 1.0
+    with pytest.raises(TypeError):
+        concat.observables.parts[1] = kl.Identity()
+    custom = kl.fit(kl.Custom([lambda x: x[0] ** 2]), "edmd", slow_manifold_small)
+    assert isinstance(custom.observables.functions, tuple)
+    # a deep copy is unsealed, so a fitted library can fit again
+    again = kl.fit(model.observables, "edmd", slow_manifold_small)
+    np.testing.assert_array_equal(again.observables.centers, model.observables.centers)
+    np.testing.assert_array_equal(again.eigenvalues, model.eigenvalues)
+
+
 # ---------------------------------------------------------------------------
 # one pair-lifting route
 # ---------------------------------------------------------------------------
 
-class _CountingPolynomial(kl.Polynomial):
-    def __init__(self, degree):
-        super().__init__(degree)
-        self.rows_lifted = 0
+class _Counting:
+    """Counts the rows a library lifts. The counter lives in a list made in
+    __init__, because a fitted library is sealed against rebinding."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._counter = [0]
+
+    @property
+    def rows_lifted(self):
+        return self._counter[0]
 
     def lift_rows(self, X):
-        self.rows_lifted += X.shape[0]
+        self._counter[0] += X.shape[0]
         return super().lift_rows(X)
 
 
+class _CountingPolynomial(_Counting, kl.Polynomial):
+    pass
+
+
+class _CountingFourier(_Counting, kl.RandomFourier):
+    pass
+
+
 def test_fit_and_validation_lift_each_sample_once(slow_manifold_small):
-    model = kl.fit(_CountingPolynomial(2), "edmd", slow_manifold_small)
-    lib = model.observables  # fit lifts with its own copy of the library
-    assert lib.rows_lifted == slow_manifold_small.n_samples
-    lib.rows_lifted = 0
-    model.linearity_consistency(slow_manifold_small)
-    assert lib.rows_lifted == slow_manifold_small.n_samples
+    # the Fourier library has no exact state embedding, so its reconstruction
+    # is fitted, on the same lift
+    for library in (_CountingPolynomial(2), _CountingFourier(16, include_state=False)):
+        model = kl.fit(library, "edmd", slow_manifold_small)
+        lib = model.observables  # fit lifts with its own copy of the library
+        assert lib.rows_lifted == slow_manifold_small.n_samples
+        lib._counter[0] = 0
+        model.linearity_consistency(slow_manifold_small)
+        assert lib.rows_lifted == slow_manifold_small.n_samples
 
 
 @pytest.mark.parametrize("controlled", [False, True])

@@ -252,7 +252,7 @@ def test_concat_rejects_mismatched_input():
 
 def test_reconstruction_polynomial_index_selection():
     lib = _bound(kl.Polynomial(2), 2)
-    rec = kl.fit_reconstruction(lib, np.zeros((2, 1)))
+    rec = kl.fit_reconstruction(lib, None, None)
     expected = np.array([[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]], dtype=float)
     np.testing.assert_array_equal(rec.C, expected)
     assert rec.indices == (1, 2)
@@ -261,7 +261,7 @@ def test_reconstruction_polynomial_index_selection():
 def test_reconstruction_quadratic_embedding_matrix():
     # the (x1, x2, x1^2) embedding reconstructs with [[1,0,0],[0,1,0]]
     lib = _bound(kl.Custom([lambda x: x[0] ** 2]), 2)
-    rec = kl.fit_reconstruction(lib, np.zeros((2, 1)))
+    rec = kl.fit_reconstruction(lib, None, None)
     np.testing.assert_array_equal(rec.C, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
@@ -275,8 +275,8 @@ def test_reconstruction_fitted_rff_linear_map_data():
         xs.append(M @ xs[-1])
     X = np.array(xs).T  # (2, 24)
     lib = _bound(kl.RandomFourier(24, sigma=1.0, seed=2, include_state=False), 2)
-    rec = kl.fit_reconstruction(lib, X)
     Z = lib.lift_rows(X.T).T
+    rec = kl.fit_reconstruction(lib, Z, X)
     rel = np.linalg.norm(X - rec.C @ Z) / np.linalg.norm(X)
     assert rel < 1e-6
     C_oracle = np.linalg.lstsq(Z.T, X.T, rcond=1e-10)[0].T
@@ -286,7 +286,7 @@ def test_reconstruction_fitted_rff_linear_map_data():
 def test_reconstruction_fitted_requires_enough_columns():
     lib = _bound(kl.RandomFourier(16, seed=0, include_state=False), 2)
     with pytest.raises(DataError):
-        kl.fit_reconstruction(lib, np.zeros((2, 4)))
+        kl.fit_reconstruction(lib, lib.lift_rows(np.zeros((4, 2))).T, np.zeros((2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +314,8 @@ def _exact_embedding_libraries(n):
 def test_exact_embedding_reconstruction_is_exact(seed, n):
     x = np.random.default_rng(seed).normal(size=n)
     for lib in _exact_embedding_libraries(n):
-        rec = kl.fit_reconstruction(lib, x[:, None])
         z = lib.lift(x)
+        rec = kl.fit_reconstruction(lib, z[:, None], x[:, None])
         np.testing.assert_array_equal(rec.apply_vec(z), x)
 
 

@@ -80,6 +80,16 @@ def test_save_load_save_byte_identical(tmp_path, dataset):
         assert open(p1, "rb").read() == open(p2, "rb").read(), name
 
 
+def test_loaded_library_is_sealed(tmp_path, dataset):
+    for name, model, _ in _models(dataset):
+        path = str(tmp_path / f"{name}.json")
+        kl.save_model(model, path)
+        lib = kl.load_model(path).observables
+        for owner in (lib, *getattr(lib, "parts", ())):
+            with pytest.raises(AttributeError, match="sealed"):
+                owner.n_input = owner.n_input
+
+
 def test_simulate_and_predict_leave_the_model_unchanged(tmp_path, dataset):
     models = [("kdmd", _gaussian_kdmd(dataset)),
               ("poly", kl.fit(kl.Polynomial(2), "edmd", dataset))]

@@ -92,6 +92,48 @@ def test_drss_deterministic_and_q0():
     assert B0.shape == (3, 0)
 
 
+def _drss_block_diag_reference(n, q, seed, rho_max=0.9):
+    """drss with its block-diagonal matrix built by scipy.linalg.block_diag."""
+    import scipy.linalg
+
+    rng = np.random.default_rng(seed)
+    sizes = []
+    remaining = n
+    while remaining >= 2:
+        if rng.random() < 0.5:
+            sizes.append(2)
+            remaining -= 2
+        else:
+            sizes.append(1)
+            remaining -= 1
+    if remaining == 1:
+        sizes.append(1)
+    blocks = []
+    for s in sizes:
+        rho = rng.uniform(0.1, rho_max)
+        if s == 1:
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            blocks.append(np.array([[sign * rho]]))
+        else:
+            theta = rng.uniform(0.0, np.pi)
+            c, sn = rho * np.cos(theta), rho * np.sin(theta)
+            blocks.append(np.array([[c, sn], [-sn, c]]))
+    G = rng.standard_normal((n, n))
+    Q, R = np.linalg.qr(G)
+    Q = Q * np.sign(np.diag(R))
+    A = Q @ scipy.linalg.block_diag(*blocks) @ Q.T
+    B = rng.standard_normal((n, q)) if q > 0 else np.zeros((n, 0))
+    return A, B
+
+
+@pytest.mark.parametrize("n,q,seed", [(1, 1, 0), (2, 0, 3), (3, 1, 42), (5, 2, 7), (8, 3, 11)])
+def test_drss_matches_the_block_diag_construction(n, q, seed):
+    A, B = kl.drss(n, q, seed=seed)
+    A_ref, B_ref = _drss_block_diag_reference(n, q, seed)
+    np.testing.assert_array_equal(A, A_ref)
+    np.testing.assert_array_equal(B, B_ref)
+
+
 def test_drss_validation():
     with pytest.raises(ConfigError):
         kl.drss(3, 1, rho_max=1.0)
