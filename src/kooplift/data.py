@@ -32,15 +32,21 @@ def _freeze(a: np.ndarray, order: str = "K") -> np.ndarray:
     return a
 
 
-def _freeze_record(record) -> None:
-    """Make a frozen dataclass's array fields read-only copies and its
-    ``findings`` field, if any, a tuple; called from ``__post_init__``."""
-    for f in dataclasses.fields(record):
-        value = getattr(record, f.name)
-        if isinstance(value, np.ndarray):
-            object.__setattr__(record, f.name, _freeze(value))
-        elif f.name == "findings":
-            object.__setattr__(record, f.name, tuple(value))
+class _FrozenRecord:
+    """Base of the frozen result dataclasses: array fields become read-only
+    copies and a ``findings`` field a tuple. Copies and pickles are rebuilt
+    through the constructor, so theirs are too."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                object.__setattr__(self, f.name, _freeze(value))
+            elif f.name == "findings":
+                object.__setattr__(self, f.name, tuple(value))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
 
 
 @dataclass(frozen=True)

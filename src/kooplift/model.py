@@ -25,7 +25,7 @@ from .data import (
     Finding,
     SnapshotPairs,
     TrajectoryDataset,
-    _freeze_record,
+    _FrozenRecord,
     build_snapshot_pairs,
 )
 from .errors import ConfigError, DataError, KoopliftError, RegressionError
@@ -132,7 +132,7 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class KoopmanModel:
+class KoopmanModel(_FrozenRecord):
     """A fitted lifted-linear model; read-only after fit.
 
     predict composes reconstruction, operator, and lifting with no hidden
@@ -156,9 +156,14 @@ class KoopmanModel:
     training_scores: np.ndarray
 
     def __post_init__(self):
-        _freeze_record(self)
+        super().__post_init__()
         object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
         self.observables.seal()
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled; the constructor wraps the dict again
+        cls, args = super().__reduce__()
+        return cls, tuple(dict(a) if a is self.metadata else a for a in args)
 
     # -- basic properties ----------------------------------------------------
     @property
@@ -363,14 +368,19 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
                            kind=regressor.kind)
     except KoopliftError as exc:
         raise _stage("regression", exc) from exc
+    X_state = None
     if regressor.kind == "kdmd":
-        # the model lifts through the fitted eigenfunctions from here on
+        # kdmd regressed on the identity pairs, whose X are the raw states the
+        # fitted reconstruction needs; the model lifts through the fitted
+        # eigenfunctions from here on
+        X_state = pairs.X
         library = KernelLift(regressor.kernel, res.kernel_centers, res.kernel_alpha)
         pairs = build_snapshot_pairs(data, library)
 
     # reconstruction, on the lifted pairs; raw states only where it is fitted
     try:
-        X_state = None if library.state_indices is not None else build_snapshot_pairs(data).X
+        if X_state is None and library.state_indices is None:
+            X_state = build_snapshot_pairs(data).X
         C = fit_reconstruction(library, pairs.X, X_state)
     except KoopliftError as exc:
         raise _stage("reconstruction", exc) from exc

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .data import Finding, _freeze, _freeze_record
+from .data import Finding, _freeze, _FrozenRecord
 from .errors import ConfigError, DataError
 from .regression import KernelConfig
 
@@ -675,7 +675,7 @@ class KernelLift(Observable):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ReconstructionMap:
+class ReconstructionMap(_FrozenRecord):
     """Linear map recovering the state from the lifted vector, x = C z.
 
     For exact-embedding libraries `indices` selects the embedded coordinates
@@ -686,9 +686,6 @@ class ReconstructionMap:
     C: np.ndarray
     indices: Optional[tuple] = None
     findings: tuple = ()
-
-    def __post_init__(self):
-        _freeze_record(self)
 
     def apply_cols(self, Z: np.ndarray) -> np.ndarray:
         """Map lifted columns (N, m) back to state columns (n, m)."""

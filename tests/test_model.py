@@ -573,6 +573,20 @@ def test_fit_and_validation_lift_each_sample_once(slow_manifold_small):
         assert lib.rows_lifted == slow_manifold_small.n_samples
 
 
+def test_kdmd_fit_pairs_the_data_twice(monkeypatch):
+    # the identity pairs it regresses on double as the reconstruction's raw
+    # states; the eigenfunction lift is the second pairing
+    calls = []
+
+    def counting(data, library=None):
+        calls.append(library)
+        return kl.build_snapshot_pairs(data, library)
+
+    monkeypatch.setattr(kl.model, "build_snapshot_pairs", counting)
+    kl.fit(None, "kdmd", make_slow_manifold_dataset(grid=2, t_end=2.0))
+    assert [type(lib).__name__ for lib in calls] == ["Identity", "KernelLift"]
+
+
 @pytest.mark.parametrize("controlled", [False, True])
 def test_fit_hankel_is_fit_with_time_delay(controlled):
     rng = np.random.default_rng(8)

@@ -313,16 +313,78 @@ def test_kdmd_singular_gram_advises_regularization():
 
 def test_kdmd_generalized_eigenproblem_residual(slow_manifold_pairs):
     # the fit solves T alpha = lambda (G + eps m I) alpha projected onto the
-    # principal eigenspace of G; check that defining relation directly
+    # principal eigenspace of G; check that defining relation directly, with
+    # the eigenspace from this test's own dense eigh, for a dense fit and a
+    # rank-10 fit on the Lanczos route (LANCZOS_RATIO * 10 <= m = 441)
     pairs = slow_manifold_pairs
-    kernel = kl.KernelConfig(kind="polynomial", degree=2)
-    res = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, dt=pairs.dt)
-    G = kernel.gram(pairs.X.T.copy(), pairs.X.T.copy())
-    T = kernel.gram(pairs.Xprime.T.copy(), pairs.X.T.copy())
-    s, Q = np.linalg.eigh(0.5 * (G + G.T))
-    Qr = Q[:, ::-1][:, : res.rank]
-    R = Qr.T @ (T @ res.kernel_alpha - (G @ res.kernel_alpha) * res.eigensystem.lambdas)
-    assert np.max(np.abs(R)) <= 1e-8 * np.linalg.norm(T)
+    assert kl.regression.LANCZOS_RATIO * 10 <= pairs.m
+    for kernel, rank in ((kl.KernelConfig(kind="polynomial", degree=2), None),
+                         (kl.KernelConfig(kind="gaussian", sigma=1.0), 10)):
+        res = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=rank, dt=pairs.dt)
+        G = kernel.gram(pairs.X.T.copy(), pairs.X.T.copy())
+        T = kernel.gram(pairs.Xprime.T.copy(), pairs.X.T.copy())
+        s, Q = np.linalg.eigh(0.5 * (G + G.T))
+        Qr = Q[:, ::-1][:, : res.rank]
+        R = Qr.T @ (T @ res.kernel_alpha - (G @ res.kernel_alpha) * res.eigensystem.lambdas)
+        assert np.max(np.abs(R)) <= 1e-8 * np.linalg.norm(T), kernel.kind
+
+
+def test_truncated_kdmd_matches_edmd_oracle(slow_manifold_pairs):
+    # kdmd is EDMD on the kernel-section dictionary: at reg_eps = 0, regressing
+    # Psi_X = G onto Psi_Y = T^T gives the same rank-r spectrum
+    pairs = slow_manifold_pairs
+    kernel = kl.KernelConfig(kind="gaussian", sigma=1.0)
+    Xr = pairs.X.T.copy()
+    G = kernel.gram(Xr, Xr)
+    T = kernel.gram(pairs.Xprime.T.copy(), Xr)
+    res_k = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10, dt=pairs.dt)
+    res_e = kl.fit_edmd(G, T.T, rank=10, dt=pairs.dt)
+    np.testing.assert_allclose(
+        np.sort_complex(res_k.eigensystem.lambdas),
+        np.sort_complex(res_e.eigensystem.lambdas),
+        rtol=1e-10,
+    )
+
+
+def test_truncated_kdmd_falls_back_to_the_dense_solver(slow_manifold_pairs, monkeypatch):
+    import scipy.sparse.linalg
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    pairs = slow_manifold_pairs
+    kernel = kl.KernelConfig(kind="gaussian", sigma=1.0)
+    with monkeypatch.context() as mp:
+        mp.setattr(kl.regression, "LANCZOS_RATIO", pairs.m + 1)  # dense for rank 1+
+        dense = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10, dt=pairs.dt)
+    calls = []
+
+    def no_convergence(*args, **kwargs):
+        calls.append(kwargs["k"])
+        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((pairs.m, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    fallback = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10, dt=pairs.dt)
+    assert calls == [10]
+    for name in ("A", "kernel_alpha", "residual_fro", "sigma_min"):
+        np.testing.assert_array_equal(getattr(fallback, name), getattr(dense, name))
+    np.testing.assert_array_equal(fallback.eigensystem.lambdas, dense.eigensystem.lambdas)
+
+
+def test_truncated_kdmd_fits_are_bit_identical(tmp_path):
+    ds = make_slow_manifold_dataset(grid=3, t_end=1.0)
+    config = kl.RegressorConfig(kind="kdmd", rank=10,
+                                kernel=kl.KernelConfig(kind="gaussian", sigma=2.0))
+    paths = [str(tmp_path / f"{i}.json") for i in range(2)]
+    for path in paths:
+        kl.save_model(kl.fit(None, config, ds), path)
+    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
+
+def test_kdmd_refuses_gram_matrices_beyond_physical_memory():
+    # three 10^6 x 10^6 float64 matrices: refused before any is allocated
+    X = np.zeros((2, 10**6))
+    need = f"{3 * 8 * 10**12:,} bytes"
+    with pytest.raises(ConfigError, match=need):
+        kl.fit_kdmd(X, X, kl.KernelConfig(kind="gaussian"), rank=20)
 
 
 # ---------------------------------------------------------------------------

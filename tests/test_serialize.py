@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -101,6 +103,37 @@ def test_simulate_and_predict_leave_the_model_unchanged(tmp_path, dataset):
         model.predict(x0)
         kl.save_model(model, after)
         assert open(before, "rb").read() == open(after, "rb").read(), name
+
+
+def test_copied_and_pickled_models_equal_the_original(tmp_path, dataset):
+    models = [
+        ("poly", kl.fit(kl.Polynomial(2), "edmd", dataset), None),
+        ("rbf_edmdc", kl.fit(kl.RadialBasis("gauss", n_centers=5, seed=1), "edmdc",
+                             _controlled_dataset()), np.array([0.3])),
+        ("kdmd", _gaussian_kdmd(dataset), None),
+    ]
+    for name, model, u in models:
+        original = str(tmp_path / f"{name}.json")
+        kl.save_model(model, original)
+        x0 = dataset.trajectories[0][0]
+        for how, twin in (("deepcopy", copy.deepcopy(model)),
+                          ("pickle", pickle.loads(pickle.dumps(model)))):
+            label = f"{name} {how}"
+            path = str(tmp_path / f"{name}-{how}.json")
+            kl.save_model(twin, path)
+            assert open(path, "rb").read() == open(original, "rb").read(), label
+            np.testing.assert_array_equal(twin.predict(x0, u), model.predict(x0, u))
+            with pytest.raises(TypeError):
+                twin.metadata["rank"] = 0
+            with pytest.raises(AttributeError):
+                twin.z0_train = None
+            with pytest.raises(AttributeError, match="sealed"):
+                twin.observables.n_input = twin.observables.n_input
+            eig = twin.regression.eigensystem
+            for arr in (twin.A, twin.z0_train, twin.training_scores, eig.lambdas,
+                        eig.W_left, twin.C.C, *vars(twin.observables).values()):
+                if isinstance(arr, np.ndarray):
+                    assert not arr.flags.writeable, label
 
 
 def test_nilpotent_findings_survive_the_round_trip(tmp_path):
