@@ -6,6 +6,7 @@ All kernels are plain numpy and deterministic for fixed inputs.
 from __future__ import annotations
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -13,9 +14,51 @@ import numpy as np
 RADIAL_KINDS = ("thinplate", "gauss", "invquad", "invmultiquad", "polyharmonic")
 
 
-def poly_features(X, exps):
-    """Monomial features. X is (m, n), exps is (N, n) int64 -> (m, N)."""
-    return np.prod(X[:, None, :] ** exps[None, :, :], axis=2)
+def monomial_table(n, degree):
+    """Exponents of every monomial in n variables of total degree 0..degree,
+    with the recurrence that evaluates them.
+
+    Rows are the constant, then degree by degree, each degree in
+    combinations-with-replacement order (earlier coordinates take higher
+    powers first). Returns (exps, steps): exps is (N, n) int64, and steps
+    holds one (start, stop, parents, coords) per degree d >= 2, meaning that
+    monomial start + i is monomial parents[i] times coordinate coords[i]; a
+    parent is the same exponent with its last nonzero coordinate lowered by
+    one.
+    """
+    combos = [()]
+    starts = []  # first row of each degree 1..degree, then the row count
+    for d in range(1, degree + 1):
+        starts.append(len(combos))
+        combos.extend(combinations_with_replacement(range(n), d))
+    starts.append(len(combos))
+    row = {c: k for k, c in enumerate(combos)}
+    exps = np.array([np.bincount(c, minlength=n) for c in combos], dtype=np.int64)
+    steps = tuple(
+        (a, b, np.array([row[c[:-1]] for c in combos[a:b]], dtype=np.intp),
+         np.array([c[-1] for c in combos[a:b]], dtype=np.intp))
+        for a, b in zip(starts[1:], starts[2:])
+    )
+    return exps, steps
+
+
+def poly_features(X, steps):
+    """Monomial features from a `monomial_table` recurrence: X (m, n) -> (m, N).
+
+    Feature 0 is 1 and features 1..n are X itself, copied; each later degree
+    block is one product of its parent features and state coordinates, so
+    every monomial multiplies its coordinates in increasing coordinate order.
+    The features are built one contiguous row each, in an (N, m) array that
+    is returned transposed.
+    """
+    m, n = X.shape
+    out = np.empty((steps[-1][1] if steps else n + 1, m))
+    out[0] = 1.0
+    XT = X.T
+    out[1 : n + 1] = XT
+    for start, stop, parents, coords in steps:
+        np.multiply(out[parents], XT[coords], out=out[start:stop])
+    return out.T
 
 
 def _radial(r2, kind, eps, ph_exp):

@@ -8,6 +8,7 @@ are written with repr, so files round-trip exactly.
 
 from __future__ import annotations
 
+import re
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,34 +21,58 @@ __all__ = ["read_trajectory_csv", "write_trajectory_csv", "read_numeric_csv"]
 _REL_DT_TOL = 1e-8
 
 
+def _loadtxt(rows):
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+
+
+def _row_error(path: str, first_line: int, exc: ValueError) -> DataError:
+    """The DataError for a block that np.loadtxt rejected, located at the file
+    line of the offending row (loadtxt counts conversion errors from row 0
+    and column-count changes from row 1)."""
+    msg = str(exc)
+    found = re.search(r"could not convert .* at row (\d+)", msg)
+    if found:
+        line = first_line + int(found.group(1))
+        return DataError(f"{path}:{line}: non-numeric value in data row")
+    found = re.search(r"columns changed from (\d+) to (\d+) at row (\d+)", msg)
+    if found:
+        a, b, row = map(int, found.groups())
+        return DataError(f"{path}:{first_line + row - 1}: inconsistent column counts "
+                         f"{sorted({a, b})}")
+    return DataError(f"{path}:{first_line}: {msg}")
+
+
 def _parse_blocks(path: str):
-    """Split a CSV file into numeric blocks; returns (header, blocks)."""
+    """Split a CSV file into numeric blocks at blank lines.
+
+    Returns (header, blocks): the header cells, if the first non-blank line
+    is not numeric, and one (file line of the first row, 2-d float array)
+    pair per block.
+    """
     try:
         with open(path) as fh:
-            lines = fh.readlines()
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    # [start, stop) line indices of the runs of non-blank lines
+    cuts = [-1, *(i for i, line in enumerate(lines) if not line.strip()), len(lines)]
+    spans = [(a + 1, b) for a, b in zip(cuts, cuts[1:]) if b > a + 1]
     header = None
-    blocks = []
-    current = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            if current:
-                blocks.append(current)
-                current = []
-            continue
-        cells = [c.strip() for c in line.split(",")]
+    if spans:
+        a, b = spans[0]
         try:
-            row = [float(c) for c in cells]
+            _loadtxt(lines[a : a + 1])
         except ValueError:
-            if header is None and not blocks and not current:
-                header = cells
-                continue
-            raise DataError(f"{path}:{lineno}: non-numeric value in data row") from None
-        current.append((lineno, row))
-    if current:
-        blocks.append(current)
+            header = [c.strip() for c in lines[a].split(",")]
+            spans[0] = (a + 1, b)
+    blocks = []
+    for a, b in spans:
+        if a == b:
+            continue
+        try:
+            blocks.append((a + 1, _loadtxt(lines[a:b])))
+        except ValueError as exc:
+            raise _row_error(path, a + 1, exc) from None
     return header, blocks
 
 
@@ -58,11 +83,7 @@ def read_numeric_csv(path: str) -> np.ndarray:
         raise DataError(f"{path}: no data rows")
     if len(blocks) > 1:
         raise DataError(f"{path}: expected a single block, found {len(blocks)}")
-    rows = [r for _, r in blocks[0]]
-    widths = {len(r) for r in rows}
-    if len(widths) > 1:
-        raise DataError(f"{path}: inconsistent column counts {sorted(widths)}")
-    return np.array(rows, dtype=float)
+    return blocks[0][1]
 
 
 def read_trajectory_csv(path: str, n_inputs: int = 0) -> TrajectoryDataset:
@@ -73,19 +94,13 @@ def read_trajectory_csv(path: str, n_inputs: int = 0) -> TrajectoryDataset:
     trajectories = []
     inputs = [] if n_inputs > 0 else None
     dt = None
-    for b, block in enumerate(blocks):
-        rows = [r for _, r in block]
-        first_line = block[0][0]
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise DataError(f"{path}: trajectory {b} has inconsistent column counts")
-        width = widths.pop()
+    for b, (first_line, arr) in enumerate(blocks):
+        width = arr.shape[1]
         if width < 2 + n_inputs:
             raise DataError(
                 f"{path}: trajectory {b} has {width} columns; need time + at "
                 f"least 1 state + {n_inputs} input column(s)"
             )
-        arr = np.array(rows, dtype=float)
         if arr.shape[0] < 2:
             raise DataError(
                 f"{path}:{first_line}: trajectory {b} too short "

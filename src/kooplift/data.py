@@ -119,6 +119,11 @@ class TrajectoryDataset:
         object.__setattr__(self, "dt", float(dt))
         object.__setattr__(self, "inputs", ins)
 
+    def __reduce__(self):
+        # copies and pickles are rebuilt through the constructor, so their
+        # arrays are read-only too
+        return type(self), (self.trajectories, self.dt, self.inputs)
+
     @property
     def n_states(self) -> int:
         if not self.trajectories:

@@ -50,6 +50,10 @@ __all__ = ["RegressorConfig", "KoopmanModel", "ModeTable", "fit", "fit_hankel"]
 _UNFORCED = ("dmd", "edmd", "hdmd", "kdmd")
 _CONTROLLED = ("dmdc", "edmdc", "hdmdc")
 REGRESSOR_KINDS = _UNFORCED + _CONTROLLED
+# snapshot pairs scored per block by _consistency_scores; at N = 102 lifted
+# features and m = 100k pairs (2-CPU VM) blocks of 5,000 scored in 0.19 s,
+# of 2,500 in 0.23 s and of 20,000 in 0.24 s
+SCORE_CHUNK = 5_000
 
 
 @dataclass(frozen=True)
@@ -110,24 +114,55 @@ class ModeTable:
         ]
 
 
+def _real_rows(C, complex_data):
+    """A real matrix whose rows give [Re(C z); Im(C z)], applied to z, or to
+    [Re z; Im z] when z is complex."""
+    if complex_data:
+        return np.block([[C.real, -C.imag], [C.imag, C.real]])
+    return np.vstack([C.real, C.imag])
+
+
+def _real_parts(Z):
+    return np.vstack([Z.real, Z.imag]) if np.iscomplexobj(Z) else Z
+
+
 def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
     """Per-mode ||phi_j(X') - lambda_j phi_j(X)|| / ||phi_j(X)|| with NaN sentinel,
     over lifted snapshot pairs; phi_j(z) = w_j^H z with w_j a left eigenvector.
+
+    SCORE_CHUNK pairs at a time, one real matrix of the real and imaginary
+    parts of the rows w_j^H (acting on the real and imaginary parts of
+    complex pairs too) gives phi_j on X and on X'; the squared norms of
+    phi_j(X) and of the residual are summed over the blocks. lambda_j is
+    applied after the sum w_j^H z, as complex arithmetic would: folding it
+    into the rows first rounds lambda_j w_j before the cancellation in that
+    sum, which costs accuracy when the w_j are large.
     Returns (scores, findings)."""
-    Wl = regression.eigensystem.W_left
-    phi_x = Wl.conj().T @ pairs.X.astype(regression.A.dtype)
-    phi_xp = Wl.conj().T @ pairs.Xprime.astype(regression.A.dtype)
     lambdas = regression.eigensystem.lambdas
-    scores = np.empty(lambdas.shape[0])
+    r = lambdas.shape[0]
+    lr, li = lambdas.real[:, None], lambdas.imag[:, None]
+    rows = _real_rows(regression.eigensystem.W_left.conj().T, np.iscomplexobj(pairs.X))
+    num = np.zeros(2 * r)
+    den = np.zeros(2 * r)
+    for a in range(0, pairs.m, SCORE_CHUNK):
+        cols = slice(a, a + SCORE_CHUNK)
+        P = rows @ _real_parts(pairs.Xprime[:, cols])  # [Re; Im] phi(X')
+        Q = rows @ _real_parts(pairs.X[:, cols])  # [Re; Im] phi(X)
+        den += np.einsum("ij,ij->i", Q, Q)
+        P[:r] -= lr * Q[:r] - li * Q[r:]
+        P[r:] -= lr * Q[r:] + li * Q[:r]
+        num += np.einsum("ij,ij->i", P, P)
+    num = num[:r] + num[r:]
+    den = den[:r] + den[r:]
+    scores = np.empty(r)
     findings = []
-    for j in range(lambdas.shape[0]):
-        den = np.linalg.norm(phi_x[j])
-        if den == 0.0:
+    for j in range(r):
+        if den[j] == 0.0:
             scores[j] = np.nan
             findings.append(Finding("vanishing-eigenfunction", message=(
                 f"mode {j}: eigenfunction vanishes on the data; score undefined")))
         else:
-            scores[j] = np.linalg.norm(phi_xp[j] - lambdas[j] * phi_x[j]) / den
+            scores[j] = np.sqrt(num[j]) / np.sqrt(den[j])
     return scores, findings
 
 
@@ -223,13 +258,12 @@ class KoopmanModel(_FrozenRecord):
             uvec = np.asarray(u, dtype=float).reshape(-1)
             if uvec.shape[0] != self.q:
                 raise DataError(f"u must have {self.q} channel(s), got {uvec.shape[0]}")
-            U = np.ascontiguousarray(uvec[:, None].astype(self.A.dtype, copy=False))
-            Z = _kernels.iterate_linear_controlled(self.A, self.B, z0, U)
+            z1 = self.A @ z0 + self.B @ uvec.astype(self.A.dtype, copy=False)
         else:
             if u is not None:
                 raise DataError("model is unforced; got unexpected input u")
-            Z = _kernels.iterate_linear(self.A, z0, 1)
-        return np.ascontiguousarray(self.C.apply_vec(Z[1]).real)
+            z1 = self.A @ z0
+        return np.ascontiguousarray(self.C.apply_vec(z1).real)
 
     def simulate(self, x0, n_steps: int, U=None) -> np.ndarray:
         """Roll the model forward in lifted space; returns n_steps + 1 states.

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -40,6 +39,15 @@ __all__ = [
     "observable_from_config",
 ]
 
+
+def _frozen(value):
+    if isinstance(value, np.ndarray):
+        return _freeze(value)
+    if isinstance(value, tuple):
+        return tuple(_frozen(v) for v in value)
+    return value
+
+
 class Observable:
     """Base class for lifting maps."""
 
@@ -51,10 +59,9 @@ class Observable:
     def __setattr__(self, name, value):
         if self.__dict__.get("_sealed"):
             raise AttributeError(f"{self.kind} library is sealed; cannot set {name!r}")
-        # arrays are stored as read-only copies, so set-up data cannot drift
-        if isinstance(value, np.ndarray):
-            value = _freeze(value)
-        super().__setattr__(name, value)
+        # arrays, also inside tuples, are stored as read-only copies, so set-up
+        # data cannot drift
+        super().__setattr__(name, _frozen(value))
 
     def __setstate__(self, state):
         # copies (copy.deepcopy, pickle) store their arrays read-only too, and
@@ -174,15 +181,8 @@ class Polynomial(Observable):
         self._exps: Optional[np.ndarray] = None
 
     def _on_bind(self):
-        n = self.n_input
-        rows = [np.zeros(n, dtype=np.int64)]
-        for deg in range(1, self.degree + 1):
-            for combo in combinations_with_replacement(range(n), deg):
-                e = np.zeros(n, dtype=np.int64)
-                for idx in combo:
-                    e[idx] += 1
-                rows.append(e)
-        self._exps = np.array(rows, dtype=np.int64)
+        # the recurrence table is built once; lifting is one product per degree
+        self._exps, self._steps = _kernels.monomial_table(self.n_input, self.degree)
 
     @property
     def exponents(self) -> np.ndarray:
@@ -204,7 +204,7 @@ class Polynomial(Observable):
         X = np.asarray(X, dtype=float)
         if X.shape[1] != self.n_input:
             raise DataError(f"expected {self.n_input} columns, got {X.shape[1]}")
-        return _kernels.poly_features(X, self._exps)
+        return _kernels.poly_features(X, self._steps)
 
     def config(self):
         return {"kind": self.kind, "n_input": self.n_input, "degree": self.degree}

@@ -143,6 +143,14 @@ def eig_biorthogonal(A: np.ndarray, dt: float = 1.0) -> EigenSystem:
     else:
         W_left = np.linalg.inv(W).conj().T
     W, W_left = _normalize_pair(W, W_left)
+    if not np.iscomplexobj(A):
+        # LAPACK returns a real A's conjugate pairs exactly (the member with
+        # negative imaginary part sorts first); inv() keeps the pairing of the
+        # left vectors only to rounding, and the normalization carries that
+        # into the right vectors
+        j = np.flatnonzero((lam[:-1].imag < 0) & (lam[1:] == lam[:-1].conj()))
+        W[:, j + 1] = W[:, j].conj()
+        W_left[:, j + 1] = W_left[:, j].conj()
     lam, mus, mu_findings = _classify_spectrum(lam, A, dt)
     return EigenSystem(
         lambdas=lam, mus=mus, W_right=W, W_left=W_left, dt=dt,

@@ -88,3 +88,31 @@ def test_written_floats_roundtrip_exactly(tmp_path):
     write_trajectory_csv(path, [vals], dt=1.0 / 3.0)
     ds = read_trajectory_csv(path)
     np.testing.assert_array_equal(ds.trajectories[0], vals)
+
+
+def test_errors_in_a_later_block_report_their_file_line(tmp_path):
+    path = tmp_path / "b.csv"
+    first = "t,x1\n0.0,1.0\n0.1,2.0\n\n"  # lines 1-4; the second block starts on line 5
+    path.write_text(first + "0.0,1.0\n0.1,oops\n")
+    with pytest.raises(DataError, match=r"b\.csv:6: non-numeric value in data row"):
+        read_trajectory_csv(str(path))
+    path.write_text(first + "0.0,1.0\n0.1,2.0\n0.2\n")
+    with pytest.raises(DataError, match=r"b\.csv:7: inconsistent column counts \[1, 2\]"):
+        read_trajectory_csv(str(path))
+    # '#' starts no comment: it is a non-numeric cell like any other
+    path.write_text(first + "0.0,1.0\n0.1,#2.0\n")
+    with pytest.raises(DataError, match=r"b\.csv:6: non-numeric value in data row"):
+        read_trajectory_csv(str(path))
+    path.write_text(first + "#0.0,1.0\n0.1,2.0\n")
+    with pytest.raises(DataError, match=r"b\.csv:5: non-numeric value in data row"):
+        read_trajectory_csv(str(path))
+
+
+def test_read_numeric_csv_reports_a_short_row(tmp_path):
+    path = tmp_path / "n.csv"
+    path.write_text("a,b\n\n1,2\n3,4,5\n")
+    with pytest.raises(DataError, match=r"n\.csv:4: inconsistent column counts \[2, 3\]"):
+        read_numeric_csv(str(path))
+    path.write_text("a,b\n1,2\n3,x\n")
+    with pytest.raises(DataError, match=r"n\.csv:3: non-numeric value in data row"):
+        read_numeric_csv(str(path))

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,6 +65,16 @@ def test_trajectories_are_read_only():
     ds = kl.TrajectoryDataset([np.zeros((3, 2))], dt=1.0)
     with pytest.raises(ValueError):
         ds.trajectories[0][0, 0] = 1.0
+
+
+def test_copied_datasets_stay_read_only():
+    ds = kl.TrajectoryDataset([np.zeros((3, 2)), np.ones((4, 2))], dt=0.5,
+                              inputs=[np.zeros((3, 1)), np.ones((4, 1))])
+    for dup in (copy.deepcopy(ds), pickle.loads(pickle.dumps(ds))):
+        assert dup.dt == ds.dt
+        for a, b in zip(dup.trajectories + dup.inputs, ds.trajectories + ds.inputs):
+            np.testing.assert_array_equal(a, b)
+            assert not a.flags.writeable
 
 
 def test_validate_clean():

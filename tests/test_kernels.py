@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kooplift import _kernels as K
 
@@ -96,22 +98,44 @@ def _iterate_ref(A, B, z0, U, n_steps):
 
 def test_poly_features_match_reference():
     X = _rng(1).normal(size=(40, 3))
-    exps = np.array(
-        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0], [1, 1, 0], [0, 1, 2],
-         [3, 0, 1]],
-        dtype=np.int64,
-    )
-    np.testing.assert_allclose(K.poly_features(X, exps), _poly_ref(X, exps),
+    # every monomial of degree <= 4 in 3 variables, [3, 0, 1] and [0, 1, 2] among them
+    exps, steps = K.monomial_table(3, 4)
+    np.testing.assert_allclose(K.poly_features(X, steps), _poly_ref(X, exps),
                                rtol=1e-13, atol=1e-15)
 
 
 def test_poly_features_state_columns_exact():
     # the constant and unit-exponent columns reproduce 1 and the state bit for bit
     X = _rng(2).normal(size=(25, 2))
-    exps = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64)
-    out = K.poly_features(X, exps)
+    exps, steps = K.monomial_table(2, 1)
+    out = K.poly_features(X, steps)
     assert np.array_equal(out[:, 0], np.ones(25))
     assert np.array_equal(out[:, 1:], X)
+
+
+def test_monomial_table_order_and_parents():
+    exps, steps = K.monomial_table(2, 3)
+    assert exps.tolist() == [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2],
+                             [3, 0], [2, 1], [1, 2], [0, 3]]
+    for start, stop, parents, coords in steps:
+        child = exps[parents].copy()
+        child[np.arange(stop - start), coords] += 1
+        assert np.array_equal(child, exps[start:stop])
+        # the raised coordinate is the child's last nonzero one
+        assert all(not exps[k, c + 1:].any() for k, c in zip(range(start, stop), coords))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 4), degree=st.integers(1, 5), m=st.sampled_from([1, 7, 2500]),
+       seed=st.integers(0, 2**32 - 1))
+def test_poly_features_property(n, degree, m, seed):
+    X = _rng(seed).uniform(-2.0, 2.0, size=(m, n))
+    exps, steps = K.monomial_table(n, degree)
+    out = K.poly_features(X, steps)
+    assert out.shape == (m, exps.shape[0])
+    assert np.array_equal(out[:, 0], np.ones(m))
+    assert np.array_equal(out[:, 1 : n + 1], X)
+    np.testing.assert_allclose(out, _poly_ref(X, exps), rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("kind,ph_exp", [

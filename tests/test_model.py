@@ -363,6 +363,53 @@ def test_linearity_nan_sentinel():
     assert len(findings) == 1 and findings[0].kind == "vanishing-eigenfunction"
 
 
+def _complex_scores(regression, pairs):
+    # the direct route: eigenfunction values in complex arithmetic, whole rows
+    Wh = regression.eigensystem.W_left.conj().T
+    phi_x = Wh @ pairs.X.astype(complex)
+    phi_xp = Wh @ pairs.Xprime.astype(complex)
+    lam = regression.eigensystem.lambdas
+    return (np.linalg.norm(phi_xp - lam[:, None] * phi_x, axis=1)
+            / np.linalg.norm(phi_x, axis=1))
+
+
+@pytest.mark.parametrize("kind", ["edmd", "kdmd"])
+def test_chunked_scores_match_a_complex_reference(kind, slow_manifold_small):
+    from kooplift.model import SCORE_CHUNK
+
+    ds = make_slow_manifold_dataset(grid=3, t_end=2.0)
+    if kind == "kdmd":
+        model = kl.fit(None, kl.RegressorConfig(kind="kdmd", rank=8),
+                       _short_slow_manifold(slow_manifold_small))
+    else:
+        model = kl.fit(kl.Polynomial(3), "edmd", ds)
+    # 21 x 999 pairs: more than 20,000, in a last block shorter than the others
+    x0 = np.random.default_rng(4).uniform(-1.0, 1.0, size=(21, 2))
+    trajs = kl.integrate_rk4_batch(kl.get_system("slow_manifold"), x0, 0.02, 999)
+    big = kl.TrajectoryDataset(list(trajs), dt=0.02)
+    pairs = kl.build_snapshot_pairs(big, model.observables)
+    assert pairs.m > 20_000 and pairs.m % SCORE_CHUNK != 0
+    assert np.iscomplexobj(pairs.X) == (kind == "kdmd")
+    scores, findings = model.linearity_consistency(big)
+    assert findings == []
+    np.testing.assert_allclose(scores, _complex_scores(model.regression, pairs), rtol=1e-12)
+
+
+def test_chunked_scores_of_complex_pairs_under_complex_eigenvectors():
+    from kooplift.model import SCORE_CHUNK, _consistency_scores
+
+    # kdmd's complex pairs meet only identity eigenvectors; this covers both complex
+    rng = np.random.default_rng(6)
+    A = rng.normal(size=(4, 4))
+    res = kl.RegressionResult(kind="edmd", rank=4, A=A, eigensystem=kl.eig_biorthogonal(A))
+    assert np.iscomplexobj(res.eigensystem.lambdas) and np.any(res.eigensystem.lambdas.imag)
+    m = 4 * SCORE_CHUNK + 979
+    X = rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m))
+    pairs = kl.SnapshotPairs(X=X, Xprime=A @ X + 0.1 * rng.normal(size=(4, m)), dt=1.0)
+    scores, _ = _consistency_scores(res, pairs)
+    np.testing.assert_allclose(scores, _complex_scores(res, pairs), rtol=1e-12)
+
+
 def _controlled_linear_dataset():
     A, B = kl.drss(2, 1, seed=3)
     rng = np.random.default_rng(0)

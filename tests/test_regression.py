@@ -491,6 +491,21 @@ def test_eig_sort_order_and_conjugate_adjacency():
     assert es.lambdas[2].imag < es.lambdas[3].imag
 
 
+def test_eig_conjugate_pairs_of_a_real_matrix_are_exact():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        A = rng.normal(size=(12, 12))
+        # fit_edmd maps its reduced eigenvectors through a real basis
+        Z = rng.normal(size=(12, 40))
+        for es in (kl.eig_biorthogonal(A), kl.fit_edmd(Z, A @ Z).eigensystem):
+            lam = es.lambdas
+            j = np.flatnonzero(lam.imag < 0)
+            assert j.size > 0
+            np.testing.assert_array_equal(lam[j + 1], lam[j].conj())
+            np.testing.assert_array_equal(es.W_right[:, j + 1], es.W_right[:, j].conj())
+            np.testing.assert_array_equal(es.W_left[:, j + 1], es.W_left[:, j].conj())
+
+
 def test_eig_defective_flagged():
     es = kl.eig_biorthogonal(np.array([[1.0, 1.0], [0.0, 1.0]]))
     assert any(f.kind == "defective-eigenvectors" for f in es.findings)

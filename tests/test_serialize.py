@@ -74,6 +74,14 @@ def _gaussian_kdmd(dataset):
     )
 
 
+def test_conjugate_modes_of_a_real_fit_score_alike(dataset):
+    model = _gaussian_kdmd(dataset)
+    lam = model.eigenvalues
+    j = np.flatnonzero((lam[:-1].imag < 0) & (lam[1:] == lam[:-1].conj()))
+    assert j.size > 0
+    np.testing.assert_array_equal(model.training_scores[j], model.training_scores[j + 1])
+
+
 def test_save_load_save_byte_identical(tmp_path, dataset):
     for name, model, _ in _models(dataset):
         p1, p2 = str(tmp_path / f"{name}1.json"), str(tmp_path / f"{name}2.json")
