@@ -15,7 +15,7 @@ from .data import (
 )
 from .differentiation import DifferentiationConfig, differentiate
 from .errors import ConfigError, DataError, KoopliftError, RegressionError
-from .model import KoopmanModel, ModeTable, RegressorConfig, fit, fit_hankel
+from .model import KoopmanModel, ModeTable, RegressorConfig, fit
 from .observables import (
     Concat,
     Custom,
@@ -33,10 +33,7 @@ from .regression import (
     EigenSystem,
     KernelConfig,
     RegressionResult,
-    eig_biorthogonal,
-    fit_continuous_generator,
-    fit_dmd,
-    fit_dmdc,
+        eig_biorthogonal,
     fit_edmd,
     fit_edmdc,
     fit_kdmd,
@@ -72,8 +69,7 @@ __all__ = [
     "DifferentiationConfig", "differentiate",
     # regression
     "EigenSystem", "RegressionResult", "KernelConfig", "eig_biorthogonal",
-    "fit_dmd", "fit_edmd", "fit_dmdc", "fit_edmdc", "fit_kdmd", "fit_hankel",
-    "fit_continuous_generator",
+    "fit_edmd", "fit_edmdc", "fit_kdmd",
     # pipeline
     "KoopmanModel", "ModeTable", "RegressorConfig", "fit",
     "save_model", "load_model", "model_to_dict", "model_from_dict",

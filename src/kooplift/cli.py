@@ -75,12 +75,12 @@ def _parse_fit_config(cfg: dict, seed=None):
         rank=reg_cfg.get("rank"),
         rank_in=reg_cfg.get("rank_in"),
         rank_out=reg_cfg.get("rank_out"),
-        delays=int(reg_cfg.get("delays", 0)),
+        delays=reg_cfg.get("delays", 0),
         kernel=kernel,
     )
-    n_inputs = int(reg_cfg.get("n_inputs", 0))
-    if n_inputs < 0:
-        raise ConfigError(f"n_inputs must be >= 0, got {n_inputs}")
+    n_inputs = reg_cfg.get("n_inputs", 0)
+    if isinstance(n_inputs, bool) or not isinstance(n_inputs, int) or n_inputs < 0:
+        raise ConfigError(f"n_inputs must be an integer >= 0, got {n_inputs!r}")
     dt_override = cfg.get("dt")
     if dt_override is not None and dt_override <= 0:
         raise ConfigError(f"dt override must be positive, got {dt_override}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from numbers import Integral
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -40,16 +41,27 @@ from .observables import (
 from .regression import (
     KernelConfig,
     RegressionResult,
+    _parse_rank,
     fit_edmd,
     fit_edmdc,
     fit_kdmd,
 )
 
-__all__ = ["RegressorConfig", "KoopmanModel", "ModeTable", "fit", "fit_hankel"]
+__all__ = ["RegressorConfig", "KoopmanModel", "ModeTable", "fit"]
 
-_UNFORCED = ("dmd", "edmd", "hdmd", "kdmd")
-_CONTROLLED = ("dmdc", "edmdc", "hdmdc")
-REGRESSOR_KINDS = _UNFORCED + _CONTROLLED
+# kind -> (regression, controlled, library rule). The regression is fit_edmd,
+# fit_edmdc or fit_kdmd; the kind is only a label in the model metadata.
+# Library rules: "any" (identity by default), "time_delay" (identity or
+# TimeDelay; TimeDelay(delays) by default), "identity" (identity only).
+_KINDS = {
+    "dmd": ("edmd", False, "any"),
+    "edmd": ("edmd", False, "any"),
+    "hdmd": ("edmd", False, "time_delay"),
+    "kdmd": ("kdmd", False, "identity"),
+    "dmdc": ("edmdc", True, "any"),
+    "edmdc": ("edmdc", True, "any"),
+    "hdmdc": ("edmdc", True, "time_delay"),
+}
 # snapshot pairs scored per block by _consistency_scores; at N = 102 lifted
 # features and m = 100k pairs (2-CPU VM) blocks of 5,000 scored in 0.19 s,
 # of 2,500 in 0.23 s and of 20,000 in 0.24 s
@@ -68,23 +80,28 @@ class RegressorConfig:
     kernel: Optional[KernelConfig] = None  # kdmd
 
     def __post_init__(self):
-        if self.kind not in REGRESSOR_KINDS:
+        if self.kind not in _KINDS:
             raise ConfigError(
-                f"unknown regressor kind {self.kind!r}; choose from {REGRESSOR_KINDS}"
+                f"unknown regressor kind {self.kind!r}; choose from {tuple(_KINDS)}"
             )
-        if self.delays < 0:
-            raise ConfigError(f"delays must be >= 0, got {self.delays}")
-        if self.delays > 0 and self.kind not in ("hdmd", "hdmdc"):
+        regression, controlled, library_rule = _KINDS[self.kind]
+        if (isinstance(self.delays, bool) or not isinstance(self.delays, Integral)
+                or self.delays < 0):
+            raise ConfigError(f"delays must be an integer >= 0, got {self.delays!r}")
+        if self.delays > 0 and library_rule != "time_delay":
             raise ConfigError(f"delays only applies to hdmd/hdmdc, not {self.kind}")
-        if self.kernel is not None and self.kind != "kdmd":
+        if self.kernel is not None and regression != "kdmd":
             raise ConfigError(f"a kernel only applies to kdmd, not {self.kind}")
-        controlled = self.kind in _CONTROLLED
         if self.rank is not None and controlled:
             raise ConfigError(f"{self.kind} uses rank_in/rank_out, not rank")
         if (self.rank_in is not None or self.rank_out is not None) and not controlled:
             raise ConfigError(f"rank_in/rank_out only apply to controlled kinds, "
                               f"not {self.kind}")
-        if self.kind == "kdmd" and self.kernel is None:
+        # parsed as the regressions parse them, so a bad rank fails before lifting
+        _parse_rank(self.rank, cutoff=regression != "kdmd")
+        _parse_rank(self.rank_in, "rank_in")
+        _parse_rank(self.rank_out, "rank_out")
+        if regression == "kdmd" and self.kernel is None:
             object.__setattr__(self, "kernel", KernelConfig())
 
 
@@ -334,22 +351,20 @@ def _stage(label: str, exc: KoopliftError) -> KoopliftError:
 
 
 def _resolve_library(observables, config: RegressorConfig) -> Observable:
+    """The library a kind fits on, by the library rule of its _KINDS entry."""
     lib = observables if observables is not None else Identity()
     if not isinstance(lib, Observable):
         raise ConfigError(f"observables must be an Observable, got {type(lib).__name__}")
-    if config.kind in ("hdmd", "hdmdc"):
-        if isinstance(lib, TimeDelay):
-            return lib
-        if isinstance(lib, Identity):
-            return TimeDelay(config.delays)
-        raise ConfigError(
-            f"{config.kind} pairs with identity or time_delay observables, "
-            f"got {lib.kind}"
-        )
-    if config.kind == "kdmd" and not isinstance(lib, Identity):
-        raise ConfigError(
-            "kdmd lifts implicitly through its kernel; use identity observables"
-        )
+    rule = _KINDS[config.kind][2]
+    if rule == "any":
+        return lib
+    if isinstance(lib, Identity):
+        return TimeDelay(config.delays) if rule == "time_delay" else lib
+    if rule == "identity" or not isinstance(lib, TimeDelay):
+        allowed = "identity or time_delay" if rule == "time_delay" else "identity"
+        raise ConfigError(f"{config.kind} takes {allowed} observables, got {lib.kind}")
+    if 0 < config.delays != lib.delays:
+        raise ConfigError(f"delays={config.delays} conflicts with TimeDelay({lib.delays})")
     return lib
 
 
@@ -367,7 +382,7 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
         raise DataError("no trajectories")
     n = data.n_states
     q = data.n_inputs
-    controlled = regressor.kind in _CONTROLLED
+    regression, controlled, _ = _KINDS[regressor.kind]
     if controlled and q == 0:
         raise ConfigError(f"{regressor.kind} requires input data, dataset has none")
     if not controlled and q > 0:
@@ -389,21 +404,19 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
 
     # regression
     try:
-        if regressor.kind == "kdmd":
+        # called by their module-global names, which a tracer may have wrapped
+        if regression == "kdmd":
             res = fit_kdmd(pairs.X, pairs.Xprime, regressor.kernel, rank=regressor.rank,
                            dt=data.dt)
-        elif controlled:
-            res = fit_edmdc(
-                pairs.X, pairs.Xprime, pairs.U, rank_in=regressor.rank_in,
-                rank_out=regressor.rank_out, dt=data.dt, kind=regressor.kind,
-            )
+        elif regression == "edmdc":
+            res = fit_edmdc(pairs.X, pairs.Xprime, pairs.U, rank_in=regressor.rank_in,
+                            rank_out=regressor.rank_out, dt=data.dt)
         else:
-            res = fit_edmd(pairs.X, pairs.Xprime, rank=regressor.rank, dt=data.dt,
-                           kind=regressor.kind)
+            res = fit_edmd(pairs.X, pairs.Xprime, rank=regressor.rank, dt=data.dt)
     except KoopliftError as exc:
         raise _stage("regression", exc) from exc
     X_state = None
-    if regressor.kind == "kdmd":
+    if regression == "kdmd":
         # kdmd regressed on the identity pairs, whose X are the raw states the
         # fitted reconstruction needs; the model lifts through the fitted
         # eigenfunctions from here on
@@ -427,7 +440,7 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
         "residual_fro": res.residual_fro,
         "sigma_min": res.sigma_min,
         "n_features": int(res.A.shape[0]),
-        "regressor": res.kind,
+        "regressor": regressor.kind,
         "findings": (*res.findings, *C.findings, *score_findings),
     }
     return KoopmanModel(
@@ -435,21 +448,3 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
         metadata=metadata, z0_train=pairs.X[:, 0].astype(res.A.dtype),
         training_scores=scores,
     )
-
-
-def fit_hankel(trajectories, delays: int, rank=None, inputs=None,
-               dt: float = 1.0) -> RegressionResult:
-    """Delay-embedded DMD (with control when inputs are given).
-
-    The regression of `fit` with a TimeDelay(delays) library and the hdmd
-    (or, with inputs, hdmdc with ``rank`` as rank_in) regressor; snapshot
-    pairs never straddle trajectory boundaries.
-    """
-    library = TimeDelay(delays)
-    if isinstance(trajectories, np.ndarray) and trajectories.ndim == 2:
-        trajectories = [trajectories]
-    data = TrajectoryDataset(trajectories, dt, inputs)
-    pairs = build_snapshot_pairs(data, library.bind(data.n_states))
-    if pairs.U is None:
-        return fit_edmd(pairs.X, pairs.Xprime, rank=rank, dt=dt, kind="hdmd")
-    return fit_edmdc(pairs.X, pairs.Xprime, pairs.U, rank_in=rank, dt=dt, kind="hdmdc")

@@ -29,12 +29,9 @@ __all__ = [
     "RegressionResult",
     "KernelConfig",
     "eig_biorthogonal",
-    "fit_dmd",
     "fit_edmd",
-    "fit_dmdc",
     "fit_edmdc",
     "fit_kdmd",
-    "fit_continuous_generator",
 ]
 
 RANK_CUTOFF = 1e-10  # relative singular-value cutoff, keeps exact problems exact
@@ -167,7 +164,6 @@ class RegressionResult(_FrozenRecord):
     are read-only copies; findings are a tuple.
     """
 
-    kind: str
     rank: int
     A: np.ndarray
     B: Optional[np.ndarray] = None
@@ -217,25 +213,25 @@ def _residual(E: np.ndarray, target: np.ndarray):
     return fro, fro / denom if denom > 0 else 0.0
 
 
+def _parse_rank(rank, name: str = "rank", cutoff: bool = True):
+    """The one parser of a rank option (see the module docstring); returns
+    (cap, relative cutoff). A bool is refused, and a float is accepted only
+    where ``cutoff`` allows one."""
+    if rank is None:
+        return None, RANK_CUTOFF
+    if isinstance(rank, Integral) and not isinstance(rank, bool) and rank >= 1:
+        return int(rank), RANK_CUTOFF
+    if cutoff and isinstance(rank, Real) and not isinstance(rank, bool) and 0 < rank < 1:
+        return None, float(rank)
+    expected = "an integer >= 1" + (" or a float cutoff in (0, 1)" if cutoff else "")
+    raise ConfigError(f"{name} must be {expected}, got {rank!r}")
+
+
 def _truncate_svd(M: np.ndarray, rank):
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         raise RegressionError("all singular values below cutoff")
-    cutoff = RANK_CUTOFF
-    cap = None
-    if rank is not None:
-        if isinstance(rank, Integral):
-            if rank < 1:
-                raise ConfigError(f"rank must be >= 1, got {rank}")
-            cap = int(rank)
-        elif isinstance(rank, Real):
-            if not 0.0 < float(rank) < 1.0:
-                raise ConfigError(
-                    f"a float rank is a relative cutoff and must lie in (0, 1), got {rank}"
-                )
-            cutoff = float(rank)
-        else:
-            raise ConfigError(f"rank must be an integer or a float cutoff, got {rank!r}")
+    cap, cutoff = _parse_rank(rank)
     r = int(np.sum(s > cutoff * s[0]))
     if cap is not None:
         r = min(r, cap)
@@ -255,7 +251,7 @@ def _lift_eigensystem(eig_red: EigenSystem, projection: np.ndarray) -> EigenSyst
     )
 
 
-def fit_edmd(Z, Zprime, rank=None, dt: float = 1.0, kind: str = "edmd") -> RegressionResult:
+def fit_edmd(Z, Zprime, rank=None, dt: float = 1.0) -> RegressionResult:
     """SVD-based least-squares fit of Z' ~ A Z on lifted snapshot columns.
 
     Fits the reduced operator over the leading left-singular basis of Z and
@@ -290,19 +286,14 @@ def fit_edmd(Z, Zprime, rank=None, dt: float = 1.0, kind: str = "edmd") -> Regre
     A_full = Ur @ At @ Ur.T
     fro, rel = _residual(Zp - A_full @ Z, Zp)
     return RegressionResult(
-        kind=kind, rank=r, A=A_full, eigensystem=eig_full, modes_exact=ME,
+        rank=r, A=A_full, eigensystem=eig_full, modes_exact=ME,
         residual_fro=fro, residual_rel=rel, sigma_min=float(sr[-1]), m=Z.shape[1],
         findings=(*findings, *eig_full.findings),
     )
 
 
-def fit_dmd(X, Xprime, rank=None, dt: float = 1.0) -> RegressionResult:
-    """Exact (SVD-based) DMD: fit_edmd applied to raw state snapshots."""
-    return fit_edmd(X, Xprime, rank=rank, dt=dt, kind="dmd")
-
-
-def fit_edmdc(Z, Zprime, U, rank_in=None, rank_out=None, dt: float = 1.0,
-              kind: str = "edmdc") -> RegressionResult:
+def fit_edmdc(Z, Zprime, U, rank_in=None, rank_out=None,
+              dt: float = 1.0) -> RegressionResult:
     """Controlled fit: Z' ~ A Z + B U via SVD of the stacked [Z; U].
 
     When rank_out is given and below N, a second SVD of Zprime compresses the
@@ -316,7 +307,9 @@ def fit_edmdc(Z, Zprime, U, rank_in=None, rank_out=None, dt: float = 1.0,
         raise ConfigError("no input channels given; use fit_edmd for unforced data")
     if U.shape[1] != m:
         raise DataError(f"U has {U.shape[1]} columns, expected {m}")
-    if rank_in is not None and isinstance(rank_in, Integral) and rank_in > N + q:
+    cap_in, _ = _parse_rank(rank_in, "rank_in")
+    cap_out, _ = _parse_rank(rank_out, "rank_out")
+    if cap_in is not None and cap_in > N + q:
         raise ConfigError(f"rank_in={rank_in} exceeds stacked dimension {N + q}")
     Omega = np.vstack([Z, U])
     Uo, so, Vo = _truncate_svd(Omega, rank_in)
@@ -325,7 +318,7 @@ def fit_edmdc(Z, Zprime, U, rank_in=None, rank_out=None, dt: float = 1.0,
     B = AB[:, N:]
 
     fro, rel = _residual(Zp - (A @ Z + B @ U), Zp)
-    if rank_out is not None and (not isinstance(rank_out, Integral) or rank_out < N):
+    if rank_out is not None and (cap_out is None or cap_out < N):
         # the operator restricted to the leading output subspace, in full space
         P, _, _ = _truncate_svd(Zp, rank_out)
         A_red = P.T @ A @ P
@@ -334,15 +327,10 @@ def fit_edmdc(Z, Zprime, U, rank_in=None, rank_out=None, dt: float = 1.0,
     else:
         eig = eig_biorthogonal(A, dt)
     return RegressionResult(
-        kind=kind, rank=eig.rank, A=A, B=B, eigensystem=eig,
+        rank=eig.rank, A=A, B=B, eigensystem=eig,
         residual_fro=fro, residual_rel=rel, sigma_min=float(so[-1]), m=m,
         findings=eig.findings,
     )
-
-
-def fit_dmdc(X, Xprime, U, rank_in=None, rank_out=None, dt: float = 1.0) -> RegressionResult:
-    """DMD with control on raw states (two-SVD reduction via rank_out)."""
-    return fit_edmdc(X, Xprime, U, rank_in=rank_in, rank_out=rank_out, dt=dt, kind="dmdc")
 
 
 @dataclass(frozen=True)
@@ -473,8 +461,7 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
     """
     X, Xp = _snapshot_pairs(X, Xprime)
     m = X.shape[1]
-    if rank is not None and (not isinstance(rank, Integral) or rank < 1):
-        raise ConfigError(f"kernel rank must be a positive integer, got {rank}")
+    _parse_rank(rank, "kernel rank", cutoff=False)
     _check_gram_memory(m)
     Xr = np.ascontiguousarray(X.T)
     Xpr = np.ascontiguousarray(Xp.T)
@@ -532,25 +519,7 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
         findings=eig_red.findings,
     )
     return RegressionResult(
-        kind="kdmd", rank=r, A=np.diag(lam), eigensystem=eig, residual_fro=fro,
+        rank=r, A=np.diag(lam), eigensystem=eig, residual_fro=fro,
         residual_rel=rel, sigma_min=float(np.sqrt(sr[-1])), m=m,
         findings=eig.findings, kernel_centers=Xr, kernel_alpha=alpha,
     )
-
-
-def fit_continuous_generator(Z, Zdot):
-    """Diagnostic regression Zdot ~ A_c Z for a continuous-time generator.
-
-    The discrete pipeline never consumes derivatives; this exists for
-    inspecting derivative-based fits side by side with the discrete operator.
-    Returns (A_c, relative residual).
-    """
-    Z = _as_matrix(Z, "Z")
-    Zd = _as_matrix(Zdot, "Zdot")
-    if Z.shape != Zd.shape:
-        raise DataError(f"Z and Zdot shapes differ: {Z.shape} vs {Zd.shape}")
-    Ac = np.linalg.lstsq(Z.T, Zd.T, rcond=RANK_CUTOFF)[0].T
-    E = Zd - Ac @ Z
-    den = np.linalg.norm(Zd)
-    rel = float(np.linalg.norm(E) / den) if den > 0 else 0.0
-    return Ac, rel

@@ -151,7 +151,6 @@ def model_from_dict(d: dict) -> KoopmanModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file: {exc}") from None
     res = RegressionResult(
-        kind=str(metadata.get("regressor", "edmd")),
         rank=int(metadata.get("rank", eig.rank)),
         A=A,
         B=B,

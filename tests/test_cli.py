@@ -78,6 +78,41 @@ def test_fit_unknown_key_exits_2(tmp_path, data_csv):
     assert main(["fit", str(cfg), data_csv, str(tmp_path / "m.json")]) == 2
 
 
+@pytest.mark.parametrize("reg_cfg", [
+    {"rank": True},
+    {"rank": 0},
+    {"rank": 1.5},
+    {"kind": "kdmd", "rank": 0.5},
+    {"kind": "dmdc", "rank_in": True},
+    {"kind": "dmdc", "rank_out": True},
+    {"kind": "hdmd", "delays": 2.7},
+    {"kind": "hdmd", "delays": True},
+    {"n_inputs": 1.9},
+    {"n_inputs": True},
+], ids=lambda cfg: "-".join(f"{k}={v}" for k, v in cfg.items()))
+def test_fit_rejects_coerced_regressor_values(reg_cfg, tmp_path, data_csv, capsys):
+    # refused as given, not rounded or read as 0/1, and before any lifting
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"regressor": reg_cfg}))
+    out = tmp_path / "m.json"
+    assert main(["fit", str(cfg), data_csv, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "stage" not in err and any(k in err for k in reg_cfg if k != "kind")
+    assert not out.exists()
+    if "n_inputs" not in reg_cfg:
+        with pytest.raises(kl.ConfigError):
+            kl.RegressorConfig(**reg_cfg)
+
+
+def test_fit_conflicting_delays_exits_2(tmp_path, data_csv, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"observables": {"kind": "time_delay", "delays": 2},
+                               "regressor": {"kind": "hdmd", "delays": 5}}))
+    assert main(["fit", str(cfg), data_csv, str(tmp_path / "m.json")]) == 2
+    assert "conflicts" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_fit_single_sample_csv_exits_3(tmp_path, capsys):
     csv = tmp_path / "one.csv"
     csv.write_text("t,x1\n0.0,1.0\n")

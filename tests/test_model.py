@@ -94,6 +94,20 @@ def test_regressor_config_validation():
     assert kl.RegressorConfig(kind="kdmd").kernel is not None
 
 
+@pytest.mark.parametrize("controlled", [False, True])
+def test_conflicting_delays_are_rejected(controlled):
+    ds = _controlled_linear_dataset()
+    if not controlled:
+        ds = kl.TrajectoryDataset(ds.trajectories, ds.dt)
+    kind = "hdmdc" if controlled else "hdmd"
+    with pytest.raises(ConfigError, match=r"delays=5 conflicts with TimeDelay\(2\)"):
+        kl.fit(kl.TimeDelay(2), kl.RegressorConfig(kind=kind, delays=5), ds)
+    # delays equal to the library's, or left at 0, defer to the library
+    same = kl.fit(kl.TimeDelay(2), kl.RegressorConfig(kind=kind, delays=2), ds)
+    default = kl.fit(kl.TimeDelay(2), kind, ds)
+    np.testing.assert_array_equal(same.A, default.A)
+
+
 # ---------------------------------------------------------------------------
 # predict
 # ---------------------------------------------------------------------------
@@ -353,8 +367,7 @@ def test_linearity_nan_sentinel():
     from kooplift.model import _consistency_scores
 
     # with A = I the eigenfunctions are the lifted coordinates themselves
-    res = kl.RegressionResult(kind="edmd", rank=2, A=np.eye(2),
-                              eigensystem=kl.eig_biorthogonal(np.eye(2)))
+    res = kl.RegressionResult(rank=2, A=np.eye(2), eigensystem=kl.eig_biorthogonal(np.eye(2)))
     phi_x = np.array([[0.0, 0.0], [1.0, 2.0]])
     phi_xp = np.array([[0.0, 0.0], [1.0, 2.0]])
     pairs = kl.SnapshotPairs(X=phi_x, Xprime=phi_xp, dt=1.0)
@@ -401,7 +414,7 @@ def test_chunked_scores_of_complex_pairs_under_complex_eigenvectors():
     # kdmd's complex pairs meet only identity eigenvectors; this covers both complex
     rng = np.random.default_rng(6)
     A = rng.normal(size=(4, 4))
-    res = kl.RegressionResult(kind="edmd", rank=4, A=A, eigensystem=kl.eig_biorthogonal(A))
+    res = kl.RegressionResult(rank=4, A=A, eigensystem=kl.eig_biorthogonal(A))
     assert np.iscomplexobj(res.eigensystem.lambdas) and np.any(res.eigensystem.lambdas.imag)
     m = 4 * SCORE_CHUNK + 979
     X = rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m))
@@ -635,18 +648,41 @@ def test_kdmd_fit_pairs_the_data_twice(monkeypatch):
 
 
 @pytest.mark.parametrize("controlled", [False, True])
-def test_fit_hankel_is_fit_with_time_delay(controlled):
+def test_hdmd_delays_is_fit_with_time_delay(controlled):
     rng = np.random.default_rng(8)
     X0 = rng.uniform(-1.0, 1.0, size=(3, 2))
     U = rng.uniform(-1.0, 1.0, size=(3, 120, 1))
     spec = kl.get_system("vdp_osc")
     trajs = list(kl.integrate_rk4_batch(spec, X0, 0.05, 120, U if controlled else None))
     inputs = [np.vstack([u, u[-1:]]) for u in U] if controlled else None
-    res = kl.fit_hankel(trajs, 3, inputs=inputs, dt=0.05)
+    data = kl.TrajectoryDataset(trajs, 0.05, inputs)
     kind = "hdmdc" if controlled else "hdmd"
-    model = kl.fit(kl.TimeDelay(3), kind, kl.TrajectoryDataset(trajs, 0.05, inputs))
-    assert res.kind == model.regression.kind == kind
+    res = kl.fit(None, kl.RegressorConfig(kind=kind, delays=3), data).regression
+    model = kl.fit(kl.TimeDelay(3), kind, data)
+    assert model.metadata["regressor"] == kind
     np.testing.assert_array_equal(res.A, model.regression.A)
     np.testing.assert_array_equal(res.eigensystem.lambdas, model.eigenvalues)
     if controlled:
         np.testing.assert_array_equal(res.B, model.B)
+
+
+def _without_regressor_label(model):
+    d = kl.model_to_dict(model)
+    del d["metadata"]["regressor"]
+    return d
+
+
+@pytest.mark.parametrize("kinds,library", [
+    (("dmd", "edmd"), kl.Polynomial(2)),
+    (("hdmd", "edmd"), kl.TimeDelay(2)),
+    (("dmdc", "edmdc", "hdmdc"), kl.TimeDelay(1)),
+], ids=["dmd-edmd", "hdmd-edmd", "dmdc-edmdc-hdmdc"])
+def test_kind_aliases_are_labels_only(kinds, library):
+    data = _controlled_linear_dataset()
+    if not kinds[0].endswith("c"):
+        data = kl.TrajectoryDataset(data.trajectories, data.dt)
+    models = [kl.fit(library, kind, data) for kind in kinds]
+    assert [m.metadata["regressor"] for m in models] == list(kinds)
+    first = _without_regressor_label(models[0])
+    for model in models[1:]:
+        assert _without_regressor_label(model) == first

@@ -141,7 +141,7 @@ def test_nonnormal_fit_keeps_eigenvalues_out_of_the_zero_class():
 
 
 # ---------------------------------------------------------------------------
-# fit_dmd
+# fit_edmd on raw states (dmd)
 # ---------------------------------------------------------------------------
 
 def _diag_trajectories():
@@ -151,7 +151,7 @@ def _diag_trajectories():
 
 def test_dmd_known_diagonal_map():
     X, Xp = _diag_trajectories()
-    res = kl.fit_dmd(X, Xp)
+    res = kl.fit_edmd(X, Xp)
     np.testing.assert_allclose(
         np.sort(res.eigensystem.lambdas.real)[::-1], [0.9, 0.5], atol=1e-10
     )
@@ -159,24 +159,26 @@ def test_dmd_known_diagonal_map():
 
 def test_dmd_rank1_truncation_keeps_dominant_mode():
     X, Xp = _diag_trajectories()
-    res = kl.fit_dmd(X, Xp, rank=1)
+    res = kl.fit_edmd(X, Xp, rank=1)
     assert res.rank == 1
     np.testing.assert_allclose(res.eigensystem.lambdas, [0.9], atol=1e-10)
 
 
 def test_dmd_constant_trajectory():
     X = np.tile(np.array([[2.0], [1.0]]), (1, 10))
-    res = kl.fit_dmd(X, X)
+    res = kl.fit_edmd(X, X)
     np.testing.assert_allclose(res.eigensystem.lambdas, [1.0], atol=1e-12)
     with pytest.raises(RegressionError, match="below cutoff"):
-        kl.fit_dmd(X - X.mean(axis=1, keepdims=True),
-                   X - X.mean(axis=1, keepdims=True))
+        kl.fit_edmd(X - X.mean(axis=1, keepdims=True),
+                    X - X.mean(axis=1, keepdims=True))
 
 
 def test_dmd_equals_edmd_on_same_data():
     X = RNG.normal(size=(3, 30))
     Xp = RNG.normal(size=(3, 30))
-    a = kl.fit_dmd(X, Xp)
+    # one two-sample trajectory per column pairs exactly X with Xp
+    ds = kl.TrajectoryDataset([np.vstack([x, xp]) for x, xp in zip(X.T, Xp.T)], dt=1.0)
+    a = kl.fit(None, "dmd", ds).regression
     b = kl.fit_edmd(X, Xp)
     np.testing.assert_array_equal(a.eigensystem.lambdas, b.eigensystem.lambdas)
     np.testing.assert_array_equal(a.A, b.A)
@@ -184,7 +186,7 @@ def test_dmd_equals_edmd_on_same_data():
 
 def test_float_rank_acts_as_cutoff():
     X = np.vstack([RNG.normal(size=(1, 40)), 1e-12 * RNG.normal(size=(1, 40))])
-    res = kl.fit_dmd(X, X, rank=1e-6)
+    res = kl.fit_edmd(X, X, rank=1e-6)
     assert res.rank == 1
 
 
@@ -228,7 +230,7 @@ def _drss_excitation(seed, n=3, q=1, m=200):
     return A, B, np.array(X).T, np.array(Xp).T, np.array(U).T
 
 
-@pytest.mark.parametrize("fitter", [kl.fit_dmdc, kl.fit_edmdc])
+@pytest.mark.parametrize("fitter", [kl.fit_edmdc])
 def test_controlled_recovery_from_drss_truth(fitter):
     A, B, X, Xp, U = _drss_excitation(seed=5)
     res = fitter(X, Xp, U)
@@ -238,7 +240,7 @@ def test_controlled_recovery_from_drss_truth(fitter):
 
 def test_dmdc_output_compression():
     A, B, X, Xp, U = _drss_excitation(seed=9)
-    res = kl.fit_dmdc(X, Xp, U, rank_out=2)
+    res = kl.fit_edmdc(X, Xp, U, rank_out=2)
     assert res.rank == 2
     assert res.eigensystem.lambdas.shape == (2,)
     assert res.A.shape == (3, 3)
@@ -296,7 +298,7 @@ def test_kdmd_identity_data():
 def test_kdmd_wide_gaussian_approaches_linear_spectrum():
     M = np.diag([0.9, 0.5])
     X, Xp = _linear_snapshots(M, [np.array([1.0, 0.3]), np.array([-0.4, 1.0])], 15)
-    res_lin = kl.fit_dmd(X, Xp)
+    res_lin = kl.fit_edmd(X, Xp)
     kernel = kl.KernelConfig(kind="gaussian", sigma=100.0)
     res_k = kl.fit_kdmd(X, Xp, kernel)
     for lam in res_lin.eigensystem.lambdas:
@@ -395,19 +397,19 @@ def test_hankel_single_tone():
     dt, omega = 0.1, 1.3
     k = np.arange(200)
     sig = np.cos(omega * k * dt)[:, None]
-    res = kl.fit_hankel(sig, delays=1, dt=dt)
+    model = kl.fit(kl.TimeDelay(1), "hdmd", kl.TrajectoryDataset([sig], dt))
     expected = np.array([np.exp(1j * omega * dt), np.exp(-1j * omega * dt)])
     np.testing.assert_allclose(
-        np.sort_complex(res.eigensystem.lambdas), np.sort_complex(expected), atol=1e-8
+        np.sort_complex(model.eigenvalues), np.sort_complex(expected), atol=1e-8
     )
-    assert res.kind == "hdmd"
+    assert model.metadata["regressor"] == "hdmd"
 
 
 def test_hankel_d0_identical_to_dmd():
     traj = RNG.normal(size=(40, 2))
-    res_h = kl.fit_hankel(traj, delays=0)
+    res_h = kl.fit(kl.TimeDelay(0), "hdmd", kl.TrajectoryDataset([traj], 1.0)).regression
     X, Xp = traj[:-1].T, traj[1:].T
-    res_d = kl.fit_dmd(X, Xp)
+    res_d = kl.fit_edmd(X, Xp)
     np.testing.assert_array_equal(res_h.eigensystem.lambdas, res_d.eigensystem.lambdas)
 
 
@@ -416,7 +418,8 @@ def test_hankel_scalar_two_tone():
     k = np.arange(500)
     f1, f2 = np.sqrt(2.0) / 5.0, np.sqrt(3.0) / 5.0
     sig = (np.cos(2 * np.pi * f1 * k * dt) + 0.5 * np.cos(2 * np.pi * f2 * k * dt))
-    res = kl.fit_hankel(sig[:, None], delays=3, dt=dt)
+    data = kl.TrajectoryDataset([sig[:, None]], dt)
+    res = kl.fit(kl.TimeDelay(3), "hdmd", data).regression
     expected = np.array(
         [np.exp(s * 2j * np.pi * f * dt) for f in (f1, f2) for s in (1, -1)]
     )
@@ -428,7 +431,7 @@ def test_hankel_scalar_two_tone():
 
 def test_hankel_too_short_trajectory():
     with pytest.raises(DataError, match="trajectory 0"):
-        kl.fit_hankel(np.zeros((4, 1)), delays=3)
+        kl.fit(kl.TimeDelay(3), "hdmd", kl.TrajectoryDataset([np.zeros((4, 1))], 1.0))
 
 
 def test_hankel_controlled():
@@ -440,9 +443,10 @@ def test_hankel_controlled():
     for k in range(60):
         x.append(a * x[-1] + b * u[k])
     traj = np.array(x)[:, None]
-    res = kl.fit_hankel([traj], delays=1, inputs=[np.append(u, 0.0)[:, None]])
-    assert res.kind == "hdmdc"
-    assert np.min(np.abs(res.eigensystem.lambdas - a)) < 1e-8
+    data = kl.TrajectoryDataset([traj], 1.0, inputs=[np.append(u, 0.0)[:, None]])
+    model = kl.fit(kl.TimeDelay(1), "hdmdc", data)
+    assert model.metadata["regressor"] == "hdmdc"
+    assert np.min(np.abs(model.eigenvalues - a)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -535,15 +539,3 @@ def test_negative_real_eigenvalue_branch_flag():
     es = kl.eig_biorthogonal(np.diag([-0.5, 0.25]), dt=1.0)
     assert any(f.kind == "negative-real-eigenvalue" for f in es.findings)
     assert es.mus[0].imag == pytest.approx(np.pi)
-
-
-# ---------------------------------------------------------------------------
-# continuous-generator diagnostic
-# ---------------------------------------------------------------------------
-
-def test_fit_continuous_generator():
-    M = np.array([[-0.1, 0.2], [0.0, -0.3]])
-    Z = RNG.normal(size=(2, 30))
-    Ac, rel = kl.fit_continuous_generator(Z, M @ Z)
-    np.testing.assert_allclose(Ac, M, atol=1e-10)
-    assert rel < 1e-12

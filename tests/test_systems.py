@@ -154,7 +154,7 @@ def test_linear2d_dmd_recovers_map_eigenvalues():
             rows.append(kl.linear2d_step(rows[-1]))
         trajs.append(np.array(rows))
     pairs = kl.build_snapshot_pairs(kl.TrajectoryDataset(trajs, dt=1.0))
-    res = kl.fit_dmd(pairs.X, pairs.Xprime)
+    res = kl.fit_edmd(pairs.X, pairs.Xprime)
     np.testing.assert_allclose(np.sort(res.eigensystem.lambdas.real)[::-1], [0.8, 0.7],
                                atol=1e-12)
     assert np.max(np.abs(res.eigensystem.lambdas.imag)) < 1e-12
@@ -184,7 +184,7 @@ def test_hdmd_on_torus_signal_recovers_tones():
     dt = 0.1
     t = np.arange(400) * dt
     sig = kl.torus_signal(t)
-    res = kl.fit_hankel(sig, delays=3, dt=dt)
+    res = kl.fit(kl.TimeDelay(3), "hdmd", kl.TrajectoryDataset([sig], dt)).regression
     freqs = (np.sqrt(2.0) / 5.0, np.sqrt(3.0) / 5.0)
     expected = np.array(
         [np.exp(s * 2j * np.pi * f * dt) for f in freqs for s in (+1, -1)]
