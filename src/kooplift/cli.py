@@ -17,7 +17,8 @@ import numpy as np
 from .csvio import read_numeric_csv, read_trajectory_csv, write_trajectory_csv
 from .data import TrajectoryDataset
 from .differentiation import METHODS, DifferentiationConfig, differentiate
-from .errors import ConfigError, DataError, KoopliftError, RegressionError
+from .errors import (ConfigError, DataError, KoopliftError, RegressionError,
+                     call_with_options, check_int, check_real)
 from .model import fit as fit_model
 from .model import RegressorConfig
 from .observables import TimeDelay, observable_from_config
@@ -32,7 +33,6 @@ from .systems import (
 )
 
 _FIT_KEYS = {"observables", "regressor", "dt", "output"}
-_REG_KEYS = {"kind", "rank", "rank_in", "rank_out", "delays", "kernel", "n_inputs"}
 
 
 def _fmt(x: float) -> str:
@@ -61,29 +61,18 @@ def _parse_fit_config(cfg: dict, seed=None):
             obs_cfg = dict(obs_cfg)
             obs_cfg["seed"] = seed
     library = observable_from_config(obs_cfg)
-    reg_cfg = cfg.get("regressor", {"kind": "edmd"})
+    reg_cfg = cfg.get("regressor", {})
     if not isinstance(reg_cfg, dict):
         raise ConfigError("regressor config must be a JSON object")
-    extra = set(reg_cfg) - _REG_KEYS
-    if extra:
-        raise ConfigError(f"unknown keys in regressor config: {sorted(extra)}")
-    kernel = None
-    if "kernel" in reg_cfg:
-        kernel = KernelConfig.from_dict(reg_cfg["kernel"])
-    regressor = RegressorConfig(
-        kind=reg_cfg.get("kind", "edmd"),
-        rank=reg_cfg.get("rank"),
-        rank_in=reg_cfg.get("rank_in"),
-        rank_out=reg_cfg.get("rank_out"),
-        delays=reg_cfg.get("delays", 0),
-        kernel=kernel,
-    )
-    n_inputs = reg_cfg.get("n_inputs", 0)
-    if isinstance(n_inputs, bool) or not isinstance(n_inputs, int) or n_inputs < 0:
-        raise ConfigError(f"n_inputs must be an integer >= 0, got {n_inputs!r}")
+    # n_inputs is read by the CSV reader, the rest by RegressorConfig
+    options = {k: v for k, v in reg_cfg.items() if k != "n_inputs"}
+    if "kernel" in options:
+        options["kernel"] = KernelConfig.from_dict(options["kernel"])
+    regressor = call_with_options(RegressorConfig, options, "regressor")
+    n_inputs = check_int(reg_cfg.get("n_inputs", 0), "n_inputs", 0)
     dt_override = cfg.get("dt")
-    if dt_override is not None and dt_override <= 0:
-        raise ConfigError(f"dt override must be positive, got {dt_override}")
+    if dt_override is not None:
+        dt_override = check_real(dt_override, "dt", positive=True)
     return library, regressor, n_inputs, dt_override, cfg.get("output")
 
 

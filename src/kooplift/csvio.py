@@ -136,22 +136,18 @@ def write_trajectory_csv(
     trajectories: Sequence[np.ndarray],
     dt: float,
     inputs: Optional[Sequence[np.ndarray]] = None,
-    t0: float = 0.0,
-    header: bool = True,
 ) -> str:
     """Render trajectories in the CSV layout; returns the text.
 
     When `path_or_buffer` is a string the text is written atomically.
     """
-    lines = []
     first = np.atleast_2d(np.asarray(trajectories[0]))
     n = first.shape[1]
     q = 0
     if inputs is not None:
         q = np.atleast_2d(np.asarray(inputs[0])).shape[1]
-    if header:
-        cols = ["t"] + [f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(q)]
-        lines.append(",".join(cols))
+    cols = ["t"] + [f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(q)]
+    lines = [",".join(cols)]
     for k, traj in enumerate(trajectories):
         traj = np.atleast_2d(np.asarray(traj, dtype=float))
         if k > 0:
@@ -160,7 +156,7 @@ def write_trajectory_csv(
         if inputs is not None:
             u = np.atleast_2d(np.asarray(inputs[k], dtype=float))
         for i in range(traj.shape[0]):
-            cells = [_fmt(t0 + i * dt)] + [_fmt(v) for v in traj[i]]
+            cells = [_fmt(i * dt)] + [_fmt(v) for v in traj[i]]
             if u is not None:
                 cells += [_fmt(v) for v in u[i]]
             lines.append(",".join(cells))

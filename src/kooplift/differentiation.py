@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_bool, check_int, check_real
 
 __all__ = ["DifferentiationConfig", "differentiate", "METHODS"]
 
@@ -58,17 +58,18 @@ class DifferentiationConfig:
                 f"unknown differentiation method {self.method!r}; "
                 f"choose from {METHODS}"
             )
-        if self.method == "savitzky_golay":
-            if self.window < 5 or self.window % 2 == 0:
-                raise ConfigError(
-                    f"savitzky_golay window must be odd and >= 5, got {self.window}"
-                )
-        if self.smoothing < 0:
-            raise ConfigError(f"smoothing must be >= 0, got {self.smoothing}")
-        if self.tv_lambda <= 0:
-            raise ConfigError(f"tv_lambda must be positive, got {self.tv_lambda}")
-        if self.tv_iters < 1:
-            raise ConfigError(f"tv_iters must be >= 1, got {self.tv_iters}")
+        # every option is checked and stored canonically, whatever the method
+        for name, value in (("window", check_int(self.window, "window", 1)),
+                            ("smoothing", check_real(self.smoothing, "smoothing")),
+                            ("tv_lambda", check_real(self.tv_lambda, "tv_lambda",
+                                                     positive=True)),
+                            ("tv_iters", check_int(self.tv_iters, "tv_iters", 1)),
+                            ("periodic", check_bool(self.periodic, "periodic"))):
+            object.__setattr__(self, name, value)
+        if self.method == "savitzky_golay" and (self.window < 5 or self.window % 2 == 0):
+            raise ConfigError(
+                f"savitzky_golay window must be odd and >= 5, got {self.window}"
+            )
 
 
 def _check_uniform(t: np.ndarray) -> float:

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks of options.
+
+Options are never coerced: a bool is not a number, a float or a string is
+not an integer, and a string is not a real. Accepted values come back as
+plain int/float, so a stored config is canonical.
+"""
+
+import inspect
+import math
+from numbers import Integral, Real
 
 
 class KoopliftError(Exception):
@@ -15,3 +24,40 @@ class ConfigError(KoopliftError):
 
 class RegressionError(KoopliftError):
     """Operator fitting failed (degenerate data, rank collapse, ...)."""
+
+
+def check_int(value, name: str, minimum: int) -> int:
+    """`value` as a plain int; refused unless an integer >= `minimum`."""
+    if isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def check_real(value, name: str, positive: bool = False) -> float:
+    """`value` as a plain float; refused unless finite and >= 0 (> 0 if `positive`)."""
+    if (isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+            and (value > 0 if positive else value >= 0)):
+        return float(value)
+    bound = ">" if positive else ">="
+    raise ConfigError(f"{name} must be a finite real {bound} 0, got {value!r}")
+
+
+def check_bool(value, name: str) -> bool:
+    """`value` itself; refused unless a bool."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{name} must be true or false, got {value!r}")
+
+
+def call_with_options(cls, options, what: str):
+    """`cls(**options)` once the keys fit the signature of `cls`; `cls` checks values."""
+    if not isinstance(options, dict):
+        raise ConfigError(f"{what} config must be a JSON object")
+    params = inspect.signature(cls).parameters
+    extra = set(options) - set(params)
+    if extra:
+        raise ConfigError(f"unknown keys in {what} config: {sorted(extra)}")
+    for name, param in params.items():
+        if param.default is param.empty and name not in options:
+            raise ConfigError(f"{what} config needs {name!r}")
+    return cls(**options)

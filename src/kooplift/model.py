@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from numbers import Integral
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -29,7 +28,7 @@ from .data import (
     _FrozenRecord,
     build_snapshot_pairs,
 )
-from .errors import ConfigError, DataError, KoopliftError, RegressionError
+from .errors import ConfigError, DataError, KoopliftError, RegressionError, check_int
 from .observables import (
     Identity,
     KernelLift,
@@ -85,9 +84,7 @@ class RegressorConfig:
                 f"unknown regressor kind {self.kind!r}; choose from {tuple(_KINDS)}"
             )
         regression, controlled, library_rule = _KINDS[self.kind]
-        if (isinstance(self.delays, bool) or not isinstance(self.delays, Integral)
-                or self.delays < 0):
-            raise ConfigError(f"delays must be an integer >= 0, got {self.delays!r}")
+        object.__setattr__(self, "delays", check_int(self.delays, "delays", 0))
         if self.delays > 0 and library_rule != "time_delay":
             raise ConfigError(f"delays only applies to hdmd/hdmdc, not {self.kind}")
         if self.kernel is not None and regression != "kdmd":

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import _kernels
 from .data import Finding, _freeze, _FrozenRecord
-from .errors import ConfigError, DataError
+from .errors import (ConfigError, DataError, call_with_options, check_bool, check_int,
+                     check_real)
 from .regression import KernelConfig
 
 __all__ = [
@@ -77,8 +78,7 @@ class Observable:
     # -- binding ------------------------------------------------------------
     def bind(self, n_input: int) -> "Observable":
         """Fix the input dimension; idempotent, errors on a conflicting rebind."""
-        if n_input < 1:
-            raise ConfigError(f"n_input must be >= 1, got {n_input}")
+        n_input = check_int(n_input, "n_input", 1)
         if self.n_input is not None:
             if self.n_input != n_input:
                 raise ConfigError(
@@ -86,7 +86,7 @@ class Observable:
                     f"cannot rebind to n={n_input}"
                 )
             return self
-        self.n_input = int(n_input)
+        self.n_input = n_input
         self._on_bind()
         return self
 
@@ -175,9 +175,7 @@ class Polynomial(Observable):
 
     def __init__(self, degree: int):
         super().__init__()
-        if degree < 1:
-            raise ConfigError(f"polynomial degree must be >= 1, got {degree}")
-        self.degree = int(degree)
+        self.degree = check_int(degree, "polynomial degree", 1)
         self._exps: Optional[np.ndarray] = None
 
     def _on_bind(self):
@@ -223,9 +221,7 @@ class TimeDelay(Observable):
 
     def __init__(self, delays: int):
         super().__init__()
-        if delays < 0:
-            raise ConfigError(f"delays must be >= 0, got {delays}")
-        self.delays = int(delays)
+        self.delays = check_int(delays, "delays", 0)
 
     @property
     def n_output(self) -> int:
@@ -321,17 +317,11 @@ class RadialBasis(Observable):
             raise ConfigError(
                 f"unknown rbf kind {rbf_kind!r}; choose from {sorted(_kernels.RADIAL_KINDS)}"
             )
-        if shape_eps <= 0:
-            raise ConfigError(f"shape_eps must be positive, got {shape_eps}")
-        if centers is None and n_centers < 1:
-            raise ConfigError(f"n_centers must be >= 1, got {n_centers}")
-        if ph_exp < 1:
-            raise ConfigError(f"ph_exp must be >= 1, got {ph_exp}")
         self.rbf_kind = rbf_kind
-        self.shape_eps = float(shape_eps)
-        self.seed = int(seed)
-        self.n_centers = int(n_centers)
-        self.ph_exp = int(ph_exp)
+        self.shape_eps = check_real(shape_eps, "shape_eps", positive=True)
+        self.seed = check_int(seed, "seed", 0)
+        self.n_centers = check_int(n_centers, "n_centers", 1)
+        self.ph_exp = check_int(ph_exp, "ph_exp", 1)
         self.centers = None if centers is None else np.asarray(centers, dtype=float)
         if self.centers is not None and self.centers.ndim != 2:
             raise ConfigError("centers must be a (k, n) matrix")
@@ -415,14 +405,10 @@ class RandomFourier(Observable):
         include_state: bool = True,
     ):
         super().__init__()
-        if n_features < 1:
-            raise ConfigError(f"n_features must be >= 1, got {n_features}")
-        if sigma <= 0:
-            raise ConfigError(f"sigma must be positive, got {sigma}")
-        self.n_features = int(n_features)
-        self.sigma = float(sigma)
-        self.seed = int(seed)
-        self.include_state = bool(include_state)
+        self.n_features = check_int(n_features, "n_features", 1)
+        self.sigma = check_real(sigma, "sigma", positive=True)
+        self.seed = check_int(seed, "seed", 0)
+        self.include_state = check_bool(include_state, "include_state")
         self.W: Optional[np.ndarray] = None
         self.b: Optional[np.ndarray] = None
 
@@ -636,6 +622,12 @@ class KernelLift(Observable):
         self.kernel = kernel
         self.centers = np.asarray(centers, dtype=float)  # (m, n) training states
         self.alpha = np.asarray(alpha, dtype=complex)  # (m, r) coefficients
+        if (self.centers.ndim != 2 or self.alpha.ndim != 2
+                or self.alpha.shape[0] != self.centers.shape[0]):
+            raise ConfigError(
+                f"kernel_lift needs (m, n) centers and (m, r) alpha, got shapes "
+                f"{self.centers.shape} and {self.alpha.shape}"
+            )
         self.bind(self.centers.shape[1])
 
     @property
@@ -735,83 +727,43 @@ def fit_reconstruction(library: Observable, Z: np.ndarray,
 # config round trip
 # ---------------------------------------------------------------------------
 
-_ALLOWED_KEYS = {
-    "identity": {"kind", "n_input"},
-    "polynomial": {"kind", "n_input", "degree"},
-    "time_delay": {"kind", "n_input", "delays"},
-    "rbf": {
-        "kind", "n_input", "rbf_kind", "shape_eps", "seed", "ph_exp",
-        "centers", "n_centers",
-    },
-    "random_fourier": {
-        "kind", "n_input", "n_features", "sigma", "seed", "include_state", "W", "b",
-    },
-    "concat": {"kind", "n_input", "parts"},
-    "kernel_lift": {"kind", "n_input", "kernel", "centers", "alpha_re", "alpha_im"},
-}
+_LIBRARIES = {cls.kind: cls for cls in (Identity, Polynomial, TimeDelay, RadialBasis,
+                                        RandomFourier, Concat, KernelLift)}
 
 
 def observable_from_config(cfg: dict) -> Observable:
-    """Rebuild a library from its JSON config; unknown kinds/keys rejected."""
+    """Rebuild a library from its JSON config; unknown kinds/keys rejected.
+
+    Keys other than `kind` and `n_input` are the constructor's arguments;
+    three kinds decode theirs first (parts, kernel and alpha, draws)."""
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("observable config must be an object with a 'kind' key")
     kind = cfg["kind"]
-    if kind not in _ALLOWED_KEYS:
+    if kind not in _LIBRARIES:
         raise ConfigError(f"unknown observable kind {kind!r}")
-    extra = set(cfg) - _ALLOWED_KEYS[kind]
-    if extra:
-        raise ConfigError(f"unknown keys in {kind} observable config: {sorted(extra)}")
-
-    if kind == "identity":
-        lib = Identity()
-    elif kind == "polynomial":
-        if "degree" not in cfg:
-            raise ConfigError("polynomial config needs 'degree'")
-        lib = Polynomial(int(cfg["degree"]))
-    elif kind == "time_delay":
-        if "delays" not in cfg:
-            raise ConfigError("time_delay config needs 'delays'")
-        lib = TimeDelay(int(cfg["delays"]))
-    elif kind == "rbf":
-        centers = cfg.get("centers")
-        lib = RadialBasis(
-            rbf_kind=cfg.get("rbf_kind", "thinplate"),
-            centers=None if centers is None else np.asarray(centers, dtype=float),
-            n_centers=int(cfg.get("n_centers", 10)),
-            shape_eps=float(cfg.get("shape_eps", 1.0)),
-            seed=int(cfg.get("seed", 0)),
-            ph_exp=int(cfg.get("ph_exp", 3)),
-        )
-    elif kind == "random_fourier":
-        if "n_features" not in cfg:
-            raise ConfigError("random_fourier config needs 'n_features'")
-        lib = RandomFourier(
-            n_features=int(cfg["n_features"]),
-            sigma=float(cfg.get("sigma", 1.0)),
-            seed=int(cfg.get("seed", 0)),
-            include_state=bool(cfg.get("include_state", True)),
-        )
-        if "W" in cfg and "b" in cfg and cfg.get("n_input") is not None:
-            lib.bind(int(cfg["n_input"]))
-            lib.W = np.asarray(cfg["W"], dtype=float)
-            lib.b = np.asarray(cfg["b"], dtype=float)
-            if lib.W.shape != (lib.n_input, lib.n_features) or lib.b.shape != (
-                lib.n_features,
-            ):
-                raise ConfigError("random_fourier W/b shapes inconsistent with config")
-    elif kind == "concat":
-        if "parts" not in cfg:
-            raise ConfigError("concat config needs 'parts'")
-        lib = Concat([observable_from_config(p) for p in cfg["parts"]])
-    else:  # kernel_lift
-        for key in ("kernel", "centers", "alpha_re", "alpha_im"):
-            if key not in cfg:
-                raise ConfigError(f"kernel_lift config needs {key!r}")
+    options = {k: v for k, v in cfg.items() if k not in ("kind", "n_input")}
+    draws = {}
+    if kind == "concat" and "parts" in options:
+        options["parts"] = [observable_from_config(p) for p in options["parts"]]
+    elif kind == "kernel_lift":
+        if "kernel" in options:
+            options["kernel"] = KernelConfig.from_dict(options["kernel"])
+        parts = [options.pop(k, None) for k in ("alpha_re", "alpha_im")]
+        if None in parts or "alpha" in options:
+            raise ConfigError("kernel_lift observable config needs 'alpha_re' and "
+                              "'alpha_im' in place of 'alpha'")
         # assigned, not added as re + 1j*im, which would turn -0.0 parts into 0.0
-        alpha = np.array(cfg["alpha_re"], dtype=complex)
-        alpha.imag = cfg["alpha_im"]
-        return KernelLift(KernelConfig.from_dict(cfg["kernel"]), cfg["centers"], alpha)
-
-    if cfg.get("n_input") is not None and lib.n_input is None:
-        lib.bind(int(cfg["n_input"]))
+        options["alpha"] = np.array(parts[0], dtype=complex)
+        options["alpha"].imag = parts[1]
+    elif kind == "random_fourier":
+        draws = {k: options.pop(k) for k in ("W", "b") if k in options}
+    lib = call_with_options(_LIBRARIES[kind], options, f"{kind} observable")
+    if cfg.get("n_input") is not None:
+        lib.bind(cfg["n_input"])  # refuses a conflict with kernel_lift's centers
+    if draws:
+        W, b = (np.asarray(draws.get(k), dtype=float) for k in ("W", "b"))
+        if (W.shape, b.shape) != ((lib.n_input, lib.n_features), (lib.n_features,)):
+            raise ConfigError("random_fourier W and b need shapes (n_input, n_features) "
+                              "and (n_features,)")
+        lib.W, lib.b = W, b
     return lib

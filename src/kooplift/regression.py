@@ -22,7 +22,8 @@ import numpy as np
 
 from . import _kernels
 from .data import Finding, _FrozenRecord
-from .errors import ConfigError, DataError, RegressionError
+from .errors import (ConfigError, DataError, RegressionError, call_with_options,
+                     check_int, check_real)
 
 __all__ = [
     "EigenSystem",
@@ -351,15 +352,12 @@ class KernelConfig:
     def __post_init__(self):
         if self.kind not in ("gaussian", "polynomial"):
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "gaussian" and self.sigma <= 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if self.kind == "polynomial":
-            if self.degree < 1:
-                raise ConfigError(f"degree must be >= 1, got {self.degree}")
-            if self.offset < 0:
-                raise ConfigError(f"offset must be >= 0, got {self.offset}")
-        if self.reg_eps < 0:
-            raise ConfigError(f"reg_eps must be >= 0, got {self.reg_eps}")
+        # every option is checked and stored canonically, whatever the kind
+        for name, value in (("sigma", check_real(self.sigma, "sigma", positive=True)),
+                            ("degree", check_int(self.degree, "degree", 1)),
+                            ("offset", check_real(self.offset, "offset")),
+                            ("reg_eps", check_real(self.reg_eps, "reg_eps"))):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         if self.kind == "gaussian":
@@ -371,17 +369,7 @@ class KernelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelConfig":
-        allowed = {"kind", "sigma", "degree", "offset", "reg_eps"}
-        extra = set(d) - allowed
-        if extra:
-            raise ConfigError(f"unknown keys in kernel config: {sorted(extra)}")
-        return cls(
-            kind=d.get("kind", "gaussian"),
-            sigma=float(d.get("sigma", 1.0)),
-            degree=int(d.get("degree", 2)),
-            offset=float(d.get("offset", 1.0)),
-            reg_eps=float(d.get("reg_eps", 0.0)),
-        )
+        return call_with_options(cls, d, "kernel")
 
     def gram(self, Xrows: np.ndarray, Yrows: np.ndarray) -> np.ndarray:
         return _kernels.gram_matrix(Xrows, Yrows, self.kind, self.sigma, self.offset,

@@ -104,6 +104,41 @@ def test_fit_rejects_coerced_regressor_values(reg_cfg, tmp_path, data_csv, capsy
             kl.RegressorConfig(**reg_cfg)
 
 
+_POLY = {"kind": "polynomial", "degree": 2}
+
+
+@pytest.mark.parametrize("cfg, word, build", [
+    ({"dt": "x"}, "dt", None),
+    ({"dt": True}, "dt", None),
+    ({"observables": {**_POLY, "degree": 2.7}}, "degree", lambda: kl.Polynomial(2.7)),
+    ({"observables": {**_POLY, "degree": True}}, "degree", lambda: kl.Polynomial(True)),
+    ({"observables": {**_POLY, "degree": "3"}}, "degree", lambda: kl.Polynomial("3")),
+    ({"observables": {"kind": "random_fourier", "n_features": 4, "include_state": "no"}},
+     "include_state", lambda: kl.RandomFourier(4, include_state="no")),
+    ({"observables": {"kind": "rbf", "rbf_kind": "polyharmonic", "ph_exp": 2.5}},
+     "ph_exp", lambda: kl.RadialBasis("polyharmonic", ph_exp=2.5)),
+    ({"observables": {**_POLY, "n_input": 2.5}}, "n_input",
+     lambda: kl.Polynomial(2).bind(2.5)),
+    ({"regressor": {"kind": "kdmd", "kernel": {"kind": "polynomial", "degree": 2.5}}},
+     "degree", lambda: kl.KernelConfig(kind="polynomial", degree=2.5)),
+    ({"regressor": {"kind": "kdmd", "kernel": {"sigma": "1"}}}, "sigma",
+     lambda: kl.KernelConfig(sigma="1")),
+], ids=["dt=x", "dt=true", "degree=2.7", "degree=true", "degree=str", "include_state=str",
+        "ph_exp=2.5", "n_input=2.5", "kernel-degree=2.5", "kernel-sigma=str"])
+def test_fit_rejects_coerced_config_values(cfg, word, build, tmp_path, data_csv, capsys):
+    # refused as given by the constructor that owns the option, not coerced
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "m.json"
+    assert main(["fit", str(path), data_csv, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "stage" not in err and word in err
+    assert not out.exists()
+    if build is not None:
+        with pytest.raises(kl.ConfigError, match=word):
+            build()
+
+
 def test_fit_conflicting_delays_exits_2(tmp_path, data_csv, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"observables": {"kind": "time_delay", "delays": 2},

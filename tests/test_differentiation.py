@@ -137,3 +137,12 @@ def test_config_validation():
         cfg("total_variation", tv_iters=0)
     with pytest.raises(ConfigError):
         cfg("total_variation", tv_lambda=0.0)
+    # options are type-checked, never coerced
+    for method, kw in (("total_variation", {"tv_iters": 2.5}),
+                       ("savitzky_golay", {"window": 7.0}),
+                       ("spectral", {"periodic": "no"}),
+                       ("spline", {"smoothing": True}),
+                       ("total_variation", {"tv_lambda": "1e-3"})):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            cfg(method, **kw)
+    assert type(cfg("spline", smoothing=1).smoothing) is float

@@ -49,6 +49,12 @@ def _models(dataset):
         kl.TrajectoryDataset([t[:30] for t in dataset.trajectories[:4]], dt=dataset.dt),
     ), np.array([0.4, 0.2])
     yield "dmdc", kl.fit(kl.Identity(), "dmdc", _controlled_dataset()), np.array([0.5, -0.5])
+    # an int sigma is stored as 2.0, so the file reads back as it was written
+    yield "kdmd_int_sigma", kl.fit(
+        None,
+        kl.RegressorConfig(kind="kdmd", kernel=kl.KernelConfig(sigma=2)),
+        kl.TrajectoryDataset([t[:30] for t in dataset.trajectories[:4]], dt=dataset.dt),
+    ), np.array([0.4, 0.2])
 
 
 def test_roundtrip_simulate_bit_identical(tmp_path, dataset):
@@ -278,6 +284,28 @@ def test_observable_config_rejects_unknown(dataset):
             "kind": "kernel_lift", "kernel": {"kind": "gaussian", "sigma": 1.0, "foo": 1},
             "centers": [[0.0, 0.0]], "alpha_re": [[1.0]], "alpha_im": [[0.0]],
         })
+    with pytest.raises(ConfigError, match="polynomial observable config needs 'degree'"):
+        kl.observable_from_config({"kind": "polynomial"})
+    with pytest.raises(ConfigError, match="alpha_re"):
+        kl.observable_from_config({
+            "kind": "kernel_lift", "kernel": {"kind": "gaussian"},
+            "centers": [[0.0, 0.0]], "alpha": [[1.0]],
+        })
+    rff = kl.RandomFourier(3).bind(2).config()
+    del rff["b"]
+    with pytest.raises(ConfigError, match="W and b"):
+        kl.observable_from_config(rff)
+
+
+def test_kernel_lift_refuses_mismatched_shapes():
+    # 2 rows of alpha against 3 centers: refused when loaded, not at the first lift
+    cfg = {"kind": "kernel_lift", "kernel": {"kind": "gaussian", "sigma": 1.0},
+           "centers": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+           "alpha_re": [[1.0], [0.5]], "alpha_im": [[0.0], [0.0]]}
+    with pytest.raises(ConfigError, match="kernel_lift needs"):
+        kl.observable_from_config(cfg)
+    with pytest.raises(ConfigError, match="kernel_lift needs"):
+        kl.KernelLift(kl.KernelConfig(), np.zeros(3), np.ones((3, 1)))
 
 
 def test_atomic_write_replaces_not_partial(tmp_path):
