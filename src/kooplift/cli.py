@@ -49,6 +49,18 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
 
 
+def _seeded(obs_cfg, seed: int):
+    """The observable config with `seed` given to each rbf or random_fourier
+    config, at the top or among concat parts, that sets none itself."""
+    if not isinstance(obs_cfg, dict):
+        return obs_cfg
+    if obs_cfg.get("kind") in ("rbf", "random_fourier") and "seed" not in obs_cfg:
+        return {**obs_cfg, "seed": seed}
+    if obs_cfg.get("kind") == "concat" and isinstance(obs_cfg.get("parts"), list):
+        return {**obs_cfg, "parts": [_seeded(p, seed) for p in obs_cfg["parts"]]}
+    return obs_cfg
+
+
 def _parse_fit_config(cfg: dict, seed=None):
     if not isinstance(cfg, dict):
         raise ConfigError("fit config must be a JSON object")
@@ -56,10 +68,8 @@ def _parse_fit_config(cfg: dict, seed=None):
     if extra:
         raise ConfigError(f"unknown keys in fit config: {sorted(extra)}")
     obs_cfg = cfg.get("observables", {"kind": "identity"})
-    if seed is not None and isinstance(obs_cfg, dict):
-        if obs_cfg.get("kind") in ("rbf", "random_fourier") and "seed" not in obs_cfg:
-            obs_cfg = dict(obs_cfg)
-            obs_cfg["seed"] = seed
+    if seed is not None:
+        obs_cfg = _seeded(obs_cfg, seed)
     library = observable_from_config(obs_cfg)
     reg_cfg = cfg.get("regressor", {})
     if not isinstance(reg_cfg, dict):

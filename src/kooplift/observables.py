@@ -739,11 +739,14 @@ def observable_from_config(cfg: dict) -> Observable:
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("observable config must be an object with a 'kind' key")
     kind = cfg["kind"]
-    if kind not in _LIBRARIES:
+    if not isinstance(kind, str) or kind not in _LIBRARIES:
         raise ConfigError(f"unknown observable kind {kind!r}")
     options = {k: v for k, v in cfg.items() if k not in ("kind", "n_input")}
     draws = {}
     if kind == "concat" and "parts" in options:
+        if not isinstance(options["parts"], list):
+            raise ConfigError("concat observable config needs 'parts' as a list of "
+                              f"observable configs, got {options['parts']!r}")
         options["parts"] = [observable_from_config(p) for p in options["parts"]]
     elif kind == "kernel_lift":
         if "kernel" in options:

@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .data import Finding
-from .errors import DataError
+from .errors import ConfigError, DataError, check_int, check_real
 from .model import KoopmanModel
 from .observables import ReconstructionMap, observable_from_config
 from .regression import EigenSystem, RegressionResult
@@ -73,6 +73,14 @@ def _finding_from_json(entry) -> Finding:
     return f
 
 
+def _checked(check, value, name: str, bound):
+    """A model-level number, refused as the option checks refuse it."""
+    try:
+        return check(value, name, bound)
+    except ConfigError as exc:
+        raise DataError(f"malformed model file: {exc}") from None
+
+
 def model_to_dict(model: KoopmanModel) -> dict:
     eig = model.regression.eigensystem
     eigen = {
@@ -119,6 +127,9 @@ def model_from_dict(d: dict) -> KoopmanModel:
     missing = required - set(d)
     if missing:
         raise DataError(f"model file is missing keys: {sorted(missing)}")
+    dt = _checked(check_real, d["dt"], "dt", True)
+    n = _checked(check_int, d["n"], "n", 1)
+    q = _checked(check_int, d["q"], "q", 0)
     try:
         obs = observable_from_config(d["observables"])
         A = _matrix_from_json(d["A"])
@@ -145,13 +156,13 @@ def model_from_dict(d: dict) -> KoopmanModel:
             mus=_cvec_from_json(eigd["mus"]),
             W_right=_matrix_from_json(eigd["W_right"]),
             W_left=_matrix_from_json(eigd["W_left"]),
-            dt=float(d["dt"]),
+            dt=dt,
             findings=[f for f in findings if f.kind in _EIGEN_KINDS],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file: {exc}") from None
     res = RegressionResult(
-        rank=int(metadata.get("rank", eig.rank)),
+        rank=_checked(check_int, metadata.get("rank", eig.rank), "rank", 1),
         A=A,
         B=B,
         eigensystem=eig,
@@ -159,16 +170,16 @@ def model_from_dict(d: dict) -> KoopmanModel:
         residual_fro=float(metadata.get("residual_fro", 0.0)),
         residual_rel=float(metadata.get("residual", 0.0)),
         sigma_min=float(metadata.get("sigma_min", 0.0)),
-        m=int(metadata.get("m", 0)),
+        m=_checked(check_int, metadata.get("m", 0), "m", 0),
         findings=[f for f in findings if f.kind in _REGRESSION_KINDS],
     )
     return KoopmanModel(
         observables=obs,
         regression=res,
         C=ReconstructionMap(C=C, indices=obs.state_indices),
-        dt=float(d["dt"]),
-        n=int(d["n"]),
-        q=int(d["q"]),
+        dt=dt,
+        n=n,
+        q=q,
         metadata=metadata,
         z0_train=z0,
         training_scores=scores,

@@ -159,6 +159,32 @@ def test_fit_single_sample_csv_exits_3(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_fit_non_finite_data_exits_3(tmp_path, data_csv, capsys):
+    # a NaN sample is bad data, reported from the regression stage
+    lines = open(data_csv).read().splitlines()
+    lines[5] = ",".join([lines[5].split(",")[0], "nan"] + lines[5].split(",")[2:])
+    csv = tmp_path / "nan.csv"
+    csv.write_text("\n".join(lines) + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"regressor": {"kind": "edmd"}}))
+    assert main(["fit", str(cfg), str(csv), str(tmp_path / "m.json")]) == 3
+    err = capsys.readouterr().err
+    assert "regression stage" in err and "non-finite" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_fit_seed_reaches_concat_parts(tmp_path, data_csv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"observables": {"kind": "concat", "parts": [
+        {"kind": "rbf", "n_centers": 3},
+        {"kind": "random_fourier", "n_features": 4, "seed": 7},
+    ]}}))
+    out = tmp_path / "m.json"
+    assert main(["fit", str(cfg), data_csv, str(out), "--seed", "3", "--quiet"]) == 0
+    parts = json.loads(out.read_text())["observables"]["parts"]
+    assert [p["seed"] for p in parts] == [3, 7]
+
+
 def test_simulate_zero_steps(tmp_path, fitted_model):
     out = tmp_path / "sim.csv"
     rc = main(["simulate", fitted_model, str(out), "--x0", "0.5,-0.5",

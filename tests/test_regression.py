@@ -260,6 +260,123 @@ def test_edmdc_errors():
 
 
 # ---------------------------------------------------------------------------
+# the R factor of the snapshot pairs
+# ---------------------------------------------------------------------------
+
+def _orthonormal(rng, rows, cols):
+    return np.linalg.qr(rng.normal(size=(rows, cols)))[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(min_value=1, max_value=6),
+    q=st.integers(min_value=0, max_value=3),
+    size=st.sampled_from(["two", "wide", "square", "chunk", "chunk+1", "2 chunks+7"]),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_edmd_and_edmdc_match_a_dense_lstsq_reference(N, q, size, seed):
+    # well-conditioned pairs: the stacked [Z; U] has singular values in [1, 2]
+    # whatever m, so the fits and the reference agree to rounding
+    chunk = kl.regression.QR_CHUNK
+    m = {"two": 2, "wide": max(2, N - 1), "square": max(2, 2 * N + q - 1),
+         "chunk": chunk, "chunk+1": chunk + 1, "2 chunks+7": 2 * chunk + 7}[size]
+    rng = np.random.default_rng(seed)
+    r = min(N + q, m)
+    Omega = (_orthonormal(rng, N + q, r) * rng.uniform(1.0, 2.0, r)) @ _orthonormal(rng, m, r).T
+    Z, U = Omega[:N], Omega[N:]
+    Zp = rng.normal(size=(N, N + q)) @ Omega + 0.1 * rng.normal(size=(N, m))
+    AB_ref = np.linalg.lstsq(Omega.T, Zp.T, rcond=None)[0].T
+    if not q:
+        # fit_edmd keeps the operator on the range of Z, which is a proper
+        # subspace for wide pairs (m < N)
+        Ur = np.linalg.svd(Z, full_matrices=False)[0][:, :r]
+        AB_ref = Ur @ (Ur.T @ AB_ref)
+    res = kl.fit_edmdc(Z, Zp, U) if q else kl.fit_edmd(Z, Zp)
+    AB = np.hstack([res.A, res.B]) if q else res.A
+    assert np.linalg.norm(AB - AB_ref) <= 1e-12 * np.linalg.norm(AB_ref)
+    resid_ref = np.linalg.norm(Zp - AB_ref @ Omega)
+    assert abs(res.residual_fro - resid_ref) <= 1e-10 * resid_ref + 1e-13 * np.linalg.norm(Zp)
+    assert res.residual_rel == pytest.approx(res.residual_fro / np.linalg.norm(Zp), rel=1e-12)
+    assert res.m == m
+
+
+@pytest.mark.parametrize("m", [3, 12, 257])
+def test_pair_factor_is_independent_of_the_block_boundaries(m, monkeypatch):
+    rng = np.random.default_rng(m)
+    blocks = (rng.normal(size=(4, m)), rng.normal(size=(1, m)), rng.normal(size=(4, m)))
+    M = np.vstack(blocks).T
+    gram = M.T @ M
+    for chunk in (1, 2, 7, 64, m, 10_000):
+        monkeypatch.setattr(kl.regression, "QR_CHUNK", chunk)
+        parts = kl.regression._pair_factor(*blocks)
+        R = np.hstack(parts)
+        assert R.shape == (min(m, 9), 9)
+        assert [p.shape[1] for p in parts] == [4, 1, 4]
+        assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram), chunk
+
+
+def test_rank_out_matches_the_dense_projection():
+    A_true, B_true, X, Xp, U = _drss_excitation(seed=11, n=4, q=2)
+    Xp = Xp + 0.01 * np.random.default_rng(0).normal(size=Xp.shape)
+    res = kl.fit_edmdc(X, Xp, U, rank_out=3)
+    AB = np.linalg.lstsq(np.vstack([X, U]).T, Xp.T, rcond=None)[0].T
+    P = np.linalg.svd(Xp, full_matrices=False)[0][:, :3]
+    Pi = P @ P.T
+    np.testing.assert_allclose(res.A, Pi @ AB[:, :4] @ Pi, atol=1e-12)
+    np.testing.assert_allclose(res.B, Pi @ AB[:, 4:], atol=1e-12)
+    np.testing.assert_allclose(np.sort_complex(res.eigensystem.lambdas),
+                               np.sort_complex(np.linalg.eigvals(P.T @ AB[:, :4] @ P)),
+                               atol=1e-12)
+    # the residual is that of the uncompressed fit
+    assert res.residual_fro == pytest.approx(np.linalg.norm(Xp - AB @ np.vstack([X, U])),
+                                             rel=1e-10)
+
+
+def test_edmdc_allocates_less_than_one_lifted_matrix():
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    N, m = 20, 60_000
+    Z = rng.normal(size=(N, m))
+    U = rng.normal(size=(1, m))
+    Zp = 0.5 * Z + rng.normal(size=(N, m))
+    tracemalloc.start()
+    try:
+        kl.fit_edmdc(Z, Zp, U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < Z.nbytes
+
+
+@pytest.mark.parametrize("kind", ["dmd", "edmd", "hdmd", "kdmd", "dmdc", "edmdc", "hdmdc"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_pairs_are_a_data_error(kind, bad):
+    rng = np.random.default_rng(1)
+    trajs = [rng.normal(size=(25, 2)) for _ in range(3)]
+    trajs[1][7, 1] = bad
+    controlled = kind.endswith("c")
+    inputs = [rng.normal(size=(25, 1)) for _ in range(3)] if controlled else None
+    data = kl.TrajectoryDataset(trajs, dt=0.1, inputs=inputs)
+    with pytest.raises(DataError, match="regression stage: snapshot pair .* non-finite"):
+        kl.fit(None, kind, data)
+
+
+def test_non_finite_pairs_are_refused_by_each_regression():
+    Z = RNG.normal(size=(3, 30))
+    U = RNG.normal(size=(1, 30))
+    bad = Z.copy()
+    bad[2, 17] = np.nan
+    with pytest.raises(DataError, match="snapshot pair 17 "):
+        kl.fit_edmd(Z, bad)
+    with pytest.raises(DataError, match="snapshot pair 17 "):
+        kl.fit_kdmd(bad, Z, kl.KernelConfig())
+    U[0, 4] = -np.inf
+    with pytest.raises(DataError, match="snapshot pair 4 "):
+        kl.fit_edmdc(Z, Z, U)
+
+
+# ---------------------------------------------------------------------------
 # kernel variant
 # ---------------------------------------------------------------------------
 

@@ -248,6 +248,20 @@ def test_load_errors(tmp_path):
         kl.load_model(str(tmp_path / "missing.json"))
 
 
+@pytest.mark.parametrize("where, key, value", [
+    ("top", "n", 2.7), ("top", "n", True), ("top", "n", "2"), ("top", "n", 0),
+    ("top", "q", -1), ("top", "q", 0.0),
+    ("top", "dt", True), ("top", "dt", "0.1"), ("top", "dt", 0.0), ("top", "dt", None),
+    ("metadata", "rank", 2.5), ("metadata", "rank", False),
+    ("metadata", "m", "441"), ("metadata", "m", 441.0),
+])
+def test_model_fields_are_checked_not_coerced(dataset, where, key, value):
+    d = model_to_dict(kl.fit(kl.Polynomial(2), "edmd", dataset))
+    (d if where == "top" else d["metadata"])[key] = value
+    with pytest.raises(DataError, match=f"malformed model file: {key} must be"):
+        model_from_dict(d)
+
+
 def test_custom_observables_refuse_serialization(dataset):
     model = kl.fit(kl.Custom([lambda x: x[0] ** 2]), "edmd", dataset)
     with pytest.raises(ConfigError, match="serialized"):
@@ -295,6 +309,10 @@ def test_observable_config_rejects_unknown(dataset):
     del rff["b"]
     with pytest.raises(ConfigError, match="W and b"):
         kl.observable_from_config(rff)
+    with pytest.raises(ConfigError, match="'parts' as a list"):
+        kl.observable_from_config({"kind": "concat", "parts": 5})
+    with pytest.raises(ConfigError, match="unknown observable kind"):
+        kl.observable_from_config({"kind": []})
 
 
 def test_kernel_lift_refuses_mismatched_shapes():
