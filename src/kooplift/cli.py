@@ -265,8 +265,7 @@ def _parse_params(pairs) -> dict:
 
 def cmd_bench(args) -> int:
     params = _parse_params(args.params)
-    if args.dt <= 0:
-        raise ConfigError(f"--dt must be positive, got {args.dt}")
+    check_real(args.dt, "--dt", positive=True)
     if args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     if args.system == "torus":

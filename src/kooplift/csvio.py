@@ -13,12 +13,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .data import TrajectoryDataset
+from .data import UNIFORM_RTOL, TrajectoryDataset, uniform_step
 from .errors import DataError
 
 __all__ = ["read_trajectory_csv", "write_trajectory_csv", "read_numeric_csv"]
-
-_REL_DT_TOL = 1e-8
 
 
 def _loadtxt(rows):
@@ -106,16 +104,10 @@ def read_trajectory_csv(path: str, n_inputs: int = 0) -> TrajectoryDataset:
                 f"{path}:{first_line}: trajectory {b} too short "
                 f"({arr.shape[0]} sample(s), need at least 2)"
             )
-        t = arr[:, 0]
-        steps = np.diff(t)
-        if np.any(steps <= 0):
-            raise DataError(f"{path}: trajectory {b} time column is not increasing")
-        block_dt = float(np.mean(steps))
-        if np.max(np.abs(steps - block_dt)) > _REL_DT_TOL * block_dt:
-            raise DataError(f"{path}: trajectory {b} is not uniformly sampled")
+        block_dt = uniform_step(arr[:, 0], f"{path}: trajectory {b} times")
         if dt is None:
             dt = block_dt
-        elif abs(block_dt - dt) > _REL_DT_TOL * dt:
+        elif abs(block_dt - dt) > UNIFORM_RTOL * dt:
             raise DataError(
                 f"{path}: trajectory {b} sample interval {block_dt} differs from {dt}"
             )

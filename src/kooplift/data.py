@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_real
 
 __all__ = [
     "TrajectoryDataset",
@@ -24,10 +24,28 @@ __all__ = [
 ]
 
 
-def _freeze(a: np.ndarray, order: str = "K") -> np.ndarray:
-    """A read-only copy of an array, in the memory layout of the original
-    unless ``order`` says otherwise."""
-    a = np.array(a, order=order)
+# a time grid is uniform when every step is within UNIFORM_RTOL of the mean step
+UNIFORM_RTOL = 1e-8
+
+
+def uniform_step(t: np.ndarray, what: str = "timestamps") -> float:
+    """The sample interval of the time grid `t`; DataError, naming the grid as
+    `what`, unless its times strictly increase in uniform steps."""
+    steps = np.diff(t)
+    if not np.all(steps > 0):  # NaN steps fail too
+        raise DataError(f"{what} must be strictly increasing")
+    h = float(np.mean(steps))
+    with np.errstate(invalid="ignore"):  # an inf time makes the test NaN, so False
+        uniform = np.max(np.abs(steps - h)) <= UNIFORM_RTOL * h
+    if not uniform:
+        raise DataError(f"{what} are not uniformly spaced")
+    return h
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """A read-only C-ordered copy of an array: the layout a model file loads
+    into, so a loaded model computes with the bits of the fitted one."""
+    a = np.array(a, order="C")
     a.flags.writeable = False
     return a
 
@@ -79,8 +97,7 @@ class TrajectoryDataset:
     inputs: Optional[tuple] = None
 
     def __init__(self, trajectories: Sequence, dt: float, inputs: Optional[Sequence] = None):
-        if dt <= 0:
-            raise DataError(f"dt must be positive, got {dt}")
+        dt = check_real(dt, "dt", positive=True, error=DataError)
         trajs = []
         for i, traj in enumerate(trajectories):
             a = np.atleast_2d(np.asarray(traj, dtype=float))
@@ -90,7 +107,7 @@ class TrajectoryDataset:
                 raise DataError(
                     f"trajectory {i} too short: {a.shape[0]} sample(s), need at least 2"
                 )
-            trajs.append(_freeze(a, "C"))
+            trajs.append(_freeze(a))
         n_set = {a.shape[1] for a in trajs}
         if len(n_set) > 1:
             raise DataError(f"trajectories disagree on state dimension: {sorted(n_set)}")
@@ -110,13 +127,13 @@ class TrajectoryDataset:
                         f"inputs for trajectory {i} have {ua.shape[0]} rows, "
                         f"expected {a.shape[0]}"
                     )
-                ins.append(_freeze(ua, "C"))
+                ins.append(_freeze(ua))
             q_set = {u.shape[1] for u in ins}
             if len(q_set) > 1:
                 raise DataError(f"input arrays disagree on channel count: {sorted(q_set)}")
             ins = tuple(ins)
         object.__setattr__(self, "trajectories", tuple(trajs))
-        object.__setattr__(self, "dt", float(dt))
+        object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "inputs", ins)
 
     def __reduce__(self):

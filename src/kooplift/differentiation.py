@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import uniform_step
 from .errors import ConfigError, DataError, check_bool, check_int, check_real
 
 __all__ = ["DifferentiationConfig", "differentiate", "METHODS"]
@@ -70,16 +71,6 @@ class DifferentiationConfig:
             raise ConfigError(
                 f"savitzky_golay window must be odd and >= 5, got {self.window}"
             )
-
-
-def _check_uniform(t: np.ndarray) -> float:
-    steps = np.diff(t)
-    if np.any(steps <= 0):
-        raise DataError("timestamps must be strictly increasing")
-    h = float(np.mean(steps))
-    if np.max(np.abs(steps - h)) > 1e-8 * h:
-        raise DataError("timestamps are not uniformly spaced")
-    return h
 
 
 def _fd2(X, h):
@@ -157,7 +148,7 @@ def differentiate(config: DifferentiationConfig, X, t) -> np.ndarray:
     min_m = _MIN_SAMPLES.get(method, config.window)
     if m < min_m:
         raise DataError(f"{method} needs at least {min_m} samples, got {m}")
-    h = _check_uniform(t)
+    h = uniform_step(t)
 
     if method == "fd2":
         dX = _fd2(X, h)

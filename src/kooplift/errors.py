@@ -2,7 +2,9 @@
 
 Options are never coerced: a bool is not a number, a float or a string is
 not an integer, and a string is not a real. Accepted values come back as
-plain int/float, so a stored config is canonical.
+plain int/float, so a stored config is canonical. A refused value raises
+ConfigError, or the ``error`` class given for values that are data, such as
+a sample interval or a step count.
 """
 
 import inspect
@@ -26,20 +28,20 @@ class RegressionError(KoopliftError):
     """Operator fitting failed (degenerate data, rank collapse, ...)."""
 
 
-def check_int(value, name: str, minimum: int) -> int:
+def check_int(value, name: str, minimum: int, error=ConfigError) -> int:
     """`value` as a plain int; refused unless an integer >= `minimum`."""
     if isinstance(value, Integral) and not isinstance(value, bool) and value >= minimum:
         return int(value)
-    raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def check_real(value, name: str, positive: bool = False) -> float:
+def check_real(value, name: str, positive: bool = False, error=ConfigError) -> float:
     """`value` as a plain float; refused unless finite and >= 0 (> 0 if `positive`)."""
     if (isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
             and (value > 0 if positive else value >= 0)):
         return float(value)
     bound = ">" if positive else ">="
-    raise ConfigError(f"{name} must be a finite real {bound} 0, got {value!r}")
+    raise error(f"{name} must be a finite real {bound} 0, got {value!r}")
 
 
 def check_bool(value, name: str) -> bool:

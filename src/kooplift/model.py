@@ -14,7 +14,7 @@ step; it never re-lifts, which would silently reintroduce nonlinearity.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -191,7 +191,9 @@ class KoopmanModel(_FrozenRecord):
     ``observables``. ``A``, ``B`` and the spectrum are those of
     the frozen ``regression`` record; ``z0_train`` and ``training_scores``
     are read-only arrays; ``metadata`` is a read-only mapping whose
-    ``"findings"`` is a tuple of `Finding` records from the fit.
+    ``"findings"`` is a tuple of `Finding` records from the fit: the one copy
+    the model holds, so the findings of ``regression``, its eigensystem and
+    ``C`` are empty.
     """
 
     observables: Observable
@@ -232,7 +234,7 @@ class KoopmanModel(_FrozenRecord):
         return self.regression.eigensystem.lambdas
 
     def continuous_eigenvalues(self) -> np.ndarray:
-        """ln(lambda)/dt on the principal branch; see eigensystem findings for
+        """ln(lambda)/dt on the principal branch; see metadata findings for
         zero or negative-real eigenvalues."""
         return self.regression.eigensystem.mus
 
@@ -286,8 +288,7 @@ class KoopmanModel(_FrozenRecord):
         a (d+1, n) window of consecutive states (oldest first) or an already
         embedded vector; the returned rows are plain n-dimensional states.
         """
-        if n_steps < 0:
-            raise DataError(f"n_steps must be >= 0, got {n_steps}")
+        n_steps = check_int(n_steps, "n_steps", 0, error=DataError)
         z0 = self._lift_state(x0)
         x0_state = self._current_state(x0, z0)
         Uc = self._check_inputs(U, n_steps) if (U is not None or self.controlled) else None
@@ -418,7 +419,8 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
         # fitted reconstruction needs; the model lifts through the fitted
         # eigenfunctions from here on
         X_state = pairs.X
-        library = KernelLift(regressor.kernel, res.kernel_centers, res.kernel_alpha)
+        library = KernelLift(regressor.kernel, np.ascontiguousarray(pairs.X.T),
+                             res.kernel_alpha)
         pairs = build_snapshot_pairs(data, library)
 
     # reconstruction, on the lifted pairs; raw states only where it is fitted
@@ -430,6 +432,12 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
         raise _stage("reconstruction", exc) from exc
 
     scores, score_findings = _consistency_scores(res, pairs)
+    # the model's metadata is the one home of the fit's findings, and its
+    # KernelLift that of kdmd's coefficients; the records keep neither
+    eig = res.eigensystem
+    findings = (*res.findings, *eig.findings, *C.findings, *score_findings)
+    res = replace(res, eigensystem=replace(eig, findings=()), findings=(),
+                  kernel_alpha=None)
     metadata = {
         "m": res.m,
         "rank": res.rank,
@@ -438,10 +446,10 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
         "sigma_min": res.sigma_min,
         "n_features": int(res.A.shape[0]),
         "regressor": regressor.kind,
-        "findings": (*res.findings, *C.findings, *score_findings),
+        "findings": findings,
     }
     return KoopmanModel(
-        observables=library, regression=res, C=C, dt=data.dt, n=n, q=q,
-        metadata=metadata, z0_train=pairs.X[:, 0].astype(res.A.dtype),
+        observables=library, regression=res, C=replace(C, findings=()), dt=data.dt,
+        n=n, q=q, metadata=metadata, z0_train=pairs.X[:, 0].astype(res.A.dtype),
         training_scores=scores,
     )

@@ -169,7 +169,8 @@ class RegressionResult(_FrozenRecord):
 
     `A` (N, N) and, for controlled fits, `B` (N, q) are the operator in the
     full lifted space; eigenvectors in `eigensystem` live there too. Arrays
-    are read-only copies; findings are a tuple.
+    are read-only copies; findings are a tuple of the regression's own, and
+    the eigensystem keeps its findings itself.
     """
 
     rank: int
@@ -182,9 +183,8 @@ class RegressionResult(_FrozenRecord):
     sigma_min: float = 0.0
     m: int = 0
     findings: tuple = ()
-    # kernel-variant payload
-    kernel_centers: Optional[np.ndarray] = None  # (m, n) training states, row-major
-    kernel_alpha: Optional[np.ndarray] = None  # (m, r) eigenfunction coefficients
+    # fit_kdmd: eigenfunction coefficients over the training states X^T
+    kernel_alpha: Optional[np.ndarray] = None  # (m, r)
 
     def reported_modes(self, exact: Optional[bool] = None) -> np.ndarray:
         """Exact modes where the fit has them (the default), else the
@@ -335,7 +335,7 @@ def fit_edmd(Z, Zprime, rank=None, dt: float = 1.0) -> RegressionResult:
     return RegressionResult(
         rank=r, A=A_full, eigensystem=eig_full, modes_exact=ME,
         residual_fro=fro, residual_rel=rel, sigma_min=float(sr[-1]), m=Z.shape[1],
-        findings=(*findings, *eig_full.findings),
+        findings=findings,
     )
 
 
@@ -377,7 +377,6 @@ def fit_edmdc(Z, Zprime, U, rank_in=None, rank_out=None,
     return RegressionResult(
         rank=eig.rank, A=A, B=B, eigensystem=eig,
         residual_fro=fro, residual_rel=rel, sigma_min=float(so[-1]), m=m,
-        findings=eig.findings,
     )
 
 
@@ -556,6 +555,5 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
     )
     return RegressionResult(
         rank=r, A=np.diag(lam), eigensystem=eig, residual_fro=fro,
-        residual_rel=rel, sigma_min=float(np.sqrt(sr[-1])), m=m,
-        findings=eig.findings, kernel_centers=Xr, kernel_alpha=alpha,
+        residual_rel=rel, sigma_min=float(np.sqrt(sr[-1])), m=m, kernel_alpha=alpha,
     )

@@ -26,10 +26,13 @@ __all__ = ["MODEL_SCHEMA_VERSION", "model_to_dict", "model_from_dict",
            "save_model", "load_model", "atomic_write_text"]
 
 MODEL_SCHEMA_VERSION = 1
-# the finding kinds each record of a loaded model takes back from
-# metadata.findings; the regression owns its eigensystem's findings too
-_EIGEN_KINDS = ("zero-eigenvalue", "negative-real-eigenvalue", "defective-eigenvectors")
-_REGRESSION_KINDS = _EIGEN_KINDS + ("exact-mode-fallback",)
+
+
+def _real(value, name: str) -> float:
+    """A number of the model file; a bool or a string is refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"malformed model file: {name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _matrix_to_json(M: np.ndarray) -> dict:
@@ -40,16 +43,14 @@ def _matrix_to_json(M: np.ndarray) -> dict:
     return {"shape": list(M.shape), "data": [float(v) for v in M.reshape(-1)]}
 
 
-def _matrix_from_json(obj) -> np.ndarray:
-    try:
-        shape = tuple(obj["shape"])
-        if obj.get("complex", False):
-            flat = np.array([complex(re, im) for re, im in obj["data"]])
-        else:
-            flat = np.array([float(v) for v in obj["data"]])
-        return flat.reshape(shape)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed matrix block in model file: {exc}") from None
+def _matrix_from_json(obj, name: str) -> np.ndarray:
+    if not isinstance(obj, dict):
+        raise TypeError(f"{name} must be a matrix object, got {obj!r}")
+    if obj.get("complex", False):
+        flat = _cvec_from_json(obj["data"], name)
+    else:
+        flat = np.array([_real(v, name) for v in obj["data"]])
+    return flat.reshape(tuple(obj["shape"]))
 
 
 def _cvec_to_json(v: np.ndarray) -> list:
@@ -57,11 +58,8 @@ def _cvec_to_json(v: np.ndarray) -> list:
     return [[float(x.real), float(x.imag)] for x in v]
 
 
-def _cvec_from_json(lst) -> np.ndarray:
-    try:
-        return np.array([complex(re, im) for re, im in lst])
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"malformed complex vector in model file: {exc}") from None
+def _cvec_from_json(lst, name: str) -> np.ndarray:
+    return np.array([complex(_real(re, name), _real(im, name)) for re, im in lst])
 
 
 def _finding_from_json(entry) -> Finding:
@@ -130,60 +128,48 @@ def model_from_dict(d: dict) -> KoopmanModel:
     dt = _checked(check_real, d["dt"], "dt", True)
     n = _checked(check_int, d["n"], "n", 1)
     q = _checked(check_int, d["q"], "q", 0)
+    # a loaded model holds each fact where a fitted one does: the findings in
+    # metadata only, kdmd's coefficients on its observables
     try:
         obs = observable_from_config(d["observables"])
-        A = _matrix_from_json(d["A"])
-        C = _matrix_from_json(d["C"])
-        B = _matrix_from_json(d["B"]) if "B" in d else None
+        A = _matrix_from_json(d["A"], "A")
         eigd = d["eigen"]
-        modes_exact = (
-            _matrix_from_json(eigd["modes_exact"]) if "modes_exact" in eigd else None
+        eig = EigenSystem(
+            lambdas=_cvec_from_json(eigd["lambdas"], "lambdas"),
+            mus=_cvec_from_json(eigd["mus"], "mus"),
+            W_right=_matrix_from_json(eigd["W_right"], "W_right"),
+            W_left=_matrix_from_json(eigd["W_left"], "W_left"),
+            dt=dt,
         )
         metadata = dict(d["metadata"])
-        z0 = _cvec_from_json(metadata.pop("z0_train"))
+        z0 = _cvec_from_json(metadata.pop("z0_train"), "z0_train")
         if not np.iscomplexobj(A):
             z0 = z0.real
-        scores = np.array([float(s) for s in metadata.pop("training_scores")])
+        scores = np.array([_real(s, "training_scores")
+                           for s in metadata.pop("training_scores")])
         if "findings" in metadata:
             if not isinstance(metadata["findings"], list):
                 raise TypeError("metadata.findings must be a list")
             metadata["findings"] = tuple(
                 _finding_from_json(f) for f in metadata["findings"]
             )
-        findings = metadata.get("findings", ())
-        eig = EigenSystem(
-            lambdas=_cvec_from_json(eigd["lambdas"]),
-            mus=_cvec_from_json(eigd["mus"]),
-            W_right=_matrix_from_json(eigd["W_right"]),
-            W_left=_matrix_from_json(eigd["W_left"]),
-            dt=dt,
-            findings=[f for f in findings if f.kind in _EIGEN_KINDS],
+        res = RegressionResult(
+            rank=_checked(check_int, metadata.get("rank", eig.rank), "rank", 1),
+            A=A,
+            B=_matrix_from_json(d["B"], "B") if "B" in d else None,
+            eigensystem=eig,
+            modes_exact=(_matrix_from_json(eigd["modes_exact"], "modes_exact")
+                         if "modes_exact" in eigd else None),
+            residual_fro=_real(metadata.get("residual_fro", 0.0), "residual_fro"),
+            residual_rel=_real(metadata.get("residual", 0.0), "residual"),
+            sigma_min=_real(metadata.get("sigma_min", 0.0), "sigma_min"),
+            m=_checked(check_int, metadata.get("m", 0), "m", 0),
         )
+        C = ReconstructionMap(C=_matrix_from_json(d["C"], "C"), indices=obs.state_indices)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model file: {exc}") from None
-    res = RegressionResult(
-        rank=_checked(check_int, metadata.get("rank", eig.rank), "rank", 1),
-        A=A,
-        B=B,
-        eigensystem=eig,
-        modes_exact=modes_exact,
-        residual_fro=float(metadata.get("residual_fro", 0.0)),
-        residual_rel=float(metadata.get("residual", 0.0)),
-        sigma_min=float(metadata.get("sigma_min", 0.0)),
-        m=_checked(check_int, metadata.get("m", 0), "m", 0),
-        findings=[f for f in findings if f.kind in _REGRESSION_KINDS],
-    )
-    return KoopmanModel(
-        observables=obs,
-        regression=res,
-        C=ReconstructionMap(C=C, indices=obs.state_indices),
-        dt=dt,
-        n=n,
-        q=q,
-        metadata=metadata,
-        z0_train=z0,
-        training_scores=scores,
-    )
+    return KoopmanModel(observables=obs, regression=res, C=C, dt=dt, n=n, q=q,
+                        metadata=metadata, z0_train=z0, training_scores=scores)
 
 
 def atomic_write_text(path: str, text: str) -> None:

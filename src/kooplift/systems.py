@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_int, check_real
 
 __all__ = [
     "SystemSpec",
@@ -167,8 +167,8 @@ def _resolve_inputs(spec_q, n_steps, input_signal, batch):
 
 def integrate_rk4_batch(spec: SystemSpec, X0, dt: float, n_steps: int, input_signal=None):
     """Integrate a batch of initial conditions: X0 (B, n) -> (B, n_steps+1, n)."""
-    if dt <= 0:
-        raise DataError(f"dt must be positive, got {dt}")
+    dt = check_real(dt, "dt", positive=True, error=DataError)
+    n_steps = check_int(n_steps, "n_steps", 0, error=DataError)
     if spec.step is not None:
         raise ConfigError(f"{spec.name} is a discrete map; iterate its step instead")
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
@@ -179,7 +179,7 @@ def integrate_rk4_batch(spec: SystemSpec, X0, dt: float, n_steps: int, input_sig
     B = X0.shape[0]
     U = _resolve_inputs(spec.q, n_steps, input_signal, B)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _rk4(spec.rhs, X0, float(dt), int(n_steps), U)
+        out = _rk4(spec.rhs, X0, dt, n_steps, U)
     bad = ~np.isfinite(out)
     if bad.any():
         row = int(np.nonzero(bad.any(axis=(0, 2)))[0][0])

@@ -354,6 +354,16 @@ def test_bench_torus_and_params_validation(tmp_path):
     assert main(["bench", str(out), "--system", "lorenz", "--params", "gamma=1"]) == 2
 
 
+@pytest.mark.parametrize("system", ["torus", "vdp_osc", "linear2d"])
+@pytest.mark.parametrize("dt", ["nan", "inf", "-inf", "0", "-0.5"])
+def test_bench_refuses_a_bad_dt(tmp_path, capsys, system, dt):
+    out = tmp_path / "t.csv"
+    assert main(["bench", str(out), "--system", system, "--steps", "10",
+                 f"--dt={dt}"]) == 2
+    assert "--dt must be a finite real > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_unknown_system_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["bench", str(tmp_path / "x.csv"), "--system", "warp"])

@@ -54,6 +54,9 @@ def test_time_column_validation(tmp_path):
     path.write_text("0.0,1.0\n0.0,2.0\n")
     with pytest.raises(DataError, match="increasing"):
         read_trajectory_csv(str(path))
+    path.write_text("0.0,1.0\nnan,2.0\n0.2,3.0\n")
+    with pytest.raises(DataError, match="t.csv: trajectory 0 times must be strictly"):
+        read_trajectory_csv(str(path))
 
 
 def test_blocks_must_share_dt(tmp_path):

@@ -61,6 +61,17 @@ def test_constructor_invariants():
         kl.TrajectoryDataset([np.zeros((3, 2))], dt=1.0, inputs=[np.zeros((2, 1))])
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, True, -0.1, "0.1", None])
+def test_bad_sample_interval_is_refused(dt):
+    with pytest.raises(kl.DataError, match="dt must be a finite real > 0"):
+        kl.TrajectoryDataset([np.zeros((3, 2))], dt=dt)
+
+
+def test_sample_interval_is_stored_as_a_float():
+    assert type(kl.TrajectoryDataset([np.zeros((3, 2))], dt=np.float32(0.5)).dt) is float
+    assert kl.TrajectoryDataset([np.zeros((3, 2))], dt=2).dt == 2.0
+
+
 def test_trajectories_are_read_only():
     ds = kl.TrajectoryDataset([np.zeros((3, 2))], dt=1.0)
     with pytest.raises(ValueError):

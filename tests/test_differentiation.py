@@ -120,6 +120,13 @@ def test_non_uniform_grid_rejected():
         kl.differentiate(cfg("fd2"), np.ones(5), t)
 
 
+@pytest.mark.parametrize("bad, match", [(np.nan, "increasing"), (np.inf, "uniform")])
+def test_non_finite_timestamps_rejected(bad, match):
+    t = np.array([0.0, 0.1, 0.2, 0.3, bad])
+    with pytest.raises(DataError, match=match):
+        kl.differentiate(cfg("fd2"), np.ones(5), t)
+
+
 def test_spectral_requires_periodic_flag():
     t = np.arange(8) * 0.1
     with pytest.raises(DataError, match="periodic"):

@@ -243,6 +243,13 @@ def test_simulate_input_validation():
     np.testing.assert_allclose(out[:, 0], 1.0 * 0.5 ** np.arange(6), atol=1e-9)
 
 
+@pytest.mark.parametrize("n_steps", [-1, True, False, 2.5, 3.0, "3", None])
+def test_simulate_refuses_a_step_count_that_is_not_a_count(fig1_lift_model, n_steps):
+    with pytest.raises(DataError, match="n_steps must be an integer >= 0"):
+        fig1_lift_model.simulate(np.array([0.5, 0.2]), n_steps)
+    assert fig1_lift_model.simulate(np.array([0.5, 0.2]), np.int64(2)).shape == (3, 2)
+
+
 # ---------------------------------------------------------------------------
 # spectral analytics
 # ---------------------------------------------------------------------------
@@ -476,8 +483,7 @@ def test_model_reports_branch_findings():
     A = np.diag([-0.5, 0.25])
     ds = _linear_dataset(A, [[1.0, 1.0], [0.5, -1.0]], 8)
     model = kl.fit(kl.Identity(), "dmd", ds)
-    assert any(f.kind == "negative-real-eigenvalue"
-               for f in model.regression.eigensystem.findings)
+    assert any(f.kind == "negative-real-eigenvalue" for f in model.metadata["findings"])
 
 
 # ---------------------------------------------------------------------------

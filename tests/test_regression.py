@@ -124,9 +124,30 @@ def test_nilpotent_fits_report_exact_zero_eigenvalues(log_scale, m, angle, coupl
         res = kl.fit_kdmd(Z, N @ Z, linear)
     assert np.all(res.eigensystem.lambdas == 0)
     assert np.all(res.eigensystem.mus.real == -np.inf)
+    findings = res.eigensystem.findings
     assert any(f.kind == "zero-eigenvalue" and "2 zero eigenvalue(s)" in f.message
-               for f in res.findings)
-    assert not any(f.kind == "negative-real-eigenvalue" for f in res.findings)
+               for f in findings)
+    assert not any(f.kind == "negative-real-eigenvalue" for f in findings)
+
+
+def test_each_record_lists_only_its_own_findings():
+    # a nilpotent operator: every fit finds the zero eigenvalues in its
+    # eigensystem, and only fit_edmd adds a finding of its own
+    N = np.array([[0.0, 1.0], [0.0, 0.0]])
+    Z = RNG.normal(size=(2, 30))
+    U = RNG.normal(size=(1, 30))
+    linear = kl.KernelConfig(kind="polynomial", degree=1, offset=0.0)
+    fits = {
+        "edmd": kl.fit_edmd(Z, N @ Z),
+        "edmdc": kl.fit_edmdc(Z, N @ Z + np.array([[0.0], [1.0]]) @ U, U),
+        "kdmd": kl.fit_kdmd(Z, N @ Z, linear),
+    }
+    for name, res in fits.items():
+        assert "zero-eigenvalue" in [f.kind for f in res.eigensystem.findings], name
+        own = ["exact-mode-fallback"] if name == "edmd" else []
+        assert [f.kind for f in res.findings] == own, name
+    assert not hasattr(fits["kdmd"], "kernel_centers")
+    assert fits["kdmd"].kernel_alpha.shape == (30, 2)
 
 
 def test_nonnormal_fit_keeps_eigenvalues_out_of_the_zero_class():

@@ -75,6 +75,18 @@ def test_rk4_nonfinite_reports_step():
         kl.integrate_rk4(spec, np.array([1e200]), 1.0, 5)
 
 
+@pytest.mark.parametrize("dt, n_steps, match", [
+    (np.nan, 5, "dt must be"), (np.inf, 5, "dt must be"), (True, 5, "dt must be"),
+    (0.0, 5, "dt must be"),
+    (0.1, True, "n_steps must be"), (0.1, 2.7, "n_steps must be"),
+    (0.1, -1, "n_steps must be"), (0.1, "3", "n_steps must be"),
+])
+def test_rk4_refuses_bad_dt_and_step_counts(dt, n_steps, match):
+    spec = kl.get_system("vdp_osc")
+    with pytest.raises(DataError, match=match):
+        kl.integrate_rk4_batch(spec, np.ones((1, spec.n)), dt, n_steps)
+
+
 def test_drss_spectral_radius_bound():
     for seed in range(100):
         A, B = kl.drss(4, 2, seed=seed, rho_max=0.9)
