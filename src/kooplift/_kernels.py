@@ -83,11 +83,23 @@ def _radial(r2, kind, eps, ph_exp):
     return out
 
 
+def sq_distances(X, Y):
+    """Squared distances ||x_i - y_j||^2, X (m, n), Y (k, n) -> (m, k), summed
+    one coordinate at a time: no (m, k, n) temporary, no cancellation (unlike
+    ||x||^2 + ||y||^2 - 2 x.y), and entry (i, j) equals entry (j, i) of
+    sq_distances(Y, X), since fl(a - b) = -fl(b - a)."""
+    r2 = X[:, 0, None] - Y[:, 0]
+    r2 *= r2
+    for d in range(1, X.shape[1]):
+        t = X[:, d, None] - Y[:, d]
+        t *= t
+        r2 += t
+    return r2
+
+
 def rbf_features(X, centers, kind, eps, ph_exp):
     """Radial features vs. each center. X (m, n), centers (k, n) -> (m, k)."""
-    d = X[:, None, :] - centers[None, :, :]
-    r2 = np.einsum("mkd,mkd->mk", d, d)
-    return _radial(r2, kind, eps, ph_exp)
+    return _radial(sq_distances(X, centers), kind, eps, ph_exp)
 
 
 def rff_features(X, W, b):
@@ -104,11 +116,17 @@ def gram_matrix(X, Y, kind, sigma, offset, degree):
     ignored.
     """
     if kind == "gaussian":
-        xx = np.sum(X * X, axis=1)[:, None]
-        yy = np.sum(Y * Y, axis=1)[None, :]
-        r2 = np.maximum(xx + yy - 2.0 * (X @ Y.T), 0.0)
-        return np.exp(-r2 / (2.0 * sigma * sigma))
+        G = sq_distances(X, Y)
+        np.divide(G, -2.0 * sigma * sigma, out=G)
+        return np.exp(G, out=G)
     return (offset + X @ Y.T) ** int(degree)
+
+
+def real_matmul_complex(K, C):
+    """K @ C for a real K (m, k) and a complex C (k, r): one real GEMM on C
+    viewed as (k, 2r) interleaved real and imaginary parts, where K @ C would
+    cast K to a complex copy."""
+    return (K @ np.ascontiguousarray(C).view(float)).view(complex)
 
 
 def iterate_linear(A, z0, n_steps):

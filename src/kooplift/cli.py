@@ -35,10 +35,6 @@ from .systems import (
 _FIT_KEYS = {"observables", "regressor", "dt", "output"}
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -213,16 +209,10 @@ def cmd_eig(args) -> int:
     if args.format == "json":
         sys.stdout.write(json.dumps(rows, sort_keys=True) + "\n")
     elif args.format == "csv":
+        # the values are Python ints and floats, written with repr
         cols = list(rows[0].keys()) if rows else []
-        sys.stdout.write(",".join(cols) + "\n")
-        for row in rows:
-            sys.stdout.write(
-                ",".join(
-                    str(row[c]) if isinstance(row[c], int) else _fmt(row[c])
-                    for c in cols
-                )
-                + "\n"
-            )
+        lines = [",".join(cols), *(",".join(map(repr, row.values())) for row in rows)]
+        sys.stdout.write("\n".join(lines) + "\n")
     else:
         _print_table(rows, sys.stdout)
     return 0
@@ -358,18 +348,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except DataError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except RegressionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
     except KoopliftError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
+        codes = ((ConfigError, 2), (DataError, 3), (RegressionError, 4))
+        return next((code for cls, code in codes if isinstance(exc, cls)), 1)
 
 
 if __name__ == "__main__":

@@ -119,10 +119,6 @@ def read_trajectory_csv(path: str, n_inputs: int = 0) -> TrajectoryDataset:
     return TrajectoryDataset(trajectories, dt=dt, inputs=inputs)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_trajectory_csv(
     path_or_buffer,
     trajectories: Sequence[np.ndarray],
@@ -140,18 +136,18 @@ def write_trajectory_csv(
         q = np.atleast_2d(np.asarray(inputs[0])).shape[1]
     cols = ["t"] + [f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(q)]
     lines = [",".join(cols)]
+    dt = float(dt)
     for k, traj in enumerate(trajectories):
-        traj = np.atleast_2d(np.asarray(traj, dtype=float))
         if k > 0:
             lines.append("")
+        # rows of Python floats, each cell written with repr
+        rows = np.atleast_2d(np.asarray(traj, dtype=float)).tolist()
         u = None
         if inputs is not None:
-            u = np.atleast_2d(np.asarray(inputs[k], dtype=float))
-        for i in range(traj.shape[0]):
-            cells = [_fmt(i * dt)] + [_fmt(v) for v in traj[i]]
-            if u is not None:
-                cells += [_fmt(v) for v in u[i]]
-            lines.append(",".join(cells))
+            u = np.atleast_2d(np.asarray(inputs[k], dtype=float)).tolist()
+        for i, row in enumerate(rows):
+            cells = [i * dt, *row] if u is None else [i * dt, *row, *u[i]]
+            lines.append(",".join(map(repr, cells)))
     text = "\n".join(lines) + "\n"
     if isinstance(path_or_buffer, str):
         from .serialize import atomic_write_text

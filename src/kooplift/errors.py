@@ -4,12 +4,15 @@ Options are never coerced: a bool is not a number, a float or a string is
 not an integer, and a string is not a real. Accepted values come back as
 plain int/float, so a stored config is canonical. A refused value raises
 ConfigError, or the ``error`` class given for values that are data, such as
-a sample interval or a step count.
+a sample interval or a step count. The values of a model file are read as
+strictly, and a refused one raises DataError.
 """
 
 import inspect
 import math
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class KoopliftError(Exception):
@@ -49,6 +52,21 @@ def check_bool(value, name: str) -> bool:
     if isinstance(value, bool):
         return value
     raise ConfigError(f"{name} must be true or false, got {value!r}")
+
+
+def model_number(value, name: str) -> float:
+    """A number of a model file as a float; a bool, a string, null or a list
+    is refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"malformed model file: {name} must be a number, got {value!r}")
+    return float(value)
+
+
+def model_array(value, name: str) -> np.ndarray:
+    """A model file's (nested) list of numbers as a float array, each entry
+    read by model_number; the rows of a ragged list are entries, so refused."""
+    entries = np.array(value, dtype=object)
+    return np.array([model_number(v, name) for v in entries.flat]).reshape(entries.shape)
 
 
 def call_with_options(cls, options, what: str):

@@ -22,7 +22,7 @@ import numpy as np
 from . import _kernels
 from .data import Finding, _freeze, _FrozenRecord
 from .errors import (ConfigError, DataError, call_with_options, check_bool, check_int,
-                     check_real)
+                     check_real, model_array)
 from .regression import KernelConfig
 
 __all__ = [
@@ -100,6 +100,14 @@ class Observable:
         if self.n_input is None:
             raise ConfigError(f"{self.kind} library is not bound to an input dimension")
 
+    def _rows(self, X) -> np.ndarray:
+        """A batch of states as a float (m, n) array; another width is refused."""
+        self._require_bound()
+        X = np.asarray(X, dtype=float)
+        if X.shape[1] != self.n_input:
+            raise DataError(f"expected {self.n_input} columns, got {X.shape[1]}")
+        return X
+
     # -- lifting ------------------------------------------------------------
     @property
     def n_output(self) -> int:
@@ -152,9 +160,7 @@ class Identity(Observable):
         return tuple(range(self.n_input))
 
     def lift_rows(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.n_input:
-            raise DataError(f"expected {self.n_input} columns, got {X.shape[1]}")
+        X = self._rows(X)
         return X.copy()
 
     def config(self):
@@ -198,10 +204,7 @@ class Polynomial(Observable):
         return tuple(range(1, self.n_input + 1))
 
     def lift_rows(self, X):
-        self._require_bound()
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.n_input:
-            raise DataError(f"expected {self.n_input} columns, got {X.shape[1]}")
+        X = self._rows(X)
         return _kernels.poly_features(X, self._steps)
 
     def config(self):
@@ -271,11 +274,10 @@ class TimeDelay(Observable):
 
     def lift(self, x):
         x = np.asarray(x, dtype=float)
-        self._require_bound()
-        if x.ndim == 2 or x.size == self.n_output:
-            if x.ndim == 2:
-                return self.lift_window(x)
-            return x.astype(float).copy()
+        if x.ndim == 2:
+            return self.lift_window(x)
+        if x.size == self.n_output:
+            return x.copy()
         raise DataError(
             f"time-delay lift needs a (d+1, n) window or an embedded vector of "
             f"length {self.n_output}, got shape {x.shape}"
@@ -361,14 +363,10 @@ class RadialBasis(Observable):
         return tuple(range(self.n_input))
 
     def lift_rows(self, X):
-        self._require_bound()
+        X = self._rows(X)
         self._require_centers()
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.n_input:
-            raise DataError(f"expected {self.n_input} columns, got {X.shape[1]}")
-        feats = _kernels.rbf_features(
-            X, self.centers, self.rbf_kind, self.shape_eps, self.ph_exp
-        )
+        feats = _kernels.rbf_features(X, self.centers, self.rbf_kind, self.shape_eps,
+                                      self.ph_exp)
         return np.hstack([X, feats])
 
     def config(self):
@@ -430,10 +428,7 @@ class RandomFourier(Observable):
         return None
 
     def lift_rows(self, X):
-        self._require_bound()
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.n_input:
-            raise DataError(f"expected {self.n_input} columns, got {X.shape[1]}")
+        X = self._rows(X)
         feats = _kernels.rff_features(X, self.W, self.b)
         if self.include_state:
             return np.hstack([X, feats])
@@ -493,10 +488,7 @@ class Custom(Observable):
         return tuple(range(self.n_input))
 
     def lift_rows(self, X):
-        self._require_bound()
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.n_input:
-            raise DataError(f"expected {self.n_input} columns, got {X.shape[1]}")
+        X = self._rows(X)
         blocks = [X.copy()]
         for i, f in enumerate(self.functions):
             vals = np.array([np.atleast_1d(f(row)) for row in X], dtype=float)
@@ -619,37 +611,43 @@ class KernelLift(Observable):
 
     def __init__(self, kernel: KernelConfig, centers: np.ndarray, alpha: np.ndarray):
         super().__init__()
-        self.kernel = kernel
-        self.centers = np.asarray(centers, dtype=float)  # (m, n) training states
-        self.alpha = np.asarray(alpha, dtype=complex)  # (m, r) coefficients
-        if (self.centers.ndim != 2 or self.alpha.ndim != 2
-                or self.alpha.shape[0] != self.centers.shape[0]):
+        centers = np.asarray(centers, dtype=float)  # (m, n) training states
+        alpha = np.asarray(alpha, dtype=complex)  # (m, r) coefficients
+        if centers.ndim != 2 or alpha.ndim != 2 or alpha.shape[0] != centers.shape[0]:
             raise ConfigError(
                 f"kernel_lift needs (m, n) centers and (m, r) alpha, got shapes "
-                f"{self.centers.shape} and {self.alpha.shape}"
+                f"{centers.shape} and {alpha.shape}"
             )
+        self.kernel, self.centers, self.alpha = kernel, centers, alpha
         self.bind(self.centers.shape[1])
+
+    @property
+    def alpha(self) -> np.ndarray:  # (m, r) complex eigenfunction coefficients
+        return self._alpha
+
+    @alpha.setter
+    def alpha(self, alpha):
+        # found once per assignment: lift_rows conjugates the first of two exactly
+        # conjugate columns into the second, so a real fit's conjugate pairs stay
+        # exact (a GEMM rounds a column by its position)
+        self._alpha = a = np.asarray(alpha, dtype=complex)
+        self._pairs = np.flatnonzero((a[:, 1:] == a[:, :-1].conj()).all(axis=0))
 
     @property
     def n_output(self) -> int:
         return self.alpha.shape[1]
 
     def lift_rows(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.n_input:
-            raise DataError(f"expected {self.n_input} columns, got {X.shape[1]}")
+        X = self._rows(X)
         # not KernelConfig.gram: prediction-time Gram rows are lifting, not regression
         k = self.kernel
         K = _kernels.gram_matrix(X, self.centers, k.kind, k.sigma, k.offset, k.degree)
-        return K @ self.alpha
+        Z = _kernels.real_matmul_complex(K, self.alpha)
+        Z[:, self._pairs + 1] = Z[:, self._pairs].conj()
+        return Z
 
-    def lift(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_input,):
-            raise DataError(
-                f"expected state of dimension {self.n_input}, got shape {x.shape}"
-            )
-        return self.lift_rows(x[None, :])[0]
+    def lift(self, x):  # defined here, so a tracer can tell kernel lifts apart
+        return super().lift(x)
 
     def config(self):
         return {
@@ -742,6 +740,9 @@ def observable_from_config(cfg: dict) -> Observable:
     if not isinstance(kind, str) or kind not in _LIBRARIES:
         raise ConfigError(f"unknown observable kind {kind!r}")
     options = {k: v for k, v in cfg.items() if k not in ("kind", "n_input")}
+    for key in ("centers", "alpha_re", "alpha_im", "W", "b"):
+        if options.get(key) is not None:
+            options[key] = model_array(options[key], key)
     draws = {}
     if kind == "concat" and "parts" in options:
         if not isinstance(options["parts"], list):
@@ -752,7 +753,7 @@ def observable_from_config(cfg: dict) -> Observable:
         if "kernel" in options:
             options["kernel"] = KernelConfig.from_dict(options["kernel"])
         parts = [options.pop(k, None) for k in ("alpha_re", "alpha_im")]
-        if None in parts or "alpha" in options:
+        if any(p is None for p in parts) or "alpha" in options:
             raise ConfigError("kernel_lift observable config needs 'alpha_re' and "
                               "'alpha_im' in place of 'alpha'")
         # assigned, not added as re + 1j*im, which would turn -0.0 parts into 0.0

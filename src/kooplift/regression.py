@@ -534,7 +534,7 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
     eig_red = eig_biorthogonal(A_hat, dt)
     lam = eig_red.lambdas
     alpha = Qr @ eig_red.W_right  # (m, r) eigenfunction coefficients
-    Xi = (G @ alpha).T  # (r, m) eigenfunction values on the training states
+    Xi = _kernels.real_matmul_complex(G, alpha).T  # (r, m) values on the training states
 
     # canonical scaling: unit-norm eigenfunction trajectories, leading entry real
     for j in range(r):
@@ -544,8 +544,11 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
             scale = (np.abs(c) / c) / nrm
             Xi[j] *= scale
             alpha[:, j] *= scale
+    # conjugate pairs exact, as in eig_biorthogonal (their scales may round apart)
+    j = np.flatnonzero((lam[:-1].imag < 0) & (lam[1:] == lam[:-1].conj()))
+    alpha[:, j + 1] = alpha[:, j].conj()
 
-    Xi_next = (T @ alpha).T
+    Xi_next = _kernels.real_matmul_complex(T, alpha).T
     fro, rel = _residual(Xi_next - lam[:, None] * Xi, Xi_next)
     # in eigenfunction coordinates the eigenvectors are the unit vectors
     eye = np.eye(r, dtype=complex)

@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .data import Finding
-from .errors import ConfigError, DataError, check_int, check_real
+from .errors import ConfigError, DataError, check_int, check_real, model_number
 from .model import KoopmanModel
 from .observables import ReconstructionMap, observable_from_config
 from .regression import EigenSystem, RegressionResult
@@ -26,13 +26,6 @@ __all__ = ["MODEL_SCHEMA_VERSION", "model_to_dict", "model_from_dict",
            "save_model", "load_model", "atomic_write_text"]
 
 MODEL_SCHEMA_VERSION = 1
-
-
-def _real(value, name: str) -> float:
-    """A number of the model file; a bool or a string is refused, not coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataError(f"malformed model file: {name} must be a number, got {value!r}")
-    return float(value)
 
 
 def _matrix_to_json(M: np.ndarray) -> dict:
@@ -49,7 +42,7 @@ def _matrix_from_json(obj, name: str) -> np.ndarray:
     if obj.get("complex", False):
         flat = _cvec_from_json(obj["data"], name)
     else:
-        flat = np.array([_real(v, name) for v in obj["data"]])
+        flat = np.array([model_number(v, name) for v in obj["data"]])
     return flat.reshape(tuple(obj["shape"]))
 
 
@@ -59,7 +52,8 @@ def _cvec_to_json(v: np.ndarray) -> list:
 
 
 def _cvec_from_json(lst, name: str) -> np.ndarray:
-    return np.array([complex(_real(re, name), _real(im, name)) for re, im in lst])
+    return np.array([complex(model_number(re, name), model_number(im, name))
+                     for re, im in lst])
 
 
 def _finding_from_json(entry) -> Finding:
@@ -145,7 +139,7 @@ def model_from_dict(d: dict) -> KoopmanModel:
         z0 = _cvec_from_json(metadata.pop("z0_train"), "z0_train")
         if not np.iscomplexobj(A):
             z0 = z0.real
-        scores = np.array([_real(s, "training_scores")
+        scores = np.array([model_number(s, "training_scores")
                            for s in metadata.pop("training_scores")])
         if "findings" in metadata:
             if not isinstance(metadata["findings"], list):
@@ -160,9 +154,9 @@ def model_from_dict(d: dict) -> KoopmanModel:
             eigensystem=eig,
             modes_exact=(_matrix_from_json(eigd["modes_exact"], "modes_exact")
                          if "modes_exact" in eigd else None),
-            residual_fro=_real(metadata.get("residual_fro", 0.0), "residual_fro"),
-            residual_rel=_real(metadata.get("residual", 0.0), "residual"),
-            sigma_min=_real(metadata.get("sigma_min", 0.0), "sigma_min"),
+            residual_fro=model_number(metadata.get("residual_fro", 0.0), "residual_fro"),
+            residual_rel=model_number(metadata.get("residual", 0.0), "residual"),
+            sigma_min=model_number(metadata.get("sigma_min", 0.0), "sigma_min"),
             m=_checked(check_int, metadata.get("m", 0), "m", 0),
         )
         C = ReconstructionMap(C=_matrix_from_json(d["C"], "C"), indices=obs.state_indices)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kooplift as kl
 from kooplift import _kernels as K
 
 
@@ -176,6 +177,41 @@ def test_gram_matrix_match_reference(kind, sigma, offset, degree):
         _gram_ref(X, Y, kind, sigma, offset, degree),
         rtol=1e-12, atol=1e-13,
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_sq_distances_match_double_loop(n, scale):
+    # points at the centers (r = 0) and 1e-7 away from them, where the form
+    # ||x||^2 + ||y||^2 - 2 x.y cancels
+    rng = _rng(6)
+    centers = scale * rng.normal(size=(9, n))
+    X = np.vstack([centers[:3], centers[3:6] + scale * 1e-7 * rng.normal(size=(3, n)),
+                   scale * rng.normal(size=(20, n))])
+    ref = np.array([[math.fsum((x[d] - c[d]) ** 2 for d in range(n)) for c in centers]
+                    for x in X])
+    np.testing.assert_allclose(K.sq_distances(X, centers), ref, rtol=1e-14, atol=0.0)
+    assert np.all(np.diag(K.sq_distances(X[:3], centers[:3])) == 0.0)
+
+
+def test_gaussian_gram_is_symmetric_by_construction():
+    # the kdmd_gram benchmark states at seed 41, on which the form
+    # ||x||^2 + ||y||^2 - 2 x.y gives an asymmetric G unless numpy takes syrk
+    rng = np.random.default_rng([41, sum(map(ord, "kdmd_gram"))])
+    spec = kl.systems.get_system("slow_manifold")
+    trajs = kl.systems.integrate_rk4_batch(spec, rng.uniform(-1.0, 1.0, (36, 2)), 0.02, 79)
+    X = np.vstack([t[:-1] for t in trajs])
+    G = K.gram_matrix(X, X.copy(), "gaussian", 2.0, 1.0, 2)
+    assert np.array_equal(G, G.T)
+
+
+def test_real_matmul_complex_matches_complex_product():
+    rng = _rng(7)
+    Kr = rng.normal(size=(5, 30))
+    C = rng.normal(size=(30, 4)) + 1j * rng.normal(size=(30, 4))
+    np.testing.assert_allclose(K.real_matmul_complex(Kr, C), Kr @ C, rtol=1e-13)
+    np.testing.assert_allclose(K.real_matmul_complex(Kr, C[:, ::2]), Kr @ C[:, ::2],
+                               rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kooplift as kl
+from kooplift import _kernels
 from kooplift.errors import ConfigError, DataError
 
 
@@ -360,3 +361,47 @@ def test_library_arrays_are_read_only():
             arr[0] = 1
     given[0, 0] = 1.0  # the caller's array stays theirs
     assert explicit.centers[0, 0] == 0.0
+
+
+def _kernel_lift():
+    # coefficient columns: real, a conjugate pair, a complex one without a partner
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
+    alpha = np.column_stack([rng.normal(size=40), a[:, 0], a[:, 0].conj(), a[:, 1]])
+    return kl.KernelLift(kl.KernelConfig(sigma=1.5), rng.normal(size=(40, 3)), alpha)
+
+
+@pytest.mark.parametrize("kind", ["rbf", "kernel_lift"])
+def test_lift_of_one_state_is_its_row_of_lift_rows(kind):
+    X = np.random.default_rng(9).normal(size=(50, 3))
+    if kind == "rbf":
+        lib = _bound(kl.RadialBasis("gauss", n_centers=20, seed=3), 3)
+        lib.prepare(X)
+    else:
+        lib = _kernel_lift()
+    Z = lib.lift_rows(X)
+    r2 = _kernels.sq_distances(X, lib.centers)
+    for i in range(X.shape[0]):
+        assert np.array_equal(_kernels.sq_distances(X[i:i + 1], lib.centers)[0], r2[i])
+        np.testing.assert_allclose(lib.lift(X[i]), Z[i], rtol=1e-12)
+
+
+def test_kernel_lift_keeps_conjugate_pairs_exact():
+    lib = _kernel_lift()
+    X = np.random.default_rng(10).normal(size=(30, 3))
+    Z = lib.lift_rows(X)
+    assert np.array_equal(Z[:, 2], Z[:, 1].conj())
+    G = _kernels.gram_matrix(X, lib.centers, "gaussian", 1.5, 1.0, 2)
+    np.testing.assert_allclose(Z, G @ lib.alpha, rtol=1e-12)
+
+
+def test_rebinding_alpha_changes_the_kernel_lift():
+    # the pair moves from columns (1, 2) to (0, 1): nothing derived from the
+    # old alpha may survive the assignment
+    lib = _kernel_lift()
+    X = np.random.default_rng(11).normal(size=(6, 3))
+    lib.alpha = lib.alpha[:, [1, 2, 0, 3]]
+    Z = lib.lift_rows(X)
+    G = _kernels.gram_matrix(X, lib.centers, "gaussian", 1.5, 1.0, 2)
+    np.testing.assert_allclose(Z, G @ lib.alpha, rtol=1e-12)
+    assert np.array_equal(Z[:, 1], Z[:, 0].conj())

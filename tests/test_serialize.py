@@ -362,6 +362,16 @@ def test_observable_config_rejects_unknown(dataset):
         kl.observable_from_config({"kind": "concat", "parts": 5})
     with pytest.raises(ConfigError, match="unknown observable kind"):
         kl.observable_from_config({"kind": []})
+    # a model file's arrays hold JSON numbers only; nothing is coerced
+    kernel = {"kind": "kernel_lift", "kernel": {"kind": "gaussian"},
+              "centers": [[0.5, 1.0]], "alpha_re": [[1.0]], "alpha_im": [[0.0]]}
+    rff = kl.RandomFourier(3).bind(2).config()
+    for cfg, key, value in ((kernel, "centers", [["0.5", True]]),
+                            (kernel, "alpha_re", [["1"]]),
+                            (rff, "b", ["0.1", True, 0.3]),
+                            (rff, "W", [[0.1, 0.2, 0.3], [0.1, 0.2]])):
+        with pytest.raises(DataError, match=f"malformed model file: {key} must be a number"):
+            kl.observable_from_config({**cfg, key: value})
 
 
 def test_kernel_lift_refuses_mismatched_shapes():
