@@ -1,8 +1,9 @@
 """Trajectory containers and snapshot-pair assembly.
 
-Trajectories are stored row-major in time (one row per sample) at the API
-surface and transposed into column-per-snapshot matrices internally, which
-keeps the operator regressions literal matrix algebra.
+Trajectories are stored row-major in time (one row per sample), and so are
+snapshot pairs: one lifted array per trajectory, whose consecutive rows
+pair up. Consumers read the pairs in row blocks; the operator regressions
+write their algebra on column-per-snapshot matrices.
 """
 
 from __future__ import annotations
@@ -160,16 +161,95 @@ class TrajectoryDataset:
 
 @dataclass(frozen=True)
 class SnapshotPairs:
-    """Column-aligned snapshot matrices X, Xprime (N x m), optional U (q x m)."""
+    """One-step snapshot pairs, held as one segment per trajectory.
 
-    X: np.ndarray
-    Xprime: np.ndarray
+    Each segment is a triple (X, U, Xprime) of row arrays, one row per pair:
+    X and Xprime are (m_i, N), U is (m_i, q) or None. From a trajectory
+    lifted into Y, X = Y[:-1] and Xprime = Y[1:] are two views of Y, so the
+    lifted data is held once. `blocks` hands the pairs out in order, a block
+    of rows at a time, and `stacked` all at once; the column matrices `X`,
+    `Xprime` (N x m) and `U` (q x m) are assembled on demand, for callers
+    outside the package.
+    """
+
+    segments: tuple
     dt: float
-    U: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_columns(cls, X, Xprime, dt: float = 1.0, U=None) -> "SnapshotPairs":
+        """One segment over column-aligned snapshot matrices X, Xprime (N x m)
+        and optional U (q x m), as views of them."""
+        return cls(segments=((X.T, None if U is None else U.T, Xprime.T),), dt=dt)
 
     @property
     def m(self) -> int:
-        return self.X.shape[1]
+        return sum(x.shape[0] for x, _, _ in self.segments)
+
+    @property
+    def n_features(self) -> int:
+        return self.segments[0][0].shape[1]
+
+    @property
+    def n_inputs(self) -> int:
+        u = self.segments[0][1]
+        return 0 if u is None else u.shape[1]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.segments[0][0].dtype
+
+    def blocks(self, size: int, out: Optional[tuple] = None):
+        """Yield every pair in order as (X, U, Xprime) row blocks of `size`
+        pairs, the last one shorter; U is None without inputs.
+
+        Blocks start at multiples of `size` over all pairs, so they cross
+        trajectory boundaries. A block inside one segment is handed out as
+        views of it; a block that spans segments is copied into one buffer,
+        allocated on first use and reused. With `out`, three arrays of at
+        least min(size, m) rows (U's may be None), every block is copied
+        into them and handed out as their leading rows.
+        """
+        m = self.m
+        edges = np.cumsum([0, *(x.shape[0] for x, _, _ in self.segments)])
+        buffers = out
+        for a in range(0, m, size):
+            b = min(a + size, m)
+            pieces = [tuple(None if p is None else p[max(a - lo, 0):b - lo] for p in seg)
+                      for seg, lo, hi in zip(self.segments, edges, edges[1:])
+                      if lo < b and hi > a]
+            if len(pieces) == 1 and out is None:
+                yield pieces[0]
+                continue
+            if buffers is None:
+                rows = min(size, m)
+                buffers = tuple(None if p is None else np.empty((rows, p.shape[1]), p.dtype)
+                                for p in pieces[0])
+            for k, buf in enumerate(buffers):
+                if buf is not None:
+                    np.concatenate([p[k] for p in pieces], out=buf[:b - a])
+            yield tuple(None if buf is None else buf[:b - a] for buf in buffers)
+
+    def stacked(self, part: str) -> Optional[np.ndarray]:
+        """Part "X", "U" or "Xprime" of every pair as one (m, width) row
+        array: a view for one segment, else a copy. None for U without
+        inputs. For consumers that need all pairs at once."""
+        arrays = [s[("X", "U", "Xprime").index(part)] for s in self.segments]
+        if arrays[0] is None:
+            return None
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    @property
+    def X(self) -> np.ndarray:
+        return self.stacked("X").T
+
+    @property
+    def U(self) -> Optional[np.ndarray]:
+        U = self.stacked("U")
+        return None if U is None else U.T
+
+    @property
+    def Xprime(self) -> np.ndarray:
+        return self.stacked("Xprime").T
 
 
 def build_snapshot_pairs(data: TrajectoryDataset, library=None) -> SnapshotPairs:
@@ -177,14 +257,15 @@ def build_snapshot_pairs(data: TrajectoryDataset, library=None) -> SnapshotPairs
 
     With an Observable ``library`` each trajectory is lifted once, as a
     whole, into Y with ``library.lift_trajectory``, and its pairs are
-    X = Y[:-1], X' = Y[1:]; without one the raw states are paired. Pairs
-    never straddle trajectory boundaries, and columns keep trajectory order,
-    then time order. U columns, when inputs are present, are taken at the X
-    timestamps, after the library's warm-up.
+    X = Y[:-1], X' = Y[1:], two views of the one lifted array; without one
+    the raw states are paired, as views of the dataset's arrays. Pairs
+    never straddle trajectory boundaries: each trajectory is one segment,
+    and segments keep trajectory order, rows time order. U rows, when inputs
+    are present, are taken at the X timestamps, after the library's warm-up.
     """
     if not data.trajectories:
         raise DataError("no trajectories")
-    xs, xps, us = [], [], []
+    segments = []
     for i, traj in enumerate(data.trajectories):
         Y = traj
         if library is not None:
@@ -197,14 +278,11 @@ def build_snapshot_pairs(data: TrajectoryDataset, library=None) -> SnapshotPairs
                     f"trajectory {i} too short: {traj.shape[0]} samples lift to "
                     f"{Y.shape[0]} snapshot(s), need at least 2"
                 )
-        xs.append(Y[:-1])
-        xps.append(Y[1:])
+        U = None
         if data.inputs is not None:
-            us.append(data.inputs[i][traj.shape[0] - Y.shape[0] : -1])
-    X = np.vstack(xs).T
-    Xp = np.vstack(xps).T
-    U = np.vstack(us).T if us else None
-    return SnapshotPairs(X=X, Xprime=Xp, dt=data.dt, U=U)
+            U = data.inputs[i][traj.shape[0] - Y.shape[0] : -1]
+        segments.append((Y[:-1], U, Y[1:]))
+    return SnapshotPairs(segments=tuple(segments), dt=data.dt)
 
 
 def validate_dataset(data: TrajectoryDataset) -> list:

@@ -144,9 +144,9 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
     """Per-mode ||phi_j(X') - lambda_j phi_j(X)|| / ||phi_j(X)|| with NaN sentinel,
     over lifted snapshot pairs; phi_j(z) = w_j^H z with w_j a left eigenvector.
 
-    SCORE_CHUNK pairs at a time, one real matrix of the real and imaginary
-    parts of the rows w_j^H (acting on the real and imaginary parts of
-    complex pairs too) gives phi_j on X and on X'; the squared norms of
+    One block of SCORE_CHUNK pairs at a time, one real matrix of the real
+    and imaginary parts of the rows w_j^H (acting on the real and imaginary
+    parts of complex pairs too) gives phi_j on X and on X'; the squared norms of
     phi_j(X) and of the residual are summed over the blocks. lambda_j is
     applied after the sum w_j^H z, as complex arithmetic would: folding it
     into the rows first rounds lambda_j w_j before the cancellation in that
@@ -155,13 +155,14 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
     lambdas = regression.eigensystem.lambdas
     r = lambdas.shape[0]
     lr, li = lambdas.real[:, None], lambdas.imag[:, None]
-    rows = _real_rows(regression.eigensystem.W_left.conj().T, np.iscomplexobj(pairs.X))
+    rows = _real_rows(regression.eigensystem.W_left.conj().T, pairs.dtype.kind == "c")
     num = np.zeros(2 * r)
     den = np.zeros(2 * r)
-    for a in range(0, pairs.m, SCORE_CHUNK):
-        cols = slice(a, a + SCORE_CHUNK)
-        P = rows @ _real_parts(pairs.Xprime[:, cols])  # [Re; Im] phi(X')
-        Q = rows @ _real_parts(pairs.X[:, cols])  # [Re; Im] phi(X)
+    for X, _, Xp in pairs.blocks(SCORE_CHUNK):
+        # each block as C-ordered rows (a Hankel view has negative strides,
+        # which BLAS cannot read), so its columns are laid out alike
+        P = rows @ _real_parts(np.ascontiguousarray(Xp).T)  # [Re; Im] phi(X')
+        Q = rows @ _real_parts(np.ascontiguousarray(X).T)  # [Re; Im] phi(X)
         den += np.einsum("ij,ij->i", Q, Q)
         P[:r] -= lr * Q[:r] - li * Q[r:]
         P[r:] -= lr * Q[r:] + li * Q[:r]
@@ -394,44 +395,47 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
     # lifting
     try:
         library.bind(n)
-        all_rows = np.vstack([t for t in data.trajectories])
-        library.prepare(all_rows)
+        library.prepare(np.vstack(data.trajectories))
         pairs = build_snapshot_pairs(data, library)
     except KoopliftError as exc:
         raise _stage("lifting", exc) from exc
 
     # regression
+    X_state = None
     try:
         # called by their module-global names, which a tracer may have wrapped
         if regression == "kdmd":
-            res = fit_kdmd(pairs.X, pairs.Xprime, regressor.kernel, rank=regressor.rank,
-                           dt=data.dt)
+            # the Gram matrices read all states at once; the rows of X are also
+            # the fitted reconstruction's raw states and the KernelLift's centers
+            X_state = pairs.stacked("X")
+            res = fit_kdmd(X_state.T, pairs.stacked("Xprime").T, regressor.kernel,
+                           rank=regressor.rank, dt=data.dt)
         elif regression == "edmdc":
-            res = fit_edmdc(pairs.X, pairs.Xprime, pairs.U, rank_in=regressor.rank_in,
-                            rank_out=regressor.rank_out, dt=data.dt)
+            res = fit_edmdc(pairs, rank_in=regressor.rank_in, rank_out=regressor.rank_out,
+                            dt=data.dt)
         else:
-            res = fit_edmd(pairs.X, pairs.Xprime, rank=regressor.rank, dt=data.dt)
+            res = fit_edmd(pairs, rank=regressor.rank, dt=data.dt)
     except KoopliftError as exc:
         raise _stage("regression", exc) from exc
-    X_state = None
     if regression == "kdmd":
-        # kdmd regressed on the identity pairs, whose X are the raw states the
-        # fitted reconstruction needs; the model lifts through the fitted
-        # eigenfunctions from here on
-        X_state = pairs.X
-        library = KernelLift(regressor.kernel, np.ascontiguousarray(pairs.X.T),
-                             res.kernel_alpha)
+        # the model lifts through the fitted eigenfunctions from here on
+        library = KernelLift(regressor.kernel, X_state, res.kernel_alpha)
         pairs = build_snapshot_pairs(data, library)
 
-    # reconstruction, on the lifted pairs; raw states only where it is fitted
+    # reconstruction: the lifted pairs and raw states are read, all at once,
+    # only where it is fitted
     try:
-        if X_state is None and library.state_indices is None:
-            X_state = build_snapshot_pairs(data).X
-        C = fit_reconstruction(library, pairs.X, X_state)
+        Z = None
+        if library.state_indices is None:
+            Z = pairs.stacked("X").T
+            if X_state is None:
+                X_state = build_snapshot_pairs(data).stacked("X")
+        C = fit_reconstruction(library, Z, None if X_state is None else X_state.T)
     except KoopliftError as exc:
         raise _stage("reconstruction", exc) from exc
 
     scores, score_findings = _consistency_scores(res, pairs)
+    first_x = pairs.segments[0][0]  # X rows of the first trajectory
     # the model's metadata is the one home of the fit's findings, and its
     # KernelLift that of kdmd's coefficients; the records keep neither
     eig = res.eigensystem
@@ -450,6 +454,6 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
     }
     return KoopmanModel(
         observables=library, regression=res, C=replace(C, findings=()), dt=data.dt,
-        n=n, q=q, metadata=metadata, z0_train=pairs.X[:, 0].astype(res.A.dtype),
+        n=n, q=q, metadata=metadata, z0_train=first_x[0].astype(res.A.dtype),
         training_scores=scores,
     )

@@ -100,12 +100,16 @@ class Observable:
         if self.n_input is None:
             raise ConfigError(f"{self.kind} library is not bound to an input dimension")
 
-    def _rows(self, X) -> np.ndarray:
-        """A batch of states as a float (m, n) array; another width is refused."""
+    def _rows(self, X, width: Optional[int] = None) -> np.ndarray:
+        """A batch of rows as a float (m, width) array, width n by default;
+        another rank or width is refused."""
         self._require_bound()
+        width = self.n_input if width is None else width
         X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.n_input:
-            raise DataError(f"expected {self.n_input} columns, got {X.shape[1]}")
+        if X.ndim != 2:
+            raise DataError(f"expected a 2-d array of rows, got shape {X.shape}")
+        if X.shape[1] != width:
+            raise DataError(f"expected {width} columns, got {X.shape[1]}")
         return X
 
     # -- lifting ------------------------------------------------------------
@@ -250,7 +254,13 @@ class TimeDelay(Observable):
         return w[::-1].reshape(-1).copy()
 
     def lift_trajectory(self, traj: np.ndarray) -> np.ndarray:
-        """Embed a whole trajectory: (T, n) -> (T - d, n*(d+1))."""
+        """Embed a whole trajectory: (T, n) -> (T - d, n*(d+1)).
+
+        The result is a read-only Hankel view of one time-reversed copy of
+        the trajectory: row k is the window of d+1 states ending at sample
+        k + d, most recent first, so its n*(d+1) entries are contiguous in
+        the reversed copy, and consecutive rows step back n entries.
+        """
         self._require_bound()
         traj = np.asarray(traj, dtype=float)
         T = traj.shape[0]
@@ -259,18 +269,13 @@ class TimeDelay(Observable):
             raise DataError(
                 f"trajectory with {T} samples is too short for {d} delays"
             )
-        blocks = [traj[d - j : T - j] for j in range(d + 1)]
-        return np.hstack(blocks)
+        flat = np.ascontiguousarray(traj[::-1]).reshape(-1)
+        windows = np.lib.stride_tricks.sliding_window_view(flat, self.n_output)
+        return windows[:: self.n_input][::-1]
 
     def lift_rows(self, X):
         # rows are already embedded vectors; d = 0 behaves as identity
-        self._require_bound()
-        X = np.asarray(X, dtype=float)
-        if X.shape[1] != self.n_output:
-            raise DataError(
-                f"expected embedded rows of dimension {self.n_output}, got {X.shape[1]}"
-            )
-        return X.copy()
+        return self._rows(X, self.n_output).copy()
 
     def lift(self, x):
         x = np.asarray(x, dtype=float)

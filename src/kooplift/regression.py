@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .data import Finding, _FrozenRecord
+from .data import Finding, SnapshotPairs, _FrozenRecord
 from .errors import (ConfigError, DataError, RegressionError, call_with_options,
                      check_int, check_real)
 
@@ -203,15 +203,40 @@ def _as_matrix(M, name) -> np.ndarray:
     return M
 
 
+def _check_pair_count(m: int) -> None:
+    if m < 2:
+        raise RegressionError(f"need at least 2 snapshot pairs, got m={m}")
+
+
 def _snapshot_pairs(Z, Zprime):
     """Validate snapshot columns Z, Z' as equal-shape matrices with m >= 2."""
     Z = _as_matrix(Z, "Z")
     Zp = _as_matrix(Zprime, "Zprime")
     if Z.shape != Zp.shape:
         raise DataError(f"Z and Zprime shapes differ: {Z.shape} vs {Zp.shape}")
-    if Z.shape[1] < 2:
-        raise RegressionError(f"need at least 2 snapshot pairs, got m={Z.shape[1]}")
+    _check_pair_count(Z.shape[1])
     return Z, Zp
+
+
+def _as_pairs(Z, Zprime, U=None, inputs: bool = False) -> SnapshotPairs:
+    """The snapshot pairs a fit regresses on: Z itself when it is a
+    `SnapshotPairs`, else the column matrices Z, Z' (N, m), with U (q, m)
+    for ``inputs``, checked and wrapped as one segment of views."""
+    if isinstance(Z, SnapshotPairs):
+        if Zprime is not None or U is not None:
+            raise DataError("give SnapshotPairs alone, or the matrices Z and Zprime")
+        _check_pair_count(Z.m)
+        if inputs and Z.n_inputs == 0:
+            raise ConfigError("no input channels given; use fit_edmd for unforced data")
+        return Z
+    Z, Zp = _snapshot_pairs(Z, Zprime)
+    if inputs:
+        U = None if U is None else _as_matrix(U, "U")
+        if U is None or U.shape[0] == 0:
+            raise ConfigError("no input channels given; use fit_edmd for unforced data")
+        if U.shape[1] != Z.shape[1]:
+            raise DataError(f"U has {U.shape[1]} columns, expected {Z.shape[1]}")
+    return SnapshotPairs.from_columns(Z, Zp, U=U)
 
 
 def _check_finite(rows: np.ndarray, first: int = 0) -> None:
@@ -222,34 +247,38 @@ def _check_finite(rows: np.ndarray, first: int = 0) -> None:
         raise DataError(f"snapshot pair {j} holds a non-finite value (NaN or inf)")
 
 
-def _pair_factor(*blocks: np.ndarray):
-    """The R factor of [B1^T | B2^T | ...] for snapshot blocks B_i with m
-    columns each, returned as its column blocks R_1, R_2, ...
+def _pair_factor(pairs: SnapshotPairs, inputs: bool = False):
+    """The R factor of the snapshot pairs as rows, [X | U | X'] with U only
+    for ``inputs``, returned as its column blocks R_X, R_U (None without
+    inputs) and R_X'.
 
-    With [B1^T | B2^T | ...] = Q R for one Q with orthonormal columns, each
-    B_i = R_i^T Q^T. So the SVD of B_i is that of R_i^T with right vectors
-    Q W, a product B_j V = B_j Q W is R_j^T W, and a Frobenius norm of a
-    combination of the B_i is that of the same combination of the R_i^T:
-    the regressions work on R_i, whose rows number at most the total
-    height of the B_i, and never on the m-long blocks. R is accumulated over
-    QR_CHUNK pairs at a time (TSQR: R = qr([R; next rows])), so no temporary
-    holds all m pairs. A block with a NaN or an inf raises DataError.
+    With [X | U | X'] = Q R for one Q with orthonormal columns, each block
+    B^T = R_B^T Q^T. So the SVD of B^T is that of R_B^T with right vectors
+    Q W, a product B^T V = B^T Q W is R_B^T W, and a Frobenius norm of a
+    combination of the B^T is that of the same combination of the R_B^T:
+    the regressions work on R_B, whose rows number at most the width of
+    [X | U | X'], and never on the m-long blocks. R is accumulated over the
+    blocks of QR_CHUNK pairs that `SnapshotPairs.blocks` hands out (TSQR:
+    R = qr([R; next rows])), each copied into one buffer below the R of the
+    blocks before it, so no temporary holds all m pairs. A block with a NaN
+    or an inf raises DataError.
     """
-    edges = np.cumsum([0, *(b.shape[0] for b in blocks)])
-    m = blocks[0].shape[1]
-    R = np.empty((0, edges[-1]))
-    for a in range(0, m, QR_CHUNK):
-        c = min(QR_CHUNK, m - a)
-        k = R.shape[0]
-        # column-major: each block row fills a contiguous column of S, and
-        # LAPACK reads S without a transposing copy
-        S = np.empty((k + c, edges[-1]), order="F")
-        S[:k] = R
-        for b, lo, hi in zip(blocks, edges[:-1], edges[1:]):
-            S[k:, lo:hi] = b[:, a:a + c].T
-        _check_finite(S[k:], a)
-        R = np.linalg.qr(S, mode="r")
-    return [R[:, lo:hi] for lo, hi in zip(edges[:-1], edges[1:])]
+    N = pairs.n_features
+    q = pairs.n_inputs if inputs else 0
+    W = 2 * N + q
+    # column-major, so each column of a block is filled, and copied for
+    # LAPACK, contiguously
+    S = np.empty((W + min(QR_CHUNK, pairs.m), W), order="F")
+    out = (S[W:, :N], S[W:, N:N + q] if q else None, S[W:, N + q:])
+    R = np.empty((0, W))
+    a = 0
+    for X, _, _ in pairs.blocks(QR_CHUNK, out):
+        c, k = X.shape[0], R.shape[0]
+        S[W - k:W] = R
+        _check_finite(S[W:W + c], a)
+        R = np.linalg.qr(S[W - k:W + c], mode="r")
+        a += c
+    return R[:, :N], (R[:, N:N + q] if q else None), R[:, N + q:]
 
 
 def _residual(E: np.ndarray, target: np.ndarray):
@@ -297,17 +326,18 @@ def _lift_eigensystem(eig_red: EigenSystem, projection: np.ndarray) -> EigenSyst
     )
 
 
-def fit_edmd(Z, Zprime, rank=None, dt: float = 1.0) -> RegressionResult:
+def fit_edmd(Z, Zprime=None, rank=None, dt: float = 1.0) -> RegressionResult:
     """SVD-based least-squares fit of Z' ~ A Z on lifted snapshot columns.
 
-    Fits the reduced operator over the leading left-singular basis of Z and
-    returns it in the full lifted space, with its eigensystem mapped there
-    too, and both projected and exact SVD-DMD modes (the exact form is the
-    default reported one; eigenvalues at zero fall back to the projected
+    Z and Zprime are (N, m) matrices, or Z is a `SnapshotPairs` and Zprime
+    None. Fits the reduced operator over the leading left-singular basis of
+    Z and returns it in the full lifted space, with its eigensystem mapped
+    there too, and both projected and exact SVD-DMD modes (the exact form is
+    the default reported one; eigenvalues at zero fall back to the projected
     mode). Everything is computed from the R factor of [Z^T | Z'^T].
     """
-    Z, Zp = _snapshot_pairs(Z, Zprime)
-    RZ, RZp = _pair_factor(Z, Zp)
+    pairs = _as_pairs(Z, Zprime)
+    RZ, _, RZp = _pair_factor(pairs)
     Ur, sr, W = _truncate_svd(RZ.T, rank)  # right vectors of Z: Vr = Q W
     r = sr.shape[0]
     G = RZp.T @ (W * (1.0 / sr))  # (N, r) = Zprime Vr Sr^-1
@@ -334,32 +364,28 @@ def fit_edmd(Z, Zprime, rank=None, dt: float = 1.0) -> RegressionResult:
     fro, rel = _residual(RZp.T - A_full @ RZ.T, RZp)
     return RegressionResult(
         rank=r, A=A_full, eigensystem=eig_full, modes_exact=ME,
-        residual_fro=fro, residual_rel=rel, sigma_min=float(sr[-1]), m=Z.shape[1],
+        residual_fro=fro, residual_rel=rel, sigma_min=float(sr[-1]), m=pairs.m,
         findings=findings,
     )
 
 
-def fit_edmdc(Z, Zprime, U, rank_in=None, rank_out=None,
+def fit_edmdc(Z, Zprime=None, U=None, rank_in=None, rank_out=None,
               dt: float = 1.0) -> RegressionResult:
     """Controlled fit: Z' ~ A Z + B U via SVD of the stacked [Z; U].
 
-    When rank_out is given and below N, a second SVD of Zprime compresses the
-    state block; the eigensystem is always computed from A alone. Both SVDs
-    and the residual are taken on the R factor of [Z^T | U^T | Z'^T].
+    Z, Zprime (N, m) and U (q, m) are matrices, or Z is a `SnapshotPairs`
+    with inputs and the other two None. When rank_out is given and below N,
+    a second SVD of Zprime compresses the state block; the eigensystem is
+    always computed from A alone. Both SVDs and the residual are taken on
+    the R factor of [Z^T | U^T | Z'^T].
     """
-    Z, Zp = _snapshot_pairs(Z, Zprime)
-    U = _as_matrix(U, "U")
-    N, m = Z.shape
-    q = U.shape[0]
-    if q == 0:
-        raise ConfigError("no input channels given; use fit_edmd for unforced data")
-    if U.shape[1] != m:
-        raise DataError(f"U has {U.shape[1]} columns, expected {m}")
+    pairs = _as_pairs(Z, Zprime, U, inputs=True)
+    N, m, q = pairs.n_features, pairs.m, pairs.n_inputs
     cap_in, _ = _parse_rank(rank_in, "rank_in")
     cap_out, _ = _parse_rank(rank_out, "rank_out")
     if cap_in is not None and cap_in > N + q:
         raise ConfigError(f"rank_in={rank_in} exceeds stacked dimension {N + q}")
-    RZ, RU, RZp = _pair_factor(Z, U, Zp)
+    RZ, RU, RZp = _pair_factor(pairs, inputs=True)
     Uo, so, W = _truncate_svd(np.hstack([RZ, RU]).T, rank_in)
     AB = RZp.T @ (W * (1.0 / so)) @ Uo.T  # (N, N+q)
     A = AB[:, :N]
@@ -422,10 +448,11 @@ class KernelConfig:
                                     self.degree)
 
 
-def _check_gram_memory(m: int) -> None:
-    """Refuse a kernel fit whose m x m Gram matrices (G, T and the
-    symmetrized copy, float64) exceed physical memory, before allocating any."""
-    need = 3 * m * m * np.dtype(float).itemsize
+def _check_gram_memory(m: int, kind: str) -> None:
+    """Refuse a kernel fit whose m x m float64 Gram matrices exceed physical
+    memory, before allocating any: G and T, and for the polynomial kernel
+    the symmetrized G + G^T (a gaussian G is symmetric as computed)."""
+    need = (2 if kind == "gaussian" else 3) * m * m * np.dtype(float).itemsize
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ConfigError(
@@ -434,28 +461,34 @@ def _check_gram_memory(m: int) -> None:
         )
 
 
-def _leading_gram_eigenpairs(G: np.ndarray, r: int):
+def _leading_gram_eigenpairs(G: np.ndarray, r: int, symmetric: bool = False):
     """The r largest eigenpairs of 0.5 (G + G^T), in decreasing order, by
     ARPACK's Lanczos iteration from a fixed start vector; None when G is zero
     or ARPACK does not converge, which sends the caller to the dense solver.
 
     ARPACK accepts a Ritz value theta once its residual bound is at most
-    eps * max(eps^(2/3), |theta|). The operator is scaled by a power of two
-    (exactly) so its trace, which bounds its spectrum, is at most eps^(2/3):
-    the test then asks every Ritz value for the residual eps * trace, the
-    backward error a dense eigh attains. Unscaled, Ritz values at the
-    rounding floor must meet an unreachable relative bound, and at m = 1,580
-    and r = 160 the iteration ran 20 s instead of about 1 s.
+    eps * max(eps^(2/3), |theta|). The operator G + G^T is scaled by a power
+    of two (exactly) so its trace, which bounds its spectrum, is at most
+    eps^(2/3): the test then asks every Ritz value for the residual
+    eps * trace, the backward error a dense eigh attains. Unscaled, Ritz
+    values at the rounding floor must meet an unreachable relative bound,
+    and at m = 1,580 and r = 160 the iteration ran 20 s instead of about 1 s.
+
+    A ``symmetric`` G (bitwise, as the gaussian kernel computes it) is used
+    as it is: G + G^T is then exactly 2 G, so its trace is 2 trace(G) and
+    its products 2 (G v), and the iteration runs on the same bits without
+    the sum's m x m array.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     m = G.shape[0]
-    S = G + G.T
-    trace = S.trace()
+    S, scale = (G, 1) if symmetric else (G + G.T, 0)
+    trace = np.ldexp(S.trace(), scale)
     if not trace > 0.0:
         return None
     shift = int(np.ceil(np.log2(trace / np.finfo(float).eps ** (2.0 / 3.0))))
-    op = LinearOperator((m, m), matvec=lambda v: np.ldexp(S @ v, -shift), dtype=float)
+    op = LinearOperator((m, m), matvec=lambda v: np.ldexp(S @ v, scale - shift),
+                        dtype=float)
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
     try:
         s, Q = eigsh(op, k=r, which="LA", v0=v0)
@@ -490,23 +523,28 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
     OpenBLAS) the Lanczos solve took 0.15-0.42 of the dense time at
     r = m/32 and 0.35-1.4 of it at r = m/16.
 
-    Before any m x m allocation, a fit whose three Gram matrices would not
-    fit in physical memory raises ConfigError.
+    Before any m x m allocation, a fit whose Gram matrices (two for the
+    gaussian kernel, three for the polynomial one) would not fit in
+    physical memory raises ConfigError.
     """
     X, Xp = _snapshot_pairs(X, Xprime)
     m = X.shape[1]
     _parse_rank(rank, "kernel rank", cutoff=False)
-    _check_gram_memory(m)
+    _check_gram_memory(m, kernel.kind)
     Xr = np.ascontiguousarray(X.T)
     Xpr = np.ascontiguousarray(Xp.T)
     _check_finite(np.hstack([Xr, Xpr]))
     G = kernel.gram(Xr, Xr)
     T = kernel.gram(Xpr, Xr)
+    # a gaussian G is symmetric as computed (sq_distances takes each
+    # difference directly, and fl(a - b) = -fl(b - a)); a polynomial G is
+    # symmetric only where numpy computes X X^T by syrk, so it is symmetrized
+    symmetric = kernel.kind == "gaussian"
     eigpairs = None
     if rank is not None and LANCZOS_RATIO * rank <= m:
-        eigpairs = _leading_gram_eigenpairs(G, int(rank))
+        eigpairs = _leading_gram_eigenpairs(G, int(rank), symmetric)
     if eigpairs is None:
-        s, Q = np.linalg.eigh(0.5 * (G + G.T))
+        s, Q = np.linalg.eigh(G if symmetric else 0.5 * (G + G.T))
         eigpairs = s[::-1], Q[:, ::-1]
     s, Q = eigpairs
     s = np.maximum(s, 0.0)

@@ -165,3 +165,104 @@ def test_time_delay_pairs_reject_a_short_trajectory():
         kl.build_snapshot_pairs(ds, kl.TimeDelay(2).bind(2))
     with pytest.raises(kl.DataError, match="trajectory 1: trajectory with 3 samples is too short"):
         kl.build_snapshot_pairs(ds, kl.TimeDelay(3).bind(2))
+
+
+# ---------------------------------------------------------------------------
+# snapshot pairs handed out block by block
+# ---------------------------------------------------------------------------
+
+def _straddling_pairs(library=None):
+    # 6, 9 and 4 pairs with one input channel: blocks of 7 or 5 pairs cross
+    # every trajectory boundary
+    rng = np.random.default_rng(12)
+    trajs = [rng.normal(size=(T, 2)) for T in (7, 10, 5)]
+    inputs = [rng.normal(size=(T, 1)) for T in (7, 10, 5)]
+    return kl.build_snapshot_pairs(kl.TrajectoryDataset(trajs, 0.1, inputs), library)
+
+
+def test_pairs_hold_one_lifted_array_per_trajectory():
+    pairs = _straddling_pairs(kl.Polynomial(2).bind(2))
+    assert pairs.m == 19 and pairs.n_features == 6 and pairs.n_inputs == 1
+    for X, U, Xp in pairs.segments:
+        # X and X' are two views of one lifted trajectory, one row apart
+        assert X.base is not None and X.base is Xp.base
+        np.testing.assert_array_equal(X[1:], Xp[:-1])
+        assert U.shape == (X.shape[0], 1)
+
+
+@pytest.mark.parametrize("size", [1, 5, 6, 7, 15, 19, 100])
+def test_blocks_hand_out_every_pair_in_order(size):
+    pairs = _straddling_pairs()
+    X, U, Xp = pairs.X.T, pairs.U.T, pairs.Xprime.T
+    starts = []
+    a = 0
+    for bx, bu, bxp in pairs.blocks(size):
+        c = bx.shape[0]
+        assert c == min(size, pairs.m - a)
+        np.testing.assert_array_equal(bx, X[a:a + c])
+        np.testing.assert_array_equal(bu, U[a:a + c])
+        np.testing.assert_array_equal(bxp, Xp[a:a + c])
+        # inside one trajectory a block is a view of its data
+        inside = any(np.shares_memory(bx, s[0]) for s in pairs.segments)
+        edges = np.cumsum([0, 6, 9, 4])
+        spans = np.searchsorted(edges, a, "right") != np.searchsorted(edges, a + c - 1, "right")
+        assert inside != spans
+        starts.append(a)
+        a += c
+    assert a == pairs.m and starts == list(range(0, pairs.m, size))
+
+
+def test_blocks_reuse_one_buffer_and_fill_out():
+    pairs = _straddling_pairs()
+    spanning = [b[0] for b in pairs.blocks(7) if b[0].base is not None
+                and not any(np.shares_memory(b[0], s[0]) for s in pairs.segments)]
+    assert len(spanning) == 2 and spanning[0].base is spanning[1].base
+    out = (np.empty((7, 2)), None, np.empty((7, 2)))
+    for bx, bu, bxp in pairs.blocks(7, out):
+        assert bx.base is out[0] and bu is None and bxp.base is out[2]
+
+
+def test_pair_matrices_assemble_on_demand():
+    pairs = _straddling_pairs()
+    assert pairs.X.shape == pairs.Xprime.shape == (2, 19) and pairs.U.shape == (1, 19)
+    assert not np.shares_memory(pairs.X, pairs.segments[0][0])
+    assert kl.build_snapshot_pairs(kl.TrajectoryDataset([np.ones((3, 2))], 1.0)).U is None
+    single = kl.SnapshotPairs.from_columns(pairs.X, pairs.Xprime, U=pairs.U)
+    assert single.m == 19 and len(single.segments) == 1
+
+
+def test_tsqr_blocks_across_trajectories_match_a_stacked_reference(monkeypatch):
+    monkeypatch.setattr(kl.regression, "QR_CHUNK", 7)
+    pairs = _straddling_pairs(kl.Polynomial(2).bind(2))
+    RX, RU, RXp = kl.regression._pair_factor(pairs, inputs=True)
+    # the TSQR written out on the stacked rows [X | U | X']
+    M = np.hstack([pairs.X.T, pairs.U.T, pairs.Xprime.T])
+    R = np.empty((0, M.shape[1]))
+    for a in range(0, M.shape[0], 7):
+        R = np.linalg.qr(np.asfortranarray(np.vstack([R, M[a:a + 7]])), mode="r")
+    np.testing.assert_array_equal(np.hstack([RX, RU, RXp]), R)
+    assert RX.shape[1] == RXp.shape[1] == 6 and RU.shape[1] == 1
+
+
+def test_a_non_finite_pair_is_named_across_blocks(monkeypatch):
+    monkeypatch.setattr(kl.regression, "QR_CHUNK", 7)
+    trajs = [np.ones((7, 2)), np.ones((10, 2))]
+    trajs[1][3, 1] = np.nan  # pair 6 + 2 holds it as X', pair 6 + 3 as X
+    with pytest.raises(kl.DataError, match="snapshot pair 8 holds a non-finite value"):
+        kl.fit(kl.Identity(), "dmd", kl.TrajectoryDataset(trajs, 1.0))
+
+
+@pytest.mark.parametrize("n,d", [(2, 8), (3, 0), (1, 3), (2, 1)])
+def test_time_delay_lift_is_a_read_only_hankel_view(n, d):
+    traj = np.random.default_rng(n + d).normal(size=(13, n))
+    Y = kl.TimeDelay(d).bind(n).lift_trajectory(traj)
+    # the delay embedding as d + 1 stacked copies, most recent state first
+    T = traj.shape[0]
+    np.testing.assert_array_equal(Y, np.hstack([traj[d - j:T - j] for j in range(d + 1)]))
+    assert not Y.flags.writeable
+    # every row is a window of one (T, n) copy of the trajectory
+    base = Y
+    while base.base is not None:
+        base = base.base
+    assert base.nbytes == traj.nbytes and np.shares_memory(Y, base)
+    assert not np.shares_memory(Y, traj)

@@ -377,7 +377,7 @@ def test_linearity_nan_sentinel():
     res = kl.RegressionResult(rank=2, A=np.eye(2), eigensystem=kl.eig_biorthogonal(np.eye(2)))
     phi_x = np.array([[0.0, 0.0], [1.0, 2.0]])
     phi_xp = np.array([[0.0, 0.0], [1.0, 2.0]])
-    pairs = kl.SnapshotPairs(X=phi_x, Xprime=phi_xp, dt=1.0)
+    pairs = kl.SnapshotPairs.from_columns(phi_x, phi_xp)
     scores, findings = _consistency_scores(res, pairs)
     assert np.isnan(scores[0]) and scores[1] == 0.0
     assert len(findings) == 1 and findings[0].kind == "vanishing-eigenfunction"
@@ -425,10 +425,72 @@ def test_chunked_scores_of_complex_pairs_under_complex_eigenvectors():
     assert np.iscomplexobj(res.eigensystem.lambdas) and np.any(res.eigensystem.lambdas.imag)
     m = 4 * SCORE_CHUNK + 979
     X = rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m))
-    pairs = kl.SnapshotPairs(X=X, Xprime=A @ X + 0.1 * rng.normal(size=(4, m)), dt=1.0)
+    pairs = kl.SnapshotPairs.from_columns(X, A @ X + 0.1 * rng.normal(size=(4, m)))
     scores, _ = _consistency_scores(res, pairs)
     np.testing.assert_allclose(scores, _complex_scores(res, pairs), rtol=1e-12)
 
+
+
+def test_scores_over_blocks_across_trajectories_match_a_stacked_reference(monkeypatch):
+    from kooplift.model import _real_rows
+
+    monkeypatch.setattr(kl.regression, "QR_CHUNK", 7)
+    monkeypatch.setattr(kl.model, "SCORE_CHUNK", 5)
+    # 6, 9 and 4 pairs with one input channel: every block of 5 or 7 pairs
+    # but the first crosses a trajectory boundary or sits between two
+    rng = np.random.default_rng(12)
+    trajs = [rng.uniform(-1.0, 1.0, size=(T, 2)) for T in (7, 10, 5)]
+    inputs = [rng.uniform(-1.0, 1.0, size=(T, 1)) for T in (7, 10, 5)]
+    ds = kl.TrajectoryDataset(trajs, 0.1, inputs)
+    model = kl.fit(kl.Polynomial(2), "edmdc", ds)
+    pairs = kl.build_snapshot_pairs(ds, model.observables)
+    # the same fit on the stacked matrices, one segment
+    stacked = kl.fit_edmdc(pairs.X, pairs.Xprime, pairs.U, dt=0.1)
+    np.testing.assert_array_equal(model.A, stacked.A)
+    np.testing.assert_array_equal(model.B, stacked.B)
+    # the scores written out on column slices of the stacked (N, m) matrices
+    X, Xp = pairs.X, pairs.Xprime
+    es = model.regression.eigensystem
+    r = es.rank
+    rows = _real_rows(es.W_left.conj().T, False)
+    lr, li = es.lambdas.real[:, None], es.lambdas.imag[:, None]
+    num, den = np.zeros(2 * r), np.zeros(2 * r)
+    for a in range(0, pairs.m, 5):
+        P, Q = rows @ Xp[:, a:a + 5], rows @ X[:, a:a + 5]
+        den += np.einsum("ij,ij->i", Q, Q)
+        P[:r] -= lr * Q[:r] - li * Q[r:]
+        P[r:] -= lr * Q[r:] + li * Q[:r]
+        num += np.einsum("ij,ij->i", P, P)
+    expected = np.sqrt(num[:r] + num[r:]) / np.sqrt(den[:r] + den[r:])
+    np.testing.assert_array_equal(model.training_scores, expected)
+    np.testing.assert_array_equal(model.linearity_consistency(ds)[0], expected)
+
+
+def test_fit_holds_the_lifted_pairs_once():
+    import tracemalloc
+
+    x0 = np.random.default_rng(5).uniform(-1.0, 1.0, size=(20, 2))
+    trajs = kl.integrate_rk4_batch(kl.get_system("slow_manifold"), x0, 0.02, 1999)
+    ds = kl.TrajectoryDataset(list(trajs), dt=0.02)
+    tracemalloc.start()
+    try:
+        model = kl.fit(kl.RadialBasis("gauss", n_centers=50, seed=0), "edmd", ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    N = model.A.shape[0]
+    lifted = ds.n_samples * N * 8  # every trajectory lifted once
+    # one TSQR step holds its block of pairs below R, and np.linalg.qr's copy
+    # of the two; pairs stacked into X and X' would add two more lifted copies
+    step = 2 * (2 * N + kl.regression.QR_CHUNK) * 2 * N * 8
+    assert peak < 1.5 * lifted + step, (peak, lifted, step)
+
+
+def test_eigenfunctions_rows_refuse_a_batch_that_is_not_2d(diag_model):
+    assert diag_model.eigenfunctions_rows(np.ones((3, 2))).shape == (3, 2)
+    for shape in ((2,), (1, 3, 2)):
+        with pytest.raises(DataError, match="2-d array of rows"):
+            diag_model.eigenfunctions_rows(np.ones(shape))
 
 def _controlled_linear_dataset():
     A, B = kl.drss(2, 1, seed=3)

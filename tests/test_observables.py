@@ -405,3 +405,31 @@ def test_rebinding_alpha_changes_the_kernel_lift():
     G = _kernels.gram_matrix(X, lib.centers, "gaussian", 1.5, 1.0, 2)
     np.testing.assert_allclose(Z, G @ lib.alpha, rtol=1e-12)
     assert np.array_equal(Z[:, 1], Z[:, 0].conj())
+
+
+# ---------------------------------------------------------------------------
+# batches of rows
+# ---------------------------------------------------------------------------
+
+def _every_library():
+    rng = np.random.default_rng(3)
+    return [
+        _bound(kl.Identity(), 2),
+        _bound(kl.Polynomial(2), 2),
+        _bound(kl.TimeDelay(2), 2),
+        _bound(kl.RadialBasis("gauss", centers=rng.normal(size=(3, 2))), 2),
+        _bound(kl.RandomFourier(4), 2),
+        _bound(kl.Custom([lambda x: x[0] * x[1]]), 2),
+        _bound(kl.Concat([kl.Polynomial(2), kl.RandomFourier(3)]), 2),
+        kl.KernelLift(kl.KernelConfig(), rng.normal(size=(5, 2)),
+                      rng.normal(size=(5, 2)) + 0j),
+    ]
+
+
+@pytest.mark.parametrize("lib", _every_library(), ids=lambda lib: lib.kind)
+def test_lift_rows_refuses_a_batch_that_is_not_2d(lib):
+    width = lib.n_output if isinstance(lib, kl.TimeDelay) else 2
+    assert lib.lift_rows(np.ones((3, width))).shape == (3, lib.n_output)
+    for shape in ((width,), (2, 3, width), ()):
+        with pytest.raises(DataError, match="2-d array of rows"):
+            lib.lift_rows(np.ones(shape))

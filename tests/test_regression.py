@@ -327,9 +327,10 @@ def test_pair_factor_is_independent_of_the_block_boundaries(m, monkeypatch):
     blocks = (rng.normal(size=(4, m)), rng.normal(size=(1, m)), rng.normal(size=(4, m)))
     M = np.vstack(blocks).T
     gram = M.T @ M
+    pairs = kl.SnapshotPairs.from_columns(blocks[0], blocks[2], U=blocks[1])
     for chunk in (1, 2, 7, 64, m, 10_000):
         monkeypatch.setattr(kl.regression, "QR_CHUNK", chunk)
-        parts = kl.regression._pair_factor(*blocks)
+        parts = kl.regression._pair_factor(pairs, inputs=True)
         R = np.hstack(parts)
         assert R.shape == (min(m, 9), 9)
         assert [p.shape[1] for p in parts] == [4, 1, 4]
@@ -486,6 +487,21 @@ def test_truncated_kdmd_matches_edmd_oracle(slow_manifold_pairs):
     )
 
 
+
+def test_gaussian_gram_eigenpairs_skip_the_symmetrization(slow_manifold_pairs):
+    # a gaussian G is symmetric as computed, so G + G^T = 2 G exactly: the
+    # Lanczos and dense solves on G itself give the bits of the summed route
+    pairs = slow_manifold_pairs
+    Xr = pairs.X.T.copy()
+    G = kl.KernelConfig(kind="gaussian", sigma=1.0).gram(Xr, Xr)
+    assert np.array_equal(G, G.T)
+    summed = kl.regression._leading_gram_eigenpairs(G, 10)
+    direct = kl.regression._leading_gram_eigenpairs(G, 10, symmetric=True)
+    for a, b in zip(direct, summed):
+        np.testing.assert_array_equal(a, b)
+    for a, b in zip(np.linalg.eigh(G), np.linalg.eigh(0.5 * (G + G.T))):
+        np.testing.assert_array_equal(a, b)
+
 def test_truncated_kdmd_falls_back_to_the_dense_solver(slow_manifold_pairs, monkeypatch):
     import scipy.sparse.linalg
     from scipy.sparse.linalg import ArpackNoConvergence
@@ -520,11 +536,13 @@ def test_truncated_kdmd_fits_are_bit_identical(tmp_path):
 
 
 def test_kdmd_refuses_gram_matrices_beyond_physical_memory():
-    # three 10^6 x 10^6 float64 matrices: refused before any is allocated
+    # 10^6 x 10^6 float64 matrices, refused before any is allocated: G and T
+    # for the gaussian kernel, and the symmetrized G + G^T for the polynomial
     X = np.zeros((2, 10**6))
-    need = f"{3 * 8 * 10**12:,} bytes"
-    with pytest.raises(ConfigError, match=need):
-        kl.fit_kdmd(X, X, kl.KernelConfig(kind="gaussian"), rank=20)
+    for kind, count in (("gaussian", 2), ("polynomial", 3)):
+        need = f"{count * 8 * 10**12:,} bytes"
+        with pytest.raises(ConfigError, match=need):
+            kl.fit_kdmd(X, X, kl.KernelConfig(kind=kind), rank=20)
 
 
 # ---------------------------------------------------------------------------
