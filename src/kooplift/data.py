@@ -166,10 +166,10 @@ class SnapshotPairs:
     Each segment is a triple (X, U, Xprime) of row arrays, one row per pair:
     X and Xprime are (m_i, N), U is (m_i, q) or None. From a trajectory
     lifted into Y, X = Y[:-1] and Xprime = Y[1:] are two views of Y, so the
-    lifted data is held once. `blocks` hands the pairs out in order, a block
-    of rows at a time, and `stacked` all at once; the column matrices `X`,
-    `Xprime` (N x m) and `U` (q x m) are assembled on demand, for callers
-    outside the package.
+    lifted data is held once. `blocks` copies the pairs out in order, a
+    block of rows at a time, and `stacked` gives them all at once; the
+    column matrices `X`, `Xprime` (N x m) and `U` (q x m) are assembled on
+    demand, for callers outside the package.
     """
 
     segments: tuple
@@ -203,31 +203,25 @@ class SnapshotPairs:
         pairs, the last one shorter; U is None without inputs.
 
         Blocks start at multiples of `size` over all pairs, so they cross
-        trajectory boundaries. A block inside one segment is handed out as
-        views of it; a block that spans segments is copied into one buffer,
-        allocated on first use and reused. With `out`, three arrays of at
-        least min(size, m) rows (U's may be None), every block is copied
-        into them and handed out as their leading rows.
+        trajectory boundaries. Each block is copied into the leading rows of
+        `out`, three arrays of at least min(size, m) rows (U's may be None),
+        or else of three such buffers allocated up front, so a block is
+        valid only until the next one is handed out: copy it to keep it.
         """
         m = self.m
+        if out is None:
+            out = tuple(None if p is None else np.empty((min(size, m), p.shape[1]), p.dtype)
+                        for p in self.segments[0])
         edges = np.cumsum([0, *(x.shape[0] for x, _, _ in self.segments)])
-        buffers = out
         for a in range(0, m, size):
             b = min(a + size, m)
             pieces = [tuple(None if p is None else p[max(a - lo, 0):b - lo] for p in seg)
                       for seg, lo, hi in zip(self.segments, edges, edges[1:])
                       if lo < b and hi > a]
-            if len(pieces) == 1 and out is None:
-                yield pieces[0]
-                continue
-            if buffers is None:
-                rows = min(size, m)
-                buffers = tuple(None if p is None else np.empty((rows, p.shape[1]), p.dtype)
-                                for p in pieces[0])
-            for k, buf in enumerate(buffers):
+            for k, buf in enumerate(out):
                 if buf is not None:
                     np.concatenate([p[k] for p in pieces], out=buf[:b - a])
-            yield tuple(None if buf is None else buf[:b - a] for buf in buffers)
+            yield tuple(None if buf is None else buf[:b - a] for buf in out)
 
     def stacked(self, part: str) -> Optional[np.ndarray]:
         """Part "X", "U" or "Xprime" of every pair as one (m, width) row

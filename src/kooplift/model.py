@@ -159,10 +159,8 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
     num = np.zeros(2 * r)
     den = np.zeros(2 * r)
     for X, _, Xp in pairs.blocks(SCORE_CHUNK):
-        # each block as C-ordered rows (a Hankel view has negative strides,
-        # which BLAS cannot read), so its columns are laid out alike
-        P = rows @ _real_parts(np.ascontiguousarray(Xp).T)  # [Re; Im] phi(X')
-        Q = rows @ _real_parts(np.ascontiguousarray(X).T)  # [Re; Im] phi(X)
+        P = rows @ _real_parts(Xp.T)  # [Re; Im] phi(X')
+        Q = rows @ _real_parts(X.T)  # [Re; Im] phi(X)
         den += np.einsum("ij,ij->i", Q, Q)
         P[:r] -= lr * Q[:r] - li * Q[r:]
         P[r:] -= lr * Q[r:] + li * Q[:r]

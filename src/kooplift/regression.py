@@ -461,40 +461,34 @@ def _check_gram_memory(m: int, kind: str) -> None:
         )
 
 
-def _leading_gram_eigenpairs(G: np.ndarray, r: int, symmetric: bool = False):
-    """The r largest eigenpairs of 0.5 (G + G^T), in decreasing order, by
-    ARPACK's Lanczos iteration from a fixed start vector; None when G is zero
+def _leading_gram_eigenpairs(S: np.ndarray, r: int):
+    """The r largest eigenpairs of the symmetric S, in decreasing order, by
+    ARPACK's Lanczos iteration from a fixed start vector; None when S is zero
     or ARPACK does not converge, which sends the caller to the dense solver.
 
     ARPACK accepts a Ritz value theta once its residual bound is at most
-    eps * max(eps^(2/3), |theta|). The operator G + G^T is scaled by a power
-    of two (exactly) so its trace, which bounds its spectrum, is at most
-    eps^(2/3): the test then asks every Ritz value for the residual
-    eps * trace, the backward error a dense eigh attains. Unscaled, Ritz
-    values at the rounding floor must meet an unreachable relative bound,
-    and at m = 1,580 and r = 160 the iteration ran 20 s instead of about 1 s.
-
-    A ``symmetric`` G (bitwise, as the gaussian kernel computes it) is used
-    as it is: G + G^T is then exactly 2 G, so its trace is 2 trace(G) and
-    its products 2 (G v), and the iteration runs on the same bits without
-    the sum's m x m array.
+    eps * max(eps^(2/3), |theta|). The operator is scaled by a power of two
+    (exactly) so its trace, which bounds its spectrum, is at most eps^(2/3),
+    and the eigenvalues unscaled by the same power: the test then asks every
+    Ritz value for the residual eps * trace, the backward error a dense eigh
+    attains. Unscaled, Ritz values at the rounding floor must meet an
+    unreachable relative bound, and at m = 1,580 and r = 160 the iteration
+    ran 20 s instead of about 1 s.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    m = G.shape[0]
-    S, scale = (G, 1) if symmetric else (G + G.T, 0)
-    trace = np.ldexp(S.trace(), scale)
+    m = S.shape[0]
+    trace = S.trace()
     if not trace > 0.0:
         return None
     shift = int(np.ceil(np.log2(trace / np.finfo(float).eps ** (2.0 / 3.0))))
-    op = LinearOperator((m, m), matvec=lambda v: np.ldexp(S @ v, scale - shift),
-                        dtype=float)
+    op = LinearOperator((m, m), matvec=lambda v: np.ldexp(S @ v, -shift), dtype=float)
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
     try:
         s, Q = eigsh(op, k=r, which="LA", v0=v0)
     except ArpackNoConvergence:
         return None
-    return np.ldexp(s[::-1], shift - 1), Q[:, ::-1]
+    return np.ldexp(s[::-1], shift), Q[:, ::-1]
 
 
 def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> RegressionResult:
@@ -536,18 +530,21 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
     _check_finite(np.hstack([Xr, Xpr]))
     G = kernel.gram(Xr, Xr)
     T = kernel.gram(Xpr, Xr)
-    # a gaussian G is symmetric as computed (sq_distances takes each
-    # difference directly, and fl(a - b) = -fl(b - a)); a polynomial G is
-    # symmetric only where numpy computes X X^T by syrk, so it is symmetrized
-    symmetric = kernel.kind == "gaussian"
+    # the eigenpairs of 0.5 (G + G^T): a gaussian G is that matrix as
+    # computed (sq_distances takes each difference directly, and
+    # fl(a - b) = -fl(b - a)); a polynomial G is symmetric only where numpy
+    # computes X X^T by syrk, so the sum is solved and its eigenvalues halved
+    # (exactly, a power of two)
+    S, scale = (G, 0) if kernel.kind == "gaussian" else (G + G.T, -1)
     eigpairs = None
     if rank is not None and LANCZOS_RATIO * rank <= m:
-        eigpairs = _leading_gram_eigenpairs(G, int(rank), symmetric)
+        eigpairs = _leading_gram_eigenpairs(S, int(rank))
     if eigpairs is None:
-        s, Q = np.linalg.eigh(G if symmetric else 0.5 * (G + G.T))
+        s, Q = np.linalg.eigh(S)
         eigpairs = s[::-1], Q[:, ::-1]
+    del S
     s, Q = eigpairs
-    s = np.maximum(s, 0.0)
+    s = np.maximum(np.ldexp(s, scale), 0.0)
     if s[0] <= 0.0:
         raise RegressionError("Gram matrix is zero; no data support")
     # counted over the computed eigenvalues: where only the leading r were

@@ -202,11 +202,7 @@ def test_blocks_hand_out_every_pair_in_order(size):
         np.testing.assert_array_equal(bx, X[a:a + c])
         np.testing.assert_array_equal(bu, U[a:a + c])
         np.testing.assert_array_equal(bxp, Xp[a:a + c])
-        # inside one trajectory a block is a view of its data
-        inside = any(np.shares_memory(bx, s[0]) for s in pairs.segments)
-        edges = np.cumsum([0, 6, 9, 4])
-        spans = np.searchsorted(edges, a, "right") != np.searchsorted(edges, a + c - 1, "right")
-        assert inside != spans
+        assert not any(np.shares_memory(bx, s[0]) for s in pairs.segments)
         starts.append(a)
         a += c
     assert a == pairs.m and starts == list(range(0, pairs.m, size))
@@ -214,9 +210,8 @@ def test_blocks_hand_out_every_pair_in_order(size):
 
 def test_blocks_reuse_one_buffer_and_fill_out():
     pairs = _straddling_pairs()
-    spanning = [b[0] for b in pairs.blocks(7) if b[0].base is not None
-                and not any(np.shares_memory(b[0], s[0]) for s in pairs.segments)]
-    assert len(spanning) == 2 and spanning[0].base is spanning[1].base
+    bases = [bx.base for bx, _, _ in pairs.blocks(7)]
+    assert len(bases) == 3 and all(b is bases[0] for b in bases)
     out = (np.empty((7, 2)), None, np.empty((7, 2)))
     for bx, bu, bxp in pairs.blocks(7, out):
         assert bx.base is out[0] and bu is None and bxp.base is out[2]
