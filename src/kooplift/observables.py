@@ -632,11 +632,23 @@ class KernelLift(Observable):
 
     @alpha.setter
     def alpha(self, alpha):
-        # found once per assignment: lift_rows conjugates the first of two exactly
-        # conjugate columns into the second, so a real fit's conjugate pairs stay
-        # exact (a GEMM rounds a column by its position)
+        # found once per assignment: the GEMM multiplies only the columns that
+        # are not the exact conjugate of their left neighbour (a partner is
+        # never itself such a copy), and lift_rows writes each copy as its
+        # partner's product with the imaginary part negated, so a real fit's
+        # conjugate pairs stay exact (a GEMM rounds a column by its position)
         self._alpha = a = np.asarray(alpha, dtype=complex)
-        self._pairs = np.flatnonzero((a[:, 1:] == a[:, :-1].conj()).all(axis=0))
+        j = np.flatnonzero((a[:, 1:] == a[:, :-1].conj()).all(axis=0))
+        copy = np.zeros(a.shape[1], dtype=bool)
+        copy[j[~np.isin(j - 1, j)] + 1] = True
+        self._alpha_kept = a[:, ~copy]
+        # per output column, in the (re, im) float view: the column of the
+        # kept product it takes (a copy takes its partner's) and its sign
+        src = np.cumsum(~copy) - 1
+        self._gather = (2 * src[:, None] + np.arange(2)).ravel()
+        sign = np.ones((a.shape[1], 2))
+        sign[copy, 1] = -1.0
+        self._sign = sign.ravel()
 
     @property
     def n_output(self) -> int:
@@ -647,9 +659,10 @@ class KernelLift(Observable):
         # not KernelConfig.gram: prediction-time Gram rows are lifting, not regression
         k = self.kernel
         K = _kernels.gram_matrix(X, self.centers, k.kind, k.sigma, k.offset, k.degree)
-        Z = _kernels.real_matmul_complex(K, self.alpha)
-        Z[:, self._pairs + 1] = Z[:, self._pairs].conj()
-        return Z
+        Z = np.take(_kernels.real_matmul_complex(K, self._alpha_kept).view(float),
+                    self._gather, axis=1)
+        Z *= self._sign
+        return Z.view(complex)
 
     def lift(self, x):  # defined here, so a tracer can tell kernel lifts apart
         return super().lift(x)

@@ -448,11 +448,16 @@ class KernelConfig:
                                     self.degree)
 
 
-def _check_gram_memory(m: int, kind: str) -> None:
-    """Refuse a kernel fit whose m x m float64 Gram matrices exceed physical
-    memory, before allocating any: G and T, and for the polynomial kernel
-    the symmetrized G + G^T (a gaussian G is symmetric as computed)."""
-    need = (2 if kind == "gaussian" else 3) * m * m * np.dtype(float).itemsize
+def _check_gram_memory(m: int, kind: str, dense: bool) -> None:
+    """Refuse a kernel fit whose m x m float64 arrays exceed physical memory,
+    before allocating any. The fit holds G; the dense route adds what eigh
+    holds beside its input, three m x m arrays (its work copy, the
+    divide-and-conquer workspace it touches and Q: its peak RSS exceeded the
+    input's by 3.1-3.4 of them at m = 1,500 to 4,500); the polynomial kernel
+    adds the symmetrized G + G^T (a gaussian G is symmetric as computed).
+    T is streamed in row blocks and never held whole."""
+    count = 1 + 3 * dense + (kind != "gaussian")
+    need = count * m * m * np.dtype(float).itemsize
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ConfigError(
@@ -517,29 +522,35 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
     OpenBLAS) the Lanczos solve took 0.15-0.42 of the dense time at
     r = m/32 and 0.35-1.4 of it at r = m/16.
 
-    Before any m x m allocation, a fit whose Gram matrices (two for the
-    gaussian kernel, three for the polynomial one) would not fit in
-    physical memory raises ConfigError.
+    Memory: the fit holds one m x m array, G. T is never formed whole: it
+    enters only through Qr^T T Qr and T alpha = T Qr C (Qr the retained
+    eigenvectors of G, C the reduced eigenvectors), so it is built
+    `_kernels.ROW_BLOCK` rows at a time and each block is folded into the
+    m x r product T Qr and the r x m product Qr^T T. The dense eigh holds
+    three more m x m arrays while it runs (its work copy, workspace and Q),
+    and the polynomial kernel adds the symmetrized G + G^T. Before any
+    m x m allocation, a fit whose arrays would not fit in physical memory
+    raises ConfigError.
     """
     X, Xp = _snapshot_pairs(X, Xprime)
     m = X.shape[1]
     _parse_rank(rank, "kernel rank", cutoff=False)
-    _check_gram_memory(m, kernel.kind)
+    lanczos = rank is not None and LANCZOS_RATIO * rank <= m
+    _check_gram_memory(m, kernel.kind, dense=not lanczos)
     Xr = np.ascontiguousarray(X.T)
     Xpr = np.ascontiguousarray(Xp.T)
     _check_finite(np.hstack([Xr, Xpr]))
     G = kernel.gram(Xr, Xr)
-    T = kernel.gram(Xpr, Xr)
     # the eigenpairs of 0.5 (G + G^T): a gaussian G is that matrix as
     # computed (sq_distances takes each difference directly, and
     # fl(a - b) = -fl(b - a)); a polynomial G is symmetric only where numpy
     # computes X X^T by syrk, so the sum is solved and its eigenvalues halved
     # (exactly, a power of two)
     S, scale = (G, 0) if kernel.kind == "gaussian" else (G + G.T, -1)
-    eigpairs = None
-    if rank is not None and LANCZOS_RATIO * rank <= m:
-        eigpairs = _leading_gram_eigenpairs(S, int(rank))
+    eigpairs = _leading_gram_eigenpairs(S, int(rank)) if lanczos else None
     if eigpairs is None:
+        if lanczos:  # ARPACK did not converge: the dense route's arrays must fit too
+            _check_gram_memory(m, kernel.kind, dense=True)
         s, Q = np.linalg.eigh(S)
         eigpairs = s[::-1], Q[:, ::-1]
     del S
@@ -559,16 +570,32 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
             )
         r = min(int(rank), m)
     sr = s[:r]
-    Qr = Q[:, :r]
+    Qr = np.ascontiguousarray(Q[:, :r])
+    del Q, eigpairs  # the dense route's m x m Q must not live through the T stream
     denom = sr + kernel.reg_eps * m
     if np.any(denom <= 0.0):
         raise RegressionError(
             "Gram matrix is numerically singular; set reg_eps > 0 to regularize"
         )
-    A_hat = (Qr.T @ T @ Qr) / denom[:, None]
+    # T enters only through Qr^T T Qr and T alpha = T Qr C, so it is built
+    # ROW_BLOCK rows at a time and each block is folded into T Qr and Qr^T T
+    # as it comes. A_hat is taken as (Qr^T T) Qr: its rows are divided by
+    # Gram eigenvalues near the reg_eps floor, and on the kdmd_gram states
+    # (six seeds) Qr^T (T Qr) erred 5-40x more against a long-double product
+    # than (Qr^T T) Qr did
+    TQ = np.empty((m, r))
+    QtT = np.zeros((r, m))
+    for a in range(0, m, _kernels.ROW_BLOCK):
+        b = a + _kernels.ROW_BLOCK
+        Tb = kernel.gram(Xpr[a:b], Xr)
+        TQ[a:b] = Tb @ Qr
+        QtT += Qr[a:b].T @ Tb
+        del Tb  # not alive while the next block is built
+    A_hat = (QtT @ Qr) / denom[:, None]
     eig_red = eig_biorthogonal(A_hat, dt)
     lam = eig_red.lambdas
-    alpha = Qr @ eig_red.W_right  # (m, r) eigenfunction coefficients
+    C = eig_red.W_right.copy()  # (r, r): alpha = Qr C
+    alpha = Qr @ C  # (m, r) eigenfunction coefficients
     Xi = _kernels.real_matmul_complex(G, alpha).T  # (r, m) values on the training states
 
     # canonical scaling: unit-norm eigenfunction trajectories, leading entry real
@@ -579,11 +606,13 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
             scale = (np.abs(c) / c) / nrm
             Xi[j] *= scale
             alpha[:, j] *= scale
+            C[:, j] *= scale
     # conjugate pairs exact, as in eig_biorthogonal (their scales may round apart)
     j = np.flatnonzero((lam[:-1].imag < 0) & (lam[1:] == lam[:-1].conj()))
     alpha[:, j + 1] = alpha[:, j].conj()
+    C[:, j + 1] = C[:, j].conj()
 
-    Xi_next = _kernels.real_matmul_complex(T, alpha).T
+    Xi_next = _kernels.real_matmul_complex(TQ, C).T  # T alpha
     fro, rel = _residual(Xi_next - lam[:, None] * Xi, Xi_next)
     # in eigenfunction coordinates the eigenvectors are the unit vectors
     eye = np.eye(r, dtype=complex)

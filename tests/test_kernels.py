@@ -194,6 +194,33 @@ def test_sq_distances_match_double_loop(n, scale):
     assert np.all(np.diag(K.sq_distances(X[:3], centers[:3])) == 0.0)
 
 
+def _sq_distances_one_shot(X, Y):
+    # the per-coordinate sum over all rows at once, with a full (m, k) temporary
+    r2 = X[:, 0, None] - Y[:, 0]
+    r2 *= r2
+    for d in range(1, X.shape[1]):
+        t = X[:, d, None] - Y[:, d]
+        t *= t
+        r2 += t
+    return r2
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("m", [1, K.ROW_BLOCK - 1, K.ROW_BLOCK, K.ROW_BLOCK + 1])
+def test_sq_distances_row_blocks_keep_every_bit(n, m):
+    rng = _rng(12)
+    X, Y = rng.normal(size=(m, n)), rng.normal(size=(37, n))
+    np.testing.assert_array_equal(K.sq_distances(X, Y), _sq_distances_one_shot(X, Y))
+
+
+@pytest.mark.parametrize("offset", [1.0, 0.5])
+def test_polynomial_gram_in_place_keeps_every_bit(offset):
+    X = _rng(13).normal(size=(500, 3))
+    for degree in range(1, 6):
+        np.testing.assert_array_equal(K.gram_matrix(X, X, "polynomial", 1.0, offset, degree),
+                                      (offset + X @ X.T) ** degree)
+
+
 def test_gaussian_gram_is_symmetric_by_construction():
     # the kdmd_gram benchmark states at seed 41, on which the form
     # ||x||^2 + ||y||^2 - 2 x.y gives an asymmetric G unless numpy takes syrk

@@ -535,14 +535,59 @@ def test_truncated_kdmd_fits_are_bit_identical(tmp_path):
     assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
 
+def test_gaussian_kdmd_builds_one_gram_matrix_and_streams_t(slow_manifold_pairs, monkeypatch):
+    # G is the one m x m array; T is only ever formed ROW_BLOCK rows at a time
+    pairs = slow_manifold_pairs
+    m, block = pairs.m, kl._kernels.ROW_BLOCK
+    assert m > block
+    shapes = []
+    gram = kl.KernelConfig.gram
+
+    def spy(self, Xrows, Yrows):
+        out = gram(self, Xrows, Yrows)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(kl.KernelConfig, "gram", spy)
+    kl.fit_kdmd(pairs.X, pairs.Xprime, kl.KernelConfig(kind="gaussian", sigma=1.0), rank=10)
+    assert shapes[0] == (m, m)
+    assert shapes[1:] == [(min(block, m - a), m) for a in range(0, m, block)]
+
+
+def test_gaussian_kdmd_holds_one_gram_matrix():
+    import tracemalloc
+
+    # the Lanczos route (rank 10, LANCZOS_RATIO * 10 <= m): G, the eigensolver's
+    # m x r arrays and two row blocks of T (1.20 m x m arrays), where forming
+    # T whole held G, T and a distance temporary, three
+    rng = np.random.default_rng(5)
+    m = 1_500
+    X = rng.uniform(-1.0, 1.0, size=(2, m))
+    Xp = 0.9 * X + 0.1 * np.sin(3.0 * X[::-1])
+    kernel = kl.KernelConfig(kind="gaussian", sigma=1.0, reg_eps=1e-10)
+    # a small fit first: the first Lanczos fit imports scipy.sparse.linalg,
+    # whose module objects tracemalloc would count too
+    kl.fit_kdmd(X[:, :400], Xp[:, :400], kernel, rank=10)
+    tracemalloc.start()
+    try:
+        kl.fit_kdmd(X, Xp, kernel, rank=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * m * m * 8
+
+
 def test_kdmd_refuses_gram_matrices_beyond_physical_memory():
-    # 10^6 x 10^6 float64 matrices, refused before any is allocated: G and T
-    # for the gaussian kernel, and the symmetrized G + G^T for the polynomial
+    # 10^6 x 10^6 float64 matrices, refused before any is allocated: G alone
+    # on the Lanczos route (rank 20), G and eigh's work copy, workspace and Q
+    # on the dense one (rank=None), and the symmetrized G + G^T on top for the
+    # polynomial kernel; T is streamed and never held
     X = np.zeros((2, 10**6))
-    for kind, count in (("gaussian", 2), ("polynomial", 3)):
+    for kind, rank, count in (("gaussian", 20, 1), ("polynomial", 20, 2),
+                              ("gaussian", None, 4), ("polynomial", None, 5)):
         need = f"{count * 8 * 10**12:,} bytes"
         with pytest.raises(ConfigError, match=need):
-            kl.fit_kdmd(X, X, kl.KernelConfig(kind=kind), rank=20)
+            kl.fit_kdmd(X, X, kl.KernelConfig(kind=kind), rank=rank)
 
 
 # ---------------------------------------------------------------------------
