@@ -399,15 +399,10 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
         raise _stage("lifting", exc) from exc
 
     # regression
-    X_state = None
     try:
         # called by their module-global names, which a tracer may have wrapped
         if regression == "kdmd":
-            # the Gram matrices read all states at once; the rows of X are also
-            # the fitted reconstruction's raw states and the KernelLift's centers
-            X_state = pairs.stacked("X")
-            res = fit_kdmd(X_state.T, pairs.stacked("Xprime").T, regressor.kernel,
-                           rank=regressor.rank, dt=data.dt)
+            res = fit_kdmd(pairs, kernel=regressor.kernel, rank=regressor.rank, dt=data.dt)
         elif regression == "edmdc":
             res = fit_edmdc(pairs, rank_in=regressor.rank_in, rank_out=regressor.rank_out,
                             dt=data.dt)
@@ -415,8 +410,11 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
             res = fit_edmd(pairs, rank=regressor.rank, dt=data.dt)
     except KoopliftError as exc:
         raise _stage("regression", exc) from exc
+    X_state = None
     if regression == "kdmd":
-        # the model lifts through the fitted eigenfunctions from here on
+        # the model lifts through the fitted eigenfunctions from here on; the
+        # rows of X are its centers and the fitted reconstruction's raw states
+        X_state = pairs.stacked("X")
         library = KernelLift(regressor.kernel, X_state, res.kernel_alpha)
         pairs = build_snapshot_pairs(data, library)
 

@@ -208,16 +208,6 @@ def _check_pair_count(m: int) -> None:
         raise RegressionError(f"need at least 2 snapshot pairs, got m={m}")
 
 
-def _snapshot_pairs(Z, Zprime):
-    """Validate snapshot columns Z, Z' as equal-shape matrices with m >= 2."""
-    Z = _as_matrix(Z, "Z")
-    Zp = _as_matrix(Zprime, "Zprime")
-    if Z.shape != Zp.shape:
-        raise DataError(f"Z and Zprime shapes differ: {Z.shape} vs {Zp.shape}")
-    _check_pair_count(Z.shape[1])
-    return Z, Zp
-
-
 def _as_pairs(Z, Zprime, U=None, inputs: bool = False) -> SnapshotPairs:
     """The snapshot pairs a fit regresses on: Z itself when it is a
     `SnapshotPairs`, else the column matrices Z, Z' (N, m), with U (q, m)
@@ -229,7 +219,10 @@ def _as_pairs(Z, Zprime, U=None, inputs: bool = False) -> SnapshotPairs:
         if inputs and Z.n_inputs == 0:
             raise ConfigError("no input channels given; use fit_edmd for unforced data")
         return Z
-    Z, Zp = _snapshot_pairs(Z, Zprime)
+    Z, Zp = _as_matrix(Z, "Z"), _as_matrix(Zprime, "Zprime")
+    if Z.shape != Zp.shape:
+        raise DataError(f"Z and Zprime shapes differ: {Z.shape} vs {Zp.shape}")
+    _check_pair_count(Z.shape[1])
     if inputs:
         U = None if U is None else _as_matrix(U, "U")
         if U is None or U.shape[0] == 0:
@@ -448,16 +441,14 @@ class KernelConfig:
                                     self.degree)
 
 
-def _check_gram_memory(m: int, kind: str, dense: bool) -> None:
+def _check_gram_memory(m: int, dense: bool) -> None:
     """Refuse a kernel fit whose m x m float64 arrays exceed physical memory,
     before allocating any. The fit holds G; the dense route adds what eigh
     holds beside its input, three m x m arrays (its work copy, the
     divide-and-conquer workspace it touches and Q: its peak RSS exceeded the
-    input's by 3.1-3.4 of them at m = 1,500 to 4,500); the polynomial kernel
-    adds the symmetrized G + G^T (a gaussian G is symmetric as computed).
-    T is streamed in row blocks and never held whole."""
-    count = 1 + 3 * dense + (kind != "gaussian")
-    need = count * m * m * np.dtype(float).itemsize
+    input's by 3.1-3.4 of them at m = 1,500 to 4,500). T is streamed in row
+    blocks and never held whole."""
+    need = (1 + 3 * dense) * m * m * np.dtype(float).itemsize
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ConfigError(
@@ -466,10 +457,24 @@ def _check_gram_memory(m: int, kind: str, dense: bool) -> None:
         )
 
 
-def _leading_gram_eigenpairs(S: np.ndarray, r: int):
-    """The r largest eigenpairs of the symmetric S, in decreasing order, by
-    ARPACK's Lanczos iteration from a fixed start vector; None when S is zero
-    or ARPACK does not converge, which sends the caller to the dense solver.
+def _gram_eigenpairs(kernel: KernelConfig, Xr: np.ndarray, rank):
+    """The Gram matrix G of the state rows Xr (m, n) with its leading
+    eigenpairs (s, Q) in decreasing order: r = rank of them, or all m.
+
+    G is exactly symmetric as built, for both kernels, because both of its
+    arguments are the one array Xr: sq_distances takes each difference
+    directly, and fl(a - b) = -fl(b - a); numpy computes Xr Xr^T by syrk,
+    which it does not for a copied second argument. Both solvers take G
+    as it is. G is positive semidefinite, so it is zero exactly when its
+    trace is not positive; a zero G raises RegressionError before either
+    solver runs.
+
+    The route: r <= m / LANCZOS_RATIO takes ARPACK's Lanczos iteration
+    (scipy.sparse.linalg.eigsh, loaded on first use) from a fixed start
+    vector, so repeated fits are bit-identical. rank=None, a larger r, and a
+    Lanczos iteration that does not converge take a dense eigh. Each route's
+    m x m arrays are checked against physical memory before they are
+    allocated.
 
     ARPACK accepts a Ritz value theta once its residual bound is at most
     eps * max(eps^(2/3), |theta|). The operator is scaled by a power of two
@@ -480,84 +485,67 @@ def _leading_gram_eigenpairs(S: np.ndarray, r: int):
     unreachable relative bound, and at m = 1,580 and r = 160 the iteration
     ran 20 s instead of about 1 s.
     """
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-    m = S.shape[0]
-    trace = S.trace()
+    m = Xr.shape[0]
+    lanczos = rank is not None and LANCZOS_RATIO * rank <= m
+    _check_gram_memory(m, dense=not lanczos)
+    G = kernel.gram(Xr, Xr)
+    trace = G.trace()
     if not trace > 0.0:
-        return None
-    shift = int(np.ceil(np.log2(trace / np.finfo(float).eps ** (2.0 / 3.0))))
-    op = LinearOperator((m, m), matvec=lambda v: np.ldexp(S @ v, -shift), dtype=float)
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
-    try:
-        s, Q = eigsh(op, k=r, which="LA", v0=v0)
-    except ArpackNoConvergence:
-        return None
-    return np.ldexp(s[::-1], shift), Q[:, ::-1]
+        raise RegressionError("Gram matrix is zero; no data support")
+    if lanczos:
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
+        shift = int(np.ceil(np.log2(trace / np.finfo(float).eps ** (2.0 / 3.0))))
+        op = LinearOperator((m, m), matvec=lambda v: np.ldexp(G @ v, -shift), dtype=float)
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
+        try:
+            s, Q = eigsh(op, k=rank, which="LA", v0=v0)
+            return G, np.ldexp(s[::-1], shift), Q[:, ::-1]
+        except ArpackNoConvergence:
+            _check_gram_memory(m, dense=True)
+    s, Q = np.linalg.eigh(G)
+    return G, s[::-1], Q[:, ::-1]
 
 
-def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> RegressionResult:
+def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(), rank=None,
+             dt: float = 1.0) -> RegressionResult:
     """Kernel regression variant operating on Gram matrices.
 
-    Eigendecomposes the regularized operator (G + reg_eps*m*I)^-1 T restricted
-    to the principal eigenspace of G, where G_ij = k(x_i, x_j) and
-    T_ij = k(x'_i, x_j). Eigenfunctions are phi_j(x) = sum_i alpha_ij k(x, x_i),
-    scaled to unit norm over the training states; the operator on them is
-    diag(lambda). The state reconstruction (and with it the Koopman modes) is
-    fitted on the eigenfunction lift by `fit_reconstruction`, as for any
-    library without an exact state embedding.
+    Z and Zprime are (n, m) state matrices, or Z is a `SnapshotPairs` and
+    Zprime None, as for `fit_edmd`. Eigendecomposes the regularized operator
+    (G + reg_eps*m*I)^-1 T restricted to the principal eigenspace of G,
+    where G_ij = k(x_i, x_j) and T_ij = k(x'_i, x_j). Eigenfunctions are
+    phi_j(x) = sum_i alpha_ij k(x, x_i), scaled to unit norm over the
+    training states; the operator on them is diag(lambda). The state
+    reconstruction (and with it the Koopman modes) is fitted on the
+    eigenfunction lift by `fit_reconstruction`, as for any library without
+    an exact state embedding.
 
-    The principal eigenspace of the m x m Gram matrix comes from one of two
-    solvers, chosen by the integer rank r and m:
+    The principal eigenspace of G comes from `_gram_eigenpairs`: the
+    leading r eigenpairs by Lanczos for an integer rank r <= m /
+    LANCZOS_RATIO (32), else the whole spectrum by a dense eigh, which
+    rank=None needs for the numerical rank. The ratio is a measured
+    crossover. On Gaussian Gram matrices of slow-manifold data (m = 474 to
+    2,844, sigma = 0.3 and 2; 2-CPU VM, OpenBLAS) the Lanczos solve took
+    0.15-0.42 of the dense time at r = m/32 and 0.35-1.4 of it at r = m/16.
 
-    - r <= m / LANCZOS_RATIO (32): only the leading r eigenpairs, by ARPACK's
-      Lanczos iteration (scipy.sparse.linalg.eigsh, loaded on first use) from
-      a fixed start vector, so repeated fits are bit-identical. If ARPACK
-      does not converge, the dense solver runs instead.
-    - otherwise, and for rank=None, which needs the whole spectrum for the
-      numerical rank: a dense eigh.
-
-    The ratio is a measured crossover. On Gaussian Gram matrices of
-    slow-manifold data (m = 474 to 2,844, sigma = 0.3 and 2; 2-CPU VM,
-    OpenBLAS) the Lanczos solve took 0.15-0.42 of the dense time at
-    r = m/32 and 0.35-1.4 of it at r = m/16.
-
-    Memory: the fit holds one m x m array, G. T is never formed whole: it
-    enters only through Qr^T T Qr and T alpha = T Qr C (Qr the retained
-    eigenvectors of G, C the reduced eigenvectors), so it is built
-    `_kernels.ROW_BLOCK` rows at a time and each block is folded into the
-    m x r product T Qr and the r x m product Qr^T T. The dense eigh holds
-    three more m x m arrays while it runs (its work copy, workspace and Q),
-    and the polynomial kernel adds the symmetrized G + G^T. Before any
-    m x m allocation, a fit whose arrays would not fit in physical memory
-    raises ConfigError.
+    Memory: the fit holds one m x m array, G, for both kernels. T is never
+    formed whole: it enters only through Qr^T T Qr and T alpha = T Qr C (Qr
+    the retained eigenvectors of G, C the reduced eigenvectors), so it is
+    built `_kernels.ROW_BLOCK` rows at a time and each block is folded into
+    the m x r product T Qr and the r x m product Qr^T T. The dense eigh
+    holds three more m x m arrays while it runs (its work copy, workspace
+    and Q). Before any m x m allocation, a fit whose arrays would not fit in
+    physical memory raises ConfigError.
     """
-    X, Xp = _snapshot_pairs(X, Xprime)
-    m = X.shape[1]
-    _parse_rank(rank, "kernel rank", cutoff=False)
-    lanczos = rank is not None and LANCZOS_RATIO * rank <= m
-    _check_gram_memory(m, kernel.kind, dense=not lanczos)
-    Xr = np.ascontiguousarray(X.T)
-    Xpr = np.ascontiguousarray(Xp.T)
+    pairs = _as_pairs(Z, Zprime)
+    m = pairs.m
+    rank, _ = _parse_rank(rank, "kernel rank", cutoff=False)
+    Xr = np.ascontiguousarray(pairs.stacked("X"))
+    Xpr = np.ascontiguousarray(pairs.stacked("Xprime"))
     _check_finite(np.hstack([Xr, Xpr]))
-    G = kernel.gram(Xr, Xr)
-    # the eigenpairs of 0.5 (G + G^T): a gaussian G is that matrix as
-    # computed (sq_distances takes each difference directly, and
-    # fl(a - b) = -fl(b - a)); a polynomial G is symmetric only where numpy
-    # computes X X^T by syrk, so the sum is solved and its eigenvalues halved
-    # (exactly, a power of two)
-    S, scale = (G, 0) if kernel.kind == "gaussian" else (G + G.T, -1)
-    eigpairs = _leading_gram_eigenpairs(S, int(rank)) if lanczos else None
-    if eigpairs is None:
-        if lanczos:  # ARPACK did not converge: the dense route's arrays must fit too
-            _check_gram_memory(m, kernel.kind, dense=True)
-        s, Q = np.linalg.eigh(S)
-        eigpairs = s[::-1], Q[:, ::-1]
-    del S
-    s, Q = eigpairs
-    s = np.maximum(np.ldexp(s, scale), 0.0)
-    if s[0] <= 0.0:
-        raise RegressionError("Gram matrix is zero; no data support")
+    G, s, Q = _gram_eigenpairs(kernel, Xr, rank)
+    s = np.maximum(s, 0.0)
     # counted over the computed eigenvalues: where only the leading r were
     # computed, rank > r_num is the test s[r-1] <= GRAM_CUTOFF * s[0]
     r_num = int(np.sum(s > GRAM_CUTOFF * s[0]))
@@ -568,10 +556,10 @@ def fit_kdmd(X, Xprime, kernel: KernelConfig, rank=None, dt: float = 1.0) -> Reg
                 f"Gram matrix is singular at rank {rank} (numerical rank {r_num}); "
                 "set reg_eps > 0 to regularize"
             )
-        r = min(int(rank), m)
+        r = min(rank, m)
     sr = s[:r]
     Qr = np.ascontiguousarray(Q[:, :r])
-    del Q, eigpairs  # the dense route's m x m Q must not live through the T stream
+    del Q  # the dense route's m x m Q must not live through the T stream
     denom = sr + kernel.reg_eps * m
     if np.any(denom <= 0.0):
         raise RegressionError(

@@ -223,13 +223,19 @@ def test_polynomial_gram_in_place_keeps_every_bit(offset):
 
 def test_gaussian_gram_is_symmetric_by_construction():
     # the kdmd_gram benchmark states at seed 41, on which the form
-    # ||x||^2 + ||y||^2 - 2 x.y gives an asymmetric G unless numpy takes syrk
+    # ||x||^2 + ||y||^2 - 2 x.y gives an asymmetric G unless numpy takes syrk.
+    # The gaussian G is symmetric for two separate buffers too; the polynomial
+    # one only where numpy computes X X^T by syrk, which it does when both
+    # arguments are the one array, as in the kdmd fit
     rng = np.random.default_rng([41, sum(map(ord, "kdmd_gram"))])
     spec = kl.systems.get_system("slow_manifold")
     trajs = kl.systems.integrate_rk4_batch(spec, rng.uniform(-1.0, 1.0, (36, 2)), 0.02, 79)
     X = np.vstack([t[:-1] for t in trajs])
     G = K.gram_matrix(X, X.copy(), "gaussian", 2.0, 1.0, 2)
     assert np.array_equal(G, G.T)
+    for kind in ("gaussian", "polynomial"):
+        G = K.gram_matrix(X, X, kind, 2.0, 1.0, 3)
+        assert np.array_equal(G, G.T), kind
 
 
 def test_real_matmul_complex_matches_complex_product():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -488,19 +490,66 @@ def test_truncated_kdmd_matches_edmd_oracle(slow_manifold_pairs):
 
 
 
-def test_gaussian_gram_eigenpairs_skip_the_symmetrization(slow_manifold_pairs):
-    # a gaussian G is symmetric as computed, so G + G^T = 2 G exactly: the
-    # Lanczos and dense solves on G itself give the bits of the summed route
+def test_gaussian_gram_eigenpairs_skip_the_symmetrization(slow_manifold_pairs, monkeypatch):
+    # G is exactly symmetric as the fit builds it, for both kernels, so the
+    # Lanczos and dense solves on G itself give the bits of the solves on the
+    # symmetrized G + G^T, halved (exactly, a power of two)
     pairs = slow_manifold_pairs
-    Xr = pairs.X.T.copy()
-    G = kl.KernelConfig(kind="gaussian", sigma=1.0).gram(Xr, Xr)
-    assert np.array_equal(G, G.T)
-    s, Q = kl.regression._leading_gram_eigenpairs(G + G.T, 10)
-    direct = kl.regression._leading_gram_eigenpairs(G, 10)
-    for a, b in zip(direct, (0.5 * s, Q)):
-        np.testing.assert_array_equal(a, b)
-    for a, b in zip(np.linalg.eigh(G), np.linalg.eigh(0.5 * (G + G.T))):
-        np.testing.assert_array_equal(a, b)
+    Xr = np.ascontiguousarray(pairs.X.T)
+    gram = kl.KernelConfig.gram
+    assert kl.regression.LANCZOS_RATIO * 10 <= pairs.m
+    for kernel in (kl.KernelConfig(kind="gaussian", sigma=1.0),
+                   kl.KernelConfig(kind="polynomial", degree=3)):
+        for rank in (10, None):
+            monkeypatch.setattr(kl.KernelConfig, "gram", gram)
+            G, s, Q = kl.regression._gram_eigenpairs(kernel, Xr, rank)
+            assert np.array_equal(G, G.T)
+            assert s.shape == (rank or pairs.m,)
+            monkeypatch.setattr(kl.KernelConfig, "gram", lambda self, X, Y: G + G.T)
+            _, s2, Q2 = kl.regression._gram_eigenpairs(kernel, Xr, rank)
+            np.testing.assert_array_equal(s, 0.5 * s2)
+            np.testing.assert_array_equal(Q, Q2)
+
+
+def test_kdmd_refuses_a_zero_gram_matrix_before_either_solver(monkeypatch):
+    # a polynomial kernel with offset 0 on all-zero states gives G = 0: no
+    # data support, refused before the dense eigh or ARPACK runs, at rank
+    # None (dense route) and at a Lanczos rank
+    import scipy.sparse.linalg
+
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append("eigh") or eigh(*a, **k))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **k: calls.append("eigsh"))
+    X = np.zeros((2, 64))
+    kernel = kl.KernelConfig(kind="polynomial", degree=2, offset=0.0, reg_eps=1e-10)
+    for rank in (None, 2):
+        with pytest.raises(RegressionError, match="Gram matrix is zero"):
+            kl.fit_kdmd(X, X, kernel, rank=rank)
+    assert kl.regression.LANCZOS_RATIO * 2 <= X.shape[1]
+    assert calls == []
+
+
+def test_kdmd_reads_snapshot_pairs_like_the_other_regressions():
+    # trajectories of 6, 9 and 4 pairs: the multi-segment pairs give the bits
+    # of the column-matrix call on the stacked pairs, and pairs with a second
+    # matrix are refused as fit_edmd refuses them
+    rng = np.random.default_rng(3)
+    ds = kl.TrajectoryDataset([rng.uniform(-1.0, 1.0, (k, 2)) for k in (7, 10, 5)], dt=0.1)
+    pairs = kl.build_snapshot_pairs(ds)
+    assert [x.shape[0] for x, _, _ in pairs.segments] == [6, 9, 4]
+    for kernel in (kl.KernelConfig(kind="gaussian", sigma=1.5, reg_eps=1e-10),
+                   kl.KernelConfig(kind="polynomial", degree=3, reg_eps=1e-10)):
+        res = kl.fit_kdmd(pairs, kernel=kernel, dt=0.1)
+        ref = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, dt=0.1)
+        for name in ("A", "kernel_alpha", "residual_fro", "residual_rel", "sigma_min", "m"):
+            np.testing.assert_array_equal(getattr(res, name), getattr(ref, name))
+        np.testing.assert_array_equal(res.eigensystem.lambdas, ref.eigensystem.lambdas)
+    with pytest.raises(DataError) as refused:
+        kl.fit_edmd(pairs, pairs.Xprime)
+    with pytest.raises(DataError, match=f"^{re.escape(str(refused.value))}$"):
+        kl.fit_kdmd(pairs, pairs.Xprime)
+
 
 def test_truncated_kdmd_falls_back_to_the_dense_solver(slow_manifold_pairs, monkeypatch):
     import scipy.sparse.linalg
@@ -527,12 +576,13 @@ def test_truncated_kdmd_falls_back_to_the_dense_solver(slow_manifold_pairs, monk
 
 def test_truncated_kdmd_fits_are_bit_identical(tmp_path):
     ds = make_slow_manifold_dataset(grid=3, t_end=1.0)
-    config = kl.RegressorConfig(kind="kdmd", rank=10,
-                                kernel=kl.KernelConfig(kind="gaussian", sigma=2.0))
-    paths = [str(tmp_path / f"{i}.json") for i in range(2)]
-    for path in paths:
-        kl.save_model(kl.fit(None, config, ds), path)
-    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    for kernel in (kl.KernelConfig(kind="gaussian", sigma=2.0),
+                   kl.KernelConfig(kind="polynomial", degree=3, reg_eps=1e-10)):
+        config = kl.RegressorConfig(kind="kdmd", rank=10, kernel=kernel)
+        paths = [str(tmp_path / f"{kernel.kind}{i}.json") for i in range(2)]
+        for path in paths:
+            kl.save_model(kl.fit(None, config, ds), path)
+        assert open(paths[0], "rb").read() == open(paths[1], "rb").read(), kernel.kind
 
 
 def test_gaussian_kdmd_builds_one_gram_matrix_and_streams_t(slow_manifold_pairs, monkeypatch):
@@ -559,35 +609,37 @@ def test_gaussian_kdmd_holds_one_gram_matrix():
 
     # the Lanczos route (rank 10, LANCZOS_RATIO * 10 <= m): G, the eigensolver's
     # m x r arrays and two row blocks of T (1.20 m x m arrays), where forming
-    # T whole held G, T and a distance temporary, three
+    # T whole held G, T and a distance temporary, three. The polynomial fit
+    # solves on its G too (1.12), where the symmetrized G + G^T held two (2.04)
     rng = np.random.default_rng(5)
     m = 1_500
     X = rng.uniform(-1.0, 1.0, size=(2, m))
     Xp = 0.9 * X + 0.1 * np.sin(3.0 * X[::-1])
-    kernel = kl.KernelConfig(kind="gaussian", sigma=1.0, reg_eps=1e-10)
-    # a small fit first: the first Lanczos fit imports scipy.sparse.linalg,
-    # whose module objects tracemalloc would count too
-    kl.fit_kdmd(X[:, :400], Xp[:, :400], kernel, rank=10)
-    tracemalloc.start()
-    try:
-        kl.fit_kdmd(X, Xp, kernel, rank=10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * m * m * 8
+    for kernel in (kl.KernelConfig(kind="gaussian", sigma=1.0, reg_eps=1e-10),
+                   kl.KernelConfig(kind="polynomial", degree=3, reg_eps=1e-10)):
+        # a small fit first: the first Lanczos fit imports scipy.sparse.linalg,
+        # whose module objects tracemalloc would count too
+        kl.fit_kdmd(X[:, :400], Xp[:, :400], kernel, rank=10)
+        tracemalloc.start()
+        try:
+            kl.fit_kdmd(X, Xp, kernel, rank=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * m * m * 8, kernel.kind
 
 
 def test_kdmd_refuses_gram_matrices_beyond_physical_memory():
     # 10^6 x 10^6 float64 matrices, refused before any is allocated: G alone
     # on the Lanczos route (rank 20), G and eigh's work copy, workspace and Q
-    # on the dense one (rank=None), and the symmetrized G + G^T on top for the
-    # polynomial kernel; T is streamed and never held
+    # on the dense one (rank=None), for either kernel; T is streamed and
+    # never held
     X = np.zeros((2, 10**6))
-    for kind, rank, count in (("gaussian", 20, 1), ("polynomial", 20, 2),
-                              ("gaussian", None, 4), ("polynomial", None, 5)):
-        need = f"{count * 8 * 10**12:,} bytes"
-        with pytest.raises(ConfigError, match=need):
-            kl.fit_kdmd(X, X, kl.KernelConfig(kind=kind), rank=rank)
+    for kind in ("gaussian", "polynomial"):
+        for rank, count in ((20, 1), (None, 4)):
+            need = f"{count * 8 * 10**12:,} bytes"
+            with pytest.raises(ConfigError, match=need):
+                kl.fit_kdmd(X, X, kl.KernelConfig(kind=kind), rank=rank)
 
 
 # ---------------------------------------------------------------------------
