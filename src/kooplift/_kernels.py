@@ -13,8 +13,8 @@ import numpy as np
 # the radial functions rbf_features evaluates, by name
 RADIAL_KINDS = ("thinplate", "gauss", "invquad", "invmultiquad", "polyharmonic")
 # rows per block where an m-row kernel computation bounds its temporaries:
-# sq_distances adds each further coordinate through a (ROW_BLOCK, k)
-# temporary, and fit_kdmd builds T ROW_BLOCK rows at a time. On a 2-CPU VM
+# sq_distances sums ROW_BLOCK rows at a time, through (ROW_BLOCK, k)
+# temporaries, and fit_kdmd builds T ROW_BLOCK rows at a time. On a 2-CPU VM
 # (best of five, two passes), 2-d squared distances of 2,844 x 2,844 states
 # took 38-54 ms at 128 rows against 61-64 ms unblocked and 53-55 ms at
 # 512-1,024, and of 100,000 states x 100 centers 57-73 ms against 101-110 ms;
@@ -96,21 +96,40 @@ def sq_distances(X, Y):
     """Squared distances ||x_i - y_j||^2, X (m, n), Y (k, n) -> (m, k), summed
     one coordinate at a time: no (m, k, n) temporary, no cancellation (unlike
     ||x||^2 + ||y||^2 - 2 x.y), and entry (i, j) equals entry (j, i) of
-    sq_distances(Y, X), since fl(a - b) = -fl(b - a). Each further
-    coordinate is added ROW_BLOCK rows at a time, through one (ROW_BLOCK, k)
-    temporary; the arithmetic is elementwise, so the blocks change no bit."""
-    m, n = X.shape
-    r2 = X[:, 0, None] - Y[:, 0]
-    r2 *= r2
-    t = None  # made by the first block, reused (sliced for the last) after
-    for a in range(0, m if n > 1 else 0, ROW_BLOCK):
-        rows, Xa = r2[a:a + ROW_BLOCK], X[a:a + ROW_BLOCK]
-        t = None if t is None else t[:len(rows)]
-        for d in range(1, n):
-            t = np.subtract(Xa[:, d, None], Y[:, d], out=t)
-            t *= t
-            rows += t
+    sq_distances(Y, X), since fl(a - b) = -fl(b - a). Inputs of more than
+    ROW_BLOCK rows are summed ROW_BLOCK rows at a time into the output, so a
+    temporary holds at most (ROW_BLOCK, k); the arithmetic is elementwise, so
+    the blocks change no bit, and a single-block input (one state in
+    prediction) pays for no block loop."""
+    m = X.shape[0]
+    if m <= ROW_BLOCK:
+        return _sq_distance_rows(X, Y)
+    r2 = np.empty((m, Y.shape[0]))
+    for a in range(0, m, ROW_BLOCK):
+        _sq_distance_rows(X[a:a + ROW_BLOCK], Y, out=r2[a:a + ROW_BLOCK])
     return r2
+
+
+def _sq_distance_rows(X, Y, out=None):
+    r2 = np.subtract(X[:, 0, None], Y[:, 0], out=out)
+    r2 *= r2
+    for d in range(1, X.shape[1]):
+        t = X[:, d, None] - Y[:, d]
+        t *= t
+        r2 += t
+    return r2
+
+
+def conjugate_copies(A):
+    """Which columns of A are the exact complex conjugate of their left
+    neighbour, as a boolean mask. There are no chains: a partner is never
+    itself a copy, and of a run of three or more columns, each the conjugate
+    of the one before (a repeated real column is one), only the second is
+    marked."""
+    j = np.flatnonzero((A[:, 1:] == A[:, :-1].conj()).all(axis=0))
+    copy = np.zeros(A.shape[1], dtype=bool)
+    copy[j[~np.isin(j - 1, j)] + 1] = True
+    return copy
 
 
 def rbf_features(X, centers, kind, eps, ph_exp):

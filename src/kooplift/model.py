@@ -40,6 +40,7 @@ from .observables import (
 from .regression import (
     KernelConfig,
     RegressionResult,
+    _check_finite,
     _parse_rank,
     fit_edmd,
     fit_edmdc,
@@ -62,8 +63,9 @@ _KINDS = {
     "hdmdc": ("edmdc", True, "time_delay"),
 }
 # snapshot pairs scored per block by _consistency_scores; at N = 102 lifted
-# features and m = 100k pairs (2-CPU VM) blocks of 5,000 scored in 0.19 s,
-# of 2,500 in 0.23 s and of 20,000 in 0.24 s
+# features, 112 score rows and m = 100k pairs (2-CPU VM, best of five, two
+# passes) blocks of 2,500 scored in 0.18-0.19 s, of 5,000 in 0.19-0.20 s,
+# of 10,000 in 0.20-0.21 s and of 20,000 in 0.20-0.22 s
 SCORE_CHUNK = 5_000
 
 
@@ -128,12 +130,13 @@ class ModeTable:
         ]
 
 
-def _real_rows(C, complex_data):
+def _real_rows(C, complex_data, n_real=0):
     """A real matrix whose rows give [Re(C z); Im(C z)], applied to z, or to
-    [Re z; Im z] when z is complex."""
+    [Re z; Im z] when z is complex. For a real z the imaginary rows of the
+    last n_real rows of C, which are zero, are left out."""
     if complex_data:
         return np.block([[C.real, -C.imag], [C.imag, C.real]])
-    return np.vstack([C.real, C.imag])
+    return np.vstack([C.real, C.imag[:C.shape[0] - n_real]])
 
 
 def _real_parts(Z):
@@ -144,29 +147,55 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
     """Per-mode ||phi_j(X') - lambda_j phi_j(X)|| / ||phi_j(X)|| with NaN sentinel,
     over lifted snapshot pairs; phi_j(z) = w_j^H z with w_j a left eigenvector.
 
-    One block of SCORE_CHUNK pairs at a time, one real matrix of the real
-    and imaginary parts of the rows w_j^H (acting on the real and imaginary
-    parts of complex pairs too) gives phi_j on X and on X'; the squared norms of
-    phi_j(X) and of the residual are summed over the blocks. lambda_j is
-    applied after the sum w_j^H z, as complex arithmetic would: folding it
-    into the rows first rounds lambda_j w_j before the cancellation in that
-    sum, which costs accuracy when the w_j are large.
+    One block of SCORE_CHUNK pairs at a time, one real matrix of rows gives
+    the real and imaginary parts of phi_j on X and on X' (acting on the real
+    and imaginary parts of complex pairs); the squared norms of phi_j(X) and
+    of the residual are summed over the blocks. The rows are built in the
+    real basis of the spectrum: on real pairs a mode whose lambda_j and w_j
+    are the exact conjugates of the mode before it gives the conjugate of its
+    partner's phi, so it is not scored and takes its partner's score, and a
+    mode with a real lambda_j and a real w_j has no imaginary row. The rows
+    are the real rows of the complex modes, those of the real modes, then
+    the imaginary rows of the complex modes; complex pairs score every mode
+    as complex. lambda_j is applied after the sum w_j^H z, as complex
+    arithmetic would: folding it into the rows first rounds lambda_j w_j
+    before the cancellation in that sum, which costs accuracy when the w_j
+    are large. Pairs holding NaN or inf raise DataError.
     Returns (scores, findings)."""
-    lambdas = regression.eigensystem.lambdas
+    lambdas, W = regression.eigensystem.lambdas, regression.eigensystem.W_left
     r = lambdas.shape[0]
-    lr, li = lambdas.real[:, None], lambdas.imag[:, None]
-    rows = _real_rows(regression.eigensystem.W_left.conj().T, pairs.dtype.kind == "c")
-    num = np.zeros(2 * r)
-    den = np.zeros(2 * r)
+    complex_data = pairs.dtype.kind == "c"
+    twin = real = np.zeros(r, dtype=bool)
+    if not complex_data:
+        twin = _kernels.conjugate_copies(np.vstack([lambdas, W]))
+        real = ~twin & (lambdas.imag == 0) & ~W.imag.any(axis=0)
+    kept = np.concatenate([np.flatnonzero(~twin & ~real), np.flatnonzero(real)])
+    k = kept.shape[0]  # rows [:c] and [k:] are complex modes', [c:k] real modes'
+    c = k - int(real.sum())
+    rows = _real_rows(W[:, kept].conj().T, complex_data, k - c)
+    lr, li = lambdas.real[kept, None], lambdas.imag[kept[:c], None]
+    num = np.zeros(k + c)
+    den = np.zeros(k + c)
     for X, _, Xp in pairs.blocks(SCORE_CHUNK):
         P = rows @ _real_parts(Xp.T)  # [Re; Im] phi(X')
         Q = rows @ _real_parts(X.T)  # [Re; Im] phi(X)
         den += np.einsum("ij,ij->i", Q, Q)
-        P[:r] -= lr * Q[:r] - li * Q[r:]
-        P[r:] -= lr * Q[r:] + li * Q[:r]
+        P[:c] -= lr[:c] * Q[:c] - li * Q[k:]
+        P[c:k] -= lr[c:] * Q[c:k]
+        P[k:] -= lr[:c] * Q[k:] + li * Q[:c]
         num += np.einsum("ij,ij->i", P, P)
-    num = num[:r] + num[r:]
-    den = den[:r] + den[r:]
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+        first = 0  # only now are the pairs searched for a NaN or an inf
+        for X, _, Xp in pairs.blocks(SCORE_CHUNK):
+            _check_finite(np.hstack([X, Xp]), first)
+            first += X.shape[0]
+    num[:c] += num[k:]
+    den[:c] += den[k:]
+    # row i of the sums scores mode kept[i]; a twin reads its partner's row
+    src = np.empty(r, dtype=np.intp)
+    src[kept] = np.arange(k)
+    src[twin] = src[np.flatnonzero(twin) - 1]
+    num, den = num[src], den[src]
     scores = np.empty(r)
     findings = []
     for j in range(r):

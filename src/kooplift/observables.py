@@ -633,14 +633,12 @@ class KernelLift(Observable):
     @alpha.setter
     def alpha(self, alpha):
         # found once per assignment: the GEMM multiplies only the columns that
-        # are not the exact conjugate of their left neighbour (a partner is
-        # never itself such a copy), and lift_rows writes each copy as its
-        # partner's product with the imaginary part negated, so a real fit's
-        # conjugate pairs stay exact (a GEMM rounds a column by its position)
+        # are not the exact conjugate of their left neighbour, and lift_rows
+        # writes each copy as its partner's product with the imaginary part
+        # negated, so a real fit's conjugate pairs stay exact (a GEMM rounds a
+        # column by its position)
         self._alpha = a = np.asarray(alpha, dtype=complex)
-        j = np.flatnonzero((a[:, 1:] == a[:, :-1].conj()).all(axis=0))
-        copy = np.zeros(a.shape[1], dtype=bool)
-        copy[j[~np.isin(j - 1, j)] + 1] = True
+        copy = _kernels.conjugate_copies(a)
         self._alpha_kept = a[:, ~copy]
         # per output column, in the (re, im) float view: the column of the
         # kept product it takes (a copy takes its partner's) and its sign

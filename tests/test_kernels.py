@@ -213,6 +213,20 @@ def test_sq_distances_row_blocks_keep_every_bit(n, m):
     np.testing.assert_array_equal(K.sq_distances(X, Y), _sq_distances_one_shot(X, Y))
 
 
+def test_conjugate_copies_mark_the_second_of_each_pair_without_chains():
+    rng = _rng(13)
+    a, b = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    x = rng.normal(size=4)
+    # a pair, an unpaired complex column, a real column repeated three times,
+    # a pair whose second column differs in one bit, and a pair at the end
+    cols = [a, a.conj(), b, x, x, x, b, b.conj() * (1 + 2**-52), a, a.conj()]
+    copies = K.conjugate_copies(np.column_stack(cols))
+    # a real column is its own conjugate, but only the second of a run counts:
+    # a partner is never itself a copy
+    np.testing.assert_array_equal(np.flatnonzero(copies), [1, 4, 9])
+    assert K.conjugate_copies(np.empty((3, 0), dtype=complex)).shape == (0,)
+
+
 @pytest.mark.parametrize("offset", [1.0, 0.5])
 def test_polynomial_gram_in_place_keeps_every_bit(offset):
     X = _rng(13).normal(size=(500, 3))

@@ -384,13 +384,15 @@ def test_linearity_nan_sentinel():
 
 
 def _complex_scores(regression, pairs):
-    # the direct route: eigenfunction values in complex arithmetic, whole rows
-    Wh = regression.eigensystem.W_left.conj().T
-    phi_x = Wh @ pairs.X.astype(complex)
-    phi_xp = Wh @ pairs.Xprime.astype(complex)
-    lam = regression.eigensystem.lambdas
-    return (np.linalg.norm(phi_xp - lam[:, None] * phi_x, axis=1)
-            / np.linalg.norm(phi_x, axis=1))
+    # the direct route: eigenfunction values in complex arithmetic, whole rows,
+    # in extended precision (x86 long double, unit roundoff 5.4e-20) from the
+    # same float64 eigenvectors and pairs
+    Wh = regression.eigensystem.W_left.conj().T.astype(np.clongdouble)
+    phi_x = Wh @ pairs.X.astype(np.clongdouble)
+    phi_xp = Wh @ pairs.Xprime.astype(np.clongdouble)
+    res = phi_xp - regression.eigensystem.lambdas.astype(np.clongdouble)[:, None] * phi_x
+    norm = lambda Z: np.sqrt((Z.real**2 + Z.imag**2).sum(axis=1))  # noqa: E731
+    return (norm(res) / norm(phi_x)).astype(float), norm(phi_x).astype(float)
 
 
 @pytest.mark.parametrize("kind", ["edmd", "kdmd"])
@@ -412,7 +414,24 @@ def test_chunked_scores_match_a_complex_reference(kind, slow_manifold_small):
     assert np.iscomplexobj(pairs.X) == (kind == "kdmd")
     scores, findings = model.linearity_consistency(big)
     assert findings == []
-    np.testing.assert_allclose(scores, _complex_scores(model.regression, pairs), rtol=1e-12)
+    ref, phi_norm = _complex_scores(model.regression, pairs)
+    large = ref > 1e-10
+    np.testing.assert_allclose(scores[large], ref[large], rtol=1e-12)
+    # near-exact closure: the float64 score is rounding noise of the residual.
+    # Each phi_j(x) is a sum of N products (2N for complex pairs), wrong by at
+    # most gamma ||w_j|| ||x|| with gamma ~ terms * eps / 2 (per real and
+    # imaginary part, so sqrt(2) for the complex value); applying lambda_j and
+    # the subtraction add a few eps of |phi|, which is at most ||w_j|| ||x||.
+    # Over all pairs the residual's norm is then off by at most that much
+    # times ||X'||_F + |lambda_j| ||X||_F, and the score by that over
+    # ||phi_j(X)||.
+    eps = np.finfo(float).eps
+    terms = pairs.n_features * (2 if kind == "kdmd" else 1)
+    es = model.regression.eigensystem
+    bound = (np.sqrt(2) * (terms + 8) * eps * np.linalg.norm(es.W_left, axis=0)
+             * (np.linalg.norm(pairs.Xprime) + np.abs(es.lambdas) * np.linalg.norm(pairs.X))
+             / phi_norm)
+    assert np.all(np.abs(scores - ref)[~large] <= bound[~large])
 
 
 def test_chunked_scores_of_complex_pairs_under_complex_eigenvectors():
@@ -427,8 +446,123 @@ def test_chunked_scores_of_complex_pairs_under_complex_eigenvectors():
     X = rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m))
     pairs = kl.SnapshotPairs.from_columns(X, A @ X + 0.1 * rng.normal(size=(4, m)))
     scores, _ = _consistency_scores(res, pairs)
-    np.testing.assert_allclose(scores, _complex_scores(res, pairs), rtol=1e-12)
+    np.testing.assert_allclose(scores, _complex_scores(res, pairs)[0], rtol=1e-12)
 
+
+def _small_vdp_rbf_control():
+    # a small fit like the vdp_rbf_control benchmark's: real pairs, and a
+    # spectrum of conjugate pairs and real eigenvalues
+    rng = np.random.default_rng(21)
+    x0 = rng.uniform(-2.0, 2.0, size=(6, 2))
+    U = np.repeat(rng.uniform(-1.0, 1.0, size=(6, 15, 1)), 20, axis=1)
+    trajs = kl.integrate_rk4_batch(kl.get_system("vdp_osc"), x0, 0.01, 300, U)
+    data = kl.TrajectoryDataset(list(trajs), 0.01, [np.vstack([u, u[-1:]]) for u in U])
+    return kl.fit(kl.RadialBasis("gauss", n_centers=20, seed=3), "edmdc", data), data
+
+
+def _spy_score_rows(monkeypatch):
+    # the shapes of the row matrices the score pass builds
+    shapes = []
+    real_rows = kl.model._real_rows
+
+    def spy(*args):
+        rows = real_rows(*args)
+        shapes.append(rows.shape)
+        return rows
+
+    monkeypatch.setattr(kl.model, "_real_rows", spy)
+    return shapes
+
+
+def _twins(eigensystem):
+    # modes whose eigenvalue and left vector are the exact conjugates of the
+    # mode before them
+    lam, W = eigensystem.lambdas, eigensystem.W_left
+    return [j for j in range(1, len(lam))
+            if lam[j] == lam[j - 1].conj() and np.array_equal(W[:, j], W[:, j - 1].conj())]
+
+
+def test_conjugate_twins_take_their_partners_score():
+    model, data = _small_vdp_rbf_control()
+    twins = _twins(model.regression.eigensystem)
+    assert len(twins) >= 5 and all(model.eigenvalues[twins].imag != 0)
+    scores, findings = model.linearity_consistency(data)
+    assert findings == []
+    for j in twins:
+        assert scores[j] == scores[j - 1]
+    np.testing.assert_array_equal(scores, model.training_scores)
+    pairs = kl.build_snapshot_pairs(data, model.observables)
+    np.testing.assert_allclose(scores, _complex_scores(model.regression, pairs)[0], rtol=1e-10)
+
+
+@pytest.mark.parametrize("fit", ["vdp_rbf_control", "slow_manifold_poly2"])
+def test_real_pairs_score_one_row_per_mode_and_one_per_complex_mode(fit, monkeypatch):
+    if fit == "vdp_rbf_control":
+        model, data = _small_vdp_rbf_control()
+    else:
+        data = make_slow_manifold_dataset(grid=3, t_end=2.0)
+        model = kl.fit(kl.Polynomial(2), "edmd", data)
+    es = model.regression.eigensystem
+    twins = _twins(es)
+    kept = [j for j in range(len(es.lambdas)) if j not in twins]
+    real = [j for j in kept if es.lambdas[j].imag == 0 and not es.W_left[:, j].imag.any()]
+    shapes = _spy_score_rows(monkeypatch)
+    model.linearity_consistency(data)
+    assert shapes == [(2 * len(kept) - len(real), model.A.shape[0])]
+    if fit == "vdp_rbf_control":
+        assert twins
+    else:
+        assert not twins and len(real) == len(kept)  # a real spectrum: no Im rows
+
+
+def test_complex_pairs_score_every_mode_on_two_rows(slow_manifold_small, monkeypatch):
+    model = kl.fit(None, kl.RegressorConfig(kind="kdmd", rank=8),
+                   _short_slow_manifold(slow_manifold_small))
+    r = len(model.eigenvalues)
+    assert r == 8 and _twins(model.regression.eigensystem) == []
+    shapes = _spy_score_rows(monkeypatch)
+    model.linearity_consistency(slow_manifold_small)
+    assert shapes == [(2 * r, 2 * model.A.shape[0])]
+
+
+def test_vanishing_eigenfunctions_are_found_by_their_zero_norm():
+    from kooplift.model import _consistency_scores
+
+    # a rotation (a conjugate pair, the second a twin) and a real mode; the
+    # data never leave the real mode's coordinate, so the pair's phi vanish
+    A = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
+    res = kl.RegressionResult(rank=3, A=A, eigensystem=kl.eig_biorthogonal(A))
+    assert _twins(res.eigensystem) == [1]
+    X = np.zeros((3, 4))
+    X[2] = [1.0, -2.0, 3.0, 0.5]
+    scores, findings = _consistency_scores(res, kl.SnapshotPairs.from_columns(X, A @ X))
+    assert np.isnan(scores[:2]).all() and scores[2] == 0.0
+    assert [f.kind for f in findings] == ["vanishing-eigenfunction"] * 2
+    assert [f.message.split(":")[0] for f in findings] == ["mode 0", "mode 1"]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_validation_data_are_refused(bad, monkeypatch):
+    monkeypatch.setattr(kl.model, "SCORE_CHUNK", 5)
+    data = make_slow_manifold_dataset(grid=3, t_end=2.0)
+    model = kl.fit(kl.Polynomial(2), "edmd", data)
+    trajs = [t.copy() for t in data.trajectories[:3]]
+    T = trajs[0].shape[0]
+    trajs[1][4, 0] = bad  # pair T - 1 + 3 holds it as X', pair T - 1 + 4 as X
+    blocks = []
+    real_blocks = kl.SnapshotPairs.blocks
+
+    def spy(self, size, out=None):
+        blocks.append(size)
+        return real_blocks(self, size, out)
+
+    monkeypatch.setattr(kl.SnapshotPairs, "blocks", spy)
+    good = kl.TrajectoryDataset(trajs[:1] + trajs[2:], data.dt)
+    scores, findings = model.linearity_consistency(good)
+    assert np.isfinite(scores).all() and findings == [] and blocks == [5]
+    with pytest.raises(DataError, match=f"snapshot pair {T + 2} holds a non-finite value"):
+        model.linearity_consistency(kl.TrajectoryDataset(trajs, data.dt))
 
 
 def test_scores_over_blocks_across_trajectories_match_a_stacked_reference(monkeypatch):
