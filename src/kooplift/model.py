@@ -176,14 +176,17 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
     lr, li = lambdas.real[kept, None], lambdas.imag[kept[:c], None]
     num = np.zeros(k + c)
     den = np.zeros(k + c)
-    for X, _, Xp in pairs.blocks(SCORE_CHUNK):
-        P = rows @ _real_parts(Xp.T)  # [Re; Im] phi(X')
-        Q = rows @ _real_parts(X.T)  # [Re; Im] phi(X)
-        den += np.einsum("ij,ij->i", Q, Q)
-        P[:c] -= lr[:c] * Q[:c] - li * Q[k:]
-        P[c:k] -= lr[c:] * Q[c:k]
-        P[k:] -= lr[:c] * Q[k:] + li * Q[:c]
-        num += np.einsum("ij,ij->i", P, P)
+    # NaN or inf pairs make the sums NaN, which the check below refuses; an
+    # overflow of finite pairs still warns
+    with np.errstate(invalid="ignore"):
+        for X, _, Xp in pairs.blocks(SCORE_CHUNK):
+            P = rows @ _real_parts(Xp.T)  # [Re; Im] phi(X')
+            Q = rows @ _real_parts(X.T)  # [Re; Im] phi(X)
+            den += np.einsum("ij,ij->i", Q, Q)
+            P[:c] -= lr[:c] * Q[:c] - li * Q[k:]
+            P[c:k] -= lr[c:] * Q[c:k]
+            P[k:] -= lr[:c] * Q[k:] + li * Q[:c]
+            num += np.einsum("ij,ij->i", P, P)
     if not (np.isfinite(num).all() and np.isfinite(den).all()):
         first = 0  # only now are the pairs searched for a NaN or an inf
         for X, _, Xp in pairs.blocks(SCORE_CHUNK):
@@ -290,11 +293,19 @@ class KoopmanModel(_FrozenRecord):
             raise DataError(
                 f"inputs must have shape ({self.q}, {n_steps}), got {U.shape}"
             )
+        if not np.isfinite(U).all():
+            k = int(np.argmin(np.isfinite(U).all(axis=0)))
+            raise DataError(f"input at step {k} holds a non-finite value (NaN or inf)")
         return np.ascontiguousarray(U.astype(self.A.dtype, copy=False))
 
     # -- prediction -----------------------------------------------------------
     def predict(self, x, u=None) -> np.ndarray:
-        """Advance a state by one sample interval: C (A Phi(x) + B u)."""
+        """Advance a state by one sample interval: C (A Phi(x) + B u).
+
+        The state and input are not checked for NaN or inf (a NaN in gives
+        NaN out): the check would add about a third to a one-state predict,
+        which serves many short queries; simulate checks its start.
+        """
         z0 = self._lift_state(x)
         if self.controlled:
             if u is None:
@@ -315,8 +326,14 @@ class KoopmanModel(_FrozenRecord):
         The first row is the initial state. For time-delay observables, x0 is
         a (d+1, n) window of consecutive states (oldest first) or an already
         embedded vector; the returned rows are plain n-dimensional states.
+        A NaN or inf in x0 (anywhere in a window) or in U raises DataError.
+        The operator is iterated by `_kernels.iterate_linear`: a diagonal A,
+        as kdmd's, by one cumulative product.
         """
         n_steps = check_int(n_steps, "n_steps", 0, error=DataError)
+        x0 = np.asarray(x0, dtype=float)
+        if not np.isfinite(x0).all():
+            raise DataError("initial state holds a non-finite value (NaN or inf)")
         z0 = self._lift_state(x0)
         x0_state = self._current_state(x0, z0)
         Uc = self._check_inputs(U, n_steps) if (U is not None or self.controlled) else None

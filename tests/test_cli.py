@@ -220,6 +220,15 @@ def test_simulate_dimension_mismatch_exits_3(tmp_path, fitted_model):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("x0", ["nan,0.1", "inf,0.1", "0.5,-inf"])
+def test_simulate_non_finite_x0_exits_3(tmp_path, fitted_model, x0, capsys):
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", fitted_model, str(out), f"--x0={x0}", "--steps", "3"])
+    assert rc == 3
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def controlled_model(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("ctl")
@@ -261,6 +270,19 @@ def test_simulate_controlled_with_input_csv(tmp_path, controlled_model):
     for _ in range(4):
         expected.append(0.5 * expected[-1] + 1.0)
     np.testing.assert_allclose(sim.trajectories[0][:, 0], expected, atol=1e-8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_simulate_non_finite_input_csv_exits_3(tmp_path, controlled_model, bad, capsys):
+    model_path, _ = controlled_model
+    u_csv = tmp_path / "u.csv"
+    write_trajectory_csv(str(u_csv), [np.array([[1.0], [bad], [1.0], [1.0]])], dt=1.0)
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", model_path, str(out), "--x0", "2.0", "--steps", "4",
+               "--input-csv", str(u_csv), "--quiet"])
+    assert rc == 3
+    assert not out.exists()
+    assert "input at step 1 holds a non-finite value" in capsys.readouterr().err
 
 
 def test_eig_table_and_csv(fitted_model, capsys):

@@ -295,3 +295,92 @@ def test_iterate_linear_controlled_match_reference():
     out = K.iterate_linear_controlled(A, B, z0, U)
     assert out.shape == (31, 4)
     np.testing.assert_allclose(out, _iterate_ref(A, B, z0, U, 30), rtol=1e-12, atol=1e-13)
+
+
+def _matvec_loop(A, z0, n_steps):
+    """The rollout as one product with the whole of A per step."""
+    out = np.empty((n_steps + 1, z0.shape[0]), dtype=A.dtype)
+    out[0] = z0
+    z = z0
+    for k in range(n_steps):
+        z = A @ z
+        out[k + 1] = z
+    return out
+
+
+def _textbook_diagonal_loop(lam, z0, n_steps):
+    """z_{k+1} = lam z_k per mode, each complex product as (ac - bd) + (ad + bc)i
+    in Python floats, every operation rounded on its own."""
+    out = np.empty((n_steps + 1, z0.shape[0]), dtype=complex)
+    out[0] = z0
+    for j, (l, z) in enumerate(zip(lam.tolist(), z0.tolist())):
+        a, b = l.real, l.imag
+        for k in range(n_steps):
+            z = complex(z.real * a - z.imag * b, z.real * b + z.imag * a)
+            out[k + 1, j] = z
+    return out
+
+
+def _spy_cumprod(monkeypatch):
+    calls = []
+    real_cumprod = np.cumprod
+
+    def cumprod(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_cumprod(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cumprod", cumprod)
+    return calls
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 2500])
+def test_iterate_linear_diagonal_equals_the_matvec_loop(n_steps, monkeypatch):
+    rng = _rng(8)
+    calls = _spy_cumprod(monkeypatch)
+    # real diagonals of both signs, and real values on a complex diagonal
+    lam = rng.uniform(0.5, 1.0, 7) * rng.choice([-1.0, 1.0], 7)
+    for A, z0 in ((np.diag(lam), rng.normal(size=7)),
+                  (np.diag(lam.astype(complex)), rng.normal(size=7) + 1j * rng.normal(size=7))):
+        out = K.iterate_linear(A, z0, n_steps)
+        assert out.dtype == A.dtype and out.shape == (n_steps + 1, 7)
+        np.testing.assert_array_equal(out, _matvec_loop(A, z0, n_steps))
+    # a single step is the one matrix-vector product predict takes
+    assert calls == ([] if n_steps < 2 else [(n_steps + 1, 7)] * 2)
+
+
+@pytest.mark.parametrize("n_steps", [2, 3, 2500])
+@pytest.mark.parametrize("N", [4, 5, 20])
+def test_iterate_linear_complex_diagonal_is_one_textbook_product_per_step(N, n_steps):
+    rng = _rng(9)
+    lam = 0.999 * np.exp(1j * rng.uniform(-3.0, 3.0, N))
+    lam[0] = 0.95  # a real mode among the complex ones
+    z0 = rng.normal(size=N) + 1j * rng.normal(size=N)
+    out = K.iterate_linear(np.diag(lam), z0, n_steps)
+    np.testing.assert_array_equal(out, _textbook_diagonal_loop(lam, z0, n_steps))
+    # BLAS may round a complex product otherwise, by an ulp or so per step
+    np.testing.assert_allclose(out, _matvec_loop(np.diag(lam), z0, n_steps),
+                               rtol=1e-12 * n_steps, atol=0)
+
+
+def test_iterate_linear_one_off_diagonal_nonzero_takes_the_general_path(monkeypatch):
+    rng = _rng(10)
+    A = np.diag(rng.uniform(0.5, 1.0, 5))
+    A[3, 1] = 0.25
+    z0 = rng.normal(size=5)
+    calls = _spy_cumprod(monkeypatch)
+    out = K.iterate_linear(A, z0, 30)
+    assert calls == []
+    np.testing.assert_array_equal(out, _matvec_loop(A, z0, 30))
+
+
+def test_iterate_linear_diagonal_overflow_keeps_the_other_modes_finite():
+    # mode 0 overflows at step 1; the product with the whole of A would then
+    # spread NaN into mode 1 through 0 * inf, the cumulative product does not
+    A = np.diag([1e200, 0.5])
+    z0 = np.array([1e200, 1.0])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        out = K.iterate_linear(A, z0, 4)
+    assert np.isposinf(out[1:, 0]).all()
+    np.testing.assert_array_equal(out[:, 1], 0.5 ** np.arange(5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(_matvec_loop(A, z0, 4)[2:, 1]).all()

@@ -243,6 +243,50 @@ def test_simulate_input_validation():
     np.testing.assert_allclose(out[:, 0], 1.0 * 0.5 ** np.arange(6), atol=1e-9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_simulate_refuses_a_non_finite_start_or_input(bad):
+    x0 = np.array([bad, 0.1])
+    diag = kl.fit(kl.Identity(), "dmd", _linear_dataset(np.diag([0.9, 0.5]),
+                                                          [[1.0, 0.2], [0.3, 1.0]], 10))
+    with pytest.raises(DataError, match="initial state holds a non-finite value"):
+        diag.simulate(x0, 5)
+    delay = kl.fit(None, kl.RegressorConfig(kind="hdmd", delays=2),
+                   kl.TrajectoryDataset([np.cos(0.1 * np.arange(60))[:, None]], dt=0.1))
+    window = np.array([[0.3], [bad], [0.1]])
+    with pytest.raises(DataError, match="initial state holds a non-finite value"):
+        delay.simulate(window, 5)
+    with pytest.raises(DataError, match="initial state holds a non-finite value"):
+        delay.simulate(window.ravel(), 5)  # an already embedded window
+    controlled = _controlled_scalar_model()
+    U = np.zeros((1, 5))
+    U[0, 3] = bad
+    with pytest.raises(DataError, match="input at step 3 holds a non-finite value"):
+        controlled.simulate(np.array([1.0]), 5, U=U)
+    with pytest.raises(DataError, match="initial state holds a non-finite value"):
+        controlled.simulate(np.array([bad]), 5, U=np.zeros((1, 5)))
+
+
+def test_simulate_of_a_kdmd_model_is_one_product_per_mode_and_step():
+    c, s = 0.95 * np.cos(0.3), 0.95 * np.sin(0.3)
+    data = _linear_dataset(np.array([[c, -s], [s, c]]),
+                           [[1.0, 0.2], [0.3, -1.0], [-0.5, 0.7], [0.8, 0.8]], 25)
+    model = kl.fit(None, kl.RegressorConfig(kind="kdmd", rank=7), data)
+    lam = np.diagonal(model.A)
+    assert np.array_equal(model.A, np.diag(lam)) and (lam.imag != 0).any()
+    x0 = np.array([0.6, -0.4])
+    z = model.observables.lift(x0).astype(complex).tolist()
+    rows = []
+    for _ in range(300):  # per step, each mode's textbook complex product
+        z = [complex(v.real * l.real - v.imag * l.imag, v.real * l.imag + v.imag * l.real)
+             for v, l in zip(z, lam.tolist())]
+        rows.append(z)
+    states = model.C.apply_cols(np.array(rows).T).T.real
+    sim = model.simulate(x0, 300)
+    np.testing.assert_array_equal(sim[0], x0)
+    np.testing.assert_array_equal(sim[1:], states)
+    np.testing.assert_array_equal(model.simulate(x0, 1)[1], model.predict(x0))
+
+
 @pytest.mark.parametrize("n_steps", [-1, True, False, 2.5, 3.0, "3", None])
 def test_simulate_refuses_a_step_count_that_is_not_a_count(fig1_lift_model, n_steps):
     with pytest.raises(DataError, match="n_steps must be an integer >= 0"):
@@ -541,7 +585,6 @@ def test_vanishing_eigenfunctions_are_found_by_their_zero_norm():
     assert [f.message.split(":")[0] for f in findings] == ["mode 0", "mode 1"]
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_validation_data_are_refused(bad, monkeypatch):
     monkeypatch.setattr(kl.model, "SCORE_CHUNK", 5)
@@ -563,6 +606,16 @@ def test_non_finite_validation_data_are_refused(bad, monkeypatch):
     assert np.isfinite(scores).all() and findings == [] and blocks == [5]
     with pytest.raises(DataError, match=f"snapshot pair {T + 2} holds a non-finite value"):
         model.linearity_consistency(kl.TrajectoryDataset(trajs, data.dt))
+
+
+def test_an_overflow_in_the_score_pass_still_warns(slow_manifold_small):
+    model = kl.fit(kl.Polynomial(2), "edmd", slow_manifold_small)
+    # squares near the float limit: the lifted pairs are finite, the rows
+    # applied to them are not
+    trajs = [t / np.abs(t).max() * 1.3e154 for t in slow_manifold_small.trajectories[:2]]
+    with pytest.warns(RuntimeWarning) as record:
+        model.linearity_consistency(kl.TrajectoryDataset(trajs, slow_manifold_small.dt))
+    assert any("overflow encountered in matmul" in str(w.message) for w in record)
 
 
 def test_scores_over_blocks_across_trajectories_match_a_stacked_reference(monkeypatch):
