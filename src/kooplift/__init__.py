@@ -33,7 +33,7 @@ from .regression import (
     EigenSystem,
     KernelConfig,
     RegressionResult,
-        eig_biorthogonal,
+    eig_biorthogonal,
     fit_edmd,
     fit_edmdc,
     fit_kdmd,

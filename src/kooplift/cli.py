@@ -161,6 +161,8 @@ def _parse_x0(text: str) -> np.ndarray:
         ]
     except ValueError:
         raise DataError(f"cannot parse --x0 value {text!r}") from None
+    if len({len(row) for row in rows}) > 1:
+        raise DataError(f"--x0 rows must all have the same number of values, got {text!r}")
     arr = np.array(rows, dtype=float)
     return arr[0] if arr.shape[0] == 1 else arr
 
@@ -334,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", parents=[common], help="generate benchmark data")
     p.add_argument("out", help="output trajectory CSV")
-    p.add_argument("--system", required=True, choices=SYSTEM_NAMES + ("torus",))
+    p.add_argument("--system", required=True, choices=SYSTEM_NAMES + ("linear2d", "torus"))
     p.add_argument("--x0", default=None, help="initial state 'a,b,...'")
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--steps", type=int, default=1000)

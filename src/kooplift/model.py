@@ -50,7 +50,7 @@ from .regression import (
 __all__ = ["RegressorConfig", "KoopmanModel", "ModeTable", "fit"]
 
 # kind -> (regression, controlled, library rule). The regression is fit_edmd,
-# fit_edmdc or fit_kdmd; the kind is only a label in the model metadata.
+# fit_edmdc or fit_kdmd; the kind is only a label on the model.
 # Library rules: "any" (identity by default), "time_delay" (identity or
 # TimeDelay; TimeDelay(delays) by default), "identity" (identity only).
 _KINDS = {
@@ -160,7 +160,8 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
     as complex. lambda_j is applied after the sum w_j^H z, as complex
     arithmetic would: folding it into the rows first rounds lambda_j w_j
     before the cancellation in that sum, which costs accuracy when the w_j
-    are large. Pairs holding NaN or inf raise DataError.
+    are large. Pairs holding NaN or inf raise DataError; a mode whose sums
+    overflow on finite pairs scores NaN with a finding.
     Returns (scores, findings)."""
     lambdas, W = regression.eigensystem.lambdas, regression.eigensystem.W_left
     r = lambdas.shape[0]
@@ -177,7 +178,8 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
     num = np.zeros(k + c)
     den = np.zeros(k + c)
     # NaN or inf pairs make the sums NaN, which the check below refuses; an
-    # overflow of finite pairs still warns
+    # overflow of finite pairs still warns, and a sum it leaves NaN or inf
+    # scores NaN with a finding
     with np.errstate(invalid="ignore"):
         for X, _, Xp in pairs.blocks(SCORE_CHUNK):
             P = rows @ _real_parts(Xp.T)  # [Re; Im] phi(X')
@@ -199,10 +201,15 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
     src[kept] = np.arange(k)
     src[twin] = src[np.flatnonzero(twin) - 1]
     num, den = num[src], den[src]
+    overflow = ~(np.isfinite(num) & np.isfinite(den))
     scores = np.empty(r)
     findings = []
     for j in range(r):
-        if den[j] == 0.0:
+        if overflow[j]:
+            scores[j] = np.nan
+            findings.append(Finding("score-overflow", message=(
+                f"mode {j}: the squared eigenfunction values overflow; score undefined")))
+        elif den[j] == 0.0:
             scores[j] = np.nan
             findings.append(Finding("vanishing-eigenfunction", message=(
                 f"mode {j}: eigenfunction vanishes on the data; score undefined")))
@@ -219,33 +226,27 @@ class KoopmanModel(_FrozenRecord):
     recentering; simulate iterates the operator in lifted space. Both take
     the real part of any complex result and change nothing on the model.
     Attributes cannot be rebound, nor can those of the sealed
-    ``observables``. ``A``, ``B`` and the spectrum are those of
-    the frozen ``regression`` record; ``z0_train`` and ``training_scores``
-    are read-only arrays; ``metadata`` is a read-only mapping whose
-    ``"findings"`` is a tuple of `Finding` records from the fit: the one copy
-    the model holds, so the findings of ``regression``, its eigensystem and
-    ``C`` are empty.
+    ``observables``. Each fitted fact has one home: ``A``, ``B``, the
+    spectrum, the rank and the residuals are those of the frozen
+    ``regression`` record, ``n`` is the library's input dimension and ``q``
+    the width of ``B``; ``z0_train`` and ``training_scores`` are read-only
+    arrays; ``findings`` is a tuple of `Finding` records from the fit, the
+    one copy the model holds, so the findings of ``regression``, its
+    eigensystem and ``C`` are empty.
     """
 
     observables: Observable
     regression: RegressionResult
     C: ReconstructionMap
     dt: float
-    n: int
-    q: int
-    metadata: Mapping
+    regressor: str  # the kind, one of _KINDS
+    findings: tuple
     z0_train: np.ndarray
     training_scores: np.ndarray
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
         self.observables.seal()
-
-    def __reduce__(self):
-        # a mappingproxy cannot be pickled; the constructor wraps the dict again
-        cls, args = super().__reduce__()
-        return cls, tuple(dict(a) if a is self.metadata else a for a in args)
 
     # -- basic properties ----------------------------------------------------
     @property
@@ -261,12 +262,36 @@ class KoopmanModel(_FrozenRecord):
         return self.regression.B
 
     @property
+    def n(self) -> int:
+        return self.observables.n_input
+
+    @property
+    def q(self) -> int:
+        return 0 if self.B is None else self.B.shape[1]
+
+    @property
+    def metadata(self) -> Mapping:
+        """The model file's metadata block, read-only and assembled from the
+        homes of its facts."""
+        res = self.regression
+        return MappingProxyType({
+            "m": res.m,
+            "rank": res.rank,
+            "residual": res.residual_rel,
+            "residual_fro": res.residual_fro,
+            "sigma_min": res.sigma_min,
+            "n_features": self.A.shape[0],
+            "regressor": self.regressor,
+            "findings": self.findings,
+        })
+
+    @property
     def eigenvalues(self) -> np.ndarray:
         return self.regression.eigensystem.lambdas
 
     def continuous_eigenvalues(self) -> np.ndarray:
-        """ln(lambda)/dt on the principal branch; see metadata findings for
-        zero or negative-real eigenvalues."""
+        """ln(lambda)/dt on the principal branch; see the findings for zero
+        or negative-real eigenvalues."""
         return self.regression.eigensystem.mus
 
     # -- lifting helpers -------------------------------------------------------
@@ -423,7 +448,6 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
         regressor = RegressorConfig(kind=regressor)
     if not data.trajectories:
         raise DataError("no trajectories")
-    n = data.n_states
     q = data.n_inputs
     regression, controlled, _ = _KINDS[regressor.kind]
     if controlled and q == 0:
@@ -438,7 +462,7 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
 
     # lifting
     try:
-        library.bind(n)
+        library.bind(data.n_states)
         library.prepare(np.vstack(data.trajectories))
         pairs = build_snapshot_pairs(data, library)
     except KoopliftError as exc:
@@ -478,24 +502,14 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
 
     scores, score_findings = _consistency_scores(res, pairs)
     first_x = pairs.segments[0][0]  # X rows of the first trajectory
-    # the model's metadata is the one home of the fit's findings, and its
-    # KernelLift that of kdmd's coefficients; the records keep neither
+    # the model is the one home of the fit's findings, and its KernelLift that
+    # of kdmd's coefficients; the records keep neither
     eig = res.eigensystem
     findings = (*res.findings, *eig.findings, *C.findings, *score_findings)
     res = replace(res, eigensystem=replace(eig, findings=()), findings=(),
                   kernel_alpha=None)
-    metadata = {
-        "m": res.m,
-        "rank": res.rank,
-        "residual": res.residual_rel,
-        "residual_fro": res.residual_fro,
-        "sigma_min": res.sigma_min,
-        "n_features": int(res.A.shape[0]),
-        "regressor": regressor.kind,
-        "findings": findings,
-    }
     return KoopmanModel(
         observables=library, regression=res, C=replace(C, findings=()), dt=data.dt,
-        n=n, q=q, metadata=metadata, z0_train=first_x[0].astype(res.A.dtype),
-        training_scores=scores,
+        regressor=regressor.kind, findings=findings,
+        z0_train=first_x[0].astype(res.A.dtype), training_scores=scores,
     )

@@ -71,7 +71,6 @@ class EigenSystem(_FrozenRecord):
     mus: np.ndarray  # (r,) continuous eigenvalues ln(lambda)/dt, principal branch
     W_right: np.ndarray  # (N, r)
     W_left: np.ndarray  # (N, r)
-    dt: float = 1.0
     findings: tuple = ()
 
     @property
@@ -158,7 +157,7 @@ def eig_biorthogonal(A: np.ndarray, dt: float = 1.0) -> EigenSystem:
         W_left[:, j + 1] = W_left[:, j].conj()
     lam, mus, mu_findings = _classify_spectrum(lam, A, dt)
     return EigenSystem(
-        lambdas=lam, mus=mus, W_right=W, W_left=W_left, dt=dt,
+        lambdas=lam, mus=mus, W_right=W, W_left=W_left,
         findings=findings + mu_findings,
     )
 
@@ -170,13 +169,13 @@ class RegressionResult(_FrozenRecord):
     `A` (N, N) and, for controlled fits, `B` (N, q) are the operator in the
     full lifted space; eigenvectors in `eigensystem` live there too. Arrays
     are read-only copies; findings are a tuple of the regression's own, and
-    the eigensystem keeps its findings itself.
+    the eigensystem keeps its findings itself. The retained rank is the
+    eigensystem's.
     """
 
-    rank: int
     A: np.ndarray
+    eigensystem: EigenSystem
     B: Optional[np.ndarray] = None
-    eigensystem: Optional[EigenSystem] = None
     modes_exact: Optional[np.ndarray] = None  # (N, r), SVD-DMD exact modes
     residual_fro: float = 0.0
     residual_rel: float = 0.0
@@ -185,6 +184,10 @@ class RegressionResult(_FrozenRecord):
     findings: tuple = ()
     # fit_kdmd: eigenfunction coefficients over the training states X^T
     kernel_alpha: Optional[np.ndarray] = None  # (m, r)
+
+    @property
+    def rank(self) -> int:
+        return self.eigensystem.rank
 
     def reported_modes(self, exact: Optional[bool] = None) -> np.ndarray:
         """Exact modes where the fit has them (the default), else the
@@ -315,7 +318,7 @@ def _lift_eigensystem(eig_red: EigenSystem, projection: np.ndarray) -> EigenSyst
     Wr, Wl = _normalize_pair(Wr, Wl)
     return EigenSystem(
         lambdas=eig_red.lambdas, mus=eig_red.mus, W_right=Wr, W_left=Wl,
-        dt=eig_red.dt, findings=eig_red.findings,
+        findings=eig_red.findings,
     )
 
 
@@ -332,7 +335,6 @@ def fit_edmd(Z, Zprime=None, rank=None, dt: float = 1.0) -> RegressionResult:
     pairs = _as_pairs(Z, Zprime)
     RZ, _, RZp = _pair_factor(pairs)
     Ur, sr, W = _truncate_svd(RZ.T, rank)  # right vectors of Z: Vr = Q W
-    r = sr.shape[0]
     G = RZp.T @ (W * (1.0 / sr))  # (N, r) = Zprime Vr Sr^-1
     At = Ur.T @ G
     eig_red = eig_biorthogonal(At, dt)
@@ -356,7 +358,7 @@ def fit_edmd(Z, Zprime=None, rank=None, dt: float = 1.0) -> RegressionResult:
     A_full = Ur @ At @ Ur.T
     fro, rel = _residual(RZp.T - A_full @ RZ.T, RZp)
     return RegressionResult(
-        rank=r, A=A_full, eigensystem=eig_full, modes_exact=ME,
+        A=A_full, eigensystem=eig_full, modes_exact=ME,
         residual_fro=fro, residual_rel=rel, sigma_min=float(sr[-1]), m=pairs.m,
         findings=findings,
     )
@@ -394,7 +396,7 @@ def fit_edmdc(Z, Zprime=None, U=None, rank_in=None, rank_out=None,
     else:
         eig = eig_biorthogonal(A, dt)
     return RegressionResult(
-        rank=eig.rank, A=A, B=B, eigensystem=eig,
+        A=A, B=B, eigensystem=eig,
         residual_fro=fro, residual_rel=rel, sigma_min=float(so[-1]), m=m,
     )
 
@@ -605,10 +607,10 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(), rank=None,
     # in eigenfunction coordinates the eigenvectors are the unit vectors
     eye = np.eye(r, dtype=complex)
     eig = EigenSystem(
-        lambdas=lam, mus=eig_red.mus, W_right=eye, W_left=eye, dt=dt,
+        lambdas=lam, mus=eig_red.mus, W_right=eye, W_left=eye,
         findings=eig_red.findings,
     )
     return RegressionResult(
-        rank=r, A=np.diag(lam), eigensystem=eig, residual_fro=fro,
+        A=np.diag(lam), eigensystem=eig, residual_fro=fro,
         residual_rel=rel, sigma_min=float(np.sqrt(sr[-1])), m=m, kernel_alpha=alpha,
     )

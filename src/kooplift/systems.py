@@ -82,19 +82,18 @@ _CATALOG = {
     ),
 }
 
-SYSTEM_NAMES = tuple(sorted(_CATALOG)) + ("linear2d",)
+SYSTEM_NAMES = tuple(sorted(_CATALOG))
 
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """A benchmark system: continuous rhs or discrete step map."""
+    """A catalog system: its continuous right-hand side and dimensions."""
 
     name: str
     n: int
     q: int
     params: dict
-    rhs: Optional[Callable] = None  # (x, u, t) -> xdot, vectorized over rows
-    step: Optional[Callable] = None  # (x, u) -> x_next for discrete maps
+    rhs: Callable  # (x, u, t) -> xdot, vectorized over rows
 
 
 def _catalog_entry(name: str, params: dict):
@@ -136,13 +135,6 @@ def get_system(name: str, **params) -> SystemSpec:
 
     The spec's rhs is the catalog right-hand side with its parameters bound.
     """
-    if name == "linear2d":
-        if params:
-            raise ConfigError("linear2d takes no parameters")
-        return SystemSpec(
-            name=name, n=2, q=0, params={},
-            step=lambda x, u=None: linear2d_step(x),
-        )
     entry, merged = _catalog_entry(name, params)
     return SystemSpec(
         name=name, n=entry["n"], q=entry["q"], params=merged,
@@ -169,8 +161,6 @@ def integrate_rk4_batch(spec: SystemSpec, X0, dt: float, n_steps: int, input_sig
     """Integrate a batch of initial conditions: X0 (B, n) -> (B, n_steps+1, n)."""
     dt = check_real(dt, "dt", positive=True, error=DataError)
     n_steps = check_int(n_steps, "n_steps", 0, error=DataError)
-    if spec.step is not None:
-        raise ConfigError(f"{spec.name} is a discrete map; iterate its step instead")
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     if X0.shape[1] != spec.n:
         raise DataError(f"{spec.name} expects state dimension {spec.n}, got {X0.shape[1]}")
@@ -212,12 +202,7 @@ def integrate_rk4(spec: SystemSpec, x0, dt: float, n_steps: int, input_signal=No
     Raises on non-finite states with the offending step index.
     """
     x0 = np.asarray(x0, dtype=float)
-    if input_signal is not None:
-        input_signal = np.asarray(input_signal, dtype=float)
-        if input_signal.ndim == 1:
-            input_signal = input_signal[:, None]
-    out = integrate_rk4_batch(spec, x0[None, :], dt, n_steps, input_signal)
-    return out[0]
+    return integrate_rk4_batch(spec, x0[None, :], dt, n_steps, input_signal)[0]
 
 
 def drss(n: int, q: int, seed: int = 0, rho_max: float = 0.9):

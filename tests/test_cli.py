@@ -220,6 +220,30 @@ def test_simulate_dimension_mismatch_exits_3(tmp_path, fitted_model):
     assert not out.exists()
 
 
+def test_a_ragged_x0_exits_3(tmp_path, fitted_model, capsys):
+    out = tmp_path / "o.csv"
+    rc = main(["simulate", fitted_model, str(out), "--x0=1,2;3", "--steps", "5"])
+    assert rc == 3
+    assert "--x0 rows must all have the same number of values" in capsys.readouterr().err
+    assert not out.exists()
+    rc = main(["bench", str(out), "--system", "slow_manifold", "--x0=1;2,3"])
+    assert rc == 3
+    assert "--x0 rows must all have the same number of values" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_model_file_whose_copies_disagree_exits_3(tmp_path, fitted_model, capsys):
+    d = json.loads(open(fitted_model).read())
+    d["n"] = 3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(d))
+    out = tmp_path / "o.csv"
+    rc = main(["simulate", str(bad), str(out), "--x0=1,2,3", "--steps", "5"])
+    assert rc == 3
+    assert "malformed model file: n is 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("x0", ["nan,0.1", "inf,0.1", "0.5,-inf"])
 def test_simulate_non_finite_x0_exits_3(tmp_path, fitted_model, x0, capsys):
     out = tmp_path / "sim.csv"

@@ -418,7 +418,7 @@ def test_linearity_nan_sentinel():
     from kooplift.model import _consistency_scores
 
     # with A = I the eigenfunctions are the lifted coordinates themselves
-    res = kl.RegressionResult(rank=2, A=np.eye(2), eigensystem=kl.eig_biorthogonal(np.eye(2)))
+    res = kl.RegressionResult(A=np.eye(2), eigensystem=kl.eig_biorthogonal(np.eye(2)))
     phi_x = np.array([[0.0, 0.0], [1.0, 2.0]])
     phi_xp = np.array([[0.0, 0.0], [1.0, 2.0]])
     pairs = kl.SnapshotPairs.from_columns(phi_x, phi_xp)
@@ -484,7 +484,7 @@ def test_chunked_scores_of_complex_pairs_under_complex_eigenvectors():
     # kdmd's complex pairs meet only identity eigenvectors; this covers both complex
     rng = np.random.default_rng(6)
     A = rng.normal(size=(4, 4))
-    res = kl.RegressionResult(rank=4, A=A, eigensystem=kl.eig_biorthogonal(A))
+    res = kl.RegressionResult(A=A, eigensystem=kl.eig_biorthogonal(A))
     assert np.iscomplexobj(res.eigensystem.lambdas) and np.any(res.eigensystem.lambdas.imag)
     m = 4 * SCORE_CHUNK + 979
     X = rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m))
@@ -575,7 +575,7 @@ def test_vanishing_eigenfunctions_are_found_by_their_zero_norm():
     # a rotation (a conjugate pair, the second a twin) and a real mode; the
     # data never leave the real mode's coordinate, so the pair's phi vanish
     A = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]])
-    res = kl.RegressionResult(rank=3, A=A, eigensystem=kl.eig_biorthogonal(A))
+    res = kl.RegressionResult(A=A, eigensystem=kl.eig_biorthogonal(A))
     assert _twins(res.eigensystem) == [1]
     X = np.zeros((3, 4))
     X[2] = [1.0, -2.0, 3.0, 0.5]
@@ -616,6 +616,23 @@ def test_an_overflow_in_the_score_pass_still_warns(slow_manifold_small):
     with pytest.warns(RuntimeWarning) as record:
         model.linearity_consistency(kl.TrajectoryDataset(trajs, slow_manifold_small.dt))
     assert any("overflow encountered in matmul" in str(w.message) for w in record)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_scores_whose_sums_overflow_are_nan_with_a_finding(scale):
+    # an exact dmd fit of a rotation; on the scaled trajectory the squared
+    # eigenfunction values overflow (at 1e160 only their sum over X, at 1e300
+    # the residual's too), with no warning from the score pass
+    c, s = np.cos(0.3), np.sin(0.3)
+    R = np.array([[c, -s], [s, c]])
+    traj = np.array([np.linalg.matrix_power(R, k) @ [1.0, 0.5] for k in range(20)])
+    model = kl.fit(None, "dmd", kl.TrajectoryDataset([traj], dt=0.1))
+    scores, findings = model.linearity_consistency(kl.TrajectoryDataset([traj * scale], 0.1))
+    assert np.isnan(scores).all()
+    assert [f.kind for f in findings] == ["score-overflow"] * 2
+    assert [f.message.split(":")[0] for f in findings] == ["mode 0", "mode 1"]
+    scores, findings = model.linearity_consistency(kl.TrajectoryDataset([traj], 0.1))
+    assert np.all(scores < 1e-12) and findings == []
 
 
 def test_scores_over_blocks_across_trajectories_match_a_stacked_reference(monkeypatch):

@@ -393,3 +393,116 @@ def test_atomic_write_replaces_not_partial(tmp_path):
     assert target.read_text() == "hello\n"
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
     assert leftovers == []
+
+
+# model files written by `kooplift fit` at 3d73ea4 (see data/README.md)
+EARLIER_FILES = sorted(
+    os.path.join(os.path.dirname(__file__), "data", name)
+    for name in os.listdir(os.path.join(os.path.dirname(__file__), "data"))
+    if name.endswith(".json")
+)
+
+
+@pytest.mark.parametrize("path", EARLIER_FILES, ids=os.path.basename)
+def test_files_of_an_earlier_release_save_to_the_same_bytes(tmp_path, path):
+    model = kl.load_model(path)
+    out = str(tmp_path / "again.json")
+    kl.save_model(model, out)
+    assert open(out, "rb").read() == open(path, "rb").read()
+    x0 = np.array([0.3, -0.15])
+    if isinstance(model.observables, kl.TimeDelay):
+        x0 = np.tile(x0, (model.observables.delays + 1, 1))
+    U = np.full((model.q, 5), 0.2) if model.controlled else None
+    assert np.isfinite(model.simulate(x0, 5, U=U)).all()
+
+
+def test_metadata_is_a_view_of_the_facts_homes(dataset):
+    for name, model, _ in _models(dataset):
+        res = model.regression
+        assert dict(model.metadata) == {
+            "m": res.m, "rank": res.eigensystem.rank, "residual": res.residual_rel,
+            "residual_fro": res.residual_fro, "sigma_min": res.sigma_min,
+            "n_features": model.A.shape[0], "regressor": model.regressor,
+            "findings": model.findings,
+        }, name
+        assert model.n == model.observables.n_input == 2, name
+        assert model.q == (model.B.shape[1] if model.controlled else 0), name
+    fields = {f.name for f in dataclasses.fields(kl.KoopmanModel)}
+    assert fields == {"observables", "regression", "C", "dt", "regressor", "findings",
+                      "z0_train", "training_scores"}
+    assert "rank" not in {f.name for f in dataclasses.fields(kl.RegressionResult)}
+    assert "dt" not in {f.name for f in dataclasses.fields(kl.EigenSystem)}
+
+
+def _zeros(*shape, complex_=False):
+    size = int(np.prod(shape))
+    if complex_:
+        return {"shape": list(shape), "complex": True, "data": [[0.0, 0.0]] * size}
+    return {"shape": list(shape), "data": [0.0] * size}
+
+
+@pytest.fixture(scope="module")
+def copy_models(dataset):
+    """Base models for the refusals: a Polynomial(2) fit (n = 2, N = 6, six
+    eigenvalues, an index reconstruction), a dmdc fit (q = 1), a fitted-C
+    random Fourier fit and a gauss RBF fit."""
+    return {
+        "poly": kl.fit(kl.Polynomial(2), "edmd", dataset),
+        "dmdc": kl.fit(kl.Identity(), "dmdc", _controlled_dataset()),
+        "rff": kl.fit(kl.RandomFourier(8, include_state=False, seed=1), "edmd", dataset),
+        "rbf": kl.fit(kl.RadialBasis("gauss", n_centers=4, seed=1), "edmd", dataset),
+    }
+
+
+@pytest.mark.parametrize("base, where, value, match", [
+    ("poly", ("n",), 3, "n is 3, but the observables take n_input=2"),
+    ("poly", ("q",), 2, "q is 2, but the model has no B"),
+    ("poly", ("metadata", "rank"), 1, "rank is 1, but the model has 6 eigenvalue"),
+    ("poly", ("metadata", "n_features"), 99, "n_features is 99, but the observables lift to 6"),
+    ("poly", ("metadata", "n_features"), 2.5, "n_features must be"),
+    ("poly", ("A",), _zeros(2, 2), r"A has shape \(2, 2\), expected \(6, 6\)"),
+    ("poly", ("metadata", "training_scores"), [0.5], "training_scores has shape"),
+    ("poly", ("metadata", "z0_train"), [[1.0, 0.0]] * 2, "z0_train has shape"),
+    ("poly", ("metadata", "regressor"), 5, "regressor must be one of"),
+    ("poly", ("metadata", "regressor"), "wdmd", "regressor must be one of"),
+    ("poly", ("metadata", "regressor"), None, "regressor must be one of"),
+    ("poly", ("metadata", "regressor"), "dmdc",
+     "regressor 'dmdc' is controlled, but the model has no B"),
+    ("dmdc", ("metadata", "regressor"), "dmd",
+     "regressor 'dmd' is unforced, but the model has a B"),
+    ("dmdc", ("q",), 2, r"B has shape \(2, 1\), expected \(2, 2\)"),
+    ("dmdc", ("B",), _zeros(3, 1), r"B has shape \(3, 1\), expected \(2, 1\)"),
+    ("poly", ("C",), {"shape": [2, 6], "data": [7.0] * 12}, "C is not the selection"),
+    ("poly", ("C",), _zeros(2, 5), r"C has shape \(2, 5\), expected \(2, 6\)"),
+    ("rff", ("C",), _zeros(1, 8), r"C has shape \(1, 8\), expected \(2, 8\)"),
+    ("poly", ("eigen", "W_right"), _zeros(6, 5, complex_=True), "W_right has shape"),
+    ("poly", ("eigen", "W_left"), _zeros(5, 6, complex_=True), "W_left has shape"),
+    ("poly", ("eigen", "modes_exact"), _zeros(6, 2, complex_=True), "modes_exact has shape"),
+    ("poly", ("eigen", "mus"), [[0.0, 0.0]], "mus has shape"),
+    ("rbf", ("observables", "centers"), None, "observables: rbf centers not set"),
+])
+def test_copies_that_disagree_with_their_home_are_refused(copy_models, base, where,
+                                                          value, match):
+    d = json.loads(json.dumps(model_to_dict(copy_models[base])))
+    owner = d
+    for key in where[:-1]:
+        owner = owner[key]
+    owner[where[-1]] = value
+    with pytest.raises(DataError, match=f"malformed model file: {match}"):
+        model_from_dict(d)
+
+
+def test_a_file_without_a_regressor_label_is_refused(copy_models):
+    d = json.loads(json.dumps(model_to_dict(copy_models["poly"])))
+    del d["metadata"]["regressor"]
+    with pytest.raises(DataError, match="malformed model file: 'regressor'"):
+        model_from_dict(d)
+
+
+def test_unknown_metadata_keys_are_not_read(copy_models):
+    model = copy_models["poly"]
+    d = json.loads(json.dumps(model_to_dict(model)))
+    d["metadata"]["imag_leakage_max"] = 0.0  # written by releases before c11b0ab
+    loaded = model_from_dict(d)
+    assert "imag_leakage_max" not in loaded.metadata
+    assert model_to_dict(loaded) == json.loads(json.dumps(model_to_dict(model)))

@@ -4,7 +4,7 @@ import pytest
 import kooplift as kl
 from kooplift.errors import ConfigError, DataError
 
-from kooplift.systems import SystemSpec
+from kooplift.systems import SYSTEM_NAMES, SystemSpec
 
 
 def test_rk4_exponential_decay():
@@ -155,6 +155,20 @@ def test_drss_validation():
 
 def test_linear2d_step():
     np.testing.assert_allclose(kl.linear2d_step(np.array([1.0, 0.0])), [0.8, 0.0])
+
+
+def test_the_catalog_holds_the_continuous_systems_only():
+    # linear2d is a map, iterated by linear2d_step; it has no SystemSpec
+    assert SYSTEM_NAMES == ("forced_duffing", "lorenz", "slow_manifold", "vdp_osc")
+    with pytest.raises(ConfigError, match="unknown system 'linear2d'"):
+        kl.get_system("linear2d")
+
+
+def test_integrate_rk4_takes_a_one_channel_input_as_a_vector():
+    spec = kl.get_system("vdp_osc")
+    u = np.linspace(-1.0, 1.0, 30)
+    np.testing.assert_array_equal(kl.integrate_rk4(spec, [0.5, 0.1], 0.01, 30, u),
+                                  kl.integrate_rk4(spec, [0.5, 0.1], 0.01, 30, u[:, None]))
 
 
 def test_linear2d_dmd_recovers_map_eigenvalues():
