@@ -21,9 +21,9 @@ from .errors import (ConfigError, DataError, KoopliftError, RegressionError,
                      call_with_options, check_int, check_real)
 from .model import fit as fit_model
 from .model import RegressorConfig
-from .observables import TimeDelay, observable_from_config
+from .observables import observable_from_config
 from .regression import KernelConfig
-from .serialize import atomic_write_text, load_model, save_model
+from .serialize import load_model, save_model
 from .systems import (
     SYSTEM_NAMES,
     get_system,
@@ -170,15 +170,6 @@ def _parse_x0(text: str) -> np.ndarray:
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     x0 = _parse_x0(args.x0)
-    if isinstance(model.observables, TimeDelay) and model.observables.delays > 0:
-        expected = (model.observables.delays + 1, model.n)
-        if np.atleast_2d(x0).shape != expected:
-            raise DataError(
-                f"time-delay model needs an initial window of shape {expected} "
-                f"(rows separated by ';'), got {np.atleast_2d(x0).shape}"
-            )
-    elif np.atleast_1d(x0).ndim != 1 or np.atleast_1d(x0).shape[0] != model.n:
-        raise DataError(f"--x0 must have {model.n} value(s)")
     U = None
     if args.input_csv is not None:
         table = read_numeric_csv(args.input_csv)
@@ -192,7 +183,7 @@ def cmd_simulate(args) -> int:
                 f"input CSV has {table.shape[0]} rows, need {args.steps}"
             )
         U = table[: args.steps, 1 : 1 + model.q].T
-    traj = model.simulate(x0, args.steps, U=U)
+    traj = model.simulate(x0, args.steps, U=U)  # refuses x0 by the library's rule
     write_trajectory_csv(args.out, [traj], dt=model.dt)
     if args.json:
         sys.stdout.write(json.dumps({"out": args.out, "rows": int(traj.shape[0])}) + "\n")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import UNIFORM_RTOL, TrajectoryDataset, uniform_step
 from .errors import DataError
+from .serialize import atomic_write_text
 
 __all__ = ["read_trajectory_csv", "write_trajectory_csv", "read_numeric_csv"]
 
@@ -120,15 +121,13 @@ def read_trajectory_csv(path: str, n_inputs: int = 0) -> TrajectoryDataset:
 
 
 def write_trajectory_csv(
-    path_or_buffer,
+    path: str,
     trajectories: Sequence[np.ndarray],
     dt: float,
     inputs: Optional[Sequence[np.ndarray]] = None,
 ) -> str:
-    """Render trajectories in the CSV layout; returns the text.
-
-    When `path_or_buffer` is a string the text is written atomically.
-    """
+    """Write trajectories to `path` in the CSV layout, atomically; returns
+    the text."""
     first = np.atleast_2d(np.asarray(trajectories[0]))
     n = first.shape[1]
     q = 0
@@ -149,10 +148,5 @@ def write_trajectory_csv(
             cells = [i * dt, *row] if u is None else [i * dt, *row, *u[i]]
             lines.append(",".join(map(repr, cells)))
     text = "\n".join(lines) + "\n"
-    if isinstance(path_or_buffer, str):
-        from .serialize import atomic_write_text
-
-        atomic_write_text(path_or_buffer, text)
-    else:
-        path_or_buffer.write(text)
+    atomic_write_text(path, text)
     return text

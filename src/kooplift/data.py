@@ -85,7 +85,7 @@ class Finding:
 
 
 @dataclass(frozen=True)
-class TrajectoryDataset:
+class TrajectoryDataset(_FrozenRecord):
     """One or more time-ordered state trajectories sharing a sample interval.
 
     Each trajectory is a (T_i, n) array; optional inputs are (T_i, q) arrays
@@ -137,11 +137,6 @@ class TrajectoryDataset:
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "inputs", ins)
 
-    def __reduce__(self):
-        # copies and pickles are rebuilt through the constructor, so their
-        # arrays are read-only too
-        return type(self), (self.trajectories, self.dt, self.inputs)
-
     @property
     def n_states(self) -> int:
         if not self.trajectories:
@@ -173,13 +168,12 @@ class SnapshotPairs:
     """
 
     segments: tuple
-    dt: float
 
     @classmethod
-    def from_columns(cls, X, Xprime, dt: float = 1.0, U=None) -> "SnapshotPairs":
+    def from_columns(cls, X, Xprime, U=None) -> "SnapshotPairs":
         """One segment over column-aligned snapshot matrices X, Xprime (N x m)
         and optional U (q x m), as views of them."""
-        return cls(segments=((X.T, None if U is None else U.T, Xprime.T),), dt=dt)
+        return cls(segments=((X.T, None if U is None else U.T, Xprime.T),))
 
     @property
     def m(self) -> int:
@@ -276,7 +270,7 @@ def build_snapshot_pairs(data: TrajectoryDataset, library=None) -> SnapshotPairs
         if data.inputs is not None:
             U = data.inputs[i][traj.shape[0] - Y.shape[0] : -1]
         segments.append((Y[:-1], U, Y[1:]))
-    return SnapshotPairs(segments=tuple(segments), dt=data.dt)
+    return SnapshotPairs(segments=tuple(segments))
 
 
 def validate_dataset(data: TrajectoryDataset) -> list:

@@ -343,7 +343,7 @@ class KoopmanModel(_FrozenRecord):
             if u is not None:
                 raise DataError("model is unforced; got unexpected input u")
             z1 = self.A @ z0
-        return np.ascontiguousarray(self.C.apply_vec(z1).real)
+        return np.ascontiguousarray(self.C.apply_cols(z1).real)
 
     def simulate(self, x0, n_steps: int, U=None) -> np.ndarray:
         """Roll the model forward in lifted space; returns n_steps + 1 states.
@@ -361,7 +361,7 @@ class KoopmanModel(_FrozenRecord):
             raise DataError("initial state holds a non-finite value (NaN or inf)")
         z0 = self._lift_state(x0)
         x0_state = self._current_state(x0, z0)
-        Uc = self._check_inputs(U, n_steps) if (U is not None or self.controlled) else None
+        Uc = self._check_inputs(U, n_steps)
         if n_steps == 0:
             return x0_state[None, :]
         if Uc is not None:

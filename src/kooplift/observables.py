@@ -244,8 +244,6 @@ class TimeDelay(Observable):
         """Lift one window of d+1 consecutive states (rows in time order)."""
         self._require_bound()
         w = np.asarray(window, dtype=float)
-        if w.ndim == 1:
-            w = w.reshape(-1, self.n_input)
         if w.shape != (self.delays + 1, self.n_input):
             raise DataError(
                 f"need a window of {self.delays + 1} states of dimension "
@@ -547,9 +545,10 @@ class Concat(Observable):
         super().seal()
 
     def _refresh_layout(self):
-        keep = []
-        first_state = None
-        for i, p in enumerate(self.parts):
+        # the state's lifted indices: the first embedding part's, past the kept
+        # columns of the parts before it
+        keep, state, offset = [], None, 0
+        for p in self.parts:
             try:
                 N_i = p.n_output
             except ConfigError:
@@ -558,13 +557,14 @@ class Concat(Observable):
             idx = np.ones(N_i, dtype=bool)
             sidx = p.state_indices
             if sidx is not None:
-                if first_state is None:
-                    first_state = i
-                elif i > first_state:
+                if state is None:
+                    state = tuple(offset + j for j in sidx)
+                else:
                     idx[list(sidx)] = False
             keep.append(idx)
+            offset += int(idx.sum())
         self._keep = tuple(keep)
-        self._first_state = first_state
+        self._state = state
 
     def _require_layout(self):
         self._require_bound()
@@ -581,14 +581,7 @@ class Concat(Observable):
     @property
     def state_indices(self):
         self._require_layout()
-        if self._first_state is None:
-            return None
-        offset = 0
-        for i, p in enumerate(self.parts):
-            if i == self._first_state:
-                return tuple(offset + j for j in p.state_indices)
-            offset += int(self._keep[i].sum())
-        return None
+        return self._state
 
     def lift_rows(self, X):
         self._require_layout()
@@ -694,15 +687,10 @@ class ReconstructionMap(_FrozenRecord):
     findings: tuple = ()
 
     def apply_cols(self, Z: np.ndarray) -> np.ndarray:
-        """Map lifted columns (N, m) back to state columns (n, m)."""
+        """Map lifted columns (N, m), or one lifted vector (N,), back to states."""
         if self.indices is not None:
-            return Z[list(self.indices), ...]
+            return Z[list(self.indices)]
         return self.C @ Z
-
-    def apply_vec(self, z: np.ndarray) -> np.ndarray:
-        if self.indices is not None:
-            return z[list(self.indices)]
-        return self.C @ z
 
 
 def fit_reconstruction(library: Observable, Z: np.ndarray,

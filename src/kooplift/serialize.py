@@ -26,6 +26,9 @@ __all__ = ["MODEL_SCHEMA_VERSION", "model_to_dict", "model_from_dict",
            "save_model", "load_model", "atomic_write_text"]
 
 MODEL_SCHEMA_VERSION = 1
+# the library a fitted model of a _KINDS library rule holds: a time-delay kind
+# fits a TimeDelay, and kdmd lifts through its fitted KernelLift
+_FITTED_LIBRARY = {"time_delay": "time_delay", "identity": "kernel_lift"}
 
 
 def _matrix_to_json(M: np.ndarray) -> dict:
@@ -130,11 +133,31 @@ def _check_shapes(arrays: dict) -> None:
             raise _malformed(f"{name} has shape {value.shape}, expected {shape}")
 
 
+# an eigenpair of A must satisfy ||A w - lambda w|| <= SPECTRUM_RTOL ||A||_F ||w||.
+# Fitted models meet it to 1.9e-13 ||A||_2 (the benchmark fits at seeds 1, 7
+# and 101) and the zero class, snapped to 0, to ZERO_EIG_RTOL = 6.0e-8 ||A||_2
+SPECTRUM_RTOL = 1e-6
+
+
+def _check_spectrum(A: np.ndarray, eig: EigenSystem) -> None:
+    W = eig.W_right
+    with np.errstate(invalid="ignore"):  # an inf in A gives a NaN residual, refused
+        residual = np.linalg.norm(A @ W - W * eig.lambdas, axis=0)
+    bound = SPECTRUM_RTOL * np.linalg.norm(A) * np.linalg.norm(W, axis=0)
+    bad = np.flatnonzero(~(residual <= bound))  # a NaN fails too
+    if bad.size:
+        j = int(bad[0])
+        raise _malformed(f"eigenvalue {j} is not an eigenvalue of A with W_right[:, {j}] "
+                         f"(residual {residual[j]:.2e} > {bound[j]:.2e})")
+
+
 def model_from_dict(d: dict) -> KoopmanModel:
     """A model from its file dict. Each value is type-checked, and a fact the
     file repeats (n, q, the metadata's rank and n_features, the array shapes,
     an exact-embedding C) is refused unless it agrees with its home: the
-    observables, B or the eigenvalues. Unknown metadata keys are not read."""
+    observables, B or the eigenvalues. So is a spectrum that is not A's, and
+    a regressor label whose kind `fit` never gives the observables. Unknown
+    metadata keys are not read."""
     if not isinstance(d, dict):
         raise DataError("model file must contain a JSON object")
     version = d.get("schema_version")
@@ -206,17 +229,22 @@ def model_from_dict(d: dict) -> KoopmanModel:
     if copies.get("n_features", N) != N:
         raise _malformed(f"n_features is {copies['n_features']}, but the observables "
                          f"lift to {N}")
-    controlled = _KINDS[regressor][1]
+    _, controlled, library_rule = _KINDS[regressor]
     if controlled != (B is not None):
         raise _malformed(f"regressor {regressor!r} is "
                          f"{'controlled' if controlled else 'unforced'}, but the model "
                          f"has {'no' if B is None else 'a'} B")
+    fitted = _FITTED_LIBRARY.get(library_rule)
+    if fitted is not None and obs.kind != fitted:
+        raise _malformed(f"regressor {regressor!r} fits {fitted} observables, "
+                         f"but the model has {obs.kind}")
     _check_shapes({
         "A": (A, (N, N)), "B": (B, (N, q)), "C": (C, (n, N)),
         "W_right": (eig.W_right, (N, r)), "W_left": (eig.W_left, (N, r)),
         "modes_exact": (modes_exact, (N, r)), "mus": (eig.mus, (r,)),
         "z0_train": (z0, (N,)), "training_scores": (scores, (r,)),
     })
+    _check_spectrum(A, eig)
     return KoopmanModel(observables=obs, regression=res, C=_reconstruction(obs, C),
                         dt=dt, regressor=regressor, findings=findings, z0_train=z0,
                         training_scores=scores)

@@ -309,6 +309,61 @@ def test_simulate_non_finite_input_csv_exits_3(tmp_path, controlled_model, bad, 
     assert "input at step 1 holds a non-finite value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("t\n0.0\n1.0\n2.0\n3.0\n", "input CSV needs time + 1 channel column(s), got 1 columns"),
+    ("t,u1\n0.0,1.0\n1.0,1.0\n2.0,1.0\n", "input CSV has 3 rows, need 4"),
+])
+def test_simulate_refuses_a_short_input_csv(tmp_path, controlled_model, text, message,
+                                            capsys):
+    model_path, _ = controlled_model
+    u_csv = tmp_path / "u.csv"
+    u_csv.write_text(text)
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", model_path, str(out), "--x0", "2.0", "--steps", "4",
+               "--input-csv", str(u_csv)])
+    assert rc == 3
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def hdmd_model(tmp_path_factory, data_csv):
+    tmp = tmp_path_factory.mktemp("hdmd")
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({"regressor": {"kind": "hdmd", "delays": 2}}))
+    model_path = tmp / "model.json"
+    assert main(["fit", str(cfg), data_csv, str(model_path), "--quiet"]) == 0
+    window = read_trajectory_csv(data_csv).trajectories[0][:3]  # oldest first
+    return str(model_path), window
+
+
+def _x0_arg(rows):
+    return "--x0=" + ";".join(",".join(repr(float(v)) for v in row) for row in rows)
+
+
+@pytest.mark.parametrize("start", ["window", "embedded"])
+def test_simulate_a_time_delay_model(tmp_path, hdmd_model, start):
+    # the window, oldest state first, or the embedded vector the library
+    # lifts it to, most recent state first
+    model_path, window = hdmd_model
+    x0 = window if start == "window" else [window[::-1].reshape(-1)]
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", model_path, str(out), _x0_arg(x0), "--steps", "25", "--quiet"])
+    assert rc == 0
+    sim = read_trajectory_csv(str(out)).trajectories[0]
+    np.testing.assert_array_equal(sim, kl.load_model(model_path).simulate(window, 25))
+
+
+def test_simulate_refuses_a_time_delay_window_of_the_wrong_shape(tmp_path, hdmd_model,
+                                                                 capsys):
+    model_path, window = hdmd_model
+    out = tmp_path / "sim.csv"
+    rc = main(["simulate", model_path, str(out), _x0_arg(window[:2]), "--steps", "5"])
+    assert rc == 3
+    assert not out.exists()
+    assert "(2, 2)" in capsys.readouterr().err  # the window's shape is named
+
+
 def test_eig_table_and_csv(fitted_model, capsys):
     assert main(["eig", fitted_model]) == 0
     out = capsys.readouterr().out

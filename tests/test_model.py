@@ -193,7 +193,7 @@ def test_predict_composition_identity(slow_manifold_poly_model):
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = rng.uniform(-1, 1, size=2)
-        manual = model.C.apply_vec(model.A @ model.observables.lift(x))
+        manual = model.C.apply_cols(model.A @ model.observables.lift(x))
         np.testing.assert_allclose(model.predict(x), manual, rtol=1e-12, atol=1e-14)
 
 

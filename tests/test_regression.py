@@ -404,9 +404,12 @@ def test_non_finite_pairs_are_refused_by_each_regression():
 # kernel variant
 # ---------------------------------------------------------------------------
 
+SLOW_DT = 0.02  # the sample interval of the slow_manifold_pairs dataset
+
+
 @pytest.fixture(scope="module")
 def slow_manifold_pairs():
-    ds = make_slow_manifold_dataset(grid=3, t_end=1.0)
+    ds = make_slow_manifold_dataset(grid=3, t_end=1.0, dt=SLOW_DT)
     pairs = kl.build_snapshot_pairs(ds)
     return pairs
 
@@ -415,12 +418,12 @@ def test_kdmd_polynomial_kernel_matches_edmd_oracle(slow_manifold_pairs):
     pairs = slow_manifold_pairs
     assert pairs.m >= 50
     kernel = kl.KernelConfig(kind="polynomial", degree=2, offset=1.0, reg_eps=0.0)
-    res_k = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, dt=pairs.dt)
+    res_k = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, dt=SLOW_DT)
     lib = kl.Polynomial(2)
     lib.bind(2)
     Z = lib.lift_rows(pairs.X.T).T
     Zp = lib.lift_rows(pairs.Xprime.T).T
-    res_e = kl.fit_edmd(Z, Zp, dt=pairs.dt)
+    res_e = kl.fit_edmd(Z, Zp, dt=SLOW_DT)
     assert res_k.rank == res_e.rank == 6
     np.testing.assert_allclose(
         np.sort_complex(res_k.eigensystem.lambdas),
@@ -463,7 +466,7 @@ def test_kdmd_generalized_eigenproblem_residual(slow_manifold_pairs):
     assert kl.regression.LANCZOS_RATIO * 10 <= pairs.m
     for kernel, rank in ((kl.KernelConfig(kind="polynomial", degree=2), None),
                          (kl.KernelConfig(kind="gaussian", sigma=1.0), 10)):
-        res = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=rank, dt=pairs.dt)
+        res = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=rank, dt=SLOW_DT)
         G = kernel.gram(pairs.X.T.copy(), pairs.X.T.copy())
         T = kernel.gram(pairs.Xprime.T.copy(), pairs.X.T.copy())
         s, Q = np.linalg.eigh(0.5 * (G + G.T))
@@ -480,8 +483,8 @@ def test_truncated_kdmd_matches_edmd_oracle(slow_manifold_pairs):
     Xr = pairs.X.T.copy()
     G = kernel.gram(Xr, Xr)
     T = kernel.gram(pairs.Xprime.T.copy(), Xr)
-    res_k = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10, dt=pairs.dt)
-    res_e = kl.fit_edmd(G, T.T, rank=10, dt=pairs.dt)
+    res_k = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10, dt=SLOW_DT)
+    res_e = kl.fit_edmd(G, T.T, rank=10, dt=SLOW_DT)
     np.testing.assert_allclose(
         np.sort_complex(res_k.eigensystem.lambdas),
         np.sort_complex(res_e.eigensystem.lambdas),
@@ -559,7 +562,7 @@ def test_truncated_kdmd_falls_back_to_the_dense_solver(slow_manifold_pairs, monk
     kernel = kl.KernelConfig(kind="gaussian", sigma=1.0)
     with monkeypatch.context() as mp:
         mp.setattr(kl.regression, "LANCZOS_RATIO", pairs.m + 1)  # dense for rank 1+
-        dense = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10, dt=pairs.dt)
+        dense = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10, dt=SLOW_DT)
     calls = []
 
     def no_convergence(*args, **kwargs):
@@ -567,7 +570,7 @@ def test_truncated_kdmd_falls_back_to_the_dense_solver(slow_manifold_pairs, monk
         raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((pairs.m, 0)))
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-    fallback = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10, dt=pairs.dt)
+    fallback = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10, dt=SLOW_DT)
     assert calls == [10]
     for name in ("A", "kernel_alpha", "residual_fro", "sigma_min"):
         np.testing.assert_array_equal(getattr(fallback, name), getattr(dense, name))

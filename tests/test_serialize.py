@@ -480,6 +480,17 @@ def copy_models(dataset):
     ("poly", ("eigen", "modes_exact"), _zeros(6, 2, complex_=True), "modes_exact has shape"),
     ("poly", ("eigen", "mus"), [[0.0, 0.0]], "mus has shape"),
     ("rbf", ("observables", "centers"), None, "observables: rbf centers not set"),
+    ("poly", ("metadata", "regressor"), "kdmd",
+     "regressor 'kdmd' fits kernel_lift observables, but the model has polynomial"),
+    ("poly", ("metadata", "regressor"), "hdmd",
+     "regressor 'hdmd' fits time_delay observables, but the model has polynomial"),
+    ("dmdc", ("metadata", "regressor"), "hdmdc",
+     "regressor 'hdmdc' fits time_delay observables, but the model has identity"),
+    # max |eig(A)| is 1.0 on this model
+    ("poly", ("eigen", "lambdas", 0), [5.0, 0.0], "eigenvalue 0 is not an eigenvalue of A"),
+    ("poly", ("eigen", "lambdas", 2), [float("nan"), 0.0],
+     "eigenvalue 2 is not an eigenvalue of A"),
+    ("poly", ("A", "data", 7), float("inf"), r"eigenvalue \d+ is not an eigenvalue of A"),
 ])
 def test_copies_that_disagree_with_their_home_are_refused(copy_models, base, where,
                                                           value, match):
