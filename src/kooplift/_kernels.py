@@ -178,7 +178,9 @@ def iterate_linear(A, z0, n_steps):
     does so in its last N mod 4 rows). After a mode overflows to inf the
     others stay finite, where A @ z would spread NaN into them through
     0 * inf. Any other A, and a single step (the one product predict takes),
-    take A @ z once per step.
+    take one matrix-vector product per step, written in place into the next
+    row of the output by np.dot(A, z_k, out=z_{k+1}): the gemv of A @ z, so
+    the same bits, with no vector allocated per step.
     """
     out = np.empty((n_steps + 1, z0.shape[0]), dtype=A.dtype)
     out[0] = z0
@@ -186,21 +188,22 @@ def iterate_linear(A, z0, n_steps):
     if n_steps > 1 and np.count_nonzero(A) == np.count_nonzero(d):
         out[1:] = d
         return np.cumprod(out, axis=0, out=out)
-    z = z0
     for k in range(n_steps):
-        z = A @ z
-        out[k + 1] = z
+        np.dot(A, out[k], out=out[k + 1])
     return out
 
 
 def iterate_linear_controlled(A, B, z0, U):
-    """Iterate z_{k+1} = A z_k + B u_k with U of shape (q, n_steps)."""
-    n_steps = U.shape[1]
-    N = z0.shape[0]
-    out = np.empty((n_steps + 1, N), dtype=A.dtype)
+    """Iterate z_{k+1} = A z_k + B u_k with U of shape (q, n_steps).
+
+    Each step writes A z_k in place into the next row of the output, as
+    `iterate_linear` does, and adds B @ u_k to it: the bits of A @ z + B @ u.
+    B is applied one step at a time, since one B @ U product for all steps
+    is a GEMM, which rounds otherwise than the per-step gemv for q >= 2.
+    """
+    out = np.empty((U.shape[1] + 1, z0.shape[0]), dtype=A.dtype)
     out[0] = z0
-    z = z0
-    for k in range(n_steps):
-        z = A @ z + B @ U[:, k]
-        out[k + 1] = z
+    for k in range(U.shape[1]):
+        np.dot(A, out[k], out=out[k + 1])
+        out[k + 1] += B @ U[:, k]
     return out

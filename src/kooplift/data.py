@@ -161,8 +161,9 @@ class SnapshotPairs:
     Each segment is a triple (X, U, Xprime) of row arrays, one row per pair:
     X and Xprime are (m_i, N), U is (m_i, q) or None. From a trajectory
     lifted into Y, X = Y[:-1] and Xprime = Y[1:] are two views of Y, so the
-    lifted data is held once. `blocks` copies the pairs out in order, a
-    block of rows at a time, and `stacked` gives them all at once; the
+    lifted data is held once. `block_pieces` hands the pairs out in order,
+    a block of rows at a time, as views; `blocks` copies each block into
+    one buffer, and `stacked` gives them all at once; the
     column matrices `X`, `Xprime` (N x m) and `U` (q x m) are assembled on
     demand, for callers outside the package.
     """
@@ -192,30 +193,45 @@ class SnapshotPairs:
     def dtype(self) -> np.dtype:
         return self.segments[0][0].dtype
 
+    def block_pieces(self, size: int):
+        """Yield every pair in order, in blocks of `size` pairs (the last one
+        shorter), each block as a list of its (X, U, Xprime) pieces: views of
+        the segments it covers, U None without inputs.
+
+        Blocks start at multiples of `size` over all pairs, so a block that
+        crosses a trajectory boundary has one piece per trajectory it
+        touches. This is the one home of the block boundaries: `blocks`
+        copies each block's pieces out, and the score pass multiplies them
+        where they lie.
+        """
+        m = self.m
+        edges = np.cumsum([0, *(x.shape[0] for x, _, _ in self.segments)])
+        for a in range(0, m, size):
+            b = min(a + size, m)
+            yield [tuple(None if p is None else p[max(a - lo, 0):b - lo] for p in seg)
+                   for seg, lo, hi in zip(self.segments, edges, edges[1:])
+                   if lo < b and hi > a]
+
     def blocks(self, size: int, out: Optional[tuple] = None):
         """Yield every pair in order as (X, U, Xprime) row blocks of `size`
         pairs, the last one shorter; U is None without inputs.
 
-        Blocks start at multiples of `size` over all pairs, so they cross
-        trajectory boundaries. Each block is copied into the leading rows of
-        `out`, three arrays of at least min(size, m) rows (U's may be None),
-        or else of three such buffers allocated up front, so a block is
-        valid only until the next one is handed out: copy it to keep it.
+        The blocks are those of `block_pieces`, so they cross trajectory
+        boundaries. Each block is copied into the leading rows of `out`,
+        three arrays of at least min(size, m) rows (U's may be None), or
+        else of three such buffers allocated up front, so a block is valid
+        only until the next one is handed out: copy it to keep it. For
+        consumers that need a block as one array, as the TSQR does.
         """
-        m = self.m
         if out is None:
-            out = tuple(None if p is None else np.empty((min(size, m), p.shape[1]), p.dtype)
+            out = tuple(None if p is None else np.empty((min(size, self.m), p.shape[1]), p.dtype)
                         for p in self.segments[0])
-        edges = np.cumsum([0, *(x.shape[0] for x, _, _ in self.segments)])
-        for a in range(0, m, size):
-            b = min(a + size, m)
-            pieces = [tuple(None if p is None else p[max(a - lo, 0):b - lo] for p in seg)
-                      for seg, lo, hi in zip(self.segments, edges, edges[1:])
-                      if lo < b and hi > a]
+        for pieces in self.block_pieces(size):
+            w = sum(p[0].shape[0] for p in pieces)
             for k, buf in enumerate(out):
                 if buf is not None:
-                    np.concatenate([p[k] for p in pieces], out=buf[:b - a])
-            yield tuple(None if buf is None else buf[:b - a] for buf in out)
+                    np.concatenate([p[k] for p in pieces], out=buf[:w])
+            yield tuple(None if buf is None else buf[:w] for buf in out)
 
     def stacked(self, part: str) -> Optional[np.ndarray]:
         """Part "X", "U" or "Xprime" of every pair as one (m, width) row

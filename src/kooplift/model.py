@@ -139,8 +139,25 @@ def _real_rows(C, complex_data, n_real=0):
     return np.vstack([C.real, C.imag[:C.shape[0] - n_real]])
 
 
-def _real_parts(Z):
-    return np.vstack([Z.real, Z.imag]) if np.iscomplexobj(Z) else Z
+def _phi_block(rows, pieces, part, out, buf):
+    """rows applied to part `part` (0 for X, 2 for X') of one block's pairs,
+    given as its `SnapshotPairs.block_pieces`, into the (rows, width) `out`.
+    Real pieces are multiplied where they lie, each into its columns of
+    `out`. Complex ones are written as [Re; Im] columns into `buf` first,
+    for one product on the block."""
+    o = 0
+    for piece in pieces:
+        Z = piece[part]
+        e = o + Z.shape[0]
+        if buf is None:
+            np.matmul(rows, Z.T, out=out[:, o:e])
+        else:
+            n = Z.shape[1]
+            buf[:n, o:e] = Z.real.T
+            buf[n:, o:e] = Z.imag.T
+        o = e
+    if buf is not None:
+        np.matmul(rows, buf[:, :o], out=out)
 
 
 def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
@@ -150,7 +167,16 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
     One block of SCORE_CHUNK pairs at a time, one real matrix of rows gives
     the real and imaginary parts of phi_j on X and on X' (acting on the real
     and imaginary parts of complex pairs); the squared norms of phi_j(X) and
-    of the residual are summed over the blocks. The rows are built in the
+    of the residual are summed over the blocks. The blocks are those of
+    `SnapshotPairs.block_pieces`, and no pair is copied to score it: each
+    trajectory piece of a block of real pairs is multiplied where it lies,
+    into its columns of two (rows, SCORE_CHUNK) buffers that the pass
+    allocates once, and complex pairs are written once as [Re; Im] columns
+    into a third, for one product per block. A block of one piece has the
+    bits of its copy; for a block that straddles trajectories, a BLAS may
+    round a column otherwise by where it sits in the product (OpenBLAS's edge
+    kernels can, in the last bits), though on the four benchmark workloads
+    every score keeps the bits of copied blocks. The rows are built in the
     real basis of the spectrum: on real pairs a mode whose lambda_j and w_j
     are the exact conjugates of the mode before it gives the conjugate of its
     partner's phi, so it is not scored and takes its partner's score, and a
@@ -177,21 +203,38 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
     lr, li = lambdas.real[kept, None], lambdas.imag[kept[:c], None]
     num = np.zeros(k + c)
     den = np.zeros(k + c)
+    # the pass's buffers, allocated once: phi on X' and on X of a block, two
+    # scratch rows per complex mode for its residual, and complex pairs'
+    # [Re; Im] columns
+    width = min(SCORE_CHUNK, pairs.m)
+    P, Q = np.empty((k + c, width)), np.empty((k + c, width))
+    S1, S2 = np.empty((c, width)), np.empty((c, width))
+    buf = np.empty((rows.shape[1], width)) if complex_data else None
     # NaN or inf pairs make the sums NaN, which the check below refuses; an
     # overflow of finite pairs still warns, and a sum it leaves NaN or inf
     # scores NaN with a finding
     with np.errstate(invalid="ignore"):
-        for X, _, Xp in pairs.blocks(SCORE_CHUNK):
-            P = rows @ _real_parts(Xp.T)  # [Re; Im] phi(X')
-            Q = rows @ _real_parts(X.T)  # [Re; Im] phi(X)
-            den += np.einsum("ij,ij->i", Q, Q)
-            P[:c] -= lr[:c] * Q[:c] - li * Q[k:]
-            P[c:k] -= lr[c:] * Q[c:k]
-            P[k:] -= lr[:c] * Q[k:] + li * Q[:c]
-            num += np.einsum("ij,ij->i", P, P)
+        for pieces in pairs.block_pieces(SCORE_CHUNK):
+            w = sum(p[0].shape[0] for p in pieces)
+            Pw, Qw, T1, T2 = P[:, :w], Q[:, :w], S1[:, :w], S2[:, :w]
+            _phi_block(rows, pieces, 2, Pw, buf)  # [Re; Im] phi(X')
+            _phi_block(rows, pieces, 0, Qw, buf)  # [Re; Im] phi(X)
+            den += np.einsum("ij,ij->i", Qw, Qw)
+            # P -= lambda phi(X): lr Re - li Im and lr Im + li Re for the
+            # complex modes, lr phi for the real ones, each product rounded as
+            # written, in the scratch rows, so no block-sized temporary
+            np.multiply(lr[:c], Qw[:c], out=T1)
+            T1 -= np.multiply(li, Qw[k:], out=T2)
+            Pw[:c] -= T1
+            np.multiply(lr[:c], Qw[k:], out=T1)
+            T1 += np.multiply(li, Qw[:c], out=T2)
+            Pw[k:] -= T1
+            Qw[c:k] *= lr[c:]
+            Pw[c:k] -= Qw[c:k]
+            num += np.einsum("ij,ij->i", Pw, Pw)
     if not (np.isfinite(num).all() and np.isfinite(den).all()):
         first = 0  # only now are the pairs searched for a NaN or an inf
-        for X, _, Xp in pairs.blocks(SCORE_CHUNK):
+        for X, _, Xp in pairs.segments:
             _check_finite(np.hstack([X, Xp]), first)
             first += X.shape[0]
     num[:c] += num[k:]

@@ -279,7 +279,7 @@ class TimeDelay(Observable):
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
             return self.lift_window(x)
-        if x.size == self.n_output:
+        if x.shape == (self.n_output,):
             return x.copy()
         raise DataError(
             f"time-delay lift needs a (d+1, n) window or an embedded vector of "

@@ -265,14 +265,47 @@ def test_real_matmul_complex_matches_complex_product():
 # linear iteration
 # ---------------------------------------------------------------------------
 
+def _matvec_loop(A, z0, n_steps):
+    """The rollout as one product with the whole of A per step."""
+    out = np.empty((n_steps + 1, z0.shape[0]), dtype=A.dtype)
+    out[0] = z0
+    z = z0
+    for k in range(n_steps):
+        z = A @ z
+        out[k + 1] = z
+    return out
+
+
+def _controlled_loop(A, B, z0, U):
+    """The controlled rollout as A @ z + B @ u per step."""
+    out = np.empty((U.shape[1] + 1, z0.shape[0]), dtype=A.dtype)
+    out[0] = z0
+    z = z0
+    for k in range(U.shape[1]):
+        z = A @ z + B @ U[:, k]
+        out[k + 1] = z
+    return out
+
+
+# sizes around the 4- and 8-row edges of BLAS's matrix-vector kernels, up to
+# the vdp_rbf_control width of 102 and one past it
+ROLLOUT_SIZES = (1, 5, 18, 102, 103)
+
+
 def test_iterate_linear_match_reference():
+    # the in-place step keeps every bit of A @ z, for real and complex A
     rng = _rng(6)
-    A = rng.normal(size=(5, 5)) * 0.3
-    z0 = rng.normal(size=5)
-    out = K.iterate_linear(A, z0, 40)
-    assert out.shape == (41, 5)
-    ref = _iterate_ref(A, None, z0, None, 40)
-    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14)
+    for N in ROLLOUT_SIZES:
+        A = rng.normal(size=(N, N)) * 0.9 / np.sqrt(N)
+        z0 = rng.normal(size=N)
+        out = K.iterate_linear(A, z0, 40)
+        assert out.shape == (41, N)
+        np.testing.assert_array_equal(out, _matvec_loop(A, z0, 40))
+        if N > 1:  # a 1 x 1 operator is diagonal: one cumulative product
+            Ac = A + 1j * rng.normal(size=(N, N)) * 0.3 / np.sqrt(N)
+            zc = z0 + 1j * rng.normal(size=N)
+            np.testing.assert_array_equal(K.iterate_linear(Ac, zc, 40),
+                                          _matvec_loop(Ac, zc, 40))
 
 
 def test_iterate_linear_complex():
@@ -287,25 +320,17 @@ def test_iterate_linear_complex():
 
 
 def test_iterate_linear_controlled_match_reference():
+    # the in-place step plus B @ u_k keeps every bit of A @ z + B @ u
     rng = _rng(7)
-    A = rng.normal(size=(4, 4)) * 0.3
-    B = rng.normal(size=(4, 2))
-    z0 = rng.normal(size=4)
-    U = rng.normal(size=(2, 30))
-    out = K.iterate_linear_controlled(A, B, z0, U)
-    assert out.shape == (31, 4)
-    np.testing.assert_allclose(out, _iterate_ref(A, B, z0, U, 30), rtol=1e-12, atol=1e-13)
-
-
-def _matvec_loop(A, z0, n_steps):
-    """The rollout as one product with the whole of A per step."""
-    out = np.empty((n_steps + 1, z0.shape[0]), dtype=A.dtype)
-    out[0] = z0
-    z = z0
-    for k in range(n_steps):
-        z = A @ z
-        out[k + 1] = z
-    return out
+    for N in ROLLOUT_SIZES:
+        for q in (1, 2, 3):
+            A = rng.normal(size=(N, N)) * 0.9 / np.sqrt(N)
+            B = rng.normal(size=(N, q))
+            z0 = rng.normal(size=N)
+            U = rng.normal(size=(q, 30))
+            out = K.iterate_linear_controlled(A, B, z0, U)
+            assert out.shape == (31, N)
+            np.testing.assert_array_equal(out, _controlled_loop(A, B, z0, U))
 
 
 def _textbook_diagonal_loop(lam, z0, n_steps):

@@ -243,6 +243,26 @@ def test_simulate_input_validation():
     np.testing.assert_allclose(out[:, 0], 1.0 * 0.5 ** np.arange(6), atol=1e-9)
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_controlled_rollout_first_step_is_predict_bit_for_bit(q):
+    # the rollout's in-place step plus B @ u_k is predict's A @ z + B @ u
+    A, B = kl.drss(3, q, seed=q)
+    rng = np.random.default_rng(q)
+    trajs, inputs = [], []
+    for _ in range(4):
+        U = rng.normal(size=(40, q))
+        rows = [rng.normal(size=3)]
+        for u in U[:-1]:
+            rows.append(A @ rows[-1] + B @ u + 0.01 * rows[-1] ** 2)
+        trajs.append(np.array(rows))
+        inputs.append(U)
+    model = kl.fit(kl.Polynomial(2), "edmdc", kl.TrajectoryDataset(trajs, 0.1, inputs))
+    assert model.q == q and model.A.shape == (10, 10)
+    for x, U in zip(rng.normal(size=(5, 3)), rng.normal(size=(5, q, 6))):
+        np.testing.assert_array_equal(model.simulate(x, 1, U[:, :1])[1], model.predict(x, U[:, 0]))
+        np.testing.assert_array_equal(model.simulate(x, 6, U)[1], model.predict(x, U[:, 0]))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_simulate_refuses_a_non_finite_start_or_input(bad):
     x0 = np.array([bad, 0.1])
@@ -594,13 +614,13 @@ def test_non_finite_validation_data_are_refused(bad, monkeypatch):
     T = trajs[0].shape[0]
     trajs[1][4, 0] = bad  # pair T - 1 + 3 holds it as X', pair T - 1 + 4 as X
     blocks = []
-    real_blocks = kl.SnapshotPairs.blocks
+    real_pieces = kl.SnapshotPairs.block_pieces
 
-    def spy(self, size, out=None):
+    def spy(self, size):
         blocks.append(size)
-        return real_blocks(self, size, out)
+        return real_pieces(self, size)
 
-    monkeypatch.setattr(kl.SnapshotPairs, "blocks", spy)
+    monkeypatch.setattr(kl.SnapshotPairs, "block_pieces", spy)
     good = kl.TrajectoryDataset(trajs[:1] + trajs[2:], data.dt)
     scores, findings = model.linearity_consistency(good)
     assert np.isfinite(scores).all() and findings == [] and blocks == [5]
@@ -688,6 +708,148 @@ def test_fit_holds_the_lifted_pairs_once():
     # of the two; pairs stacked into X and X' would add two more lifted copies
     step = 2 * (2 * N + kl.regression.QR_CHUNK) * 2 * N * 8
     assert peak < 1.5 * lifted + step, (peak, lifted, step)
+
+
+# ---------------------------------------------------------------------------
+# the score pass multiplies the pairs where they lie
+# ---------------------------------------------------------------------------
+
+def _copy_blocks(monkeypatch):
+    # the score pass as it was: each block of pairs copied into one array, so
+    # its two products run on the whole block at once
+    pieces = kl.SnapshotPairs.block_pieces
+
+    def copied(self, size):
+        for block in pieces(self, size):
+            yield [tuple(None if block[0][i] is None else
+                         np.concatenate([p[i] for p in block]) for i in range(3))]
+
+    monkeypatch.setattr(kl.SnapshotPairs, "block_pieces", copied)
+
+
+def _random_operator(N, seed):
+    # a random operator, so the spectrum has conjugate pairs (each second one
+    # an exact twin) and real modes, and the scores are far from rounding noise
+    A = np.random.default_rng(seed).normal(size=(N, N)) / np.sqrt(N)
+    res = kl.RegressionResult(A=A, eigensystem=kl.eig_biorthogonal(A))
+    assert _twins(res.eigensystem) and (res.eigensystem.lambdas.imag == 0).any()
+    return res
+
+
+def _scores_both_ways(res, pairs, monkeypatch):
+    scores = kl.model._consistency_scores(res, pairs)[0]
+    with monkeypatch.context() as m:
+        _copy_blocks(m)
+        copied = kl.model._consistency_scores(res, pairs)[0]
+    assert np.isfinite(scores).all()
+    return scores, copied
+
+
+@pytest.mark.parametrize("T", [6, 9, 21])
+def test_score_blocks_inside_one_trajectory_keep_the_bits_of_a_copied_block(T, monkeypatch):
+    # one trajectory of fewer, as many and more pairs than a block holds:
+    # every block is one view of it, multiplied as its copy was
+    monkeypatch.setattr(kl.model, "SCORE_CHUNK", 8)
+    traj = np.random.default_rng(T).normal(size=(T, 2))
+    pairs = kl.build_snapshot_pairs(kl.TrajectoryDataset([traj], 0.1), kl.Polynomial(3).bind(2))
+    assert len(pairs.segments) == 1 and pairs.m == T - 1
+    scores, copied = _scores_both_ways(_random_operator(10, 1), pairs, monkeypatch)
+    np.testing.assert_array_equal(scores, copied)
+
+
+def test_score_blocks_of_one_column_segment_keep_the_bits_of_a_copied_block(monkeypatch):
+    from kooplift.model import SCORE_CHUNK
+
+    # from_columns views the (N, m) matrices: its rows are strided
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(12, 2 * SCORE_CHUNK + 37))
+    res = _random_operator(12, 3)
+    pairs = kl.SnapshotPairs.from_columns(X, res.A @ X + 0.1 * rng.normal(size=X.shape))
+    scores, copied = _scores_both_ways(res, pairs, monkeypatch)
+    np.testing.assert_array_equal(scores, copied)
+
+
+def test_score_blocks_of_a_hankel_view_keep_the_bits_of_a_copied_block(monkeypatch):
+    monkeypatch.setattr(kl.model, "SCORE_CHUNK", 8)
+    # a TimeDelay lift is a view whose rows step backwards and overlap
+    traj = np.random.default_rng(4).normal(size=(40, 2))
+    pairs = kl.build_snapshot_pairs(kl.TrajectoryDataset([traj], 0.1), kl.TimeDelay(4).bind(2))
+    X = pairs.segments[0][0]
+    assert X.strides[0] < 0 and np.shares_memory(X, pairs.segments[0][2])
+    scores, copied = _scores_both_ways(_random_operator(10, 6), pairs, monkeypatch)
+    np.testing.assert_array_equal(scores, copied)
+
+
+def test_complex_score_blocks_keep_the_bits_of_a_copied_block(slow_manifold_small, monkeypatch):
+    monkeypatch.setattr(kl.model, "SCORE_CHUNK", 7)
+    # kdmd's complex pairs; blocks of 7 straddle the 29-pair trajectories
+    model = kl.fit(None, kl.RegressorConfig(kind="kdmd", rank=8),
+                   _short_slow_manifold(slow_manifold_small))
+    pairs = kl.build_snapshot_pairs(_short_slow_manifold(slow_manifold_small),
+                                    model.observables)
+    assert pairs.dtype.kind == "c" and len(pairs.segments) == 4
+    scores, copied = _scores_both_ways(model.regression, pairs, monkeypatch)
+    np.testing.assert_array_equal(scores, copied)
+    np.testing.assert_array_equal(scores, model.training_scores)
+
+
+def test_score_blocks_across_trajectories_match_a_copied_block(monkeypatch):
+    monkeypatch.setattr(kl.model, "SCORE_CHUNK", 8)
+    # trajectories of fewer, as many and more pairs than a block holds, so
+    # most blocks straddle a boundary. The pieces of a block are multiplied
+    # one by one, and a BLAS may round a column of a product by where it sits
+    # in it (OpenBLAS's edge kernels do), so the last bits may move.
+    rng = np.random.default_rng(6)
+    trajs = [rng.normal(size=(T + 1, 2)) for T in (5, 8, 13, 1, 3, 17)]
+    ds = kl.TrajectoryDataset(trajs, 0.1)
+    pairs = kl.build_snapshot_pairs(ds, kl.Polynomial(3).bind(2))
+    scores, copied = _scores_both_ways(_random_operator(10, 7), pairs, monkeypatch)
+    np.testing.assert_allclose(scores, copied, rtol=1e-13)
+    # fit and validation score the same pieces, so they agree bit for bit
+    model = kl.fit(kl.Polynomial(3), "edmd", ds)
+    np.testing.assert_array_equal(model.linearity_consistency(ds)[0], model.training_scores)
+
+
+def test_real_pairs_are_scored_without_copying_a_block(monkeypatch):
+    model, data = _small_vdp_rbf_control()
+
+    def refuse(self, size, out=None):
+        raise AssertionError("the score pass copied a block")
+
+    monkeypatch.setattr(kl.SnapshotPairs, "blocks", refuse)
+    scores, findings = model.linearity_consistency(data)
+    assert findings == []
+    np.testing.assert_array_equal(scores, model.training_scores)
+
+
+def test_the_score_pass_holds_its_two_buffers_and_no_copy_of_the_pairs():
+    import tracemalloc
+
+    from kooplift.model import SCORE_CHUNK, _consistency_scores
+
+    # wide real pairs over 2.5 blocks, and a spectrum with complex modes
+    x0 = np.random.default_rng(8).uniform(-1.0, 1.0, size=(6, 2))
+    trajs = kl.integrate_rk4_batch(kl.get_system("slow_manifold"), x0, 0.02, 2100)
+    ds = kl.TrajectoryDataset(list(trajs), dt=0.02)
+    model = kl.fit(kl.RadialBasis("gauss", n_centers=60, seed=1), "edmd", ds)
+    pairs = kl.build_snapshot_pairs(ds, model.observables)
+    N, r = model.A.shape[0], len(model.eigenvalues)
+    k = r - len(_twins(model.regression.eigensystem))  # scored modes
+    R = 2 * k - int(sum(1 for j in range(r) if model.eigenvalues[j].imag == 0
+                        and not model.regression.eigensystem.W_left[:, j].imag.any()))
+    c = R - k  # scored complex modes
+    assert pairs.m > 2 * SCORE_CHUNK and c > 0
+    tracemalloc.start()
+    try:
+        _consistency_scores(model.regression, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # phi on X' and on X, and the complex modes' two scratch rows, for one
+    # block; copying a block of X and X' would add 2 N SCORE_CHUNK floats
+    buffers = (2 * R + 2 * c) * SCORE_CHUNK * 8
+    assert peak < buffers + 4 * R * N * 8 + 65536, (peak, buffers)
+    assert 2 * N * SCORE_CHUNK * 8 > 4 * R * N * 8 + 65536
 
 
 def test_eigenfunctions_rows_refuse_a_batch_that_is_not_2d(diag_model):
@@ -791,6 +953,22 @@ def test_time_delay_pipeline_roundtrip():
     assert sim[0, 0] == sig[2, 0]
     one = model.predict(window)
     np.testing.assert_allclose(one[0], sim[1, 0], atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 6), (3, 2, 1)])
+def test_time_delay_start_of_the_embedded_size_but_another_shape_is_refused(shape):
+    # six values, as many as the embedded vector of d = 2, n = 2 holds, but
+    # neither that vector nor a (3, 2) window
+    rng = np.random.default_rng(9)
+    ds = kl.TrajectoryDataset([rng.normal(size=(30, 2)) for _ in range(3)], dt=0.1)
+    model = kl.fit(None, kl.RegressorConfig(kind="hdmd", delays=2), ds)
+    assert model.observables.n_output == 6
+    with pytest.raises(DataError, match=r"time-delay lift needs .* got shape \(" + ", ".join(
+            map(str, shape)) + r"\)"):
+        model.simulate(np.full(shape, 0.1), 2)
+    with pytest.raises(DataError, match="time-delay lift needs"):
+        model.predict(np.full(shape, 0.1))
+    assert model.simulate(np.full(6, 0.1), 2).shape == (3, 2)
 
 
 def test_hdmdc_pipeline():
