@@ -280,7 +280,6 @@ def cmd_bench(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="default RNG seed")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--quiet", action="store_true", help="suppress report output")
 
@@ -295,6 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="fit config JSON")
     p.add_argument("data", help="trajectory CSV")
     p.add_argument("model", nargs="?", default=None, help="output model JSON")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of each rbf or random_fourier config that sets none")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", parents=[common], help="roll a model forward")
@@ -307,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-csv", default=None, help="CSV of inputs (time + channels)")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("eig", parents=[common], help="inspect the fitted spectrum")
+    p = sub.add_parser("eig", help="inspect the fitted spectrum")
     p.add_argument("model", help="model JSON")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.add_argument("--data", default=None,

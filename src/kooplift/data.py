@@ -162,10 +162,10 @@ class SnapshotPairs:
     X and Xprime are (m_i, N), U is (m_i, q) or None. From a trajectory
     lifted into Y, X = Y[:-1] and Xprime = Y[1:] are two views of Y, so the
     lifted data is held once. `block_pieces` hands the pairs out in order,
-    a block of rows at a time, as views; `blocks` copies each block into
-    one buffer, and `stacked` gives them all at once; the
-    column matrices `X`, `Xprime` (N x m) and `U` (q x m) are assembled on
-    demand, for callers outside the package.
+    a block of rows at a time, as views, and `stacked` gives them all at
+    once; `refuse_non_finite` finds the first pair holding a NaN or an inf.
+    The column matrices `X`, `Xprime` (N x m) and `U` (q x m) are assembled
+    on demand, for callers outside the package.
     """
 
     segments: tuple
@@ -200,9 +200,9 @@ class SnapshotPairs:
 
         Blocks start at multiples of `size` over all pairs, so a block that
         crosses a trajectory boundary has one piece per trajectory it
-        touches. This is the one home of the block boundaries: `blocks`
-        copies each block's pieces out, and the score pass multiplies them
-        where they lie.
+        touches. This is the one home of the block boundaries: the TSQR
+        copies each block's pieces below its R, and the score pass
+        multiplies them where they lie.
         """
         m = self.m
         edges = np.cumsum([0, *(x.shape[0] for x, _, _ in self.segments)])
@@ -212,26 +212,18 @@ class SnapshotPairs:
                    for seg, lo, hi in zip(self.segments, edges, edges[1:])
                    if lo < b and hi > a]
 
-    def blocks(self, size: int, out: Optional[tuple] = None):
-        """Yield every pair in order as (X, U, Xprime) row blocks of `size`
-        pairs, the last one shorter; U is None without inputs.
-
-        The blocks are those of `block_pieces`, so they cross trajectory
-        boundaries. Each block is copied into the leading rows of `out`,
-        three arrays of at least min(size, m) rows (U's may be None), or
-        else of three such buffers allocated up front, so a block is valid
-        only until the next one is handed out: copy it to keep it. For
-        consumers that need a block as one array, as the TSQR does.
-        """
-        if out is None:
-            out = tuple(None if p is None else np.empty((min(size, self.m), p.shape[1]), p.dtype)
-                        for p in self.segments[0])
-        for pieces in self.block_pieces(size):
-            w = sum(p[0].shape[0] for p in pieces)
-            for k, buf in enumerate(out):
-                if buf is not None:
-                    np.concatenate([p[k] for p in pieces], out=buf[:w])
-            yield tuple(None if buf is None else buf[:w] for buf in out)
+    def refuse_non_finite(self) -> None:
+        """DataError naming the first pair that holds a NaN or an inf in X, U
+        or Xprime; return if there is none. The segments are searched where
+        they lie, without copying a pair."""
+        first = 0
+        for seg in self.segments:
+            finite = np.logical_and.reduce(
+                [np.isfinite(p).all(axis=1) for p in seg if p is not None])
+            if not finite.all():
+                j = first + int(np.argmin(finite))
+                raise DataError(f"snapshot pair {j} holds a non-finite value (NaN or inf)")
+            first += finite.shape[0]
 
     def stacked(self, part: str) -> Optional[np.ndarray]:
         """Part "X", "U" or "Xprime" of every pair as one (m, width) row

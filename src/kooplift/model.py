@@ -40,7 +40,6 @@ from .observables import (
 from .regression import (
     KernelConfig,
     RegressionResult,
-    _check_finite,
     _parse_rank,
     fit_edmd,
     fit_edmdc,
@@ -233,10 +232,7 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
             Pw[c:k] -= Qw[c:k]
             num += np.einsum("ij,ij->i", Pw, Pw)
     if not (np.isfinite(num).all() and np.isfinite(den).all()):
-        first = 0  # only now are the pairs searched for a NaN or an inf
-        for X, _, Xp in pairs.segments:
-            _check_finite(np.hstack([X, Xp]), first)
-            first += X.shape[0]
+        pairs.refuse_non_finite()  # only now are the pairs searched
     num[:c] += num[k:]
     den[:c] += den[k:]
     # row i of the sums scores mode kept[i]; a twin reads its partner's row

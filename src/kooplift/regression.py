@@ -119,6 +119,15 @@ def _normalize_pair(W_right: np.ndarray, W_left: np.ndarray):
     return Wr, Wl
 
 
+def _snap_conjugate_partners(lam: np.ndarray, *arrays) -> None:
+    """Make column j + 1 of each array the conjugate of column j, in place,
+    wherever lam[j + 1] is the exact conjugate of lam[j] and lam[j] lies
+    below the real axis: a conjugate pair as eig_biorthogonal sorts it."""
+    j = np.flatnonzero((lam[:-1].imag < 0) & (lam[1:] == lam[:-1].conj()))
+    for M in arrays:
+        M[:, j + 1] = M[:, j].conj()
+
+
 def eig_biorthogonal(A: np.ndarray, dt: float = 1.0) -> EigenSystem:
     """Eigendecomposition of a square matrix with biorthogonal left vectors.
 
@@ -148,13 +157,10 @@ def eig_biorthogonal(A: np.ndarray, dt: float = 1.0) -> EigenSystem:
         W_left = np.linalg.inv(W).conj().T
     W, W_left = _normalize_pair(W, W_left)
     if not np.iscomplexobj(A):
-        # LAPACK returns a real A's conjugate pairs exactly (the member with
-        # negative imaginary part sorts first); inv() keeps the pairing of the
-        # left vectors only to rounding, and the normalization carries that
-        # into the right vectors
-        j = np.flatnonzero((lam[:-1].imag < 0) & (lam[1:] == lam[:-1].conj()))
-        W[:, j + 1] = W[:, j].conj()
-        W_left[:, j + 1] = W_left[:, j].conj()
+        # LAPACK returns a real A's conjugate pairs exactly; inv() keeps the
+        # pairing of the left vectors only to rounding, and the normalization
+        # carries that into the right vectors
+        _snap_conjugate_partners(lam, W, W_left)
     lam, mus, mu_findings = _classify_spectrum(lam, A, dt)
     return EigenSystem(
         lambdas=lam, mus=mus, W_right=W, W_left=W_left,
@@ -235,14 +241,6 @@ def _as_pairs(Z, Zprime, U=None, inputs: bool = False) -> SnapshotPairs:
     return SnapshotPairs.from_columns(Z, Zp, U=U)
 
 
-def _check_finite(rows: np.ndarray, first: int = 0) -> None:
-    """Refuse snapshot pairs, one per row, that hold NaN or inf; `first` is
-    the index of the first row's pair."""
-    if not np.isfinite(rows).all():
-        j = first + int(np.argmin(np.isfinite(rows).all(axis=1)))
-        raise DataError(f"snapshot pair {j} holds a non-finite value (NaN or inf)")
-
-
 def _pair_factor(pairs: SnapshotPairs, inputs: bool = False):
     """The R factor of the snapshot pairs as rows, [X | U | X'] with U only
     for ``inputs``, returned as its column blocks R_X, R_U (None without
@@ -254,10 +252,12 @@ def _pair_factor(pairs: SnapshotPairs, inputs: bool = False):
     combination of the B^T is that of the same combination of the R_B^T:
     the regressions work on R_B, whose rows number at most the width of
     [X | U | X'], and never on the m-long blocks. R is accumulated over the
-    blocks of QR_CHUNK pairs that `SnapshotPairs.blocks` hands out (TSQR:
-    R = qr([R; next rows])), each copied into one buffer below the R of the
-    blocks before it, so no temporary holds all m pairs. A block with a NaN
-    or an inf raises DataError.
+    blocks of QR_CHUNK pairs of `SnapshotPairs.block_pieces` (TSQR:
+    R = qr([R; next rows])), each block's pieces copied into one buffer
+    below the R of the blocks before it, so no temporary holds all m pairs.
+    A NaN or an inf in a pair leaves R non-finite, and only then are the
+    pairs searched, by `SnapshotPairs.refuse_non_finite`, which raises
+    DataError.
     """
     N = pairs.n_features
     q = pairs.n_inputs if inputs else 0
@@ -265,15 +265,20 @@ def _pair_factor(pairs: SnapshotPairs, inputs: bool = False):
     # column-major, so each column of a block is filled, and copied for
     # LAPACK, contiguously
     S = np.empty((W + min(QR_CHUNK, pairs.m), W), order="F")
-    out = (S[W:, :N], S[W:, N:N + q] if q else None, S[W:, N + q:])
     R = np.empty((0, W))
-    a = 0
-    for X, _, _ in pairs.blocks(QR_CHUNK, out):
-        c, k = X.shape[0], R.shape[0]
+    for pieces in pairs.block_pieces(QR_CHUNK):
+        k, o = R.shape[0], W
         S[W - k:W] = R
-        _check_finite(S[W:W + c], a)
-        R = np.linalg.qr(S[W - k:W + c], mode="r")
-        a += c
+        for X, U, Xp in pieces:
+            e = o + X.shape[0]
+            S[o:e, :N] = X
+            if q:
+                S[o:e, N:N + q] = U
+            S[o:e, N + q:] = Xp
+            o = e
+        R = np.linalg.qr(S[W - k:o], mode="r")
+    if not np.isfinite(R).all():
+        pairs.refuse_non_finite()
     return R[:, :N], (R[:, N:N + q] if q else None), R[:, N + q:]
 
 
@@ -543,9 +548,10 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(), rank=None,
     pairs = _as_pairs(Z, Zprime)
     m = pairs.m
     rank, _ = _parse_rank(rank, "kernel rank", cutoff=False)
+    # refused here, not by the Gram matrix: a NaN trace reads as a zero G
+    pairs.refuse_non_finite()
     Xr = np.ascontiguousarray(pairs.stacked("X"))
     Xpr = np.ascontiguousarray(pairs.stacked("Xprime"))
-    _check_finite(np.hstack([Xr, Xpr]))
     G, s, Q = _gram_eigenpairs(kernel, Xr, rank)
     s = np.maximum(s, 0.0)
     # counted over the computed eigenvalues: where only the leading r were
@@ -598,9 +604,7 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(), rank=None,
             alpha[:, j] *= scale
             C[:, j] *= scale
     # conjugate pairs exact, as in eig_biorthogonal (their scales may round apart)
-    j = np.flatnonzero((lam[:-1].imag < 0) & (lam[1:] == lam[:-1].conj()))
-    alpha[:, j + 1] = alpha[:, j].conj()
-    C[:, j + 1] = C[:, j].conj()
+    _snap_conjugate_partners(lam, alpha, C)
 
     Xi_next = _kernels.real_matmul_complex(TQ, C).T  # T alpha
     fro, rel = _residual(Xi_next - lam[:, None] * Xi, Xi_next)

@@ -185,6 +185,23 @@ def test_fit_seed_reaches_concat_parts(tmp_path, data_csv):
     assert [p["seed"] for p in parts] == [3, 7]
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "m.json", "o.csv", "--x0=0.5,-0.5", "--steps", "3", "--seed", "3"],
+    ["eig", "m.json", "--json"],
+    ["eig", "m.json", "--quiet"],
+    ["diff", "d.csv", "o.csv", "--seed", "3"],
+    ["bench", "o.csv", "--system", "slow_manifold", "--seed", "3"],
+])
+def test_flags_a_command_never_reads_exit_2(argv, tmp_path, monkeypatch, capsys):
+    # only fit reads --seed, and eig writes machine output with --format json
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_zero_steps(tmp_path, fitted_model):
     out = tmp_path / "sim.csv"
     rc = main(["simulate", fitted_model, str(out), "--x0", "0.5,-0.5",

