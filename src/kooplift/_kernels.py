@@ -13,8 +13,10 @@ import numpy as np
 # the radial functions rbf_features evaluates, by name
 RADIAL_KINDS = ("thinplate", "gauss", "invquad", "invmultiquad", "polyharmonic")
 # rows per block where an m-row kernel computation bounds its temporaries:
-# sq_distances sums ROW_BLOCK rows at a time, through (ROW_BLOCK, k)
-# temporaries, and fit_kdmd builds T ROW_BLOCK rows at a time. On a 2-CPU VM
+# sq_distances and dot_products sum ROW_BLOCK rows at a time, through
+# (ROW_BLOCK, k) temporaries, fit_kdmd evaluates the rows of T it cannot take
+# from G ROW_BLOCK at a time, and eigenfunction_lift multiplies ROW_BLOCK
+# kernel rows at a time. On a 2-CPU VM
 # (best of five, two passes), 2-d squared distances of 2,844 x 2,844 states
 # took 38-54 ms at 128 rows against 61-64 ms unblocked and 53-55 ms at
 # 512-1,024, and of 100,000 states x 100 centers 57-73 ms against 101-110 ms;
@@ -92,22 +94,27 @@ def _radial(r2, kind, eps, ph_exp):
     return out
 
 
+def _by_row_blocks(rows, X, Y):
+    """rows(X, Y[, out]) over the rows of X, ROW_BLOCK at a time into one
+    (m, k) output, so a temporary holds at most (ROW_BLOCK, k); a
+    single-block input (one state in prediction) pays for no block loop."""
+    m = X.shape[0]
+    if m <= ROW_BLOCK:
+        return rows(X, Y)
+    out = np.empty((m, Y.shape[0]))
+    for a in range(0, m, ROW_BLOCK):
+        rows(X[a:a + ROW_BLOCK], Y, out=out[a:a + ROW_BLOCK])
+    return out
+
+
 def sq_distances(X, Y):
     """Squared distances ||x_i - y_j||^2, X (m, n), Y (k, n) -> (m, k), summed
     one coordinate at a time: no (m, k, n) temporary, no cancellation (unlike
     ||x||^2 + ||y||^2 - 2 x.y), and entry (i, j) equals entry (j, i) of
-    sq_distances(Y, X), since fl(a - b) = -fl(b - a). Inputs of more than
-    ROW_BLOCK rows are summed ROW_BLOCK rows at a time into the output, so a
-    temporary holds at most (ROW_BLOCK, k); the arithmetic is elementwise, so
-    the blocks change no bit, and a single-block input (one state in
-    prediction) pays for no block loop."""
-    m = X.shape[0]
-    if m <= ROW_BLOCK:
-        return _sq_distance_rows(X, Y)
-    r2 = np.empty((m, Y.shape[0]))
-    for a in range(0, m, ROW_BLOCK):
-        _sq_distance_rows(X[a:a + ROW_BLOCK], Y, out=r2[a:a + ROW_BLOCK])
-    return r2
+    sq_distances(Y, X), since fl(a - b) = -fl(b - a). Summed ROW_BLOCK rows
+    at a time; the arithmetic is elementwise, so an entry's bits depend only
+    on x_i and y_j, not on the block or the other rows."""
+    return _by_row_blocks(_sq_distance_rows, X, Y)
 
 
 def _sq_distance_rows(X, Y, out=None):
@@ -118,6 +125,23 @@ def _sq_distance_rows(X, Y, out=None):
         t *= t
         r2 += t
     return r2
+
+
+def dot_products(X, Y):
+    """Inner products x_i . y_j, X (m, n), Y (k, n) -> (m, k), summed one
+    coordinate at a time in coordinate order, ROW_BLOCK rows at a time, as
+    sq_distances is: an entry's bits depend only on x_i and y_j, and entry
+    (i, j) equals entry (j, i) of dot_products(Y, X). A GEMM's X @ Y.T
+    rounds an entry by its place in the product, and equals its transpose
+    only where numpy takes syrk for one array passed twice."""
+    return _by_row_blocks(_dot_rows, X, Y)
+
+
+def _dot_rows(X, Y, out=None):
+    p = np.multiply(X[:, 0, None], Y[:, 0], out=out)
+    for d in range(1, X.shape[1]):
+        p += X[:, d, None] * Y[:, d]
+    return p
 
 
 def conjugate_copies(A):
@@ -148,13 +172,17 @@ def gram_matrix(X, Y, kind, sigma, offset, degree):
 
     gaussian: k = exp(-||x-y||^2 / (2 sigma^2));
     polynomial: k = (offset + x.y)^degree. The other kind's parameters are
-    ignored.
+    ignored. Both are elementwise after a per-coordinate sum (sq_distances,
+    dot_products), so an entry's bits depend only on x_i and y_j: a row of
+    G(X, X) is bit for bit the row that any call gives for the same state,
+    and G(X, Y) with equal X and Y is exactly symmetric, also for two
+    buffers.
     """
     if kind == "gaussian":
         G = sq_distances(X, Y)
         np.divide(G, -2.0 * sigma * sigma, out=G)
         return np.exp(G, out=G)
-    G = X @ Y.T
+    G = dot_products(X, Y)
     G += offset
     return np.power(G, degree, out=G)
 
@@ -164,6 +192,45 @@ def real_matmul_complex(K, C):
     viewed as (k, 2r) interleaved real and imaginary parts, where K @ C would
     cast K to a complex copy."""
     return (K @ np.ascontiguousarray(C).view(float)).view(complex)
+
+
+def conjugate_plan(alpha):
+    """How `eigenfunction_lift` multiplies complex coefficients alpha (m, r):
+    (kept, gather, sign). A GEMM multiplies only kept, the columns that are
+    not the exact conjugate of their left neighbour (`conjugate_copies`), so
+    a real fit's conjugate pairs stay exact (a GEMM rounds a column by its
+    position). In the (re, im) float view of the output, gather is the column
+    of the kept product each output column takes (a copy takes its
+    partner's) and sign is -1 on the imaginary part of a copy."""
+    copy = conjugate_copies(alpha)
+    src = np.cumsum(~copy) - 1
+    sign = np.ones((alpha.shape[1], 2))
+    sign[copy, 1] = -1.0
+    return alpha[:, ~copy], (2 * src[:, None] + np.arange(2)).ravel(), sign.ravel()
+
+
+def eigenfunction_lift(kernel_rows, n, plan):
+    """Eigenfunction values K @ alpha of n states, (n, r) complex, from their
+    real kernel rows K (n, m), with plan = conjugate_plan(alpha).
+    kernel_rows(a, b) gives rows a..b-1 of K; it is called ROW_BLOCK rows at
+    a time from row 0, and each block is one real GEMM on the kept columns
+    (`real_matmul_complex`), so no more than a (ROW_BLOCK, m) block of K is
+    asked for at once. Blocks of equal rows give equal bits, which is how a
+    fit's training lift from its Gram rows and a later lift of the same
+    trajectory agree."""
+    kept, gather, sign = plan
+    if n <= ROW_BLOCK:  # one block (one state in prediction): no block loop
+        Z = np.take(real_matmul_complex(kernel_rows(0, n), kept).view(float), gather, axis=1)
+    else:
+        Z = np.empty((n, sign.shape[0]))
+        for a in range(0, n, ROW_BLOCK):
+            b = min(a + ROW_BLOCK, n)
+            # mode="clip" takes the same columns (gather is in range) without
+            # the buffered copy that mode="raise" makes of `out`
+            np.take(real_matmul_complex(kernel_rows(a, b), kept).view(float), gather,
+                    axis=1, out=Z[a:b], mode="clip")
+    Z *= sign
+    return Z.view(complex)
 
 
 def iterate_linear(A, z0, n_steps):

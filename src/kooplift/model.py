@@ -4,8 +4,9 @@
 configured regression, fits the state reconstruction on the lifted pairs,
 and assembles an immutable KoopmanModel exposing prediction, simulation,
 spectral analytics, and validation scores. Kernel regression is one more
-regressor: it returns its own eigenfunction lift, through which the pairs
-are lifted once more, and from there every kind runs the same code.
+regressor: it returns its own eigenfunction lift with the training pairs
+lifted through it from its Gram rows, and from there every kind runs the
+same code.
 
 Multi-step simulation iterates in the lifted space and reconstructs each
 step; it never re-lifts, which would silently reintroduce nonlinearity.
@@ -185,9 +186,14 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
     as complex. lambda_j is applied after the sum w_j^H z, as complex
     arithmetic would: folding it into the rows first rounds lambda_j w_j
     before the cancellation in that sum, which costs accuracy when the w_j
-    are large. Pairs holding NaN or inf raise DataError; a mode whose sums
-    overflow on finite pairs scores NaN with a finding.
+    are large. Pairs holding NaN or inf, in X, X' or an input, raise
+    DataError; a mode whose sums overflow on finite pairs scores NaN with a
+    finding.
     Returns (scores, findings)."""
+    # the pass reads no input, so a non-finite one is looked for here, in the
+    # (m, q) input rows only
+    if any(u is not None and not np.isfinite(u).all() for _, u, _ in pairs.segments):
+        pairs.refuse_non_finite()
     lambdas, W = regression.eigensystem.lambdas, regression.eigensystem.W_left
     r = lambdas.shape[0]
     complex_data = pairs.dtype.kind == "c"
@@ -521,11 +527,13 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
         raise _stage("regression", exc) from exc
     X_state = None
     if regression == "kdmd":
-        # the model lifts through the fitted eigenfunctions from here on; the
-        # rows of X are its centers and the fitted reconstruction's raw states
+        # the model lifts through the fitted eigenfunctions from here on, and
+        # fit_kdmd lifted the training pairs through them from its Gram rows;
+        # the rows of X are the centers and the fitted reconstruction's raw
+        # states
         X_state = pairs.stacked("X")
         library = KernelLift(regressor.kernel, X_state, res.kernel_alpha)
-        pairs = build_snapshot_pairs(data, library)
+        pairs = res.kernel_pairs
 
     # reconstruction: the lifted pairs and raw states are read, all at once,
     # only where it is fitted
@@ -546,7 +554,7 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
     eig = res.eigensystem
     findings = (*res.findings, *eig.findings, *C.findings, *score_findings)
     res = replace(res, eigensystem=replace(eig, findings=()), findings=(),
-                  kernel_alpha=None)
+                  kernel_alpha=None, kernel_pairs=None)
     return KoopmanModel(
         observables=library, regression=res, C=replace(C, findings=()), dt=data.dt,
         regressor=regressor.kind, findings=findings,

@@ -625,35 +625,25 @@ class KernelLift(Observable):
 
     @alpha.setter
     def alpha(self, alpha):
-        # found once per assignment: the GEMM multiplies only the columns that
-        # are not the exact conjugate of their left neighbour, and lift_rows
-        # writes each copy as its partner's product with the imaginary part
-        # negated, so a real fit's conjugate pairs stay exact (a GEMM rounds a
-        # column by its position)
+        # found once per assignment: which columns the GEMM multiplies, and
+        # how the conjugate copies are written from their partners
         self._alpha = a = np.asarray(alpha, dtype=complex)
-        copy = _kernels.conjugate_copies(a)
-        self._alpha_kept = a[:, ~copy]
-        # per output column, in the (re, im) float view: the column of the
-        # kept product it takes (a copy takes its partner's) and its sign
-        src = np.cumsum(~copy) - 1
-        self._gather = (2 * src[:, None] + np.arange(2)).ravel()
-        sign = np.ones((a.shape[1], 2))
-        sign[copy, 1] = -1.0
-        self._sign = sign.ravel()
+        self._plan = _kernels.conjugate_plan(a)
 
     @property
     def n_output(self) -> int:
         return self.alpha.shape[1]
 
     def lift_rows(self, X):
+        """Each ROW_BLOCK block of states' kernel rows against the centers,
+        multiplied by alpha as it comes (`_kernels.eigenfunction_lift`)."""
         X = self._rows(X)
         # not KernelConfig.gram: prediction-time Gram rows are lifting, not regression
         k = self.kernel
-        K = _kernels.gram_matrix(X, self.centers, k.kind, k.sigma, k.offset, k.degree)
-        Z = np.take(_kernels.real_matmul_complex(K, self._alpha_kept).view(float),
-                    self._gather, axis=1)
-        Z *= self._sign
-        return Z.view(complex)
+        return _kernels.eigenfunction_lift(
+            lambda a, b: _kernels.gram_matrix(X[a:b], self.centers, k.kind, k.sigma,
+                                              k.offset, k.degree),
+            X.shape[0], self._plan)
 
     def lift(self, x):  # defined here, so a tracer can tell kernel lifts apart
         return super().lift(x)

@@ -134,7 +134,9 @@ def eig_biorthogonal(A: np.ndarray, dt: float = 1.0) -> EigenSystem:
     A near-defective eigenvector matrix is flagged with a finding and the
     left vectors fall back to the pseudoinverse (biorthogonality is then only
     approximate for the affected cluster). Eigenvalues within
-    ZERO_EIG_RTOL * ||A||_2 of zero are returned as exactly 0.
+    ZERO_EIG_RTOL * ||A||_2 of zero are returned as exactly 0. For a real A,
+    the right and left vectors of a real eigenvalue are exactly real, and
+    those of a conjugate pair exact conjugates.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -155,8 +157,15 @@ def eig_biorthogonal(A: np.ndarray, dt: float = 1.0) -> EigenSystem:
         W_left = np.linalg.pinv(W).conj().T
     else:
         W_left = np.linalg.inv(W).conj().T
+    real_A = not np.iscomplexobj(A)
+    if real_A:
+        # LAPACK returns a real A's real eigenvalues with exactly real right
+        # vectors; inv() leaves rounding in the imaginary parts of their left
+        # vectors, which the normalization would carry into the right ones
+        real = lam.imag == 0
+        W_left[:, real] = W_left[:, real].real
     W, W_left = _normalize_pair(W, W_left)
-    if not np.iscomplexobj(A):
+    if real_A:
         # LAPACK returns a real A's conjugate pairs exactly; inv() keeps the
         # pairing of the left vectors only to rounding, and the normalization
         # carries that into the right vectors
@@ -188,8 +197,12 @@ class RegressionResult(_FrozenRecord):
     sigma_min: float = 0.0
     m: int = 0
     findings: tuple = ()
-    # fit_kdmd: eigenfunction coefficients over the training states X^T
+    # fit_kdmd: eigenfunction coefficients over the training states X^T, and
+    # the training pairs lifted through them where every segment is a
+    # trajectory (see fit_kdmd); `fit` moves both into the model's KernelLift
+    # and pairs and clears them here
     kernel_alpha: Optional[np.ndarray] = None  # (m, r)
+    kernel_pairs: Optional[SnapshotPairs] = None
 
     @property
     def rank(self) -> int:
@@ -448,14 +461,16 @@ class KernelConfig:
                                     self.degree)
 
 
-def _check_gram_memory(m: int, dense: bool) -> None:
-    """Refuse a kernel fit whose m x m float64 arrays exceed physical memory,
+def _check_gram_memory(m: int, dense: bool, held: int) -> None:
+    """Refuse a kernel fit whose m-long float64 rows exceed physical memory,
     before allocating any. The fit holds G; the dense route adds what eigh
     holds beside its input, three m x m arrays (its work copy, the
     divide-and-conquer workspace it touches and Q: its peak RSS exceeded the
-    input's by 3.1-3.4 of them at m = 1,500 to 4,500). T is streamed in row
-    blocks and never held whole."""
-    need = (1 + 3 * dense) * m * m * np.dtype(float).itemsize
+    input's by 3.1-3.4 of them at m = 1,500 to 4,500). After the
+    eigensolver, beside G, the fit keeps `held` rows of T (the trajectory
+    end rows of its training lift, at most m) and streams the other rows
+    it evaluates in row blocks, never holding T whole."""
+    need = m * max((1 + 3 * dense) * m, m + held) * np.dtype(float).itemsize
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ConfigError(
@@ -464,24 +479,23 @@ def _check_gram_memory(m: int, dense: bool) -> None:
         )
 
 
-def _gram_eigenpairs(kernel: KernelConfig, Xr: np.ndarray, rank):
+def _gram_eigenpairs(kernel: KernelConfig, Xr: np.ndarray, rank, held: int = 0):
     """The Gram matrix G of the state rows Xr (m, n) with its leading
     eigenpairs (s, Q) in decreasing order: r = rank of them, or all m.
 
-    G is exactly symmetric as built, for both kernels, because both of its
-    arguments are the one array Xr: sq_distances takes each difference
-    directly, and fl(a - b) = -fl(b - a); numpy computes Xr Xr^T by syrk,
-    which it does not for a copied second argument. Both solvers take G
-    as it is. G is positive semidefinite, so it is zero exactly when its
-    trace is not positive; a zero G raises RegressionError before either
-    solver runs.
+    G is exactly symmetric as built, for both kernels: an entry is an
+    elementwise function of a per-coordinate sum over its two states
+    (`_kernels.gram_matrix`), fl(a - b) = -fl(b - a) and fl(a b) = fl(b a).
+    Both solvers take G as it is. G is positive semidefinite, so it is zero
+    exactly when its trace is not positive; a zero G raises RegressionError
+    before either solver runs.
 
     The route: r <= m / LANCZOS_RATIO takes ARPACK's Lanczos iteration
     (scipy.sparse.linalg.eigsh, loaded on first use) from a fixed start
     vector, so repeated fits are bit-identical. rank=None, a larger r, and a
     Lanczos iteration that does not converge take a dense eigh. Each route's
-    m x m arrays are checked against physical memory before they are
-    allocated.
+    m x m arrays, and the `held` rows of T the fit keeps beside G, are
+    checked against physical memory before they are allocated.
 
     ARPACK accepts a Ritz value theta once its residual bound is at most
     eps * max(eps^(2/3), |theta|). The operator is scaled by a power of two
@@ -494,7 +508,7 @@ def _gram_eigenpairs(kernel: KernelConfig, Xr: np.ndarray, rank):
     """
     m = Xr.shape[0]
     lanczos = rank is not None and LANCZOS_RATIO * rank <= m
-    _check_gram_memory(m, dense=not lanczos)
+    _check_gram_memory(m, not lanczos, held)
     G = kernel.gram(Xr, Xr)
     trace = G.trace()
     if not trace > 0.0:
@@ -509,7 +523,7 @@ def _gram_eigenpairs(kernel: KernelConfig, Xr: np.ndarray, rank):
             s, Q = eigsh(op, k=rank, which="LA", v0=v0)
             return G, np.ldexp(s[::-1], shift), Q[:, ::-1]
         except ArpackNoConvergence:
-            _check_gram_memory(m, dense=True)
+            _check_gram_memory(m, True, held)
     s, Q = np.linalg.eigh(G)
     return G, s[::-1], Q[:, ::-1]
 
@@ -536,14 +550,29 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(), rank=None,
     2,844, sigma = 0.3 and 2; 2-CPU VM, OpenBLAS) the Lanczos solve took
     0.15-0.42 of the dense time at r = m/32 and 0.35-1.4 of it at r = m/16.
 
+    Each kernel value is evaluated once. Wherever x'_i is x_{i+1} bit for
+    bit, as inside a trajectory's pairs, row i of T is row i + 1 of G (an
+    entry's bits depend only on its two states, see
+    `_kernels.gram_matrix`), so only the other rows of T are evaluated: one
+    end row per trajectory, or every row of arbitrary pairs. On m pairs
+    from n_traj trajectories the fit evaluates (m + n_traj) x m kernel
+    values. When every segment of the pairs is a trajectory, the fit also
+    lifts them through the eigenfunctions (`kernel_pairs`), from the rows
+    of G and each trajectory's end row, in the blocks in which
+    `KernelLift.lift_trajectory` lifts the same trajectory, so a later lift
+    of the training data gives the same bits.
+
     Memory: the fit holds one m x m array, G, for both kernels. T is never
     formed whole: it enters only through Qr^T T Qr and T alpha = T Qr C (Qr
-    the retained eigenvectors of G, C the reduced eigenvectors), so it is
-    built `_kernels.ROW_BLOCK` rows at a time and each block is folded into
-    the m x r product T Qr and the r x m product Qr^T T. The dense eigh
-    holds three more m x m arrays while it runs (its work copy, workspace
-    and Q). Before any m x m allocation, a fit whose arrays would not fit in
-    physical memory raises ConfigError.
+    the retained eigenvectors of G, C the reduced eigenvectors). Its rows
+    taken from G enter through one product G [Qr | Qs], Qs being Qr shifted
+    down a row where row i of T is row i + 1 of G; its evaluated rows are
+    built `_kernels.ROW_BLOCK` at a time and each block is folded into T Qr
+    and Qr^T T. For the training lift the fit keeps the evaluated end rows,
+    one m-long row per trajectory. The dense eigh holds three more m x m
+    arrays while it runs (its work copy, workspace and Q). Before any m x m
+    allocation, a fit whose arrays would not fit in physical memory raises
+    ConfigError.
     """
     pairs = _as_pairs(Z, Zprime)
     m = pairs.m
@@ -552,7 +581,13 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(), rank=None,
     pairs.refuse_non_finite()
     Xr = np.ascontiguousarray(pairs.stacked("X"))
     Xpr = np.ascontiguousarray(pairs.stacked("Xprime"))
-    G, s, Q = _gram_eigenpairs(kernel, Xr, rank)
+    # row i of T is row i + 1 of G where x'_i is x_{i+1}, compared bit for bit
+    shifted = np.zeros(m, dtype=bool)
+    shifted[:-1] = (Xpr[:-1].view(np.int64) == Xr[1:].view(np.int64)).all(axis=1)
+    ends = np.flatnonzero(~shifted)  # the rows of T that are evaluated
+    edges = np.cumsum([0, *(x.shape[0] for x, _, _ in pairs.segments)])
+    trajectories = all(shifted[lo:hi - 1].all() for lo, hi in zip(edges, edges[1:]))
+    G, s, Q = _gram_eigenpairs(kernel, Xr, rank, ends.size if trajectories else 0)
     s = np.maximum(s, 0.0)
     # counted over the computed eigenvalues: where only the leading r were
     # computed, rank > r_num is the test s[r-1] <= GRAM_CUTOFF * s[0]
@@ -567,32 +602,42 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(), rank=None,
         r = min(rank, m)
     sr = s[:r]
     Qr = np.ascontiguousarray(Q[:, :r])
-    del Q  # the dense route's m x m Q must not live through the T stream
+    del Q  # the dense route's m x m Q must not live through the T rows
     denom = sr + kernel.reg_eps * m
     if np.any(denom <= 0.0):
         raise RegressionError(
             "Gram matrix is numerically singular; set reg_eps > 0 to regularize"
         )
-    # T enters only through Qr^T T Qr and T alpha = T Qr C, so it is built
-    # ROW_BLOCK rows at a time and each block is folded into T Qr and Qr^T T
-    # as it comes. A_hat is taken as (Qr^T T) Qr: its rows are divided by
-    # Gram eigenvalues near the reg_eps floor, and on the kdmd_gram states
-    # (six seeds) Qr^T (T Qr) erred 5-40x more against a long-double product
-    # than (Qr^T T) Qr did
+    # T Qr and Qr^T T: a shifted row i of T gives (T Qr)_i = (G Qr)_{i+1}, and
+    # the shifted rows sum to Qs^T G = (G Qs)^T in Qr^T T, G being exactly
+    # symmetric; each block of evaluated rows is folded into both as it comes.
+    # A_hat is taken as (Qr^T T) Qr: its rows are divided by Gram eigenvalues
+    # near the reg_eps floor, and on the kdmd_gram states (six seeds)
+    # Qr^T (T Qr) erred 5-40x more against a long-double product than
+    # (Qr^T T) Qr did
+    i = np.flatnonzero(shifted)
+    Qs = np.zeros((m, r))
+    Qs[i + 1] = Qr[i]
+    GQ = G @ np.hstack([Qr, Qs])
+    GQr = GQ[:, :r]
     TQ = np.empty((m, r))
-    QtT = np.zeros((r, m))
-    for a in range(0, m, _kernels.ROW_BLOCK):
-        b = a + _kernels.ROW_BLOCK
-        Tb = kernel.gram(Xpr[a:b], Xr)
-        TQ[a:b] = Tb @ Qr
-        QtT += Qr[a:b].T @ Tb
+    TQ[i] = GQr[i + 1]
+    QtT = np.ascontiguousarray(GQ[:, r:].T)
+    held = np.empty((ends.size, m)) if trajectories else None
+    for a in range(0, ends.size, _kernels.ROW_BLOCK):
+        rows = ends[a:a + _kernels.ROW_BLOCK]
+        Tb = kernel.gram(Xpr[rows], Xr)
+        TQ[rows] = Tb @ Qr
+        QtT += Qr[rows].T @ Tb
+        if held is not None:
+            held[a:a + _kernels.ROW_BLOCK] = Tb
         del Tb  # not alive while the next block is built
     A_hat = (QtT @ Qr) / denom[:, None]
     eig_red = eig_biorthogonal(A_hat, dt)
     lam = eig_red.lambdas
     C = eig_red.W_right.copy()  # (r, r): alpha = Qr C
     alpha = Qr @ C  # (m, r) eigenfunction coefficients
-    Xi = _kernels.real_matmul_complex(G, alpha).T  # (r, m) values on the training states
+    Xi = _kernels.real_matmul_complex(GQr, C).T  # (r, m) G alpha on the training states
 
     # canonical scaling: unit-norm eigenfunction trajectories, leading entry real
     for j in range(r):
@@ -614,7 +659,34 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(), rank=None,
         lambdas=lam, mus=eig_red.mus, W_right=eye, W_left=eye,
         findings=eig_red.findings,
     )
+    lifted = None
+    if trajectories:
+        plan = _kernels.conjugate_plan(alpha)
+        segments = []
+        for lo, hi in zip(edges, edges[1:]):
+            # the kernel row of the trajectory's last state, x' of pair hi - 1
+            end = G[hi] if shifted[hi - 1] else held[np.searchsorted(ends, hi - 1)]
+            Zs = _lift_trajectory(G, lo, hi, end, plan)
+            segments.append((Zs[:-1], None, Zs[1:]))
+        lifted = SnapshotPairs(segments=tuple(segments))
     return RegressionResult(
         A=np.diag(lam), eigensystem=eig, residual_fro=fro,
         residual_rel=rel, sigma_min=float(np.sqrt(sr[-1])), m=m, kernel_alpha=alpha,
+        kernel_pairs=lifted,
     )
+
+
+def _lift_trajectory(G, lo, hi, end, plan):
+    """The eigenfunction lift of the trajectory whose pairs are rows lo..hi-1
+    of G: its states are those rows' states and the last pair's x', whose
+    kernel row is `end`. Blocks inside G are views of its rows; the last
+    block is copied, with `end` below them."""
+    def rows(a, b):
+        if lo + b <= hi:
+            return G[lo + a:lo + b]
+        block = np.empty((b - a, G.shape[1]))
+        block[:-1] = G[lo + a:hi]
+        block[-1] = end
+        return block
+
+    return _kernels.eigenfunction_lift(rows, hi - lo + 1, plan)

@@ -227,29 +227,57 @@ def test_conjugate_copies_mark_the_second_of_each_pair_without_chains():
     assert K.conjugate_copies(np.empty((3, 0), dtype=complex)).shape == (0,)
 
 
+def _dot_products_one_shot(X, Y):
+    # the per-coordinate sum over all rows at once, in coordinate order
+    p = X[:, 0, None] * Y[:, 0]
+    for d in range(1, X.shape[1]):
+        p += X[:, d, None] * Y[:, d]
+    return p
+
+
 @pytest.mark.parametrize("offset", [1.0, 0.5])
 def test_polynomial_gram_in_place_keeps_every_bit(offset):
     X = _rng(13).normal(size=(500, 3))
     for degree in range(1, 6):
         np.testing.assert_array_equal(K.gram_matrix(X, X, "polynomial", 1.0, offset, degree),
-                                      (offset + X @ X.T) ** degree)
+                                      (offset + _dot_products_one_shot(X, X)) ** degree)
 
 
 def test_gaussian_gram_is_symmetric_by_construction():
     # the kdmd_gram benchmark states at seed 41, on which the form
     # ||x||^2 + ||y||^2 - 2 x.y gives an asymmetric G unless numpy takes syrk.
-    # The gaussian G is symmetric for two separate buffers too; the polynomial
-    # one only where numpy computes X X^T by syrk, which it does when both
-    # arguments are the one array, as in the kdmd fit
+    # Both kernels sum over coordinates elementwise, so G is symmetric for two
+    # separate buffers as well as for one array passed twice
     rng = np.random.default_rng([41, sum(map(ord, "kdmd_gram"))])
     spec = kl.systems.get_system("slow_manifold")
     trajs = kl.systems.integrate_rk4_batch(spec, rng.uniform(-1.0, 1.0, (36, 2)), 0.02, 79)
     X = np.vstack([t[:-1] for t in trajs])
-    G = K.gram_matrix(X, X.copy(), "gaussian", 2.0, 1.0, 2)
-    assert np.array_equal(G, G.T)
     for kind in ("gaussian", "polynomial"):
-        G = K.gram_matrix(X, X, kind, 2.0, 1.0, 3)
-        assert np.array_equal(G, G.T), kind
+        for Y in (X, X.copy()):
+            G = K.gram_matrix(X, Y, kind, 2.0, 1.0, 3)
+            assert np.array_equal(G, G.T), kind
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["gaussian", "polynomial"]), n=st.integers(1, 4),
+       m=st.sampled_from([1, K.ROW_BLOCK - 1, K.ROW_BLOCK, K.ROW_BLOCK + 1, 2 * K.ROW_BLOCK + 3]),
+       k=st.sampled_from([1, 5, K.ROW_BLOCK + 1]), seed=st.integers(0, 2**32 - 1))
+def test_gram_entries_depend_only_on_their_two_states(kind, n, m, k, seed):
+    # the invariant kdmd's fit rests on: any selection of rows and columns,
+    # evaluated on its own, gives the bits of the same entries of the whole
+    # Gram matrix, whatever the row blocks either side falls into; and G of
+    # a state set against a copy of itself is exactly symmetric
+    rng = _rng(seed)
+    X, Y = rng.uniform(-2.0, 2.0, size=(m, n)), rng.uniform(-2.0, 2.0, size=(k, n))
+    args = (kind, 1.3, 0.5, 3)
+    G = K.gram_matrix(X, Y, *args)
+    I = rng.integers(0, m, size=rng.integers(1, m + 2))
+    J = rng.integers(0, k, size=rng.integers(1, k + 2))
+    np.testing.assert_array_equal(K.gram_matrix(X[I], Y[J], *args), G[I][:, J])
+    for a in (0, m // 3, max(m - K.ROW_BLOCK, 0)):
+        np.testing.assert_array_equal(K.gram_matrix(X[a:], Y, *args), G[a:])
+    S = K.gram_matrix(X, X.copy(), *args)
+    assert np.array_equal(S, S.T)
 
 
 def test_real_matmul_complex_matches_complex_product():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -579,6 +581,20 @@ def test_real_pairs_score_one_row_per_mode_and_one_per_complex_mode(fit, monkeyp
         assert not twins and len(real) == len(kept)  # a real spectrum: no Im rows
 
 
+def test_real_eigenvalues_score_on_one_row_each(monkeypatch):
+    # the left vectors of a real fit's real eigenvalues are exactly real, so
+    # every real mode has one score row and every complex mode kept two
+    model, data = _small_vdp_rbf_control()
+    lam = model.eigenvalues
+    twins = _twins(model.regression.eigensystem)
+    n_real = int(np.sum(lam.imag == 0))
+    n_complex = len(lam) - n_real - len(twins)
+    assert n_real >= 2 and n_complex >= 5
+    shapes = _spy_score_rows(monkeypatch)
+    model.linearity_consistency(data)
+    assert shapes == [(n_real + 2 * n_complex, model.A.shape[0])]
+
+
 def test_complex_pairs_score_every_mode_on_two_rows(slow_manifold_small, monkeypatch):
     model = kl.fit(None, kl.RegressorConfig(kind="kdmd", rank=8),
                    _short_slow_manifold(slow_manifold_small))
@@ -626,6 +642,28 @@ def test_non_finite_validation_data_are_refused(bad, monkeypatch):
     assert np.isfinite(scores).all() and findings == [] and blocks == [5]
     with pytest.raises(DataError, match=f"snapshot pair {T + 2} holds a non-finite value"):
         model.linearity_consistency(kl.TrajectoryDataset(trajs, data.dt))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_validation_inputs_are_refused(bad):
+    # the score pass reads no input, yet a controlled model's validation
+    # refuses a non-finite one with the error fit raises for the same data
+    model, data = _small_vdp_rbf_control()
+    inputs = [u.copy() for u in data.inputs]
+    inputs[3][4, 0] = bad
+    bad_data = kl.TrajectoryDataset(data.trajectories, data.dt, inputs)
+    j = sum(t.shape[0] - 1 for t in data.trajectories[:3]) + 4
+    message = f"snapshot pair {j} holds a non-finite value (NaN or inf)"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        model.linearity_consistency(bad_data)
+    with pytest.raises(DataError, match=f"^regression stage: {re.escape(message)}$"):
+        kl.fit(kl.RadialBasis("gauss", n_centers=20, seed=3), "edmdc", bad_data)
+    # an input row that no pair reads (the last of a trajectory) is not refused
+    inputs[3][4, 0] = data.inputs[3][4, 0]
+    inputs[3][-1, 0] = bad
+    scores, _ = model.linearity_consistency(kl.TrajectoryDataset(data.trajectories, data.dt,
+                                                                 inputs))
+    np.testing.assert_array_equal(scores, model.training_scores)
 
 
 def test_an_overflow_in_the_score_pass_still_warns(slow_manifold_small):
@@ -1076,9 +1114,10 @@ def test_fit_and_validation_lift_each_sample_once(slow_manifold_small):
         assert lib.rows_lifted == slow_manifold_small.n_samples
 
 
-def test_kdmd_fit_pairs_the_data_twice(monkeypatch):
+def test_kdmd_fit_pairs_the_data_once(monkeypatch):
     # the identity pairs it regresses on double as the reconstruction's raw
-    # states; the eigenfunction lift is the second pairing
+    # states, and fit_kdmd hands back the pairs lifted through the
+    # eigenfunctions, so the KernelLift never pairs the data
     calls = []
 
     def counting(data, library=None):
@@ -1086,8 +1125,61 @@ def test_kdmd_fit_pairs_the_data_twice(monkeypatch):
         return kl.build_snapshot_pairs(data, library)
 
     monkeypatch.setattr(kl.model, "build_snapshot_pairs", counting)
-    kl.fit(None, "kdmd", make_slow_manifold_dataset(grid=2, t_end=2.0))
-    assert [type(lib).__name__ for lib in calls] == ["Identity", "KernelLift"]
+    model = kl.fit(None, "kdmd", make_slow_manifold_dataset(grid=2, t_end=2.0))
+    assert [type(lib).__name__ for lib in calls] == ["Identity"]
+    assert model.regression.kernel_alpha is None and model.regression.kernel_pairs is None
+
+
+# kdmd fits on trajectories of 151 states, longer than ROW_BLOCK: rank 10 takes
+# the Lanczos route (LANCZOS_RATIO * 10 <= m = 600), rank None the dense eigh
+KDMD_ROUTES = [(kind, rank) for kind in ("gaussian", "polynomial") for rank in (10, None)]
+
+
+def _kdmd_config(kind, rank):
+    kernel = (kl.KernelConfig(kind="gaussian", sigma=1.5, reg_eps=1e-10) if kind == "gaussian"
+              else kl.KernelConfig(kind="polynomial", degree=3, reg_eps=1e-10))
+    return kl.RegressorConfig(kind="kdmd", rank=rank, kernel=kernel)
+
+
+@pytest.mark.parametrize("kind,rank", KDMD_ROUTES)
+def test_kdmd_fit_evaluates_each_kernel_value_once(kind, rank, monkeypatch):
+    # G (m x m) and one end row of T per trajectory; the other rows of T and
+    # the training lift come from G's rows, so no value is evaluated twice
+    data = make_slow_manifold_dataset(grid=2, t_end=3.0)
+    m = data.n_samples - len(data.trajectories)
+    assert kl.regression.LANCZOS_RATIO * 10 <= m
+    assert min(t.shape[0] for t in data.trajectories) > kl._kernels.ROW_BLOCK
+    entries = []
+    gram = kl._kernels.gram_matrix
+
+    def spy(X, Y, *args):
+        entries.append(X.shape[0] * Y.shape[0])
+        return gram(X, Y, *args)
+
+    monkeypatch.setattr(kl._kernels, "gram_matrix", spy)
+    kl.fit(None, _kdmd_config(kind, rank), data)
+    assert sum(entries) == (m + len(data.trajectories)) * m
+
+
+@pytest.mark.parametrize("kind,rank", KDMD_ROUTES)
+def test_kdmd_training_lift_and_scores_are_validation_bit_for_bit(kind, rank):
+    # fit lifts the training pairs from its Gram rows; a KernelLift of the
+    # same trajectories, ROW_BLOCK states at a time, gives the same bits, and
+    # so do the scores
+    data = make_slow_manifold_dataset(grid=2, t_end=3.0)
+    config = _kdmd_config(kind, rank)
+    model = kl.fit(None, config, data)
+    res = kl.fit_kdmd(kl.build_snapshot_pairs(data), kernel=config.kernel, rank=rank,
+                      dt=data.dt)
+    for (X, _, Xp), traj in zip(res.kernel_pairs.segments, data.trajectories):
+        Z = model.observables.lift_trajectory(traj)
+        np.testing.assert_array_equal(X, Z[:-1])
+        np.testing.assert_array_equal(Xp, Z[1:])
+    first = model.observables.lift_trajectory(data.trajectories[0])
+    np.testing.assert_array_equal(model.z0_train, first[0])
+    scores, findings = model.linearity_consistency(data)
+    assert findings == []
+    np.testing.assert_array_equal(scores, model.training_scores)
 
 
 @pytest.mark.parametrize("controlled", [False, True])

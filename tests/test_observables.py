@@ -393,7 +393,7 @@ def test_kernel_lift_keeps_conjugate_pairs_exact():
     # the GEMM multiplies only the columns that are not the conjugate copy of
     # their left neighbour
     lib = _kernel_lift()
-    assert lib._alpha_kept.shape == (40, 3)
+    assert lib._plan[0].shape == (40, 3)
     X = np.random.default_rng(10).normal(size=(30, 3))
     Z = lib.lift_rows(X)
     assert np.array_equal(Z[:, 2], Z[:, 1].conj())

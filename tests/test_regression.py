@@ -589,7 +589,9 @@ def test_truncated_kdmd_fits_are_bit_identical(tmp_path):
 
 
 def test_gaussian_kdmd_builds_one_gram_matrix_and_streams_t(slow_manifold_pairs, monkeypatch):
-    # G is the one m x m array; T is only ever formed ROW_BLOCK rows at a time
+    # G is the one m x m array; the rows of T not taken from G are only ever
+    # formed ROW_BLOCK rows at a time: on the stacked trajectory pairs the
+    # one end row of each trajectory, on arbitrary pairs every row
     pairs = slow_manifold_pairs
     m, block = pairs.m, kl._kernels.ROW_BLOCK
     assert m > block
@@ -602,7 +604,11 @@ def test_gaussian_kdmd_builds_one_gram_matrix_and_streams_t(slow_manifold_pairs,
         return out
 
     monkeypatch.setattr(kl.KernelConfig, "gram", spy)
-    kl.fit_kdmd(pairs.X, pairs.Xprime, kl.KernelConfig(kind="gaussian", sigma=1.0), rank=10)
+    kernel = kl.KernelConfig(kind="gaussian", sigma=1.0)
+    kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10)
+    assert shapes == [(m, m), (len(pairs.segments), m)]
+    shapes.clear()
+    kl.fit_kdmd(pairs.X, pairs.Xprime + 1e-9, kernel, rank=10)
     assert shapes[0] == (m, m)
     assert shapes[1:] == [(min(block, m - a), m) for a in range(0, m, block)]
 
@@ -632,15 +638,43 @@ def test_gaussian_kdmd_holds_one_gram_matrix():
         assert peak < 1.25 * m * m * 8, kernel.kind
 
 
+def test_kdmd_on_one_trajectory_holds_one_gram_matrix():
+    import tracemalloc
+
+    # every row of T but the last is a row of G, and the training lift is
+    # taken from G's rows and the one end row, ROW_BLOCK rows at a time: on
+    # the Lanczos route the peak stays near G's (1.17 m x m arrays), for
+    # both kernels
+    m = 1_500
+    Y = np.empty((m + 1, 2))
+    Y[0] = 0.7, -0.4
+    for k in range(m):
+        Y[k + 1] = 0.98 * Y[k] + 0.05 * np.sin(3.0 * Y[k, ::-1])
+    pairs = kl.SnapshotPairs(segments=((Y[:-1], None, Y[1:]),))
+    for kernel in (kl.KernelConfig(kind="gaussian", sigma=1.0, reg_eps=1e-10),
+                   kl.KernelConfig(kind="polynomial", degree=3, reg_eps=1e-10)):
+        kl.fit_kdmd(kl.SnapshotPairs(segments=((Y[:399], None, Y[1:400]),)), kernel=kernel,
+                    rank=10)
+        tracemalloc.start()
+        try:
+            res = kl.fit_kdmd(pairs, kernel=kernel, rank=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.kernel_pairs is not None
+        assert peak < 1.25 * m * m * 8, kernel.kind
+
+
 def test_kdmd_refuses_gram_matrices_beyond_physical_memory():
-    # 10^6 x 10^6 float64 matrices, refused before any is allocated: G alone
-    # on the Lanczos route (rank 20), G and eigh's work copy, workspace and Q
-    # on the dense one (rank=None), for either kernel; T is streamed and
-    # never held
+    # 10^6 x 10^6 float64 matrices, refused before any is allocated: G on
+    # the Lanczos route (rank 20), with the one end row of T that the
+    # training lift keeps (constant states pair as one trajectory), G and
+    # eigh's work copy, workspace and Q on the dense one (rank=None), for
+    # either kernel; the other rows of T are taken from G and T is never held
     X = np.zeros((2, 10**6))
     for kind in ("gaussian", "polynomial"):
-        for rank, count in ((20, 1), (None, 4)):
-            need = f"{count * 8 * 10**12:,} bytes"
+        for rank, rows in ((20, 10**6 + 1), (None, 4 * 10**6)):
+            need = f"{rows * 8 * 10**6:,} bytes"
             with pytest.raises(ConfigError, match=need):
                 kl.fit_kdmd(X, X, kl.KernelConfig(kind=kind), rank=rank)
 
@@ -764,6 +798,24 @@ def test_eig_conjugate_pairs_of_a_real_matrix_are_exact():
             np.testing.assert_array_equal(lam[j + 1], lam[j].conj())
             np.testing.assert_array_equal(es.W_right[:, j + 1], es.W_right[:, j].conj())
             np.testing.assert_array_equal(es.W_left[:, j + 1], es.W_left[:, j].conj())
+
+
+def test_eig_real_eigenvalues_of_a_real_matrix_have_real_vectors():
+    # inv() leaves rounding in the imaginary parts of the left vectors of
+    # real eigenvalues; they are dropped, so both vectors are exactly real,
+    # also after fit_edmd maps them through its real basis
+    rng = np.random.default_rng(9)
+    n_real = 0
+    for _ in range(20):
+        A = rng.normal(size=(12, 12))
+        Z = rng.normal(size=(12, 40))
+        for es in (kl.eig_biorthogonal(A), kl.fit_edmd(Z, A @ Z).eigensystem):
+            j = np.flatnonzero(es.lambdas.imag == 0)
+            n_real += j.size
+            assert not es.W_right[:, j].imag.any() and not es.W_left[:, j].imag.any()
+            np.testing.assert_allclose(es.W_left.conj().T @ es.W_right, np.eye(12),
+                                       atol=1e-10)
+    assert n_real > 40
 
 
 def test_eig_defective_flagged():
