@@ -461,16 +461,18 @@ class KernelConfig:
                                     self.degree)
 
 
-def _check_gram_memory(m: int, dense: bool, held: int) -> None:
+def _check_gram_memory(m: int, rows: int, held: int) -> None:
     """Refuse a kernel fit whose m-long float64 rows exceed physical memory,
-    before allocating any. The fit holds G; the dense route adds what eigh
+    before allocating any. The fit holds G, and beside it first its
+    eigensolver's `rows` m-long rows: the Lanczos iteration's Krylov basis
+    and its next vector (`_lanczos_cap` + 1 rows), or what the dense eigh
     holds beside its input, three m x m arrays (its work copy, the
     divide-and-conquer workspace it touches and Q: its peak RSS exceeded the
     input's by 3.1-3.4 of them at m = 1,500 to 4,500). After the
-    eigensolver, beside G, the fit keeps `held` rows of T (the trajectory
-    end rows of its training lift, at most m) and streams the other rows
-    it evaluates in row blocks, never holding T whole."""
-    need = m * max((1 + 3 * dense) * m, m + held) * np.dtype(float).itemsize
+    eigensolver, beside G, the fit keeps `held` rows of T (the trajectory end
+    rows of its training lift, at most m) and streams the other rows it
+    evaluates in row blocks, never holding T whole."""
+    need = m * (m + max(rows, held)) * np.dtype(float).itemsize
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise ConfigError(
@@ -479,9 +481,68 @@ def _check_gram_memory(m: int, dense: bool, held: int) -> None:
         )
 
 
+def _lanczos_cap(m: int, r: int) -> int:
+    """The most Lanczos steps, and Krylov basis vectors, a rank-r solve on an
+    m x m Gram matrix takes before it gives up for the dense eigh. The steps
+    needed beyond r follow the decay of the spectrum more than r: on the
+    kdmd_gram states (m = 2,844, r = 20) the residuals met their bound after
+    26-27 steps at sigma = 2, 41-43 at sigma = 0.3 and 71-82 at sigma =
+    0.05, and on uniform random 2-d states (m = 64 to 800, r = 1 to m/32)
+    after r + 7 to r + 9 steps at sigma = 2 and r + 21 to r + 29 at sigma =
+    0.3."""
+    return min(m, 4 * r + 60)
+
+
+def _lanczos(G: np.ndarray, r: int, tol: float):
+    """The r leading eigenpairs (s, Q) of the symmetric G in decreasing
+    order, by a Lanczos iteration with full reorthogonalization (twice,
+    classical Gram-Schmidt), or None when they have not converged within
+    `_lanczos_cap` steps (Parlett, The Symmetric Eigenvalue Problem, ch. 13).
+
+    It starts from a fixed vector, so repeated solves are bit-identical at
+    one BLAS thread count. A check after step k >= r takes the eigenpairs
+    (theta, y) of the k x k tridiagonal T_k = V_k^T G V_k and accepts the
+    leading r Ritz pairs (theta, V_k y) once every residual |beta_k y_k|, the
+    norm of G V_k y - theta V_k y, is at most tol. A check (a dense eigh,
+    about 9 k^3 flops) can cost many steps (G v, 2 m^2 flops) when m is
+    small or k large, so after a failed check the next one waits until the
+    steps since have done about its work; at m = 2,844 that is every step up
+    to k = 121. The last step, the cap or an invariant Krylov space (beta_k
+    = 0), is always checked; one reached before r steps cannot hold r pairs
+    and gives None too.
+    """
+    m = G.shape[0]
+    cap = _lanczos_cap(m, r)
+    V = np.empty((cap, m))  # the Krylov basis, one vector a row
+    T = np.zeros((cap, cap))  # its tridiagonal projection of G
+    v = np.random.default_rng(0).uniform(-1.0, 1.0, m)
+    V[0] = v / np.linalg.norm(v)
+    check = r  # the step after which the next check runs
+    for k in range(cap):
+        w = G @ V[k]
+        Vk = V[:k + 1]
+        h = Vk @ w
+        w -= h @ Vk
+        h2 = Vk @ w
+        w -= h2 @ Vk
+        T[k, k] = h[k] + h2[k]
+        beta = np.linalg.norm(w)
+        last = beta == 0.0 or k + 1 == cap
+        if k + 1 >= check or last and k + 1 >= r:
+            theta, Y = np.linalg.eigh(T[:k + 1, :k + 1])
+            if np.all(beta * np.abs(Y[k, -r:]) <= tol):
+                return theta[:-r - 1:-1], Vk.T @ Y[:, :-r - 1:-1]
+            check = k + 1 + max(1, 9 * (k + 1) ** 3 // (2 * m * m))
+        if last:
+            return None
+        V[k + 1] = w / beta
+        T[k, k + 1] = T[k + 1, k] = beta
+
+
 def _gram_eigenpairs(kernel: KernelConfig, Xr: np.ndarray, rank, held: int = 0):
     """The Gram matrix G of the state rows Xr (m, n) with its leading
-    eigenpairs (s, Q) in decreasing order: r = rank of them, or all m.
+    eigenpairs (s, Q) in decreasing order, r = rank of them or all m, and
+    the solve's findings.
 
     G is exactly symmetric as built, for both kernels: an entry is an
     elementwise function of a per-coordinate sum over its two states
@@ -490,42 +551,32 @@ def _gram_eigenpairs(kernel: KernelConfig, Xr: np.ndarray, rank, held: int = 0):
     exactly when its trace is not positive; a zero G raises RegressionError
     before either solver runs.
 
-    The route: r <= m / LANCZOS_RATIO takes ARPACK's Lanczos iteration
-    (scipy.sparse.linalg.eigsh, loaded on first use) from a fixed start
-    vector, so repeated fits are bit-identical. rank=None, a larger r, and a
-    Lanczos iteration that does not converge take a dense eigh. Each route's
-    m x m arrays, and the `held` rows of T the fit keeps beside G, are
-    checked against physical memory before they are allocated.
-
-    ARPACK accepts a Ritz value theta once its residual bound is at most
-    eps * max(eps^(2/3), |theta|). The operator is scaled by a power of two
-    (exactly) so its trace, which bounds its spectrum, is at most eps^(2/3),
-    and the eigenvalues unscaled by the same power: the test then asks every
-    Ritz value for the residual eps * trace, the backward error a dense eigh
-    attains. Unscaled, Ritz values at the rounding floor must meet an
-    unreachable relative bound, and at m = 1,580 and r = 160 the iteration
-    ran 20 s instead of about 1 s.
+    The route: r <= m / LANCZOS_RATIO takes the Lanczos iteration of
+    `_lanczos`, which asks of each Ritz pair the residual eps * trace(G),
+    the backward error a dense eigh attains (trace(G) bounds G's spectrum).
+    rank=None and a larger r take a dense eigh, and so does a Lanczos
+    iteration that does not converge, with a `lanczos-fallback` finding.
+    Each route's m-long rows, and the `held` rows of T the fit keeps beside
+    G, are checked against physical memory before they are allocated.
     """
     m = Xr.shape[0]
     lanczos = rank is not None and LANCZOS_RATIO * rank <= m
-    _check_gram_memory(m, not lanczos, held)
+    _check_gram_memory(m, _lanczos_cap(m, rank) + 1 if lanczos else 3 * m, held)
     G = kernel.gram(Xr, Xr)
     trace = G.trace()
     if not trace > 0.0:
         raise RegressionError("Gram matrix is zero; no data support")
+    findings = ()
     if lanczos:
-        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-        shift = int(np.ceil(np.log2(trace / np.finfo(float).eps ** (2.0 / 3.0))))
-        op = LinearOperator((m, m), matvec=lambda v: np.ldexp(G @ v, -shift), dtype=float)
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
-        try:
-            s, Q = eigsh(op, k=rank, which="LA", v0=v0)
-            return G, np.ldexp(s[::-1], shift), Q[:, ::-1]
-        except ArpackNoConvergence:
-            _check_gram_memory(m, True, held)
+        pairs = _lanczos(G, rank, np.finfo(float).eps * trace)
+        if pairs is not None:
+            return G, *pairs, findings
+        _check_gram_memory(m, 3 * m, held)
+        findings = (Finding("lanczos-fallback", message=(
+            f"the Lanczos iteration for {rank} Gram eigenpairs did not converge within "
+            f"{_lanczos_cap(m, rank)} steps; the dense eigh solved instead")),)
     s, Q = np.linalg.eigh(G)
-    return G, s[::-1], Q[:, ::-1]
+    return G, s[::-1], Q[:, ::-1], findings
 
 
 def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(), rank=None,
@@ -543,12 +594,15 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(), rank=None,
     an exact state embedding.
 
     The principal eigenspace of G comes from `_gram_eigenpairs`: the
-    leading r eigenpairs by Lanczos for an integer rank r <= m /
-    LANCZOS_RATIO (32), else the whole spectrum by a dense eigh, which
-    rank=None needs for the numerical rank. The ratio is a measured
+    leading r eigenpairs by a Lanczos iteration in numpy (`_lanczos`) for an
+    integer rank r <= m / LANCZOS_RATIO (32), else the whole spectrum by a
+    dense eigh, which rank=None needs for the numerical rank. A Lanczos
+    iteration that does not converge gives way to the dense eigh, and the
+    result records a `lanczos-fallback` finding. The ratio is a measured
     crossover. On Gaussian Gram matrices of slow-manifold data (m = 474 to
-    2,844, sigma = 0.3 and 2; 2-CPU VM, OpenBLAS) the Lanczos solve took
-    0.15-0.42 of the dense time at r = m/32 and 0.35-1.4 of it at r = m/16.
+    2,844, sigma = 0.3 and 2; 2-CPU VM, OpenBLAS) the Lanczos solve, G
+    included, took 0.09-0.20 of the dense time at r = m/32 and 0.15-0.27 of
+    it at r = m/16; at sigma = 0.05 it took 0.28-0.51 and 0.37-0.58.
 
     Each kernel value is evaluated once. Wherever x'_i is x_{i+1} bit for
     bit, as inside a trajectory's pairs, row i of T is row i + 1 of G (an
@@ -569,10 +623,11 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(), rank=None,
     down a row where row i of T is row i + 1 of G; its evaluated rows are
     built `_kernels.ROW_BLOCK` at a time and each block is folded into T Qr
     and Qr^T T. For the training lift the fit keeps the evaluated end rows,
-    one m-long row per trajectory. The dense eigh holds three more m x m
-    arrays while it runs (its work copy, workspace and Q). Before any m x m
-    allocation, a fit whose arrays would not fit in physical memory raises
-    ConfigError.
+    one m-long row per trajectory. While it runs, the Lanczos iteration
+    holds its Krylov basis beside G, at most min(m, 4r + 60) m-long rows,
+    and the dense eigh three more m x m arrays (its work copy, workspace and
+    Q). Before any m x m allocation, a fit whose arrays would not fit in
+    physical memory raises ConfigError.
     """
     pairs = _as_pairs(Z, Zprime)
     m = pairs.m
@@ -587,7 +642,8 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(), rank=None,
     ends = np.flatnonzero(~shifted)  # the rows of T that are evaluated
     edges = np.cumsum([0, *(x.shape[0] for x, _, _ in pairs.segments)])
     trajectories = all(shifted[lo:hi - 1].all() for lo, hi in zip(edges, edges[1:]))
-    G, s, Q = _gram_eigenpairs(kernel, Xr, rank, ends.size if trajectories else 0)
+    G, s, Q, findings = _gram_eigenpairs(kernel, Xr, rank,
+                                         ends.size if trajectories else 0)
     s = np.maximum(s, 0.0)
     # counted over the computed eigenvalues: where only the leading r were
     # computed, rank > r_num is the test s[r-1] <= GRAM_CUTOFF * s[0]
@@ -671,8 +727,8 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(), rank=None,
         lifted = SnapshotPairs(segments=tuple(segments))
     return RegressionResult(
         A=np.diag(lam), eigensystem=eig, residual_fro=fro,
-        residual_rel=rel, sigma_min=float(np.sqrt(sr[-1])), m=m, kernel_alpha=alpha,
-        kernel_pairs=lifted,
+        residual_rel=rel, sigma_min=float(np.sqrt(sr[-1])), m=m, findings=findings,
+        kernel_alpha=alpha, kernel_pairs=lifted,
     )
 
 

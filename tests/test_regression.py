@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -505,25 +508,69 @@ def test_gaussian_gram_eigenpairs_skip_the_symmetrization(slow_manifold_pairs, m
                    kl.KernelConfig(kind="polynomial", degree=3)):
         for rank in (10, None):
             monkeypatch.setattr(kl.KernelConfig, "gram", gram)
-            G, s, Q = kl.regression._gram_eigenpairs(kernel, Xr, rank)
+            G, s, Q, findings = kl.regression._gram_eigenpairs(kernel, Xr, rank)
             assert np.array_equal(G, G.T)
             assert s.shape == (rank or pairs.m,)
+            assert findings == ()
             monkeypatch.setattr(kl.KernelConfig, "gram", lambda self, X, Y: G + G.T)
-            _, s2, Q2 = kl.regression._gram_eigenpairs(kernel, Xr, rank)
+            _, s2, Q2, _ = kl.regression._gram_eigenpairs(kernel, Xr, rank)
             np.testing.assert_array_equal(s, 0.5 * s2)
             np.testing.assert_array_equal(Q, Q2)
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(64, 800), frac=st.floats(0.0, 1.0),
+       kernel=st.sampled_from([kl.KernelConfig(kind="gaussian", sigma=0.3),
+                               kl.KernelConfig(kind="gaussian", sigma=2.0),
+                               kl.KernelConfig(kind="polynomial", degree=3)]))
+def test_lanczos_gram_eigenpairs_meet_the_dense_backward_error(seed, m, frac, kernel):
+    # the Lanczos route's r leading pairs, r <= m / LANCZOS_RATIO, have the
+    # backward error of a dense eigh: residuals ||G q - s q|| and distances to
+    # the dense eigenvalues within a few eps * trace(G), an orthonormal Q. The
+    # degree-3 polynomial G of 2-d states has rank 10, so r > 10 reaches into
+    # its rounding-level null space
+    Xr = np.random.default_rng(seed).uniform(-1.0, 1.0, (m, 2))
+    r = 1 + int(frac * (m // kl.regression.LANCZOS_RATIO - 1))
+    G, s, Q, findings = kl.regression._gram_eigenpairs(kernel, Xr, r)
+    assert findings == ()
+    assert s.shape == (r,) and Q.shape == (m, r)
+    bound = 8 * np.finfo(float).eps * G.trace()
+    assert np.linalg.norm(G @ Q - Q * s, axis=0).max() <= bound
+    assert np.abs(Q.T @ Q - np.eye(r)).max() <= 1e-13
+    assert np.abs(s - np.linalg.eigvalsh(G)[:-r - 1:-1]).max() <= bound
+
+
+def test_lanczos_kdmd_fit_loads_no_scipy():
+    # the Lanczos route runs on numpy alone, so a kdmd fit on it loads one
+    # BLAS library: numpy's
+    src = os.path.dirname(os.path.dirname(kl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, numpy as np, kooplift as kl\n"
+        "x0 = np.array([[a, b] for a in (-1.0, 1.0) for b in (-0.5, 0.5)])\n"
+        "batch = kl.integrate_rk4_batch(kl.get_system('slow_manifold'), x0, 0.02, 150)\n"
+        "kernel = kl.KernelConfig(kind='gaussian', sigma=1.5, reg_eps=1e-10)\n"
+        "model = kl.fit(None, kl.RegressorConfig(kind='kdmd', rank=10, kernel=kernel),\n"
+        "               kl.TrajectoryDataset(list(batch), dt=0.02))\n"
+        "print(model.regression.m, [f.kind for f in model.findings])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    fit, modules = out.stdout.strip().split("\n")
+    m, findings = fit.split(" ", 1)
+    assert kl.regression.LANCZOS_RATIO * 10 <= int(m)
+    assert "lanczos-fallback" not in findings
+    assert modules == "[]"
+
+
 def test_kdmd_refuses_a_zero_gram_matrix_before_either_solver(monkeypatch):
     # a polynomial kernel with offset 0 on all-zero states gives G = 0: no
-    # data support, refused before the dense eigh or ARPACK runs, at rank
-    # None (dense route) and at a Lanczos rank
-    import scipy.sparse.linalg
-
+    # data support, refused before the dense eigh or the Lanczos iteration
+    # runs, at rank None (dense route) and at a Lanczos rank
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append("eigh") or eigh(*a, **k))
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **k: calls.append("eigsh"))
+    monkeypatch.setattr(kl.regression, "_lanczos", lambda *a: calls.append("lanczos"))
     X = np.zeros((2, 64))
     kernel = kl.KernelConfig(kind="polynomial", degree=2, offset=0.0, reg_eps=1e-10)
     for rank in (None, 2):
@@ -555,23 +602,22 @@ def test_kdmd_reads_snapshot_pairs_like_the_other_regressions():
 
 
 def test_truncated_kdmd_falls_back_to_the_dense_solver(slow_manifold_pairs, monkeypatch):
-    import scipy.sparse.linalg
-    from scipy.sparse.linalg import ArpackNoConvergence
-
+    # a Lanczos iteration that has not converged when its basis is full gives
+    # way to the dense eigh: the fit has the dense route's bits, and says so
     pairs = slow_manifold_pairs
     kernel = kl.KernelConfig(kind="gaussian", sigma=1.0)
     with monkeypatch.context() as mp:
         mp.setattr(kl.regression, "LANCZOS_RATIO", pairs.m + 1)  # dense for rank 1+
         dense = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10, dt=SLOW_DT)
+    assert dense.findings == ()
     calls = []
-
-    def no_convergence(*args, **kwargs):
-        calls.append(kwargs["k"])
-        raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((pairs.m, 0)))
-
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    lanczos = kl.regression._lanczos
+    monkeypatch.setattr(kl.regression, "_lanczos",
+                        lambda G, r, tol: calls.append(r) or lanczos(G, r, tol))
+    monkeypatch.setattr(kl.regression, "_lanczos_cap", lambda m, r: r)  # r steps, one check
     fallback = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10, dt=SLOW_DT)
     assert calls == [10]
+    assert [f.kind for f in fallback.findings] == ["lanczos-fallback"]
     for name in ("A", "kernel_alpha", "residual_fro", "sigma_min"):
         np.testing.assert_array_equal(getattr(fallback, name), getattr(dense, name))
     np.testing.assert_array_equal(fallback.eigensystem.lambdas, dense.eigensystem.lambdas)
@@ -616,19 +662,18 @@ def test_gaussian_kdmd_builds_one_gram_matrix_and_streams_t(slow_manifold_pairs,
 def test_gaussian_kdmd_holds_one_gram_matrix():
     import tracemalloc
 
-    # the Lanczos route (rank 10, LANCZOS_RATIO * 10 <= m): G, the eigensolver's
-    # m x r arrays and two row blocks of T (1.20 m x m arrays), where forming
-    # T whole held G, T and a distance temporary, three. The polynomial fit
-    # solves on its G too (1.12), where the symmetrized G + G^T held two (2.04)
+    # the Lanczos route (rank 10, LANCZOS_RATIO * 10 <= m): G, beside it first
+    # the Krylov basis (at most 100 rows, 0.07 m x m arrays), then the m x r
+    # arrays and two row blocks of T (1.22 m x m arrays at the peak), where
+    # forming T whole held G, T and a distance temporary, three. The
+    # polynomial fit solves on its G too, where the symmetrized G + G^T held
+    # two (2.04)
     rng = np.random.default_rng(5)
     m = 1_500
     X = rng.uniform(-1.0, 1.0, size=(2, m))
     Xp = 0.9 * X + 0.1 * np.sin(3.0 * X[::-1])
     for kernel in (kl.KernelConfig(kind="gaussian", sigma=1.0, reg_eps=1e-10),
                    kl.KernelConfig(kind="polynomial", degree=3, reg_eps=1e-10)):
-        # a small fit first: the first Lanczos fit imports scipy.sparse.linalg,
-        # whose module objects tracemalloc would count too
-        kl.fit_kdmd(X[:, :400], Xp[:, :400], kernel, rank=10)
         tracemalloc.start()
         try:
             kl.fit_kdmd(X, Xp, kernel, rank=10)
@@ -667,13 +712,14 @@ def test_kdmd_on_one_trajectory_holds_one_gram_matrix():
 
 def test_kdmd_refuses_gram_matrices_beyond_physical_memory():
     # 10^6 x 10^6 float64 matrices, refused before any is allocated: G on
-    # the Lanczos route (rank 20), with the one end row of T that the
-    # training lift keeps (constant states pair as one trajectory), G and
-    # eigh's work copy, workspace and Q on the dense one (rank=None), for
-    # either kernel; the other rows of T are taken from G and T is never held
+    # the Lanczos route (rank 20), with the Lanczos basis and its next vector
+    # (141 rows), which outnumber the one end row of T that the training
+    # lift keeps (constant states pair as one trajectory), G and eigh's work
+    # copy, workspace and Q on the dense one (rank=None), for either kernel;
+    # the other rows of T are taken from G and T is never held
     X = np.zeros((2, 10**6))
     for kind in ("gaussian", "polynomial"):
-        for rank, rows in ((20, 10**6 + 1), (None, 4 * 10**6)):
+        for rank, rows in ((20, 10**6 + 141), (None, 4 * 10**6)):
             need = f"{rows * 8 * 10**6:,} bytes"
             with pytest.raises(ConfigError, match=need):
                 kl.fit_kdmd(X, X, kl.KernelConfig(kind=kind), rank=rank)
