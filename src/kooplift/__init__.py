@@ -33,6 +33,7 @@ from .regression import (
     EigenSystem,
     KernelConfig,
     RegressionResult,
+    continuous_eigenvalues,
     eig_biorthogonal,
     fit_edmd,
     fit_edmdc,
@@ -68,8 +69,8 @@ __all__ = [
     # differentiation
     "DifferentiationConfig", "differentiate",
     # regression
-    "EigenSystem", "RegressionResult", "KernelConfig", "eig_biorthogonal",
-    "fit_edmd", "fit_edmdc", "fit_kdmd",
+    "EigenSystem", "RegressionResult", "KernelConfig", "continuous_eigenvalues",
+    "eig_biorthogonal", "fit_edmd", "fit_edmdc", "fit_kdmd",
     # pipeline
     "KoopmanModel", "ModeTable", "RegressorConfig", "fit",
     "save_model", "load_model", "model_to_dict", "model_from_dict",

@@ -42,6 +42,7 @@ from .regression import (
     KernelConfig,
     RegressionResult,
     _parse_rank,
+    continuous_eigenvalues,
     fit_edmd,
     fit_edmdc,
     fit_kdmd,
@@ -335,9 +336,10 @@ class KoopmanModel(_FrozenRecord):
         return self.regression.eigensystem.lambdas
 
     def continuous_eigenvalues(self) -> np.ndarray:
-        """ln(lambda)/dt on the principal branch; see the findings for zero
-        or negative-real eigenvalues."""
-        return self.regression.eigensystem.mus
+        """ln(lambda)/dt on the principal branch, derived from the eigenvalues
+        and the sample interval; see the findings for zero or negative-real
+        eigenvalues."""
+        return continuous_eigenvalues(self.eigenvalues, self.dt)
 
     # -- lifting helpers -------------------------------------------------------
     def _lift_state(self, x) -> np.ndarray:
@@ -517,12 +519,11 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
     try:
         # called by their module-global names, which a tracer may have wrapped
         if regression == "kdmd":
-            res = fit_kdmd(pairs, kernel=regressor.kernel, rank=regressor.rank, dt=data.dt)
+            res = fit_kdmd(pairs, kernel=regressor.kernel, rank=regressor.rank)
         elif regression == "edmdc":
-            res = fit_edmdc(pairs, rank_in=regressor.rank_in, rank_out=regressor.rank_out,
-                            dt=data.dt)
+            res = fit_edmdc(pairs, rank_in=regressor.rank_in, rank_out=regressor.rank_out)
         else:
-            res = fit_edmd(pairs, rank=regressor.rank, dt=data.dt)
+            res = fit_edmd(pairs, rank=regressor.rank)
     except KoopliftError as exc:
         raise _stage("regression", exc) from exc
     X_state = None

@@ -30,6 +30,7 @@ __all__ = [
     "EigenSystem",
     "RegressionResult",
     "KernelConfig",
+    "continuous_eigenvalues",
     "eig_biorthogonal",
     "fit_edmd",
     "fit_edmdc",
@@ -64,11 +65,12 @@ class EigenSystem(_FrozenRecord):
     adjacent. Columns satisfy W_left^H W_right = I for distinct eigenvalues;
     left vectors are scaled so their max-modulus entry is 1, with the right
     vectors rescaled to preserve biorthogonality. Arrays are read-only
-    copies; findings are a tuple.
+    copies; findings are a tuple. The continuous eigenvalues are not stored:
+    `continuous_eigenvalues` derives them from `lambdas` and a sample
+    interval.
     """
 
     lambdas: np.ndarray  # (r,) discrete eigenvalues
-    mus: np.ndarray  # (r,) continuous eigenvalues ln(lambda)/dt, principal branch
     W_right: np.ndarray  # (N, r)
     W_left: np.ndarray  # (N, r)
     findings: tuple = ()
@@ -78,33 +80,43 @@ class EigenSystem(_FrozenRecord):
         return self.lambdas.shape[0]
 
 
-def _classify_spectrum(lam: np.ndarray, A: np.ndarray, dt: float):
-    """Snap zero-class eigenvalues of A to 0 and take continuous eigenvalues.
+def continuous_eigenvalues(lambdas: np.ndarray, dt: float) -> np.ndarray:
+    """The continuous eigenvalues ln(lambda)/dt of discrete eigenvalues
+    sampled every dt, on the principal branch, as a read-only complex array.
+    An exactly-zero lambda, as `eig_biorthogonal` leaves the zero class,
+    gives -inf; a negative real one gives imaginary part pi/dt."""
+    lam = np.asarray(lambdas, dtype=complex)
+    mus = np.full(lam.shape, complex(-np.inf, 0.0))
+    nz = lam != 0
+    mus[nz] = np.log(lam[nz]) / dt
+    mus.flags.writeable = False
+    return mus
+
+
+def _classify_spectrum(lam: np.ndarray, A: np.ndarray):
+    """Snap zero-class eigenvalues of A to 0 and report what their
+    continuous eigenvalues (`continuous_eigenvalues`) will be.
 
     Rounding moves the zero eigenvalue of a defective (nilpotent) block to
     about sqrt(eps) ||A||_2, so an exact comparison with 0 misses it.
     Eigenvalues with |lambda| <= ZERO_EIG_RTOL * ||A||_2 form the zero class:
     they are set to exactly 0, reported, and their continuous eigenvalue is
-    -inf. Returns (lambdas, mus, findings).
+    -inf. Returns (lambdas, findings).
     """
     lam = lam.copy()
     zero = np.abs(lam) <= ZERO_EIG_RTOL * np.linalg.norm(A, 2)
     lam[zero] = 0.0
-    mus = np.empty(lam.shape, dtype=complex)
     findings = []
     if zero.any():
-        mus[zero] = complex(-np.inf, 0.0)
         findings.append(Finding("zero-eigenvalue", message=(
             f"{int(zero.sum())} zero eigenvalue(s) (|lambda| <= {ZERO_EIG_RTOL:.1e} "
             "||A||_2): continuous eigenvalue reported as -inf")))
-    nz = ~zero
-    mus[nz] = np.log(lam[nz]) / dt
-    neg_real = nz & (lam.imag == 0) & (lam.real < 0)
+    neg_real = ~zero & (lam.imag == 0) & (lam.real < 0)
     if neg_real.any():
         findings.append(Finding("negative-real-eigenvalue", message=(
             "negative real eigenvalue(s): principal-branch log gives imaginary "
             "part pi/dt; the continuous eigenvalue is aliasing-ambiguous")))
-    return lam, mus, findings
+    return lam, findings
 
 
 def _normalize_pair(W_right: np.ndarray, W_left: np.ndarray):
@@ -128,7 +140,7 @@ def _snap_conjugate_partners(lam: np.ndarray, *arrays) -> None:
         M[:, j + 1] = M[:, j].conj()
 
 
-def eig_biorthogonal(A: np.ndarray, dt: float = 1.0) -> EigenSystem:
+def eig_biorthogonal(A: np.ndarray) -> EigenSystem:
     """Eigendecomposition of a square matrix with biorthogonal left vectors.
 
     A near-defective eigenvector matrix is flagged with a finding and the
@@ -136,7 +148,8 @@ def eig_biorthogonal(A: np.ndarray, dt: float = 1.0) -> EigenSystem:
     approximate for the affected cluster). Eigenvalues within
     ZERO_EIG_RTOL * ||A||_2 of zero are returned as exactly 0. For a real A,
     the right and left vectors of a real eigenvalue are exactly real, and
-    those of a conjugate pair exact conjugates.
+    those of a conjugate pair exact conjugates. The continuous eigenvalues
+    come from `continuous_eigenvalues`, given a sample interval.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -170,11 +183,9 @@ def eig_biorthogonal(A: np.ndarray, dt: float = 1.0) -> EigenSystem:
         # pairing of the left vectors only to rounding, and the normalization
         # carries that into the right vectors
         _snap_conjugate_partners(lam, W, W_left)
-    lam, mus, mu_findings = _classify_spectrum(lam, A, dt)
-    return EigenSystem(
-        lambdas=lam, mus=mus, W_right=W, W_left=W_left,
-        findings=findings + mu_findings,
-    )
+    lam, spectrum_findings = _classify_spectrum(lam, A)
+    return EigenSystem(lambdas=lam, W_right=W, W_left=W_left,
+                       findings=findings + spectrum_findings)
 
 
 @dataclass(frozen=True)
@@ -334,13 +345,11 @@ def _lift_eigensystem(eig_red: EigenSystem, projection: np.ndarray) -> EigenSyst
     Wr = projection @ eig_red.W_right
     Wl = projection @ eig_red.W_left
     Wr, Wl = _normalize_pair(Wr, Wl)
-    return EigenSystem(
-        lambdas=eig_red.lambdas, mus=eig_red.mus, W_right=Wr, W_left=Wl,
-        findings=eig_red.findings,
-    )
+    return EigenSystem(lambdas=eig_red.lambdas, W_right=Wr, W_left=Wl,
+                       findings=eig_red.findings)
 
 
-def fit_edmd(Z, Zprime=None, rank=None, dt: float = 1.0) -> RegressionResult:
+def fit_edmd(Z, Zprime=None, rank=None) -> RegressionResult:
     """SVD-based least-squares fit of Z' ~ A Z on lifted snapshot columns.
 
     Z and Zprime are (N, m) matrices, or Z is a `SnapshotPairs` and Zprime
@@ -348,14 +357,15 @@ def fit_edmd(Z, Zprime=None, rank=None, dt: float = 1.0) -> RegressionResult:
     Z and returns it in the full lifted space, with its eigensystem mapped
     there too, and both projected and exact SVD-DMD modes (the exact form is
     the default reported one; eigenvalues at zero fall back to the projected
-    mode). Everything is computed from the R factor of [Z^T | Z'^T].
+    mode). Everything is computed from the R factor of [Z^T | Z'^T]. No
+    sample interval is taken: `continuous_eigenvalues` maps the eigenvalues.
     """
     pairs = _as_pairs(Z, Zprime)
     RZ, _, RZp = _pair_factor(pairs)
     Ur, sr, W = _truncate_svd(RZ.T, rank)  # right vectors of Z: Vr = Q W
     G = RZp.T @ (W * (1.0 / sr))  # (N, r) = Zprime Vr Sr^-1
     At = Ur.T @ G
-    eig_red = eig_biorthogonal(At, dt)
+    eig_red = eig_biorthogonal(At)
     eig_full = _lift_eigensystem(eig_red, Ur)
 
     # exact modes Zprime Vr Sr^-1 w / lambda, with w scaled consistently with
@@ -382,15 +392,15 @@ def fit_edmd(Z, Zprime=None, rank=None, dt: float = 1.0) -> RegressionResult:
     )
 
 
-def fit_edmdc(Z, Zprime=None, U=None, rank_in=None, rank_out=None,
-              dt: float = 1.0) -> RegressionResult:
+def fit_edmdc(Z, Zprime=None, U=None, rank_in=None, rank_out=None) -> RegressionResult:
     """Controlled fit: Z' ~ A Z + B U via SVD of the stacked [Z; U].
 
     Z, Zprime (N, m) and U (q, m) are matrices, or Z is a `SnapshotPairs`
     with inputs and the other two None. When rank_out is given and below N,
     a second SVD of Zprime compresses the state block; the eigensystem is
     always computed from A alone. Both SVDs and the residual are taken on
-    the R factor of [Z^T | U^T | Z'^T].
+    the R factor of [Z^T | U^T | Z'^T]. No sample interval is taken:
+    `continuous_eigenvalues` maps the eigenvalues.
     """
     pairs = _as_pairs(Z, Zprime, U, inputs=True)
     N, m, q = pairs.n_features, pairs.m, pairs.n_inputs
@@ -409,10 +419,10 @@ def fit_edmdc(Z, Zprime=None, U=None, rank_in=None, rank_out=None,
         # the operator restricted to the leading output subspace, in full space
         P, _, _ = _truncate_svd(RZp.T, rank_out)
         A_red = P.T @ A @ P
-        eig = _lift_eigensystem(eig_biorthogonal(A_red, dt), P)
+        eig = _lift_eigensystem(eig_biorthogonal(A_red), P)
         A, B = P @ A_red @ P.T, P @ (P.T @ B)
     else:
-        eig = eig_biorthogonal(A, dt)
+        eig = eig_biorthogonal(A)
     return RegressionResult(
         A=A, B=B, eigensystem=eig,
         residual_fro=fro, residual_rel=rel, sigma_min=float(so[-1]), m=m,
@@ -579,8 +589,8 @@ def _gram_eigenpairs(kernel: KernelConfig, Xr: np.ndarray, rank, held: int = 0):
     return G, s[::-1], Q[:, ::-1], findings
 
 
-def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(), rank=None,
-             dt: float = 1.0) -> RegressionResult:
+def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(),
+             rank=None) -> RegressionResult:
     """Kernel regression variant operating on Gram matrices.
 
     Z and Zprime are (n, m) state matrices, or Z is a `SnapshotPairs` and
@@ -591,7 +601,8 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(), rank=None,
     training states; the operator on them is diag(lambda). The state
     reconstruction (and with it the Koopman modes) is fitted on the
     eigenfunction lift by `fit_reconstruction`, as for any library without
-    an exact state embedding.
+    an exact state embedding. No sample interval is taken:
+    `continuous_eigenvalues` maps the eigenvalues.
 
     The principal eigenspace of G comes from `_gram_eigenpairs`: the
     leading r eigenpairs by a Lanczos iteration in numpy (`_lanczos`) for an
@@ -689,7 +700,7 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(), rank=None,
             held[a:a + _kernels.ROW_BLOCK] = Tb
         del Tb  # not alive while the next block is built
     A_hat = (QtT @ Qr) / denom[:, None]
-    eig_red = eig_biorthogonal(A_hat, dt)
+    eig_red = eig_biorthogonal(A_hat)
     lam = eig_red.lambdas
     C = eig_red.W_right.copy()  # (r, r): alpha = Qr C
     alpha = Qr @ C  # (m, r) eigenfunction coefficients
@@ -711,10 +722,7 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(), rank=None,
     fro, rel = _residual(Xi_next - lam[:, None] * Xi, Xi_next)
     # in eigenfunction coordinates the eigenvectors are the unit vectors
     eye = np.eye(r, dtype=complex)
-    eig = EigenSystem(
-        lambdas=lam, mus=eig_red.mus, W_right=eye, W_left=eye,
-        findings=eig_red.findings,
-    )
+    eig = EigenSystem(lambdas=lam, W_right=eye, W_left=eye, findings=eig_red.findings)
     lifted = None
     if trajectories:
         plan = _kernels.conjugate_plan(alpha)

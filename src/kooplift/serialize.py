@@ -20,7 +20,7 @@ from .data import Finding
 from .errors import ConfigError, DataError, check_int, check_real, model_number
 from .model import _KINDS, KoopmanModel
 from .observables import ReconstructionMap, fit_reconstruction, observable_from_config
-from .regression import EigenSystem, RegressionResult
+from .regression import EigenSystem, RegressionResult, continuous_eigenvalues
 
 __all__ = ["MODEL_SCHEMA_VERSION", "model_to_dict", "model_from_dict",
            "save_model", "load_model", "atomic_write_text"]
@@ -65,6 +65,9 @@ def _finding_from_json(entry) -> Finding:
     f = Finding(**entry)  # TypeError for a non-object, a missing kind, an unknown key
     if not (isinstance(f.kind, str) and isinstance(f.message, str)):
         raise TypeError(f"finding kind and message must be strings: {entry!r}")
+    for key in ("trajectory", "row", "column"):
+        if key in entry:
+            _checked(check_int, entry[key], f"finding {key}", 0)
     return f
 
 
@@ -84,10 +87,11 @@ def model_to_dict(model: KoopmanModel) -> dict:
     eig = model.regression.eigensystem
     eigen = {
         "lambdas": _cvec_to_json(eig.lambdas),
-        "mus": _cvec_to_json(eig.mus),
+        # mus and use_exact_modes are derived, and written so the file format
+        # is unchanged; loading refuses copies that disagree with their homes
+        "mus": _cvec_to_json(model.continuous_eigenvalues()),
         "W_right": _matrix_to_json(eig.W_right),
         "W_left": _matrix_to_json(eig.W_left),
-        # still written so the file format is unchanged; loading ignores it
         "use_exact_modes": model.regression.modes_exact is not None,
     }
     if model.regression.modes_exact is not None:
@@ -151,13 +155,28 @@ def _check_spectrum(A: np.ndarray, eig: EigenSystem) -> None:
                          f"(residual {residual[j]:.2e} > {bound[j]:.2e})")
 
 
+def _check_continuous(mus: np.ndarray, lambdas: np.ndarray, dt: float) -> None:
+    """Refuse a file's continuous eigenvalues unless each is within
+    SPECTRUM_RTOL, relative, of ln(lambda)/dt; a -inf (a zero lambda's)
+    agrees only with itself."""
+    derived = continuous_eigenvalues(lambdas, dt)
+    ok = mus == derived
+    f = np.isfinite(derived)
+    ok[f] |= np.abs(mus[f] - derived[f]) <= SPECTRUM_RTOL * np.abs(derived[f])
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        j = int(bad[0])
+        raise _malformed(f"mus[{j}] is {mus[j]}, but ln(lambda)/dt is {derived[j]}")
+
+
 def model_from_dict(d: dict) -> KoopmanModel:
     """A model from its file dict. Each value is type-checked, and a fact the
     file repeats (n, q, the metadata's rank and n_features, the array shapes,
-    an exact-embedding C) is refused unless it agrees with its home: the
-    observables, B or the eigenvalues. So is a spectrum that is not A's, and
-    a regressor label whose kind `fit` never gives the observables. Unknown
-    metadata keys are not read."""
+    an exact-embedding C, mus, use_exact_modes) is refused unless it agrees
+    with its home: the observables, B, the eigenvalues with dt, or
+    modes_exact. So is a spectrum that is not A's, and a regressor label
+    whose kind `fit` never gives the observables. Unknown metadata keys are
+    not read."""
     if not isinstance(d, dict):
         raise DataError("model file must contain a JSON object")
     version = d.get("schema_version")
@@ -180,12 +199,13 @@ def model_from_dict(d: dict) -> KoopmanModel:
         eigd = d["eigen"]
         eig = EigenSystem(
             lambdas=_cvec_from_json(eigd["lambdas"], "lambdas"),
-            mus=_cvec_from_json(eigd["mus"], "mus"),
             W_right=_matrix_from_json(eigd["W_right"], "W_right"),
             W_left=_matrix_from_json(eigd["W_left"], "W_left"),
         )
+        mus = _cvec_from_json(eigd["mus"], "mus")
         modes_exact = (_matrix_from_json(eigd["modes_exact"], "modes_exact")
                        if "modes_exact" in eigd else None)
+        use_exact = eigd.get("use_exact_modes", modes_exact is not None)
         metadata = dict(d["metadata"])
         z0 = _cvec_from_json(metadata["z0_train"], "z0_train")
         if not np.iscomplexobj(A):
@@ -229,6 +249,9 @@ def model_from_dict(d: dict) -> KoopmanModel:
     if copies.get("n_features", N) != N:
         raise _malformed(f"n_features is {copies['n_features']}, but the observables "
                          f"lift to {N}")
+    if use_exact is not (modes_exact is not None):
+        raise _malformed(f"use_exact_modes is {use_exact!r}, but the model has "
+                         f"{'no modes_exact' if modes_exact is None else 'modes_exact'}")
     _, controlled, library_rule = _KINDS[regressor]
     if controlled != (B is not None):
         raise _malformed(f"regressor {regressor!r} is "
@@ -241,10 +264,11 @@ def model_from_dict(d: dict) -> KoopmanModel:
     _check_shapes({
         "A": (A, (N, N)), "B": (B, (N, q)), "C": (C, (n, N)),
         "W_right": (eig.W_right, (N, r)), "W_left": (eig.W_left, (N, r)),
-        "modes_exact": (modes_exact, (N, r)), "mus": (eig.mus, (r,)),
+        "modes_exact": (modes_exact, (N, r)), "mus": (mus, (r,)),
         "z0_train": (z0, (N,)), "training_scores": (scores, (r,)),
     })
     _check_spectrum(A, eig)
+    _check_continuous(mus, eig.lambdas, dt)
     return KoopmanModel(observables=obs, regression=res, C=_reconstruction(obs, C),
                         dt=dt, regressor=regressor, findings=findings, z0_train=z0,
                         training_scores=scores)

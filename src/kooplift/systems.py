@@ -212,11 +212,11 @@ def drss(n: int, q: int, seed: int = 0, rho_max: float = 0.9):
     with moduli uniform on (0.1, rho_max), conjugated by a random orthogonal
     similarity; B is dense Gaussian. Deterministic given the seed.
     """
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    if q < 0:
-        raise ConfigError(f"q must be >= 0, got {q}")
-    if not (0.0 < rho_max < 1.0):
+    n = check_int(n, "n", 1)
+    q = check_int(q, "q", 0)
+    seed = check_int(seed, "seed", 0)
+    rho_max = check_real(rho_max, "rho_max", positive=True)
+    if not rho_max < 1.0:
         raise ConfigError(f"rho_max must lie in (0, 1), got {rho_max}")
     rng = np.random.default_rng(seed)
     sizes = []

@@ -134,12 +134,12 @@ def test_criterion_5_kdmd_edmd_equivalence():
     pairs = kl.build_snapshot_pairs(ds)
     assert pairs.m >= 50
     kernel = kl.KernelConfig(kind="polynomial", degree=2, offset=1.0, reg_eps=0.0)
-    res_k = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, dt=ds.dt)
+    res_k = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel)
     lib = kl.Polynomial(2)
     lib.bind(2)
     Z = lib.lift_rows(pairs.X.T.copy()).T
     Zp = lib.lift_rows(pairs.Xprime.T.copy()).T
-    res_e = kl.fit_edmd(Z, Zp, dt=ds.dt)
+    res_e = kl.fit_edmd(Z, Zp)
     err = float(
         np.max(np.abs(np.sort_complex(res_k.eigensystem.lambdas)
                       - np.sort_complex(res_e.eigensystem.lambdas)))

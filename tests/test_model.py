@@ -707,7 +707,7 @@ def test_scores_over_blocks_across_trajectories_match_a_stacked_reference(monkey
     model = kl.fit(kl.Polynomial(2), "edmdc", ds)
     pairs = kl.build_snapshot_pairs(ds, model.observables)
     # the same fit on the stacked matrices, one segment
-    stacked = kl.fit_edmdc(pairs.X, pairs.Xprime, pairs.U, dt=0.1)
+    stacked = kl.fit_edmdc(pairs.X, pairs.Xprime, pairs.U)
     np.testing.assert_array_equal(model.A, stacked.A)
     np.testing.assert_array_equal(model.B, stacked.B)
     # the scores written out on column slices of the stacked (N, m) matrices
@@ -929,13 +929,15 @@ def test_scores_bounded_by_residual_over_sigma_min(slow_manifold_poly_model):
 # ---------------------------------------------------------------------------
 
 def test_continuous_eigenvalue_arithmetic(diag_model):
-    es = kl.eig_biorthogonal(np.diag([np.exp(-0.02), 1.0]), dt=0.02)
-    assert es.mus[1] == pytest.approx(-1.0, abs=1e-12)
-    assert es.mus[0] == pytest.approx(0.0, abs=1e-12)
+    mus = kl.continuous_eigenvalues(
+        kl.eig_biorthogonal(np.diag([np.exp(-0.02), 1.0])).lambdas, 0.02)
+    assert mus[1] == pytest.approx(-1.0, abs=1e-12)
+    assert mus[0] == pytest.approx(0.0, abs=1e-12)
     # a 7-digit rounding of exp(-0.02) lands 1.4e-6 away from mu = -1
-    es2 = kl.eig_biorthogonal(np.array([[0.9801987]]), dt=0.02)
-    assert es2.mus[0].real == pytest.approx(-0.999998638375819, abs=1e-12)
-    assert es2.mus[0].real == pytest.approx(-1.0, abs=2e-6)
+    mus2 = kl.continuous_eigenvalues(kl.eig_biorthogonal(np.array([[0.9801987]])).lambdas,
+                                     0.02)
+    assert mus2[0].real == pytest.approx(-0.999998638375819, abs=1e-12)
+    assert mus2[0].real == pytest.approx(-1.0, abs=2e-6)
 
 
 def test_model_reports_branch_findings():
@@ -1169,8 +1171,7 @@ def test_kdmd_training_lift_and_scores_are_validation_bit_for_bit(kind, rank):
     data = make_slow_manifold_dataset(grid=2, t_end=3.0)
     config = _kdmd_config(kind, rank)
     model = kl.fit(None, config, data)
-    res = kl.fit_kdmd(kl.build_snapshot_pairs(data), kernel=config.kernel, rank=rank,
-                      dt=data.dt)
+    res = kl.fit_kdmd(kl.build_snapshot_pairs(data), kernel=config.kernel, rank=rank)
     for (X, _, Xp), traj in zip(res.kernel_pairs.segments, data.trajectories):
         Z = model.observables.lift_trajectory(traj)
         np.testing.assert_array_equal(X, Z[:-1])

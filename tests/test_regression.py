@@ -46,7 +46,7 @@ def test_edmd_quadratic_embedding_spectrum():
 
     z0s = RNG.uniform(-1, 1, size=(8, 3))
     Z, Zp = _linear_snapshots(A_true, z0s, 30)
-    res = kl.fit_edmd(Z, Zp, dt=dt)
+    res = kl.fit_edmd(Z, Zp)
     got = np.sort(res.eigensystem.lambdas.real)[::-1]
     assert np.max(np.abs(res.eigensystem.lambdas.imag)) < 1e-10
     np.testing.assert_allclose(got, frozen, atol=1e-6)
@@ -104,7 +104,8 @@ def test_edmd_zero_eigenvalue_modes_fall_back_to_projected():
     np.testing.assert_array_equal(
         res.modes_exact[:, zero], res.eigensystem.W_right[:, zero]
     )
-    assert np.all(res.eigensystem.mus[zero].real == -np.inf)
+    mus = kl.continuous_eigenvalues(res.eigensystem.lambdas, 1.0)
+    assert np.all(mus[zero].real == -np.inf)
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,7 +129,7 @@ def test_nilpotent_fits_report_exact_zero_eigenvalues(log_scale, m, angle, coupl
         linear = kl.KernelConfig(kind="polynomial", degree=1, offset=0.0)
         res = kl.fit_kdmd(Z, N @ Z, linear)
     assert np.all(res.eigensystem.lambdas == 0)
-    assert np.all(res.eigensystem.mus.real == -np.inf)
+    assert np.all(kl.continuous_eigenvalues(res.eigensystem.lambdas, 1.0).real == -np.inf)
     findings = res.eigensystem.findings
     assert any(f.kind == "zero-eigenvalue" and "2 zero eigenvalue(s)" in f.message
                for f in findings)
@@ -421,12 +422,12 @@ def test_kdmd_polynomial_kernel_matches_edmd_oracle(slow_manifold_pairs):
     pairs = slow_manifold_pairs
     assert pairs.m >= 50
     kernel = kl.KernelConfig(kind="polynomial", degree=2, offset=1.0, reg_eps=0.0)
-    res_k = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, dt=SLOW_DT)
+    res_k = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel)
     lib = kl.Polynomial(2)
     lib.bind(2)
     Z = lib.lift_rows(pairs.X.T).T
     Zp = lib.lift_rows(pairs.Xprime.T).T
-    res_e = kl.fit_edmd(Z, Zp, dt=SLOW_DT)
+    res_e = kl.fit_edmd(Z, Zp)
     assert res_k.rank == res_e.rank == 6
     np.testing.assert_allclose(
         np.sort_complex(res_k.eigensystem.lambdas),
@@ -469,7 +470,7 @@ def test_kdmd_generalized_eigenproblem_residual(slow_manifold_pairs):
     assert kl.regression.LANCZOS_RATIO * 10 <= pairs.m
     for kernel, rank in ((kl.KernelConfig(kind="polynomial", degree=2), None),
                          (kl.KernelConfig(kind="gaussian", sigma=1.0), 10)):
-        res = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=rank, dt=SLOW_DT)
+        res = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=rank)
         G = kernel.gram(pairs.X.T.copy(), pairs.X.T.copy())
         T = kernel.gram(pairs.Xprime.T.copy(), pairs.X.T.copy())
         s, Q = np.linalg.eigh(0.5 * (G + G.T))
@@ -486,8 +487,8 @@ def test_truncated_kdmd_matches_edmd_oracle(slow_manifold_pairs):
     Xr = pairs.X.T.copy()
     G = kernel.gram(Xr, Xr)
     T = kernel.gram(pairs.Xprime.T.copy(), Xr)
-    res_k = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10, dt=SLOW_DT)
-    res_e = kl.fit_edmd(G, T.T, rank=10, dt=SLOW_DT)
+    res_k = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10)
+    res_e = kl.fit_edmd(G, T.T, rank=10)
     np.testing.assert_allclose(
         np.sort_complex(res_k.eigensystem.lambdas),
         np.sort_complex(res_e.eigensystem.lambdas),
@@ -590,8 +591,8 @@ def test_kdmd_reads_snapshot_pairs_like_the_other_regressions():
     assert [x.shape[0] for x, _, _ in pairs.segments] == [6, 9, 4]
     for kernel in (kl.KernelConfig(kind="gaussian", sigma=1.5, reg_eps=1e-10),
                    kl.KernelConfig(kind="polynomial", degree=3, reg_eps=1e-10)):
-        res = kl.fit_kdmd(pairs, kernel=kernel, dt=0.1)
-        ref = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, dt=0.1)
+        res = kl.fit_kdmd(pairs, kernel=kernel)
+        ref = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel)
         for name in ("A", "kernel_alpha", "residual_fro", "residual_rel", "sigma_min", "m"):
             np.testing.assert_array_equal(getattr(res, name), getattr(ref, name))
         np.testing.assert_array_equal(res.eigensystem.lambdas, ref.eigensystem.lambdas)
@@ -608,14 +609,14 @@ def test_truncated_kdmd_falls_back_to_the_dense_solver(slow_manifold_pairs, monk
     kernel = kl.KernelConfig(kind="gaussian", sigma=1.0)
     with monkeypatch.context() as mp:
         mp.setattr(kl.regression, "LANCZOS_RATIO", pairs.m + 1)  # dense for rank 1+
-        dense = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10, dt=SLOW_DT)
+        dense = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10)
     assert dense.findings == ()
     calls = []
     lanczos = kl.regression._lanczos
     monkeypatch.setattr(kl.regression, "_lanczos",
                         lambda G, r, tol: calls.append(r) or lanczos(G, r, tol))
     monkeypatch.setattr(kl.regression, "_lanczos_cap", lambda m, r: r)  # r steps, one check
-    fallback = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10, dt=SLOW_DT)
+    fallback = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel, rank=10)
     assert calls == [10]
     assert [f.kind for f in fallback.findings] == ["lanczos-fallback"]
     for name in ("A", "kernel_alpha", "residual_fro", "sigma_min"):
@@ -879,17 +880,18 @@ def test_eig_left_normalization_max_entry_one():
 def test_continuous_eigenvalue_conversion_consistency():
     A = np.random.default_rng(4).normal(size=(4, 4)) * 0.5
     dt = 0.05
-    es = kl.eig_biorthogonal(A, dt=dt)
-    np.testing.assert_allclose(np.exp(es.mus * dt), es.lambdas, atol=1e-12)
+    es = kl.eig_biorthogonal(A)
+    mus = kl.continuous_eigenvalues(es.lambdas, dt)
+    np.testing.assert_allclose(np.exp(mus * dt), es.lambdas, atol=1e-12)
 
 
 def test_zero_eigenvalue_sentinel():
-    es = kl.eig_biorthogonal(np.array([[0.0, 0.0], [0.0, 0.5]]), dt=0.1)
-    assert es.mus[-1].real == -np.inf
+    es = kl.eig_biorthogonal(np.array([[0.0, 0.0], [0.0, 0.5]]))
+    assert kl.continuous_eigenvalues(es.lambdas, 0.1)[-1].real == -np.inf
     assert any(f.kind == "zero-eigenvalue" for f in es.findings)
 
 
 def test_negative_real_eigenvalue_branch_flag():
-    es = kl.eig_biorthogonal(np.diag([-0.5, 0.25]), dt=1.0)
+    es = kl.eig_biorthogonal(np.diag([-0.5, 0.25]))
     assert any(f.kind == "negative-real-eigenvalue" for f in es.findings)
-    assert es.mus[0].imag == pytest.approx(np.pi)
+    assert kl.continuous_eigenvalues(es.lambdas, 1.0)[0].imag == pytest.approx(np.pi)

@@ -215,7 +215,9 @@ def test_string_findings_of_older_files_load(dataset):
         kl.Finding("unclassified", message="mode 1: eigenfunction vanishes on the data"),
     )
     for bad in ([{"message": "no kind"}], [{"kind": "x", "severity": 1}],
-                [{"kind": 3}], [7], "not a list"):
+                [{"kind": 3}], [7], "not a list",
+                [{"kind": "zero-eigenvalue", "row": "abc"}],
+                [{"kind": "zero-eigenvalue", "trajectory": [1, 2]}]):
         d["metadata"]["findings"] = bad
         with pytest.raises(DataError, match="malformed model file"):
             model_from_dict(d)
@@ -432,6 +434,7 @@ def test_metadata_is_a_view_of_the_facts_homes(dataset):
                       "z0_train", "training_scores"}
     assert "rank" not in {f.name for f in dataclasses.fields(kl.RegressionResult)}
     assert "dt" not in {f.name for f in dataclasses.fields(kl.EigenSystem)}
+    assert "mus" not in {f.name for f in dataclasses.fields(kl.EigenSystem)}
 
 
 def _zeros(*shape, complex_=False):
@@ -491,6 +494,11 @@ def copy_models(dataset):
     ("poly", ("eigen", "lambdas", 2), [float("nan"), 0.0],
      "eigenvalue 2 is not an eigenvalue of A"),
     ("poly", ("A", "data", 7), float("inf"), r"eigenvalue \d+ is not an eigenvalue of A"),
+    ("poly", ("eigen", "mus", 0), [123.0, 4.0], r"mus\[0\] is \(123\+4j\), but ln"),
+    ("poly", ("eigen", "use_exact_modes"), False,
+     "use_exact_modes is False, but the model has modes_exact"),
+    ("dmdc", ("eigen", "use_exact_modes"), True,
+     "use_exact_modes is True, but the model has no modes_exact"),
 ])
 def test_copies_that_disagree_with_their_home_are_refused(copy_models, base, where,
                                                           value, match):
@@ -501,6 +509,29 @@ def test_copies_that_disagree_with_their_home_are_refused(copy_models, base, whe
     owner[where[-1]] = value
     with pytest.raises(DataError, match=f"malformed model file: {match}"):
         model_from_dict(d)
+
+
+def test_continuous_eigenvalues_are_refused_unless_derived_from_lambda_and_dt():
+    # eigenvalues 0.5 and 0: ln(0.5)/dt and -inf
+    A = np.diag([0.5, 0.0])
+    starts = np.random.default_rng(5).normal(size=(10, 2))
+    ds = kl.TrajectoryDataset([np.array([x, A @ x, A @ A @ x]) for x in starts], dt=0.1)
+    d = json.loads(json.dumps(model_to_dict(kl.fit(None, "dmd", ds))))
+    (re0, im0), (re1, im1) = d["eigen"]["mus"]
+    assert (re0, im0) == (pytest.approx(np.log(0.5) / 0.1), 0.0)
+    assert (re1, im1) == (-np.inf, 0.0)
+    for j, value, refused in ((0, [re0 * (1 + 1e-9), 0.0], False),
+                              (0, [re0 * (1 + 1e-5), 0.0], True),
+                              (0, [-np.inf, 0.0], True),
+                              (1, [-1e300, 0.0], True),
+                              (1, [-np.inf, 1.0], True)):
+        tampered = copy.deepcopy(d)
+        tampered["eigen"]["mus"][j] = value
+        if refused:
+            with pytest.raises(DataError, match=rf"malformed model file: mus\[{j}\]"):
+                model_from_dict(tampered)
+        else:
+            model_from_dict(tampered)
 
 
 def test_a_file_without_a_regressor_label_is_refused(copy_models):

@@ -151,6 +151,11 @@ def test_drss_validation():
         kl.drss(3, 1, rho_max=1.0)
     with pytest.raises(ConfigError):
         kl.drss(0, 1)
+    # refused, not coerced: a bool or float count, a string radius, a bad seed
+    for args in ((True, 0), (2.0, 1), (2, 1.5), (2, -1), (3, 1, 0, "0.5"), (3, 1, 0, 0.0),
+                 (3, 1, 0, float("nan")), (3, 1, -1), (3, 1, 1.5), (3, 1, "0")):
+        with pytest.raises(ConfigError):
+            kl.drss(*args)
 
 
 def test_linear2d_step():
