@@ -1,10 +1,14 @@
-"""Hot numeric kernels: feature lifting, Gram assembly and linear iteration.
+"""Hot numeric kernels: feature lifting, Gram assembly, the TSQR's update
+and linear iteration.
 
-All kernels are plain numpy and deterministic for fixed inputs.
+All kernels are plain numpy and deterministic for fixed inputs, but for
+`lapack_tpqrt`, which calls one LAPACK routine of the library numpy itself
+links.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import combinations_with_replacement
 
@@ -23,6 +27,12 @@ RADIAL_KINDS = ("thinplate", "gauss", "invquad", "invmultiquad", "polyharmonic")
 # fit_kdmd's T stream at m = 2,844, rank 20, took 91-107 ms at 128 rows,
 # 104-130 ms at 64 and 124-127 ms at 512
 ROW_BLOCK = 128
+# block size nb of lapack_tpqrt's update, capped at the width n. One
+# 10,000-row block (2-CPU VM, medians of nine) took 36 ms at nb = 8 and at
+# 16 and 50 ms at 4 and at 32 for n = 205, and 44 ms at 8 against 35 ms at 16
+# on one BLAS thread; at n = 12 and 36, nb = 8 was faster than 16 by 0.3 and
+# 1 ms a block (see regression.QR_CHUNK for the whole TSQR)
+TPQRT_NB = 16
 
 
 def monomial_table(n, degree):
@@ -231,6 +241,56 @@ def eigenfunction_lift(kernel_rows, n, plan):
                     axis=1, out=Z[a:b], mode="clip")
     Z *= sign
     return Z.view(complex)
+
+
+@functools.cache
+def lapack_tpqrt():
+    """The TSQR's update as a function tpqrt(R, B), or None where numpy's
+    LAPACK library does not export LAPACKE's `dtpqrt_work` (a numpy built on
+    MKL, Accelerate or a distro's OpenBLAS). Looked up on first use, and
+    cached.
+
+    tpqrt(R, B) overwrites the upper triangle of the (n, n) R with the R
+    factor of [R; B] for a (k, n) B, by LAPACK's dtpqrt (l = 0, nb =
+    min(TPQRT_NB, n)), in place: B is left holding Householder vectors and
+    R's strict lower triangle is not touched. Both are float64 views with
+    unit row stride (column-major), as rows of one Fortran-ordered buffer
+    are. The routine is the structured update of the communication-optimal
+    TSQR (Demmel, Grigori, Hoemmen & Langou, SISC 2012): it reads R as
+    triangular, where a QR of [R; B] would factor R's zeros again. It comes
+    from the OpenBLAS that numpy's wheel bundles, which exports it with
+    64-bit integers under a `scipy_` prefix, through the library's `_work`
+    entry point, which does not scan its input for NaN: a NaN or an inf in
+    B leaves R non-finite, as the caller's check expects.
+    """
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    try:
+        routine = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dtpqrt_work64_
+    except (OSError, AttributeError):
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    routine.restype = i64
+    routine.argtypes = (ctypes.c_int, i64, i64, i64, i64, ptr, i64, ptr, i64, ptr, i64, ptr)
+    col_major = 102  # LAPACK_COL_MAJOR
+
+    def tpqrt(R, B):
+        if not all(a.dtype == np.float64 and a.strides[0] == a.itemsize
+                   and a.flags.writeable for a in (R, B)):
+            raise ValueError("tpqrt takes writeable column-major float64 views")
+        n, k = R.shape[1], B.shape[0]
+        nb = min(TPQRT_NB, n)
+        T = np.empty((nb, n), order="F")
+        work = np.empty(nb * n)
+        info = routine(col_major, k, n, 0, nb, R.ctypes.data, R.strides[1] // R.itemsize,
+                       B.ctypes.data, B.strides[1] // B.itemsize, T.ctypes.data, nb,
+                       work.ctypes.data)
+        if info != 0:
+            raise RuntimeError(f"LAPACK dtpqrt refused argument {-info}")
+
+    return tpqrt
 
 
 def iterate_linear(A, z0, n_steps):

@@ -196,21 +196,11 @@ class SnapshotPairs:
     def block_pieces(self, size: int):
         """Yield every pair in order, in blocks of `size` pairs (the last one
         shorter), each block as a list of its (X, U, Xprime) pieces: views of
-        the segments it covers, U None without inputs.
-
-        Blocks start at multiples of `size` over all pairs, so a block that
-        crosses a trajectory boundary has one piece per trajectory it
-        touches. This is the one home of the block boundaries: the TSQR
-        copies each block's pieces below its R, and the score pass
+        the segments it covers, U None without inputs (`pair_blocks`). The
+        TSQR copies each block's pieces below its R, and the score pass
         multiplies them where they lie.
         """
-        m = self.m
-        edges = np.cumsum([0, *(x.shape[0] for x, _, _ in self.segments)])
-        for a in range(0, m, size):
-            b = min(a + size, m)
-            yield [tuple(None if p is None else p[max(a - lo, 0):b - lo] for p in seg)
-                   for seg, lo, hi in zip(self.segments, edges, edges[1:])
-                   if lo < b and hi > a]
+        return pair_blocks(self.segments, size)
 
     def refuse_non_finite(self) -> None:
         """DataError naming the first pair that holds a NaN or an inf in X, U
@@ -248,6 +238,61 @@ class SnapshotPairs:
         return self.stacked("Xprime").T
 
 
+def pair_blocks(segments, size: int):
+    """Yield the pairs of an iterable of (X, U, Xprime) segments in order, in
+    blocks of `size` pairs (the last one shorter), each block as a list of
+    its pieces: views of the segments it covers.
+
+    Blocks start at multiples of `size` over all pairs, so a block that
+    crosses a segment boundary has one piece per segment it touches. This is
+    the one home of the block boundaries, for a tuple of segments and for a
+    stream of them alike: a segment is read when the block that reaches it
+    is cut, and is held after that only by the pieces of that block.
+    """
+    block, filled = [], 0
+    for seg in segments:
+        lo, n = 0, seg[0].shape[0]
+        while lo < n:
+            hi = min(lo + size - filled, n)
+            block.append(tuple(None if p is None else p[lo:hi] for p in seg))
+            filled += hi - lo
+            lo = hi
+            if filled == size:
+                yield block
+                block, filled = [], 0
+        del seg
+    if block:
+        yield block
+
+
+def _lifted_segment(data: TrajectoryDataset, library, i: int) -> tuple:
+    traj = data.trajectories[i]
+    Y = traj
+    if library is not None:
+        try:
+            Y = library.lift_trajectory(traj)
+        except DataError as exc:
+            raise DataError(f"trajectory {i}: {exc}") from None
+        if Y.shape[0] < 2:
+            raise DataError(
+                f"trajectory {i} too short: {traj.shape[0]} samples lift to "
+                f"{Y.shape[0]} snapshot(s), need at least 2"
+            )
+    U = None
+    if data.inputs is not None:
+        U = data.inputs[i][traj.shape[0] - Y.shape[0] : -1]
+    return Y[:-1], U, Y[1:]
+
+
+def _lifted_segments(data: TrajectoryDataset, library):
+    """Each trajectory's (X, U, Xprime) segment, as `build_snapshot_pairs`
+    describes it, lifted when it is asked for; the stream keeps no segment
+    it has handed out."""
+    if not data.trajectories:
+        raise DataError("no trajectories")
+    return (_lifted_segment(data, library, i) for i in range(len(data.trajectories)))
+
+
 def build_snapshot_pairs(data: TrajectoryDataset, library=None) -> SnapshotPairs:
     """Assemble one-step snapshot pairs from every trajectory.
 
@@ -258,27 +303,30 @@ def build_snapshot_pairs(data: TrajectoryDataset, library=None) -> SnapshotPairs
     never straddle trajectory boundaries: each trajectory is one segment,
     and segments keep trajectory order, rows time order. U rows, when inputs
     are present, are taken at the X timestamps, after the library's warm-up.
+    `PairStream` hands out the same segments without holding them.
     """
-    if not data.trajectories:
-        raise DataError("no trajectories")
-    segments = []
-    for i, traj in enumerate(data.trajectories):
-        Y = traj
-        if library is not None:
-            try:
-                Y = library.lift_trajectory(traj)
-            except DataError as exc:
-                raise DataError(f"trajectory {i}: {exc}") from None
-            if Y.shape[0] < 2:
-                raise DataError(
-                    f"trajectory {i} too short: {traj.shape[0]} samples lift to "
-                    f"{Y.shape[0]} snapshot(s), need at least 2"
-                )
-        U = None
-        if data.inputs is not None:
-            U = data.inputs[i][traj.shape[0] - Y.shape[0] : -1]
-        segments.append((Y[:-1], U, Y[1:]))
-    return SnapshotPairs(segments=tuple(segments))
+    return SnapshotPairs(segments=tuple(_lifted_segments(data, library)))
+
+
+@dataclass(frozen=True)
+class PairStream:
+    """The snapshot pairs of `build_snapshot_pairs(data, library)`, read
+    without being held: `block_pieces` lifts each trajectory when the first
+    block that reaches it is cut, and drops it after its last piece has
+    been read, so a pass over the stream holds the trajectories of one
+    block, not the lifted dataset. Its blocks are those of the built pairs,
+    piece for piece. `refuse_non_finite` lifts and pairs the data again,
+    which a caller does only on its error path.
+    """
+
+    data: TrajectoryDataset
+    library: object = None
+
+    def block_pieces(self, size: int):
+        return pair_blocks(_lifted_segments(self.data, self.library), size)
+
+    def refuse_non_finite(self) -> None:
+        build_snapshot_pairs(self.data, self.library).refuse_non_finite()
 
 
 def validate_dataset(data: TrajectoryDataset) -> list:

@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels
 from .data import (
     Finding,
-    SnapshotPairs,
+    PairStream,
     TrajectoryDataset,
     _FrozenRecord,
     build_snapshot_pairs,
@@ -142,7 +142,7 @@ def _real_rows(C, complex_data, n_real=0):
 
 def _phi_block(rows, pieces, part, out, buf):
     """rows applied to part `part` (0 for X, 2 for X') of one block's pairs,
-    given as its `SnapshotPairs.block_pieces`, into the (rows, width) `out`.
+    given as its pieces (`data.pair_blocks`), into the (rows, width) `out`.
     Real pieces are multiplied where they lie, each into its columns of
     `out`. Complex ones are written as [Re; Im] columns into `buf` first,
     for one product on the block."""
@@ -161,7 +161,7 @@ def _phi_block(rows, pieces, part, out, buf):
         np.matmul(rows, buf[:, :o], out=out)
 
 
-def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
+def _consistency_scores(regression: RegressionResult, pairs):
     """Per-mode ||phi_j(X') - lambda_j phi_j(X)|| / ||phi_j(X)|| with NaN sentinel,
     over lifted snapshot pairs; phi_j(z) = w_j^H z with w_j a left eigenvector.
 
@@ -169,7 +169,7 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
     the real and imaginary parts of phi_j on X and on X' (acting on the real
     and imaginary parts of complex pairs); the squared norms of phi_j(X) and
     of the residual are summed over the blocks. The blocks are those of
-    `SnapshotPairs.block_pieces`, and no pair is copied to score it: each
+    `data.pair_blocks`, and no pair is copied to score it: each
     trajectory piece of a block of real pairs is multiplied where it lies,
     into its columns of two (rows, SCORE_CHUNK) buffers that the pass
     allocates once, and complex pairs are written once as [Re; Im] columns
@@ -189,15 +189,15 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
     before the cancellation in that sum, which costs accuracy when the w_j
     are large. Pairs holding NaN or inf, in X, X' or an input, raise
     DataError; a mode whose sums overflow on finite pairs scores NaN with a
-    finding.
+    finding. ``pairs`` is a `SnapshotPairs` or a `PairStream`: the pass
+    reads them through `block_pieces` alone, and calls their
+    `refuse_non_finite` only on its error paths.
     Returns (scores, findings)."""
-    # the pass reads no input, so a non-finite one is looked for here, in the
-    # (m, q) input rows only
-    if any(u is not None and not np.isfinite(u).all() for _, u, _ in pairs.segments):
-        pairs.refuse_non_finite()
+    blocks = pairs.block_pieces(SCORE_CHUNK)
+    pieces = next(blocks)  # the first block sets the pass's width and arithmetic
     lambdas, W = regression.eigensystem.lambdas, regression.eigensystem.W_left
     r = lambdas.shape[0]
-    complex_data = pairs.dtype.kind == "c"
+    complex_data = pieces[0][0].dtype.kind == "c"
     twin = real = np.zeros(r, dtype=bool)
     if not complex_data:
         twin = _kernels.conjugate_copies(np.vstack([lambdas, W]))
@@ -212,7 +212,7 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
     # the pass's buffers, allocated once: phi on X' and on X of a block, two
     # scratch rows per complex mode for its residual, and complex pairs'
     # [Re; Im] columns
-    width = min(SCORE_CHUNK, pairs.m)
+    width = sum(X.shape[0] for X, _, _ in pieces)
     P, Q = np.empty((k + c, width)), np.empty((k + c, width))
     S1, S2 = np.empty((c, width)), np.empty((c, width))
     buf = np.empty((rows.shape[1], width)) if complex_data else None
@@ -220,7 +220,11 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
     # overflow of finite pairs still warns, and a sum it leaves NaN or inf
     # scores NaN with a finding
     with np.errstate(invalid="ignore"):
-        for pieces in pairs.block_pieces(SCORE_CHUNK):
+        while pieces is not None:
+            # the pass reads no input, so a non-finite one is looked for here,
+            # in the block's input rows only
+            if any(u is not None and not np.isfinite(u).all() for _, u, _ in pieces):
+                pairs.refuse_non_finite()
             w = sum(p[0].shape[0] for p in pieces)
             Pw, Qw, T1, T2 = P[:, :w], Q[:, :w], S1[:, :w], S2[:, :w]
             _phi_block(rows, pieces, 2, Pw, buf)  # [Re; Im] phi(X')
@@ -238,6 +242,7 @@ def _consistency_scores(regression: RegressionResult, pairs: SnapshotPairs):
             Qw[c:k] *= lr[c:]
             Pw[c:k] -= Qw[c:k]
             num += np.einsum("ij,ij->i", Pw, Pw)
+            pieces = next(blocks, None)
     if not (np.isfinite(num).all() and np.isfinite(den).all()):
         pairs.refuse_non_finite()  # only now are the pairs searched
     num[:c] += num[k:]
@@ -451,10 +456,13 @@ class KoopmanModel(_FrozenRecord):
         """Per-mode eigenfunction residuals over a dataset's snapshot pairs.
 
         Returns (scores, findings); 0 marks a perfect Koopman eigenfunction,
-        NaN marks an eigenfunction that vanishes on the data.
+        NaN marks an eigenfunction that vanishes on the data. The pairs are
+        scored as a `PairStream`: each trajectory is lifted when the score
+        pass first reaches it and dropped after its last block, so the pass
+        holds one block's trajectories, never the lifted dataset, and it
+        scores the blocks that `fit` scored on the same data, bit for bit.
         """
-        pairs = build_snapshot_pairs(data, self.observables)
-        return _consistency_scores(self.regression, pairs)
+        return _consistency_scores(self.regression, PairStream(data, self.observables))
 
 
 # ---------------------------------------------------------------------------

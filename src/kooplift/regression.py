@@ -39,11 +39,14 @@ __all__ = [
 
 RANK_CUTOFF = 1e-10  # relative singular-value cutoff, keeps exact problems exact
 GRAM_CUTOFF = 1e-12  # relative cutoff on Gram-matrix eigenvalues (~ sigma^2)
-# snapshot pairs per row block of the TSQR in _pair_factor. The R factor of
-# [Z^T | U^T | Z'^T] at N = 102, q = 1 and m = 100k (2-CPU VM, medians of six
-# interleaved runs) took 0.85 s in blocks of 5,000, 0.75 s in blocks of
-# 10,000 and 0.80 s in blocks of 25,000; that of [Z^T | Z'^T] at N = 18 and
-# m = 249k took 0.18, 0.19 and 0.16 s
+# snapshot pairs per row block of the TSQR in _pair_factor. With dtpqrt at
+# nb = 16 (_kernels.TPQRT_NB; 2-CPU VM, medians of five), the R factor of
+# [Z^T | U^T | Z'^T] at N = 102, q = 1 and m = 100k took 0.38 s in blocks of
+# 5,000 and of 10,000 and 0.39 s in blocks of 25,000, against 0.77 s for
+# np.linalg.qr's update in blocks of 10,000; nb = 8 took 0.36-0.39 s and
+# nb = 32 0.42-0.51 s. That of [Z^T | Z'^T] at N = 6 and m = 249,900 took
+# 0.021-0.030 s (nb = 12, the width) and 0.013-0.018 s at nb = 8, against
+# 0.028-0.032 s for np.linalg.qr's
 QR_CHUNK = 10_000
 # a rank-r kernel fit on m pairs takes the Lanczos route when
 # LANCZOS_RATIO * r <= m (see fit_kdmd for the measured crossover)
@@ -274,25 +277,30 @@ def _pair_factor(pairs: SnapshotPairs, inputs: bool = False):
     B^T = R_B^T Q^T. So the SVD of B^T is that of R_B^T with right vectors
     Q W, a product B^T V = B^T Q W is R_B^T W, and a Frobenius norm of a
     combination of the B^T is that of the same combination of the R_B^T:
-    the regressions work on R_B, whose rows number at most the width of
+    the regressions work on R_B, whose rows number at most the width W of
     [X | U | X'], and never on the m-long blocks. R is accumulated over the
-    blocks of QR_CHUNK pairs of `SnapshotPairs.block_pieces` (TSQR:
-    R = qr([R; next rows])), each block's pieces copied into one buffer
-    below the R of the blocks before it, so no temporary holds all m pairs.
-    A NaN or an inf in a pair leaves R non-finite, and only then are the
-    pairs searched, by `SnapshotPairs.refuse_non_finite`, which raises
-    DataError.
+    blocks of QR_CHUNK pairs of `SnapshotPairs.block_pieces` (TSQR), so no
+    temporary holds all m pairs: each block's pieces are copied once into
+    one column-major buffer, below R's W rows, and R is updated there in
+    place to the R factor of [R; block] by LAPACK's dtpqrt
+    (`_kernels.lapack_tpqrt`), from R = 0 before the first block. For m < W,
+    R's rows below the m-th are zero but for rounding and are dropped, so R
+    is (min(m, W), W) on either route. Where numpy's LAPACK library has no
+    dtpqrt, the same loop takes R = np.linalg.qr([R; block]), from an empty
+    R, instead. A NaN or an inf in a pair leaves R non-finite, and only then
+    are the pairs searched, by `SnapshotPairs.refuse_non_finite`, which
+    raises DataError.
     """
     N = pairs.n_features
     q = pairs.n_inputs if inputs else 0
     W = 2 * N + q
-    # column-major, so each column of a block is filled, and copied for
-    # LAPACK, contiguously
-    S = np.empty((W + min(QR_CHUNK, pairs.m), W), order="F")
-    R = np.empty((0, W))
+    tpqrt = _kernels.lapack_tpqrt()
+    # column-major, so each column of a block is filled, and read by LAPACK,
+    # contiguously; rows :W hold R, zero before the first block
+    S = np.zeros((W + min(QR_CHUNK, pairs.m), W), order="F")
+    R = np.empty((0, W))  # numpy's R, where there is no dtpqrt
     for pieces in pairs.block_pieces(QR_CHUNK):
-        k, o = R.shape[0], W
-        S[W - k:W] = R
+        o = W
         for X, U, Xp in pieces:
             e = o + X.shape[0]
             S[o:e, :N] = X
@@ -300,7 +308,13 @@ def _pair_factor(pairs: SnapshotPairs, inputs: bool = False):
                 S[o:e, N:N + q] = U
             S[o:e, N + q:] = Xp
             o = e
-        R = np.linalg.qr(S[W - k:o], mode="r")
+        if tpqrt is not None:
+            tpqrt(S[:W], S[W:o])
+        else:  # the rows of R right above the block
+            S[W - R.shape[0]:W] = R
+            R = np.linalg.qr(S[W - R.shape[0]:o], mode="r")
+    if tpqrt is not None:
+        R = np.triu(S[:min(pairs.m, W)])
     if not np.isfinite(R).all():
         pairs.refuse_non_finite()
     return R[:, :N], (R[:, N:N + q] if q else None), R[:, N + q:]
@@ -670,11 +684,10 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(),
     sr = s[:r]
     Qr = np.ascontiguousarray(Q[:, :r])
     del Q  # the dense route's m x m Q must not live through the T rows
+    # positive: with reg_eps = 0 every retained s exceeds GRAM_CUTOFF s[0] > 0
+    # (a rank above r_num was refused above), and KernelConfig refuses a
+    # negative reg_eps, so reg_eps > 0 adds reg_eps m > 0 to s >= 0
     denom = sr + kernel.reg_eps * m
-    if np.any(denom <= 0.0):
-        raise RegressionError(
-            "Gram matrix is numerically singular; set reg_eps > 0 to regularize"
-        )
     # T Qr and Qr^T T: a shifted row i of T gives (T Qr)_i = (G Qr)_{i+1}, and
     # the shifted rows sum to Qs^T G = (G Qs)^T in Qr^T T, G being exactly
     # symmetric; each block of evaluated rows is folded into both as it comes.

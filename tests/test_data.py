@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 
 import numpy as np
@@ -171,13 +172,17 @@ def test_time_delay_pairs_reject_a_short_trajectory():
 # snapshot pairs handed out block by block
 # ---------------------------------------------------------------------------
 
-def _straddling_pairs(library=None):
+def _straddling_dataset():
     # 6, 9 and 4 pairs with one input channel: blocks of 7 or 5 pairs cross
     # every trajectory boundary
     rng = np.random.default_rng(12)
     trajs = [rng.normal(size=(T, 2)) for T in (7, 10, 5)]
     inputs = [rng.normal(size=(T, 1)) for T in (7, 10, 5)]
-    return kl.build_snapshot_pairs(kl.TrajectoryDataset(trajs, 0.1, inputs), library)
+    return kl.TrajectoryDataset(trajs, 0.1, inputs)
+
+
+def _straddling_pairs(library=None):
+    return kl.build_snapshot_pairs(_straddling_dataset(), library)
 
 
 def test_pairs_hold_one_lifted_array_per_trajectory():
@@ -213,6 +218,31 @@ def test_blocks_hand_out_every_pair_in_order(size):
         np.testing.assert_array_equal(np.concatenate(handed[k]), stacked[k])
 
 
+@pytest.mark.parametrize("size", [1, 5, 6, 7, 19, 100])
+def test_a_pair_stream_cuts_the_blocks_of_the_built_pairs(size):
+    library = kl.TimeDelay(1).bind(2)
+    built = kl.build_snapshot_pairs(_straddling_dataset(), library).block_pieces(size)
+    streamed = kl.data.PairStream(_straddling_dataset(), library).block_pieces(size)
+    for a, b in itertools.zip_longest(built, streamed):
+        assert len(a) == len(b)
+        for piece_a, piece_b in zip(a, b):
+            for p, q in zip(piece_a, piece_b):
+                np.testing.assert_array_equal(p, q)
+                assert p.strides == q.strides
+
+
+def test_a_pair_stream_lifts_each_trajectory_when_a_block_reaches_it(monkeypatch):
+    lifted = []
+    lift = kl.Polynomial.lift_trajectory
+    monkeypatch.setattr(kl.Polynomial, "lift_trajectory",
+                        lambda self, traj: lifted.append(traj.shape[0]) or lift(self, traj))
+    stream = kl.data.PairStream(_straddling_dataset(), kl.Polynomial(2).bind(2))
+    # blocks of 5 pairs over trajectories of 6, 9 and 4 pairs: pairs 0-4,
+    # 5-9 (reaching the second trajectory), 10-14 and 15-18 (the third)
+    seen = [list(lifted) for _ in stream.block_pieces(5)]
+    assert seen == [[7], [7, 10], [7, 10], [7, 10, 5]]
+
+
 def test_pair_matrices_assemble_on_demand():
     pairs = _straddling_pairs()
     assert pairs.X.shape == pairs.Xprime.shape == (2, 19) and pairs.U.shape == (1, 19)
@@ -223,16 +253,36 @@ def test_pair_matrices_assemble_on_demand():
 
 
 def test_tsqr_blocks_across_trajectories_match_a_stacked_reference(monkeypatch):
+    tpqrt = kl._kernels.lapack_tpqrt()
+    if tpqrt is None:
+        pytest.skip("numpy's LAPACK library exports no dtpqrt")
     monkeypatch.setattr(kl.regression, "QR_CHUNK", 7)
     pairs = _straddling_pairs(kl.Polynomial(2).bind(2))
     RX, RU, RXp = kl.regression._pair_factor(pairs, inputs=True)
-    # the TSQR written out on the stacked rows [X | U | X']
+    # the TSQR's dtpqrt update written out on the stacked rows [X | U | X'],
+    # each block of 7 rows copied into an array of its own, from R = 0
+    M = np.hstack([pairs.X.T, pairs.U.T, pairs.Xprime.T])
+    W = M.shape[1]
+    R = np.zeros((W, W), order="F")
+    for a in range(0, M.shape[0], 7):
+        tpqrt(R, np.asfortranarray(M[a:a + 7]))
+    np.testing.assert_array_equal(np.hstack([RX, RU, RXp]), np.triu(R))
+    assert RX.shape[1] == RXp.shape[1] == 6 and RU.shape[1] == 1
+
+
+def test_tsqr_without_dtpqrt_keeps_numpys_qr_bits(monkeypatch):
+    # a numpy whose LAPACK library has no dtpqrt runs the same loop on
+    # np.linalg.qr, with the bits of the TSQR R = qr([R; block]) from an
+    # empty R, written out here on the stacked rows
+    monkeypatch.setattr(kl._kernels, "lapack_tpqrt", lambda: None)
+    monkeypatch.setattr(kl.regression, "QR_CHUNK", 7)
+    pairs = _straddling_pairs(kl.Polynomial(2).bind(2))
+    RX, RU, RXp = kl.regression._pair_factor(pairs, inputs=True)
     M = np.hstack([pairs.X.T, pairs.U.T, pairs.Xprime.T])
     R = np.empty((0, M.shape[1]))
     for a in range(0, M.shape[0], 7):
         R = np.linalg.qr(np.asfortranarray(np.vstack([R, M[a:a + 7]])), mode="r")
     np.testing.assert_array_equal(np.hstack([RX, RU, RXp]), R)
-    assert RX.shape[1] == RXp.shape[1] == 6 and RU.shape[1] == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

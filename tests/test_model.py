@@ -630,13 +630,13 @@ def test_non_finite_validation_data_are_refused(bad, monkeypatch):
     T = trajs[0].shape[0]
     trajs[1][4, 0] = bad  # pair T - 1 + 3 holds it as X', pair T - 1 + 4 as X
     blocks = []
-    real_pieces = kl.SnapshotPairs.block_pieces
+    real_blocks = kl.data.pair_blocks
 
-    def spy(self, size):
+    def spy(segments, size):
         blocks.append(size)
-        return real_pieces(self, size)
+        return real_blocks(segments, size)
 
-    monkeypatch.setattr(kl.SnapshotPairs, "block_pieces", spy)
+    monkeypatch.setattr(kl.data, "pair_blocks", spy)
     good = kl.TrajectoryDataset(trajs[:1] + trajs[2:], data.dt)
     scores, findings = model.linearity_consistency(good)
     assert np.isfinite(scores).all() and findings == [] and blocks == [5]
@@ -747,10 +747,41 @@ def test_fit_holds_the_lifted_pairs_once():
         tracemalloc.stop()
     N = model.A.shape[0]
     lifted = ds.n_samples * N * 8  # every trajectory lifted once
-    # one TSQR step holds its block of pairs below R, and np.linalg.qr's copy
-    # of the two; pairs stacked into X and X' would add two more lifted copies
-    step = 2 * (2 * N + kl.regression.QR_CHUNK) * 2 * N * 8
+    # the TSQR holds one block of pairs below R, in one buffer that dtpqrt
+    # updates in place (np.linalg.qr, where numpy's LAPACK has no dtpqrt,
+    # copies the two once more); pairs stacked into X and X' would add two
+    # more lifted copies
+    copies = 1 if kl._kernels.lapack_tpqrt() is not None else 2
+    step = copies * (2 * N + kl.regression.QR_CHUNK) * 2 * N * 8
     assert peak < 1.5 * lifted + step, (peak, lifted, step)
+
+
+def test_validation_holds_one_blocks_trajectories_not_the_lifted_dataset(monkeypatch):
+    import tracemalloc
+
+    # 40 trajectories of 999 pairs, scored in blocks of 1,000: a block
+    # reaches two trajectories, and the stream lifts each one when the first
+    # block that reaches it is cut
+    monkeypatch.setattr(kl.model, "SCORE_CHUNK", 1000)
+    x0 = np.random.default_rng(5).uniform(-1.0, 1.0, size=(40, 2))
+    trajs = kl.integrate_rk4_batch(kl.get_system("slow_manifold"), x0, 0.02, 999)
+    ds = kl.TrajectoryDataset(list(trajs), dt=0.02)
+    model = kl.fit(kl.RadialBasis("gauss", n_centers=50, seed=0), "edmd", ds)
+    tracemalloc.start()
+    try:
+        scores, _ = model.linearity_consistency(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(scores, model.training_scores)
+    N, r = model.A.shape[0], len(model.eigenvalues)
+    lifted = ds.n_samples * N * 8
+    trajectory = 1000 * N * 8
+    # the pass's buffers (at most 6 rows per mode, see
+    # test_the_score_pass_holds_its_two_buffers_and_no_copy_of_the_pairs),
+    # the block's two trajectories, and the next lift with its temporaries
+    bound = 6 * r * 1000 * 8 + 6 * trajectory + 65536
+    assert peak < bound < lifted / 4, (peak, bound, lifted)
 
 
 # ---------------------------------------------------------------------------

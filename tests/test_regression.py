@@ -343,6 +343,48 @@ def test_pair_factor_is_independent_of_the_block_boundaries(m, monkeypatch):
         assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram), chunk
 
 
+@pytest.mark.parametrize("m,chunk", [(m, chunk) for m in (9, 12, 257) for chunk in (1, 7, 64)]
+                         + [(257, 10_000), (10_007, 64), (10_007, 10_000)])
+def test_tsqr_matches_numpys_qr_up_to_row_signs(m, chunk, monkeypatch):
+    # pairs of full column rank with singular values in [1, 2]: their R
+    # factor is unique up to the signs of its rows and well conditioned, so
+    # the blocked update and one np.linalg.qr of the stacked rows agree to
+    # rounding, stated here as 16 eps ||M||_2
+    rng = np.random.default_rng(m + chunk)
+    M = (_orthonormal(rng, m, 9) * rng.uniform(1.0, 2.0, 9)) @ _orthonormal(rng, 9, 9).T
+    pairs = kl.SnapshotPairs.from_columns(M[:, :4].T, M[:, 5:].T, U=M[:, 4:5].T)
+    monkeypatch.setattr(kl.regression, "QR_CHUNK", chunk)
+    R = np.hstack(kl.regression._pair_factor(pairs, inputs=True))
+    ref = np.linalg.qr(M, mode="r")
+    signs = np.sign(np.diag(R)) * np.sign(np.diag(ref))
+    err = np.abs(signs[:, None] * R - ref).max()
+    assert err <= 16 * np.finfo(float).eps * np.linalg.norm(M, 2), err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    m=st.sampled_from([3, 12, 40]),
+    chunk=st.sampled_from([1, 5, 64]),
+    pair=st.integers(min_value=0, max_value=39),
+    column=st.integers(min_value=0, max_value=8),
+)
+def test_a_non_finite_pair_leaves_the_tsqr_r_non_finite(bad, m, chunk, pair, column):
+    # a NaN or an inf anywhere in [X | U | X'], in any block and column, also
+    # below R's rows for m < W, reaches R: the update runs through LAPACKE's
+    # _work entry point, which does not scan for NaN and return early with R
+    # left at zero. The TSQR then searches the pairs and names the pair.
+    rng = np.random.default_rng(m + column)
+    M = rng.normal(size=(m, 9))
+    j = pair % m
+    M[j, column] = bad
+    pairs = kl.SnapshotPairs.from_columns(M[:, :4].T, M[:, 5:].T, U=M[:, 4:5].T)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kl.regression, "QR_CHUNK", chunk)
+        with pytest.raises(DataError, match=f"^snapshot pair {j} holds a non-finite value"):
+            kl.regression._pair_factor(pairs, inputs=True)
+
+
 def test_rank_out_matches_the_dense_projection():
     A_true, B_true, X, Xp, U = _drss_excitation(seed=11, n=4, q=2)
     Xp = Xp + 0.01 * np.random.default_rng(0).normal(size=Xp.shape)
@@ -562,6 +604,30 @@ def test_lanczos_kdmd_fit_loads_no_scipy():
     assert kl.regression.LANCZOS_RATIO * 10 <= int(m)
     assert "lanczos-fallback" not in findings
     assert modules == "[]"
+
+
+def test_explicit_fits_load_no_scipy():
+    # the TSQR's update comes from the LAPACK library numpy links, so an
+    # edmd or edmdc fit, and its validation, load no scipy
+    src = os.path.dirname(os.path.dirname(kl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, numpy as np, kooplift as kl\n"
+        "x0 = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 2))\n"
+        "U = np.random.default_rng(1).uniform(-1.0, 1.0, size=(4, 150, 1))\n"
+        "vdp = kl.get_system('vdp_osc')\n"
+        "trajs = kl.integrate_rk4_batch(vdp, x0, 0.01, 150, U)\n"
+        "inputs = [np.vstack([u, u[-1:]]) for u in U]\n"
+        "for library, kind, data in (\n"
+        "        (kl.Polynomial(2), 'edmd', kl.TrajectoryDataset(list(trajs), dt=0.01)),\n"
+        "        (kl.RadialBasis('gauss', n_centers=10, seed=0), 'edmdc',\n"
+        "         kl.TrajectoryDataset(list(trajs), dt=0.01, inputs=inputs))):\n"
+        "    model = kl.fit(library, kind, data)\n"
+        "    model.linearity_consistency(data)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_kdmd_refuses_a_zero_gram_matrix_before_either_solver(monkeypatch):
