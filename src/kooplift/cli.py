@@ -101,20 +101,23 @@ def _eig_table(model, scores=None):
     return rows
 
 
-def _print_table(rows, stream):
-    if not rows:
-        return
+def _table_text(rows) -> str:
     cols = list(rows[0].keys())
     widths = {c: max(len(c), 14) for c in cols}
-    stream.write("  ".join(c.rjust(widths[c]) for c in cols) + "\n")
+    lines = ["  ".join(c.rjust(widths[c]) for c in cols)]
     for row in rows:
-        cells = []
-        for c in cols:
-            v = row[c]
-            cells.append(
-                (f"{v:d}" if isinstance(v, int) else f"{v: .6e}").rjust(widths[c])
-            )
-        stream.write("  ".join(cells) + "\n")
+        cells = (f"{v:d}" if isinstance(v, int) else f"{v: .6e}" for v in row.values())
+        lines.append("  ".join(cell.rjust(widths[c]) for c, cell in zip(cols, cells)))
+    return "\n".join(lines) + "\n"
+
+
+def _report(args, payload: dict, text: str) -> None:
+    """A command's report on stdout: the payload as one JSON line with --json
+    (which wins over --quiet), nothing with --quiet, else the text."""
+    if args.json:
+        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    elif not args.quiet:
+        sys.stdout.write(text)
 
 
 def cmd_fit(args) -> int:
@@ -131,25 +134,19 @@ def cmd_fit(args) -> int:
         data = TrajectoryDataset(data.trajectories, dt_override, inputs=data.inputs)
     model = fit_model(library, regressor, data)
     save_model(model, out_path)
-    lam = model.eigenvalues[:10]
-    mus = model.continuous_eigenvalues()[:10]
-    if args.json:
-        payload = {
-            "model": out_path,
-            "m": model.metadata["m"],
-            "rank": model.metadata["rank"],
-            "residual": model.metadata["residual"],
-            "eigenvalues": [[v.real, v.imag] for v in lam],
-            "continuous_eigenvalues": [[v.real, v.imag] for v in mus],
-        }
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    elif not args.quiet:
-        sys.stdout.write(
-            f"fit: m={model.metadata['m']} rank={model.metadata['rank']} "
-            f"residual={model.metadata['residual']:.6e}\n"
-        )
-        sys.stdout.write(f"model written to {out_path}\n")
-        _print_table(_eig_table(model)[:10], sys.stdout)
+    meta = model.metadata
+    payload = {
+        "model": out_path,
+        "m": meta["m"],
+        "rank": meta["rank"],
+        "residual": meta["residual"],
+        "eigenvalues": [[v.real, v.imag] for v in model.eigenvalues[:10]],
+        "continuous_eigenvalues": [[v.real, v.imag]
+                                   for v in model.continuous_eigenvalues()[:10]],
+    }
+    _report(args, payload,
+            f"fit: m={meta['m']} rank={meta['rank']} residual={meta['residual']:.6e}\n"
+            f"model written to {out_path}\n" + _table_text(_eig_table(model)[:10]))
     return 0
 
 
@@ -185,10 +182,8 @@ def cmd_simulate(args) -> int:
         U = table[: args.steps, 1 : 1 + model.q].T
     traj = model.simulate(x0, args.steps, U=U)  # refuses x0 by the library's rule
     write_trajectory_csv(args.out, [traj], dt=model.dt)
-    if args.json:
-        sys.stdout.write(json.dumps({"out": args.out, "rows": int(traj.shape[0])}) + "\n")
-    elif not args.quiet:
-        sys.stdout.write(f"wrote {traj.shape[0]} rows to {args.out}\n")
+    _report(args, {"out": args.out, "rows": traj.shape[0]},
+            f"wrote {traj.shape[0]} rows to {args.out}\n")
     return 0
 
 
@@ -203,11 +198,11 @@ def cmd_eig(args) -> int:
         sys.stdout.write(json.dumps(rows, sort_keys=True) + "\n")
     elif args.format == "csv":
         # the values are Python ints and floats, written with repr
-        cols = list(rows[0].keys()) if rows else []
+        cols = list(rows[0].keys())
         lines = [",".join(cols), *(",".join(map(repr, row.values())) for row in rows)]
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        _print_table(rows, sys.stdout)
+        sys.stdout.write(_table_text(rows))
     return 0
 
 
@@ -226,10 +221,8 @@ def cmd_diff(args) -> int:
         t = np.arange(traj.shape[0]) * data.dt
         derivs.append(differentiate(config, traj, t))
     write_trajectory_csv(args.out, derivs, dt=data.dt)
-    if not args.quiet and not args.json:
-        sys.stdout.write(f"wrote derivatives for {len(derivs)} trajectorie(s) to {args.out}\n")
-    elif args.json:
-        sys.stdout.write(json.dumps({"out": args.out, "trajectories": len(derivs)}) + "\n")
+    _report(args, {"out": args.out, "trajectories": len(derivs)},
+            f"wrote derivatives for {len(derivs)} trajectorie(s) to {args.out}\n")
     return 0
 
 
@@ -271,10 +264,8 @@ def cmd_bench(args) -> int:
             raise DataError(f"--x0 must have {spec.n} value(s) for {args.system}")
         traj = integrate_rk4(spec, x0, args.dt, args.steps)
     write_trajectory_csv(args.out, [traj], dt=args.dt)
-    if args.json:
-        sys.stdout.write(json.dumps({"out": args.out, "rows": int(traj.shape[0])}) + "\n")
-    elif not args.quiet:
-        sys.stdout.write(f"wrote {traj.shape[0]} rows to {args.out}\n")
+    _report(args, {"out": args.out, "rows": traj.shape[0]},
+            f"wrote {traj.shape[0]} rows to {args.out}\n")
     return 0
 
 

@@ -109,6 +109,8 @@ class TrajectoryDataset(_FrozenRecord):
                     f"trajectory {i} too short: {a.shape[0]} sample(s), need at least 2"
                 )
             trajs.append(_freeze(a))
+        if not trajs:  # checked after the loop, so any iterable is taken
+            raise DataError("no trajectories")
         n_set = {a.shape[1] for a in trajs}
         if len(n_set) > 1:
             raise DataError(f"trajectories disagree on state dimension: {sorted(n_set)}")
@@ -139,8 +141,6 @@ class TrajectoryDataset(_FrozenRecord):
 
     @property
     def n_states(self) -> int:
-        if not self.trajectories:
-            raise DataError("no trajectories")
         return self.trajectories[0].shape[1]
 
     @property
@@ -288,8 +288,6 @@ def _lifted_segments(data: TrajectoryDataset, library):
     """Each trajectory's (X, U, Xprime) segment, as `build_snapshot_pairs`
     describes it, lifted when it is asked for; the stream keeps no segment
     it has handed out."""
-    if not data.trajectories:
-        raise DataError("no trajectories")
     return (_lifted_segment(data, library, i) for i in range(len(data.trajectories)))
 
 
@@ -349,16 +347,15 @@ def validate_dataset(data: TrajectoryDataset) -> list:
                         message=f"trajectory {i} has non-finite values at row {row}",
                     )
                 )
-    if data.trajectories:
-        stacked = np.vstack(data.trajectories)
-        with np.errstate(invalid="ignore"):
-            var = np.nanvar(stacked, axis=0)
-        for col in np.nonzero(var == 0.0)[0]:
-            findings.append(
-                Finding(
-                    kind="zero-variance",
-                    column=int(col),
-                    message=f"state coordinate {col} is constant across all samples",
-                )
+    stacked = np.vstack(data.trajectories)
+    with np.errstate(invalid="ignore"):
+        var = np.nanvar(stacked, axis=0)
+    for col in np.nonzero(var == 0.0)[0]:
+        findings.append(
+            Finding(
+                kind="zero-variance",
+                column=int(col),
+                message=f"state coordinate {col} is constant across all samples",
             )
+        )
     return findings

@@ -50,17 +50,19 @@ from .regression import (
 
 __all__ = ["RegressorConfig", "KoopmanModel", "ModeTable", "fit"]
 
-# kind -> (regression, controlled, library rule). The regression is fit_edmd,
-# fit_edmdc or fit_kdmd; the kind is only a label on the model.
-# Library rules: "any" (identity by default), "time_delay" (identity or
-# TimeDelay; TimeDelay(delays) by default), "identity" (identity only).
+# kind -> (regression, controlled, library). The regression is fit_edmd,
+# fit_edmdc or fit_kdmd; the kind is only a label on the model. The library
+# is the kind of observables a fitted model holds, and sets what the fit
+# takes: None, any library (identity by default); "time_delay", identity or
+# TimeDelay (TimeDelay(delays) by default); "kernel_lift", identity only,
+# which the fit replaces with its KernelLift.
 _KINDS = {
-    "dmd": ("edmd", False, "any"),
-    "edmd": ("edmd", False, "any"),
+    "dmd": ("edmd", False, None),
+    "edmd": ("edmd", False, None),
     "hdmd": ("edmd", False, "time_delay"),
-    "kdmd": ("kdmd", False, "identity"),
-    "dmdc": ("edmdc", True, "any"),
-    "edmdc": ("edmdc", True, "any"),
+    "kdmd": ("kdmd", False, "kernel_lift"),
+    "dmdc": ("edmdc", True, None),
+    "edmdc": ("edmdc", True, None),
     "hdmdc": ("edmdc", True, "time_delay"),
 }
 # snapshot pairs scored per block by _consistency_scores; at N = 102 lifted
@@ -86,9 +88,9 @@ class RegressorConfig:
             raise ConfigError(
                 f"unknown regressor kind {self.kind!r}; choose from {tuple(_KINDS)}"
             )
-        regression, controlled, library_rule = _KINDS[self.kind]
+        regression, controlled, library = _KINDS[self.kind]
         object.__setattr__(self, "delays", check_int(self.delays, "delays", 0))
-        if self.delays > 0 and library_rule != "time_delay":
+        if self.delays > 0 and library != "time_delay":
             raise ConfigError(f"delays only applies to hdmd/hdmdc, not {self.kind}")
         if self.kernel is not None and regression != "kdmd":
             raise ConfigError(f"a kernel only applies to kdmd, not {self.kind}")
@@ -474,17 +476,17 @@ def _stage(label: str, exc: KoopliftError) -> KoopliftError:
 
 
 def _resolve_library(observables, config: RegressorConfig) -> Observable:
-    """The library a kind fits on, by the library rule of its _KINDS entry."""
+    """The library a kind fits on, by the library of its _KINDS entry."""
     lib = observables if observables is not None else Identity()
     if not isinstance(lib, Observable):
         raise ConfigError(f"observables must be an Observable, got {type(lib).__name__}")
-    rule = _KINDS[config.kind][2]
-    if rule == "any":
+    held = _KINDS[config.kind][2]
+    if held is None:
         return lib
     if isinstance(lib, Identity):
-        return TimeDelay(config.delays) if rule == "time_delay" else lib
-    if rule == "identity" or not isinstance(lib, TimeDelay):
-        allowed = "identity or time_delay" if rule == "time_delay" else "identity"
+        return TimeDelay(config.delays) if held == "time_delay" else lib
+    if held == "kernel_lift" or not isinstance(lib, TimeDelay):
+        allowed = "identity or time_delay" if held == "time_delay" else "identity"
         raise ConfigError(f"{config.kind} takes {allowed} observables, got {lib.kind}")
     if 0 < config.delays != lib.delays:
         raise ConfigError(f"delays={config.delays} conflicts with TimeDelay({lib.delays})")
@@ -501,8 +503,6 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
     """
     if isinstance(regressor, str):
         regressor = RegressorConfig(kind=regressor)
-    if not data.trajectories:
-        raise DataError("no trajectories")
     q = data.n_inputs
     regression, controlled, _ = _KINDS[regressor.kind]
     if controlled and q == 0:

@@ -26,9 +26,6 @@ __all__ = ["MODEL_SCHEMA_VERSION", "model_to_dict", "model_from_dict",
            "save_model", "load_model", "atomic_write_text"]
 
 MODEL_SCHEMA_VERSION = 1
-# the library a fitted model of a _KINDS library rule holds: a time-delay kind
-# fits a TimeDelay, and kdmd lifts through its fitted KernelLift
-_FITTED_LIBRARY = {"time_delay": "time_delay", "identity": "kernel_lift"}
 
 
 def _matrix_to_json(M: np.ndarray) -> dict:
@@ -242,6 +239,8 @@ def model_from_dict(d: dict) -> KoopmanModel:
     except ConfigError as exc:
         raise _malformed(f"observables: {exc}") from None
     r = eig.rank
+    if r == 0:  # no fit has an empty spectrum
+        raise _malformed("the model has no eigenvalues")
     if B is None and q != 0:
         raise _malformed(f"q is {q}, but the model has no B")
     if copies.get("rank", r) != r:
@@ -252,12 +251,11 @@ def model_from_dict(d: dict) -> KoopmanModel:
     if use_exact is not (modes_exact is not None):
         raise _malformed(f"use_exact_modes is {use_exact!r}, but the model has "
                          f"{'no modes_exact' if modes_exact is None else 'modes_exact'}")
-    _, controlled, library_rule = _KINDS[regressor]
+    _, controlled, fitted = _KINDS[regressor]
     if controlled != (B is not None):
         raise _malformed(f"regressor {regressor!r} is "
                          f"{'controlled' if controlled else 'unforced'}, but the model "
                          f"has {'no' if B is None else 'a'} B")
-    fitted = _FITTED_LIBRARY.get(library_rule)
     if fitted is not None and obs.kind != fitted:
         raise _malformed(f"regressor {regressor!r} fits {fitted} observables, "
                          f"but the model has {obs.kind}")

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,20 @@ def make_slow_manifold_dataset(grid=10, t_end=50.0, dt=0.02):
     n_samples = int(round(t_end / dt))  # t = arange(0, t_end, dt)
     batch = kl.integrate_rk4_batch(spec, X0, dt, n_samples - 1)
     return kl.TrajectoryDataset(list(batch), dt=dt)
+
+
+def strip_spectrum(d):
+    """A copy of a model file dict with no eigenvalues: empty lambdas, mus,
+    eigenvectors, modes and training scores, and no metadata rank."""
+    d = copy.deepcopy(d)
+    eigen = d["eigen"]
+    eigen["lambdas"] = eigen["mus"] = []
+    for key in ("W_right", "W_left", "modes_exact"):
+        if key in eigen:
+            eigen[key] = {"shape": [d["A"]["shape"][0], 0], "complex": True, "data": []}
+    d["metadata"]["training_scores"] = []
+    del d["metadata"]["rank"]
+    return d
 
 
 @pytest.fixture(scope="session")

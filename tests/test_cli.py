@@ -10,7 +10,7 @@ import kooplift as kl
 from kooplift.cli import main
 from kooplift.csvio import read_trajectory_csv, write_trajectory_csv
 
-from conftest import make_slow_manifold_dataset
+from conftest import make_slow_manifold_dataset, strip_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -418,6 +418,94 @@ def test_eig_corrupt_model_exits_3(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     assert main(["eig", str(bad)]) == 3
+
+
+def test_eig_refuses_a_model_without_eigenvalues(tmp_path, fitted_model, capsys):
+    with open(fitted_model) as fh:
+        d = json.load(fh)
+    bad = tmp_path / "empty.json"
+    bad.write_text(json.dumps(strip_spectrum(d)))
+    assert main(["eig", str(bad)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "the model has no eigenvalues" in err
+
+
+def _reports(argv, capsys):
+    """stdout of a command as given, with --json, with --quiet, and with both."""
+    outs = []
+    for flags in ([], ["--json"], ["--quiet"], ["--json", "--quiet"]):
+        assert main(argv + flags) == 0
+        outs.append(capsys.readouterr().out)
+    return outs
+
+
+def _linear2d_model(tmp_path):
+    data, cfg, model = (str(tmp_path / name) for name in ("lin.csv", "c.json", "m.json"))
+    assert main(["bench", data, "--system", "linear2d", "--x0", "1,0.5", "--steps", "30",
+                 "--dt", "1.0", "--quiet"]) == 0
+    with open(cfg, "w") as fh:
+        json.dump({"regressor": {"kind": "dmd"}}, fh)
+    return data, cfg, model
+
+
+def test_fit_report(tmp_path, capsys):
+    # systems.LINEAR2D_A is triangular, with eigenvalues 0.8 and 0.7
+    data, cfg, model = _linear2d_model(tmp_path)
+    text, js, quiet, both = _reports(["fit", cfg, data, model], capsys)
+    loaded = kl.load_model(model)
+    residual = loaded.metadata["residual"]
+    assert text == (
+        f"fit: m=30 rank=2 residual={residual:.6e}\n"
+        f"model written to {model}\n"
+        "         index       lambda_re       lambda_im      lambda_abs"
+        "           mu_re           mu_im\n"
+        "             0    8.000000e-01    0.000000e+00    8.000000e-01"
+        "   -2.231436e-01    0.000000e+00\n"
+        "             1    7.000000e-01    0.000000e+00    7.000000e-01"
+        "   -3.566749e-01    0.000000e+00\n"
+    )
+    pairs = lambda vs: [[v.real, v.imag] for v in vs]
+    assert js == both == json.dumps({
+        "continuous_eigenvalues": pairs(loaded.continuous_eigenvalues()),
+        "eigenvalues": pairs(loaded.eigenvalues),
+        "m": 30, "model": model, "rank": 2, "residual": residual,
+    }, sort_keys=True) + "\n"
+    assert quiet == ""
+
+
+def test_fit_config_dt_replaces_the_csv_interval(tmp_path):
+    data, cfg, model = _linear2d_model(tmp_path)
+    with open(cfg, "w") as fh:
+        json.dump({"regressor": {"kind": "dmd"}, "dt": 0.5}, fh)
+    assert main(["fit", cfg, data, model, "--quiet"]) == 0
+    loaded = kl.load_model(model)
+    assert loaded.dt == 0.5
+    np.testing.assert_allclose(np.sort(loaded.continuous_eigenvalues().real),
+                               np.log([0.7, 0.8]) / 0.5, rtol=1e-12)
+
+
+def test_bench_simulate_and_diff_reports(tmp_path, capsys):
+    data, cfg, model = _linear2d_model(tmp_path)
+    bench = str(tmp_path / "b.csv")
+    text, js, quiet, both = _reports(["bench", bench, "--system", "linear2d", "--x0", "1,0.5",
+                                      "--steps", "30", "--dt", "1.0"], capsys)
+    assert text == f"wrote 31 rows to {bench}\n"
+    assert js == both == f'{{"out": {json.dumps(bench)}, "rows": 31}}\n'
+    assert quiet == ""
+
+    assert main(["fit", cfg, data, model, "--quiet"]) == 0
+    sim = str(tmp_path / "sim.csv")
+    text, js, quiet, both = _reports(["simulate", model, sim, "--x0=1,0.5", "--steps", "10"],
+                                     capsys)
+    assert text == f"wrote 11 rows to {sim}\n"
+    assert js == both == f'{{"out": {json.dumps(sim)}, "rows": 11}}\n'
+    assert quiet == ""
+
+    deriv = str(tmp_path / "d.csv")
+    text, js, quiet, both = _reports(["diff", data, deriv], capsys)
+    assert text == f"wrote derivatives for 1 trajectorie(s) to {deriv}\n"
+    assert js == both == f'{{"out": {json.dumps(deriv)}, "trajectories": 1}}\n'
+    assert quiet == ""
 
 
 def test_diff_fd2_quadratic(tmp_path):

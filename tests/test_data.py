@@ -43,9 +43,22 @@ def test_inputs_taken_at_x_timestamps():
 
 
 def test_empty_dataset_errors():
-    ds = kl.TrajectoryDataset([], dt=1.0)
     with pytest.raises(kl.DataError, match="no trajectories"):
-        kl.build_snapshot_pairs(ds)
+        kl.TrajectoryDataset([], dt=1.0)
+
+
+def test_any_iterable_of_trajectories_is_taken():
+    trajs = [np.zeros((3, 2)), np.ones((4, 2))]
+    assert kl.TrajectoryDataset(iter(trajs), dt=1.0).n_samples == 7
+    with pytest.raises(kl.DataError, match="no trajectories"):
+        kl.TrajectoryDataset(iter([]), dt=1.0)
+
+
+def test_1d_inputs_are_one_channel():
+    u = np.arange(4.0) * 10
+    ds = kl.TrajectoryDataset([np.arange(8.0).reshape(4, 2)], dt=1.0, inputs=[u])
+    assert ds.n_inputs == 1
+    assert ds.inputs[0].tolist() == u[:, None].tolist()
 
 
 def test_short_trajectory_identifies_index():

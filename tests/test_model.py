@@ -137,6 +137,13 @@ def _controlled_scalar_model():
     return kl.fit(kl.Identity(), "dmdc", ds)
 
 
+def test_simulate_takes_a_1d_input_sequence_on_a_one_input_model():
+    model = _controlled_scalar_model()
+    U = np.random.default_rng(3).normal(size=12)
+    assert np.array_equal(model.simulate([0.2], 12, U=U),
+                          model.simulate([0.2], 12, U=U[None, :]))
+
+
 def test_fitted_model_is_read_only(slow_manifold_poly_model):
     for model in (slow_manifold_poly_model, _controlled_scalar_model()):
         eig = model.regression.eigensystem

@@ -58,6 +58,13 @@ def test_edmd_identity_dynamics():
     np.testing.assert_allclose(res.eigensystem.lambdas, np.ones(3), atol=1e-12)
 
 
+def test_edmd_takes_a_1d_row_as_one_feature():
+    z = 0.9 ** np.arange(20.0)
+    res = kl.fit_edmd(z[:-1], z[1:])
+    assert np.array_equal(res.A, kl.fit_edmd(z[None, :-1], z[None, 1:]).A)
+    np.testing.assert_allclose(res.A, [[0.9]], atol=1e-12)
+
+
 def test_edmd_recovers_full_rank_operator_vs_pinv_oracle():
     M = RNG.normal(size=(3, 3))
     Z = RNG.normal(size=(3, 50))

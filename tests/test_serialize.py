@@ -12,7 +12,7 @@ from kooplift.errors import ConfigError, DataError
 from kooplift.observables import Observable
 from kooplift.serialize import model_from_dict, model_to_dict
 
-from conftest import make_slow_manifold_dataset
+from conftest import make_slow_manifold_dataset, strip_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -538,6 +538,12 @@ def test_a_file_without_a_regressor_label_is_refused(copy_models):
     d = json.loads(json.dumps(model_to_dict(copy_models["poly"])))
     del d["metadata"]["regressor"]
     with pytest.raises(DataError, match="malformed model file: 'regressor'"):
+        model_from_dict(d)
+
+
+def test_a_file_without_eigenvalues_is_refused(copy_models):
+    d = strip_spectrum(json.loads(json.dumps(model_to_dict(copy_models["poly"]))))
+    with pytest.raises(DataError, match="malformed model file: the model has no eigenvalues"):
         model_from_dict(d)
 
 
