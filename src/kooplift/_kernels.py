@@ -2,8 +2,8 @@
 and linear iteration.
 
 All kernels are plain numpy and deterministic for fixed inputs, but for
-`lapack_tpqrt`, which calls one LAPACK routine of the library numpy itself
-links.
+`lapack_tpqrt` and `blas_dsymv`, which call one LAPACK and one BLAS routine
+of the library numpy itself links, found by one loader (`_openblas`).
 """
 
 from __future__ import annotations
@@ -27,12 +27,22 @@ RADIAL_KINDS = ("thinplate", "gauss", "invquad", "invmultiquad", "polyharmonic")
 # fit_kdmd's T stream at m = 2,844, rank 20, took 91-107 ms at 128 rows,
 # 104-130 ms at 64 and 124-127 ms at 512
 ROW_BLOCK = 128
-# block size nb of lapack_tpqrt's update, capped at the width n. One
-# 10,000-row block (2-CPU VM, medians of nine) took 36 ms at nb = 8 and at
-# 16 and 50 ms at 4 and at 32 for n = 205, and 44 ms at 8 against 35 ms at 16
-# on one BLAS thread; at n = 12 and 36, nb = 8 was faster than 16 by 0.3 and
-# 1 ms a block (see regression.QR_CHUNK for the whole TSQR)
-TPQRT_NB = 16
+# the widest update that lapack_tpqrt runs with block size nb = 4; wider
+# ones take nb = 16 (`tpqrt_nb`). One 10,000-row block, in ms at nb = 4 / 8 /
+# 16 (2-CPU VM, ranges of medians of 7 over two or three sweeps), on two BLAS
+# threads, then on one:
+#   n = 12:  0.26-0.35 / 0.37-24 / 0.58-56 (nb = 12)  0.23-0.25 / 0.29-0.34 / 0.41-0.43
+#   n = 36:  1.5-1.7 / 1.8-1.9 / 2.7-3.0              1.4-1.7 / 1.4-1.6 / 1.8-2.3
+#   n = 48:  2.8-3.0 / 2.7-2.9 / 4.0-4.4              3.1-3.2 / 2.7-5.5 / 3.4-3.8
+#   n = 64:  4.5-4.9 / 3.9-4.2 / 5.2-5.9              4.8-7.1 / 3.6-4.4 / 4.0-5.3
+#   n = 103: 9.5-10.5 / 7.6-8.3 / 9.6-11.2            13.9-15.2 / 8.9-9.8 / 9.0-9.6
+#   n = 205: 34-37 / 23-25 / 25-28                    54-58 / 31-34 / 27-30
+# Up to 48 columns nb = 4 wins on both thread counts: a wider panel is
+# LAPACK's level-2 work, which OpenBLAS threads poorly (at n = 12 nb = 12
+# took 56 ms in two of three sweeps on two threads). From 64 on, nb = 16
+# wins on one thread. nb = 8, best on two threads from 64 to 205, is left
+# out: at 205 it loses on one thread by as much as it wins on two
+TPQRT_NARROW = 48
 
 
 def monomial_table(n, degree):
@@ -243,33 +253,52 @@ def eigenfunction_lift(kernel_rows, n, plan):
     return Z.view(complex)
 
 
-@functools.cache
-def lapack_tpqrt():
-    """The TSQR's update as a function tpqrt(R, B), or None where numpy's
-    LAPACK library does not export LAPACKE's `dtpqrt_work` (a numpy built on
-    MKL, Accelerate or a distro's OpenBLAS). Looked up on first use, and
-    cached.
-
-    tpqrt(R, B) overwrites the upper triangle of the (n, n) R with the R
-    factor of [R; B] for a (k, n) B, by LAPACK's dtpqrt (l = 0, nb =
-    min(TPQRT_NB, n)), in place: B is left holding Householder vectors and
-    R's strict lower triangle is not touched. Both are float64 views with
-    unit row stride (column-major), as rows of one Fortran-ordered buffer
-    are. The routine is the structured update of the communication-optimal
-    TSQR (Demmel, Grigori, Hoemmen & Langou, SISC 2012): it reads R as
-    triangular, where a QR of [R; B] would factor R's zeros again. It comes
-    from the OpenBLAS that numpy's wheel bundles, which exports it with
-    64-bit integers under a `scipy_` prefix, through the library's `_work`
-    entry point, which does not scan its input for NaN: a NaN or an inf in
-    B leaves R non-finite, as the caller's check expects.
-    """
+def _openblas(name):
+    """The routine `name` of the OpenBLAS that numpy's wheel bundles, as a
+    ctypes function without types, or None where numpy's library does not
+    export it (a numpy built on MKL, Accelerate or a distro's OpenBLAS).
+    That library exports its LAPACKE and CBLAS entry points with 64-bit
+    integers, under a `scipy_` prefix and a `64_` suffix. Opening the loaded
+    library and looking up a symbol takes well under a millisecond, and the
+    loaders below cache what they build on it."""
     import ctypes
 
     from numpy.linalg import _umath_linalg
 
     try:
-        routine = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dtpqrt_work64_
+        return getattr(ctypes.CDLL(_umath_linalg.__file__), name)
     except (OSError, AttributeError):
+        return None
+
+
+def tpqrt_nb(n):
+    """The block size nb of `lapack_tpqrt`'s update of n columns: 4 up to
+    TPQRT_NARROW columns and 16 above, never more than n."""
+    return min(4 if n <= TPQRT_NARROW else 16, n)
+
+
+@functools.cache
+def lapack_tpqrt():
+    """The TSQR's update as a function tpqrt(R, B), or None where numpy's
+    LAPACK library does not export LAPACKE's `dtpqrt_work` (`_openblas`).
+    Looked up on first use, and cached.
+
+    tpqrt(R, B) overwrites the upper triangle of the (n, n) R with the R
+    factor of [R; B] for a (k, n) B, by LAPACK's dtpqrt (l = 0, nb =
+    `tpqrt_nb(n)`), in place: B is left holding Householder vectors and R's
+    strict lower triangle is not touched. Both are float64 views with unit
+    row stride (column-major), as rows of one Fortran-ordered buffer are.
+    The routine is the structured update of the communication-optimal TSQR
+    (Demmel, Grigori, Hoemmen & Langou, SISC 2012): it reads R as
+    triangular, where a QR of [R; B] would factor R's zeros again. It is
+    called through the library's `_work` entry point, which does not scan
+    its input for NaN: a NaN or an inf in B leaves R non-finite, as the
+    caller's check expects.
+    """
+    import ctypes
+
+    routine = _openblas("scipy_LAPACKE_dtpqrt_work64_")
+    if routine is None:
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     routine.restype = i64
@@ -281,7 +310,7 @@ def lapack_tpqrt():
                    and a.flags.writeable for a in (R, B)):
             raise ValueError("tpqrt takes writeable column-major float64 views")
         n, k = R.shape[1], B.shape[0]
-        nb = min(TPQRT_NB, n)
+        nb = tpqrt_nb(n)
         T = np.empty((nb, n), order="F")
         work = np.empty(nb * n)
         info = routine(col_major, k, n, 0, nb, R.ctypes.data, R.strides[1] // R.itemsize,
@@ -291,6 +320,45 @@ def lapack_tpqrt():
             raise RuntimeError(f"LAPACK dtpqrt refused argument {-info}")
 
     return tpqrt
+
+
+@functools.cache
+def blas_dsymv():
+    """The product of a symmetric matrix and a vector as a function
+    symv(G, x), or None where numpy's BLAS library does not export CBLAS's
+    `dsymv` (`_openblas`). Looked up on first use, and cached.
+
+    symv(G, x) returns a new vector G @ x for an exactly symmetric, C-ordered
+    (m, m) float64 G, as kernel Gram matrices are built, and a contiguous
+    float64 x of length m. BLAS's dsymv reads only G's upper triangle, half
+    of the memory that the gemv of G @ x reads, and rounds otherwise than
+    that gemv; for a fixed G, x and BLAS thread count it gives the same bits
+    on every call.
+    """
+    import ctypes
+
+    routine = _openblas("scipy_cblas_dsymv64_")
+    if routine is None:
+        return None
+    i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    routine.restype = None
+    routine.argtypes = (ctypes.c_int, ctypes.c_int, i64, dbl, ptr, i64, ptr, i64, dbl, ptr, i64)
+    row_major, upper = 101, 121  # CblasRowMajor, CblasUpper
+
+    def symv(G, x):
+        m = G.shape[0]
+        if not (G.dtype == x.dtype == np.float64 and G.shape == (m, m) and x.shape == (m,)
+                and G.flags.c_contiguous and x.flags.c_contiguous):
+            raise ValueError("symv takes a C-ordered square float64 G and a contiguous "
+                             "float64 x of its order")
+        # zeroed, so the result does not rest on how a BLAS treats beta = 0
+        # on an uninitialized y (this OpenBLAS overwrites it, NaN included)
+        y = np.zeros(m)
+        routine(row_major, upper, m, 1.0, G.ctypes.data, m, x.ctypes.data, 1, 0.0,
+                y.ctypes.data, 1)
+        return y
+
+    return symv
 
 
 def iterate_linear(A, z0, n_steps):

@@ -40,17 +40,19 @@ __all__ = [
 RANK_CUTOFF = 1e-10  # relative singular-value cutoff, keeps exact problems exact
 GRAM_CUTOFF = 1e-12  # relative cutoff on Gram-matrix eigenvalues (~ sigma^2)
 # snapshot pairs per row block of the TSQR in _pair_factor. With dtpqrt at
-# nb = 16 (_kernels.TPQRT_NB; 2-CPU VM, medians of five), the R factor of
-# [Z^T | U^T | Z'^T] at N = 102, q = 1 and m = 100k took 0.38 s in blocks of
-# 5,000 and of 10,000 and 0.39 s in blocks of 25,000, against 0.77 s for
-# np.linalg.qr's update in blocks of 10,000; nb = 8 took 0.36-0.39 s and
-# nb = 32 0.42-0.51 s. That of [Z^T | Z'^T] at N = 6 and m = 249,900 took
-# 0.021-0.030 s (nb = 12, the width) and 0.013-0.018 s at nb = 8, against
-# 0.028-0.032 s for np.linalg.qr's
+# nb = 16 (2-CPU VM, medians of five), the R factor of [Z^T | U^T | Z'^T] at
+# N = 102, q = 1 and m = 100k took 0.38 s in blocks of 5,000 and of 10,000
+# and 0.39 s in blocks of 25,000, against 0.77 s for np.linalg.qr's update in
+# blocks of 10,000. At nb = 4 (`_kernels.tpqrt_nb`; medians of 7, one and
+# two BLAS threads) the R factor of 249,900 random pairs of width 12 took
+# 7.5-8.6 ms in blocks of 5,000 to 25,000 and 10 ms in blocks of 1,000; of
+# 200,000 of width 36 it took 26-41 ms in blocks of 2,500 to 5,000 against
+# 37-43 ms in blocks of 10,000. The block size is kept: it is one for all
+# widths, and a block boundary moved moves the bits of every R
 QR_CHUNK = 10_000
 # a rank-r kernel fit on m pairs takes the Lanczos route when
 # LANCZOS_RATIO * r <= m (see fit_kdmd for the measured crossover)
-LANCZOS_RATIO = 32
+LANCZOS_RATIO = 16
 # zero-eigenvalue class |lambda| <= ZERO_EIG_RTOL ||A||_2. Fitting a 2x2
 # nilpotent operator leaves its eigenvalues within 1.05 sqrt(eps) ||A||_2 (20k
 # random fits), while the non-normal operators of gaussian RBF fits of the
@@ -523,17 +525,26 @@ def _lanczos(G: np.ndarray, r: int, tol: float):
     classical Gram-Schmidt), or None when they have not converged within
     `_lanczos_cap` steps (Parlett, The Symmetric Eigenvalue Problem, ch. 13).
 
-    It starts from a fixed vector, so repeated solves are bit-identical at
-    one BLAS thread count. A check after step k >= r takes the eigenpairs
+    A step multiplies G by the last basis vector once, by BLAS's dsymv
+    (`_kernels.blas_dsymv`), which reads only G's upper triangle: at m =
+    2,844 one product took 0.74 ms against 1.31 ms for the gemv of G @ v (2
+    BLAS threads; 1.35 against 2.61 ms on one). Where numpy's BLAS library
+    does not export dsymv, the step takes G @ v, with that gemv's bits. It
+    starts from a fixed vector, so repeated solves are bit-identical at one
+    BLAS thread count. A check after step k >= r takes the eigenpairs
     (theta, y) of the k x k tridiagonal T_k = V_k^T G V_k and accepts the
     leading r Ritz pairs (theta, V_k y) once every residual |beta_k y_k|, the
-    norm of G V_k y - theta V_k y, is at most tol. A check (a dense eigh,
-    about 9 k^3 flops) can cost many steps (G v, 2 m^2 flops) when m is
-    small or k large, so after a failed check the next one waits until the
-    steps since have done about its work; at m = 2,844 that is every step up
-    to k = 121. The last step, the cap or an invariant Krylov space (beta_k
-    = 0), is always checked; one reached before r steps cannot hold r pairs
-    and gives None too.
+    norm of G V_k y - theta V_k y, is at most tol. A check can cost several
+    steps when m is small or k large, so after a failed check the next one
+    waits until the steps since have cost about as much as it did. The two
+    costs are measured ones (2-CPU VM, one and two BLAS threads): a check,
+    numpy's dense eigh of T_k, takes about 8 + 0.07 k^2 us for k = 10 to
+    140, its per-call cost included; a step about 15 + 1e-4 m^2 + 5e-4 k m
+    us, the dsymv and the reorthogonalization against k vectors. At m =
+    2,844 that checks every step up to k = 140, the cap at r = 20. The last
+    step, the cap or an invariant Krylov space (beta_k = 0), is always
+    checked; one reached before r steps cannot hold r pairs and gives None
+    too.
     """
     m = G.shape[0]
     cap = _lanczos_cap(m, r)
@@ -541,9 +552,10 @@ def _lanczos(G: np.ndarray, r: int, tol: float):
     T = np.zeros((cap, cap))  # its tridiagonal projection of G
     v = np.random.default_rng(0).uniform(-1.0, 1.0, m)
     V[0] = v / np.linalg.norm(v)
+    symv = _kernels.blas_dsymv()
     check = r  # the step after which the next check runs
     for k in range(cap):
-        w = G @ V[k]
+        w = G @ V[k] if symv is None else symv(G, V[k])
         Vk = V[:k + 1]
         h = Vk @ w
         w -= h @ Vk
@@ -556,7 +568,9 @@ def _lanczos(G: np.ndarray, r: int, tol: float):
             theta, Y = np.linalg.eigh(T[:k + 1, :k + 1])
             if np.all(beta * np.abs(Y[k, -r:]) <= tol):
                 return theta[:-r - 1:-1], Vk.T @ Y[:, :-r - 1:-1]
-            check = k + 1 + max(1, 9 * (k + 1) ** 3 // (2 * m * m))
+            # microseconds of a check over those of a step, as measured
+            check = k + 1 + max(1, int((8.0 + 0.07 * (k + 1) ** 2)
+                                       / (15.0 + 1e-4 * m * m + 5e-4 * (k + 1) * m)))
         if last:
             return None
         V[k + 1] = w / beta
@@ -619,15 +633,18 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(),
     `continuous_eigenvalues` maps the eigenvalues.
 
     The principal eigenspace of G comes from `_gram_eigenpairs`: the
-    leading r eigenpairs by a Lanczos iteration in numpy (`_lanczos`) for an
-    integer rank r <= m / LANCZOS_RATIO (32), else the whole spectrum by a
-    dense eigh, which rank=None needs for the numerical rank. A Lanczos
-    iteration that does not converge gives way to the dense eigh, and the
-    result records a `lanczos-fallback` finding. The ratio is a measured
-    crossover. On Gaussian Gram matrices of slow-manifold data (m = 474 to
-    2,844, sigma = 0.3 and 2; 2-CPU VM, OpenBLAS) the Lanczos solve, G
-    included, took 0.09-0.20 of the dense time at r = m/32 and 0.15-0.27 of
-    it at r = m/16; at sigma = 0.05 it took 0.28-0.51 and 0.37-0.58.
+    leading r eigenpairs by a Lanczos iteration on numpy's BLAS (`_lanczos`,
+    its products with G by dsymv) for an integer rank r <= m /
+    LANCZOS_RATIO (16), else the whole spectrum by a dense eigh, which
+    rank=None needs for the numerical rank. A Lanczos iteration that does
+    not converge gives way to the dense eigh, and the result records a
+    `lanczos-fallback` finding. The ratio is a measured crossover. On
+    Gaussian Gram matrices of slow-manifold data (m = 474 to 2,844, sigma =
+    0.3 and 2; 2-CPU VM, OpenBLAS, two BLAS threads) the Lanczos solve, G
+    included, took 0.07-0.20 of the dense time at r = m/32, 0.12-0.29 of it
+    at r = m/16 and 0.24-0.35 at r = m/8; at sigma = 0.05 it took 0.28-0.48,
+    0.35-0.62 and 0.45-0.62. On one thread (m = 474 to 1,896) the r = m/16
+    solve took 0.12-0.29 and, at sigma = 0.05, 0.36-0.48 of the dense time.
 
     Each kernel value is evaluated once. Wherever x'_i is x_{i+1} bit for
     bit, as inside a trajectory's pairs, row i of T is row i + 1 of G (an

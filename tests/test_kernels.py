@@ -289,6 +289,28 @@ def test_real_matmul_complex_matches_complex_product():
                                rtol=1e-13)
 
 
+@pytest.mark.parametrize("m", [1, 7, 300])
+def test_dsymv_reads_only_the_upper_triangle_of_a_c_ordered_g(m):
+    # the ctypes call's order and triangle: with NaN below the diagonal the
+    # product is that of the symmetric G, to rounding, and a G or an x that
+    # is not C-ordered is refused rather than read wrong
+    symv = K.blas_dsymv()
+    if symv is None:
+        pytest.skip("numpy's BLAS library exports no dsymv")
+    rng = _rng(m)
+    A = rng.normal(size=(m, m))
+    G = A + A.T
+    x = rng.normal(size=m)
+    upper = np.triu(G) + np.tril(np.full((m, m), np.nan), -1)
+    y = symv(upper, x)
+    np.testing.assert_allclose(y, G @ x, rtol=1e-12, atol=1e-12 * np.abs(G).sum())
+    np.testing.assert_array_equal(symv(G, x), y)
+    if m > 1:  # a 1 x 1 G is of both orders, and a one-entry x contiguous
+        for bad in ((np.asfortranarray(G), x), (G[::-1, ::-1], x), (G, np.repeat(x, 2)[::2])):
+            with pytest.raises(ValueError, match="^symv takes"):
+                symv(*bad)
+
+
 # ---------------------------------------------------------------------------
 # linear iteration
 # ---------------------------------------------------------------------------

@@ -350,16 +350,25 @@ def test_pair_factor_is_independent_of_the_block_boundaries(m, monkeypatch):
         assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram), chunk
 
 
-@pytest.mark.parametrize("m,chunk", [(m, chunk) for m in (9, 12, 257) for chunk in (1, 7, 64)]
-                         + [(257, 10_000), (10_007, 64), (10_007, 10_000)])
-def test_tsqr_matches_numpys_qr_up_to_row_signs(m, chunk, monkeypatch):
+# widths 9 and 36 take dtpqrt's narrow block size, 130 the wide one
+_TSQR_CASES = ([(m, chunk, 9) for m in (9, 12, 257) for chunk in (1, 7, 64)]
+               + [(257, 10_000, 9), (10_007, 64, 9), (10_007, 10_000, 9)]
+               + [(m, chunk, W) for W in (36, 130)
+                  for m, chunk in ((257, 7), (257, 10_000), (10_007, 64))])
+
+
+@pytest.mark.parametrize("m,chunk,W", _TSQR_CASES, ids=[
+    f"{m}-{chunk}" + (f"-W{W}" if W != 9 else "") for m, chunk, W in _TSQR_CASES])
+def test_tsqr_matches_numpys_qr_up_to_row_signs(m, chunk, W, monkeypatch):
     # pairs of full column rank with singular values in [1, 2]: their R
     # factor is unique up to the signs of its rows and well conditioned, so
     # the blocked update and one np.linalg.qr of the stacked rows agree to
     # rounding, stated here as 16 eps ||M||_2
-    rng = np.random.default_rng(m + chunk)
-    M = (_orthonormal(rng, m, 9) * rng.uniform(1.0, 2.0, 9)) @ _orthonormal(rng, 9, 9).T
-    pairs = kl.SnapshotPairs.from_columns(M[:, :4].T, M[:, 5:].T, U=M[:, 4:5].T)
+    assert kl._kernels.tpqrt_nb(W) == (16 if W == 130 else 4)
+    rng = np.random.default_rng(m + chunk + W - 9)
+    M = (_orthonormal(rng, m, W) * rng.uniform(1.0, 2.0, W)) @ _orthonormal(rng, W, W).T
+    N = (W - 1) // 2  # [X | U | X'] with N features and W - 2N inputs
+    pairs = kl.SnapshotPairs.from_columns(M[:, :N].T, M[:, W - N:].T, U=M[:, N:W - N].T)
     monkeypatch.setattr(kl.regression, "QR_CHUNK", chunk)
     R = np.hstack(kl.regression._pair_factor(pairs, inputs=True))
     ref = np.linalg.qr(M, mode="r")
@@ -588,6 +597,61 @@ def test_lanczos_gram_eigenpairs_meet_the_dense_backward_error(seed, m, frac, ke
     assert np.linalg.norm(G @ Q - Q * s, axis=0).max() <= bound
     assert np.abs(Q.T @ Q - np.eye(r)).max() <= 1e-13
     assert np.abs(s - np.linalg.eigvalsh(G)[:-r - 1:-1]).max() <= bound
+
+
+def _spied_lanczos(G, r):
+    # _lanczos's result with the order k of each tridiagonal it checked
+    sizes = []
+    eigh = np.linalg.eigh
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", lambda T: sizes.append(T.shape[0]) or eigh(T))
+        out = kl.regression._lanczos(G, r, np.finfo(float).eps * G.trace())
+    return out, sizes
+
+
+def test_lanczos_without_dsymv_keeps_the_gemv_bits(monkeypatch):
+    # a numpy whose BLAS library has no dsymv multiplies by G @ v: the
+    # solve has the bits of the iteration written out here on that product,
+    # run for as many steps as the solve took
+    Xr = np.random.default_rng(5).uniform(-1.0, 1.0, (400, 2))
+    G = kl.KernelConfig(kind="gaussian", sigma=0.5).gram(Xr, Xr)
+    r = 8
+    monkeypatch.setattr(kl._kernels, "blas_dsymv", lambda: None)
+    (s, Q), sizes = _spied_lanczos(G, r)
+    K = sizes[-1]
+    cap = kl.regression._lanczos_cap(400, r)
+    assert len(sizes) > 1 and K < cap
+    V = np.empty((cap, 400))
+    T = np.zeros((cap, cap))
+    v = np.random.default_rng(0).uniform(-1.0, 1.0, 400)
+    V[0] = v / np.linalg.norm(v)
+    for k in range(K):
+        w = G @ V[k]
+        h = V[:k + 1] @ w
+        w -= h @ V[:k + 1]
+        h2 = V[:k + 1] @ w
+        w -= h2 @ V[:k + 1]
+        T[k, k] = h[k] + h2[k]
+        beta = np.linalg.norm(w)
+        V[k + 1] = w / beta
+        T[k, k + 1] = T[k + 1, k] = beta
+    theta, Y = np.linalg.eigh(T[:K, :K])
+    np.testing.assert_array_equal(s, theta[:-r - 1:-1])
+    np.testing.assert_array_equal(Q, V[:K].T @ Y[:, :-r - 1:-1])
+
+
+def test_lanczos_on_dsymv_repeats_its_bits():
+    # the docstring's determinism: two solves of one G, at one BLAS thread
+    # count, give the same bits, also on the dsymv product
+    if kl._kernels.blas_dsymv() is None:
+        pytest.skip("numpy's BLAS library exports no dsymv")
+    Xr = np.random.default_rng(6).uniform(-1.0, 1.0, (900, 2))
+    G = kl.KernelConfig(kind="gaussian", sigma=0.3).gram(Xr, Xr)
+    (s, Q), sizes = _spied_lanczos(G, 12)
+    (s2, Q2), sizes2 = _spied_lanczos(G, 12)
+    assert sizes == sizes2
+    np.testing.assert_array_equal(s, s2)
+    np.testing.assert_array_equal(Q, Q2)
 
 
 def test_lanczos_kdmd_fit_loads_no_scipy():
