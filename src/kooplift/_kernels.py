@@ -3,13 +3,16 @@ and linear iteration.
 
 All kernels are plain numpy and deterministic for fixed inputs, but for
 `lapack_tpqrt` and `blas_dsymv`, which call one LAPACK and one BLAS routine
-of the library numpy itself links, found by one loader (`_openblas`).
+of the library numpy itself links, and `one_blas_thread`, which sets that
+library's thread count, all found by one loader (`_openblas`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import threading
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -37,11 +40,13 @@ ROW_BLOCK = 128
 #   n = 64:  4.5-4.9 / 3.9-4.2 / 5.2-5.9              4.8-7.1 / 3.6-4.4 / 4.0-5.3
 #   n = 103: 9.5-10.5 / 7.6-8.3 / 9.6-11.2            13.9-15.2 / 8.9-9.8 / 9.0-9.6
 #   n = 205: 34-37 / 23-25 / 25-28                    54-58 / 31-34 / 27-30
-# Up to 48 columns nb = 4 wins on both thread counts: a wider panel is
-# LAPACK's level-2 work, which OpenBLAS threads poorly (at n = 12 nb = 12
-# took 56 ms in two of three sweeps on two threads). From 64 on, nb = 16
-# wins on one thread. nb = 8, best on two threads from 64 to 205, is left
-# out: at 205 it loses on one thread by as much as it wins on two
+# The TSQR runs its updates on one BLAS thread (`one_blas_thread`), so the
+# one-thread column decides. Up to 48 columns nb = 4 wins or ties there, and
+# at 205 (`vdp_rbf_control`) nb = 16 wins, 27-30 ms against 31-34 ms at nb =
+# 8. Between, nb = 8 and 16 overlap (at 64 nb = 8 reads 3.6-4.4 ms against
+# 4.0-5.3), and the rule keeps 16, which leaves every R of those widths its
+# bits. nb = 8's lead on two threads, from 64 to 205, does not reach the
+# TSQR, which never runs there
 TPQRT_NARROW = 48
 
 
@@ -271,6 +276,58 @@ def _openblas(name):
         return None
 
 
+@functools.cache
+def _blas_thread_count():
+    """(get, set) for the thread count of numpy's OpenBLAS, as ctypes
+    functions get() -> int and set(int), or None where numpy's library does
+    not export them (`_openblas`). Looked up on first use, and cached."""
+    import ctypes
+
+    get = _openblas("scipy_openblas_get_num_threads64_")
+    put = _openblas("scipy_openblas_set_num_threads64_")
+    if get is None or put is None:
+        return None
+    get.restype, get.argtypes = ctypes.c_int, ()
+    put.restype, put.argtypes = None, (ctypes.c_int,)
+    return get, put
+
+
+_blas_thread_lock = threading.Lock()
+_blas_thread_hold = [0, 1]  # open one_blas_thread contexts, the count found by the first
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread; yields whether the
+    count could be set (False where numpy's library does not export its
+    thread-count routines, `_blas_thread_count`, and nothing is changed).
+
+    The setting is process-wide: while a body runs, BLAS calls from every
+    Python thread run on one BLAS thread. Contexts may nest and overlap
+    across Python threads: under one lock, the first to open reads the count
+    and sets 1, and the last to close, in a `finally`, restores what the
+    first found.
+    """
+    count = _blas_thread_count()
+    if count is None:
+        yield False
+        return
+    get, put = count
+    hold = _blas_thread_hold
+    with _blas_thread_lock:
+        if hold[0] == 0:
+            hold[1] = get()
+            put(1)
+        hold[0] += 1
+    try:
+        yield True
+    finally:
+        with _blas_thread_lock:
+            hold[0] -= 1
+            if hold[0] == 0:
+                put(hold[1])
+
+
 def tpqrt_nb(n):
     """The block size nb of `lapack_tpqrt`'s update of n columns: 4 up to
     TPQRT_NARROW columns and 16 above, never more than n."""
@@ -294,6 +351,11 @@ def lapack_tpqrt():
     called through the library's `_work` entry point, which does not scan
     its input for NaN: a NaN or an inf in B leaves R non-finite, as the
     caller's check expects.
+
+    Each call allocates its own T and workspace, and ctypes releases the GIL
+    for the call, so two Python threads may update two disjoint (R, B) at
+    once, as the TSQR's two streams do. Its bits follow the BLAS thread
+    count, which the TSQR fixes at one (`one_blas_thread`).
     """
     import ctypes
 

@@ -15,6 +15,7 @@ the default relative singular-value cutoff of 1e-10.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Optional
@@ -39,17 +40,21 @@ __all__ = [
 
 RANK_CUTOFF = 1e-10  # relative singular-value cutoff, keeps exact problems exact
 GRAM_CUTOFF = 1e-12  # relative cutoff on Gram-matrix eigenvalues (~ sigma^2)
-# snapshot pairs per row block of the TSQR in _pair_factor. With dtpqrt at
-# nb = 16 (2-CPU VM, medians of five), the R factor of [Z^T | U^T | Z'^T] at
-# N = 102, q = 1 and m = 100k took 0.38 s in blocks of 5,000 and of 10,000
-# and 0.39 s in blocks of 25,000, against 0.77 s for np.linalg.qr's update in
-# blocks of 10,000. At nb = 4 (`_kernels.tpqrt_nb`; medians of 7, one and
-# two BLAS threads) the R factor of 249,900 random pairs of width 12 took
-# 7.5-8.6 ms in blocks of 5,000 to 25,000 and 10 ms in blocks of 1,000; of
-# 200,000 of width 36 it took 26-41 ms in blocks of 2,500 to 5,000 against
-# 37-43 ms in blocks of 10,000. The block size is kept: it is one for all
-# widths, and a block boundary moved moves the bits of every R
-QR_CHUNK = 10_000
+# the TSQR's fixed reduction tree (_pair_factor): block i of the pairs goes
+# to stream i mod TSQR_STREAMS, and the streams' R factors are merged at the
+# end. A constant, not the CPU count, so R's bits never follow the machine
+TSQR_STREAMS = 2
+# snapshot pairs per row block of the TSQR, in each stream; two streams of
+# 5,000 buffer about as many rows as one stream of 10,000 would. The R
+# factor of random pairs with columns scaled over six decades, in ms, by
+# block size (2-CPU VM, ranges of medians of 7 over six sweeps, two streams
+# on one BLAS thread each):
+#   W = 12, m = 249,900:  2,500: 7.5-13.8  5,000: 7.4-10.4  7,500: 7.1-9.5  10,000: 8.3-11.7
+#   W = 36, m = 200,000:  2,500: 21-47     5,000: 21-47     7,500: 20-35    10,000: 22-32
+#   W = 205, m = 100,000: 2,500: 153-421   5,000: 180-217   7,500: 170-227  10,000: 186-214
+# No size wins beyond the machine's spread at any width, so the one size is
+# kept for all widths: a block boundary moved moves the bits of every R
+QR_CHUNK = 5_000
 # a rank-r kernel fit on m pairs takes the Lanczos route when
 # LANCZOS_RATIO * r <= m (see fit_kdmd for the measured crossover)
 LANCZOS_RATIO = 16
@@ -280,46 +285,107 @@ def _pair_factor(pairs: SnapshotPairs, inputs: bool = False):
     Q W, a product B^T V = B^T Q W is R_B^T W, and a Frobenius norm of a
     combination of the B^T is that of the same combination of the R_B^T:
     the regressions work on R_B, whose rows number at most the width W of
-    [X | U | X'], and never on the m-long blocks. R is accumulated over the
-    blocks of QR_CHUNK pairs of `SnapshotPairs.block_pieces` (TSQR), so no
-    temporary holds all m pairs: each block's pieces are copied once into
-    one column-major buffer, below R's W rows, and R is updated there in
-    place to the R factor of [R; block] by LAPACK's dtpqrt
-    (`_kernels.lapack_tpqrt`), from R = 0 before the first block. For m < W,
-    R's rows below the m-th are zero but for rounding and are dropped, so R
-    is (min(m, W), W) on either route. Where numpy's LAPACK library has no
-    dtpqrt, the same loop takes R = np.linalg.qr([R; block]), from an empty
-    R, instead. A NaN or an inf in a pair leaves R non-finite, and only then
-    are the pairs searched, by `SnapshotPairs.refuse_non_finite`, which
-    raises DataError.
+    [X | U | X'], and never on the m-long blocks.
+
+    R is accumulated over the blocks of QR_CHUNK pairs of
+    `SnapshotPairs.block_pieces` by a TSQR with a fixed reduction tree, so
+    no temporary holds all m pairs. Block i goes to stream i mod
+    TSQR_STREAMS, and each stream keeps its own R: each of its blocks is
+    copied once into the stream's rows of one column-major buffer, below
+    that R, and R is updated there in place to the R factor of [R; block] by
+    LAPACK's dtpqrt (`_kernels.lapack_tpqrt`), from R = 0. Then stream 0's R
+    is updated by stream 1's (upper triangular) R with one more dtpqrt.
+    Where numpy's LAPACK library has no dtpqrt, the same tree takes
+    R = np.linalg.qr([R; block]) from an empty R for each update, and
+    np.linalg.qr([R_0; R_1]) for the merge. With one block, stream 1 is
+    empty: it allocates no rows, and there is no merge. For m < W, R's rows below the m-th are zero
+    but for rounding and are dropped, so R is (min(m, W), W) on either
+    route.
+
+    The TSQR runs on one BLAS thread (`_kernels.one_blas_thread`, a
+    process-wide setting, restored after), so R's bits depend only on the
+    pairs, W and QR_CHUNK, not on the BLAS thread count. Where that count
+    can be set and dtpqrt loads, stream 1 runs on a Python thread of its
+    own beside stream 0 on the caller's (ctypes releases the GIL inside
+    dtpqrt); otherwise the streams run one after the other on the caller's
+    thread, with the same arithmetic.
+
+    A NaN or an inf in a pair leaves R non-finite, and only then are the
+    pairs searched, by `SnapshotPairs.refuse_non_finite`, which raises
+    DataError.
     """
     N = pairs.n_features
     q = pairs.n_inputs if inputs else 0
     W = 2 * N + q
     tpqrt = _kernels.lapack_tpqrt()
-    # column-major, so each column of a block is filled, and read by LAPACK,
-    # contiguously; rows :W hold R, zero before the first block
-    S = np.zeros((W + min(QR_CHUNK, pairs.m), W), order="F")
-    R = np.empty((0, W))  # numpy's R, where there is no dtpqrt
-    for pieces in pairs.block_pieces(QR_CHUNK):
-        o = W
-        for X, U, Xp in pieces:
-            e = o + X.shape[0]
-            S[o:e, :N] = X
-            if q:
-                S[o:e, N:N + q] = U
-            S[o:e, N + q:] = Xp
-            o = e
+    blocks = list(pairs.block_pieces(QR_CHUNK))
+    n_streams = min(TSQR_STREAMS, len(blocks))
+    # one column-major buffer, so each column of a block is filled, and read
+    # by LAPACK, contiguously; stream s owns rows s h .. (s + 1) h: its R, zero
+    # before its first block, then room for one block
+    h = W + min(QR_CHUNK, pairs.m)
+    S = np.zeros((n_streams * h, W), order="F")
+    Rs = [np.empty((0, W))] * n_streams  # numpy's R of each stream, where there is no dtpqrt
+
+    def stream(s):
+        top = s * h + W  # the stream's first block row
+        R = Rs[s]
+        for pieces in blocks[s::TSQR_STREAMS]:
+            o = top
+            for X, U, Xp in pieces:
+                e = o + X.shape[0]
+                S[o:e, :N] = X
+                if q:
+                    S[o:e, N:N + q] = U
+                S[o:e, N + q:] = Xp
+                o = e
+            if tpqrt is not None:
+                tpqrt(S[top - W:top], S[top:o])
+            else:  # the rows of R right above the block
+                S[top - R.shape[0]:top] = R
+                R = np.linalg.qr(S[top - R.shape[0]:o], mode="r")
+        Rs[s] = R
+
+    with _kernels.one_blas_thread() as one_thread:
+        if one_thread and tpqrt is not None and n_streams > 1:
+            _in_parallel(stream, n_streams)
+        else:
+            for s in range(n_streams):
+                stream(s)
         if tpqrt is not None:
-            tpqrt(S[:W], S[W:o])
-        else:  # the rows of R right above the block
-            S[W - R.shape[0]:W] = R
-            R = np.linalg.qr(S[W - R.shape[0]:o], mode="r")
-    if tpqrt is not None:
-        R = np.triu(S[:min(pairs.m, W)])
+            for s in range(1, n_streams):
+                tpqrt(S[:W], S[s * h:s * h + W])
+            R = np.triu(S[:min(pairs.m, W)])
+        else:
+            R = Rs[0] if n_streams == 1 else np.linalg.qr(np.vstack(Rs), mode="r")
     if not np.isfinite(R).all():
         pairs.refuse_non_finite()
     return R[:, :N], (R[:, N:N + q] if q else None), R[:, N + q:]
+
+
+def _in_parallel(f, n):
+    """f(0) on this thread and f(1), ..., f(n - 1) on new Python threads, at
+    the same time; returns when all have finished, and re-raises the first
+    exception that any of them raised."""
+    raised = []
+
+    def run(i):
+        try:
+            f(i)
+        except BaseException as exc:  # re-raised on the calling thread
+            raised.append(exc)
+
+    workers = [threading.Thread(target=run, args=(i,), name="kooplift-tsqr")
+               for i in range(1, n)]
+    for worker in workers:
+        worker.start()
+    try:
+        f(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    if raised:
+        raise raised[0]
 
 
 def _residual(E: np.ndarray, target: np.ndarray):

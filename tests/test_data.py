@@ -272,29 +272,34 @@ def test_tsqr_blocks_across_trajectories_match_a_stacked_reference(monkeypatch):
     monkeypatch.setattr(kl.regression, "QR_CHUNK", 7)
     pairs = _straddling_pairs(kl.Polynomial(2).bind(2))
     RX, RU, RXp = kl.regression._pair_factor(pairs, inputs=True)
-    # the TSQR's dtpqrt update written out on the stacked rows [X | U | X'],
-    # each block of 7 rows copied into an array of its own, from R = 0
+    # the TSQR's tree written out on the stacked rows [X | U | X']: block i
+    # of 7 rows, copied into an array of its own, updates the R of stream
+    # i mod 2 by dtpqrt, from R = 0, so the 19 pairs give stream 0 blocks 0
+    # and 2 and stream 1 block 1; then stream 1's R updates stream 0's
     M = np.hstack([pairs.X.T, pairs.U.T, pairs.Xprime.T])
     W = M.shape[1]
-    R = np.zeros((W, W), order="F")
-    for a in range(0, M.shape[0], 7):
-        tpqrt(R, np.asfortranarray(M[a:a + 7]))
-    np.testing.assert_array_equal(np.hstack([RX, RU, RXp]), np.triu(R))
+    Rs = [np.zeros((W, W), order="F") for _ in range(2)]
+    for i, a in enumerate(range(0, M.shape[0], 7)):
+        tpqrt(Rs[i % 2], np.asfortranarray(M[a:a + 7]))
+    tpqrt(Rs[0], np.asfortranarray(np.triu(Rs[1])))
+    np.testing.assert_array_equal(np.hstack([RX, RU, RXp]), np.triu(Rs[0]))
     assert RX.shape[1] == RXp.shape[1] == 6 and RU.shape[1] == 1
 
 
 def test_tsqr_without_dtpqrt_keeps_numpys_qr_bits(monkeypatch):
-    # a numpy whose LAPACK library has no dtpqrt runs the same loop on
-    # np.linalg.qr, with the bits of the TSQR R = qr([R; block]) from an
-    # empty R, written out here on the stacked rows
+    # a numpy whose LAPACK library has no dtpqrt runs the same tree on
+    # np.linalg.qr: each stream's R = qr([R; block]) from an empty R, then
+    # R = qr([R_0; R_1]), written out here on the stacked rows
     monkeypatch.setattr(kl._kernels, "lapack_tpqrt", lambda: None)
     monkeypatch.setattr(kl.regression, "QR_CHUNK", 7)
     pairs = _straddling_pairs(kl.Polynomial(2).bind(2))
     RX, RU, RXp = kl.regression._pair_factor(pairs, inputs=True)
     M = np.hstack([pairs.X.T, pairs.U.T, pairs.Xprime.T])
-    R = np.empty((0, M.shape[1]))
-    for a in range(0, M.shape[0], 7):
-        R = np.linalg.qr(np.asfortranarray(np.vstack([R, M[a:a + 7]])), mode="r")
+    Rs = [np.empty((0, M.shape[1]))] * 2
+    for i, a in enumerate(range(0, M.shape[0], 7)):
+        Rs[i % 2] = np.linalg.qr(np.asfortranarray(np.vstack([Rs[i % 2], M[a:a + 7]])),
+                                 mode="r")
+    R = np.linalg.qr(np.asfortranarray(np.vstack(Rs)), mode="r")
     np.testing.assert_array_equal(np.hstack([RX, RU, RXp]), R)
 
 

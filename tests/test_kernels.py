@@ -342,6 +342,72 @@ def _controlled_loop(A, B, z0, U):
 ROLLOUT_SIZES = (1, 5, 18, 102, 103)
 
 
+def test_one_blas_thread_contexts_overlap_and_restore_the_first_count(monkeypatch):
+    count = K._blas_thread_count()
+    if count is None:
+        pytest.skip("numpy's BLAS library exports no thread-count routines")
+    get, put = count
+    found = get()
+    put(2)
+    try:
+        # two contexts that overlap, as two fits on two Python threads do,
+        # closed in the order they opened: the count stays 1 until the last
+        # closes, which restores the 2 that the first found
+        first, second = K.one_blas_thread(), K.one_blas_thread()
+        assert first.__enter__() is True and get() == 1
+        assert second.__enter__() is True and get() == 1
+        first.__exit__(None, None, None)
+        assert get() == 1
+        second.__exit__(None, None, None)
+        assert get() == 2
+        with pytest.raises(RuntimeError, match="inside"):
+            with K.one_blas_thread():
+                raise RuntimeError("inside")
+        assert get() == 2
+        # without the routines, nothing is set and the body is told so
+        monkeypatch.setattr(K, "_blas_thread_count", lambda: None)
+        with K.one_blas_thread() as set_to_one:
+            assert set_to_one is False and get() == 2
+    finally:
+        put(found)
+
+
+def test_one_blas_thread_keeps_its_count_under_contention():
+    import sys
+    import threading
+
+    count = K._blas_thread_count()
+    if count is None:
+        pytest.skip("numpy's BLAS library exports no thread-count routines")
+    get, put = count
+    found = get()
+    interval = sys.getswitchinterval()
+    seen = []
+
+    def contexts():
+        for _ in range(200):
+            with K.one_blas_thread():
+                seen.append(get())
+
+    # more threads than cores, switching often: a lost update of the open
+    # count would read a count other than 1 inside a context, or leave the
+    # count at 1 after the last one closed
+    threads = [threading.Thread(target=contexts) for _ in range(4)]
+    put(2)
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 800 and set(seen) == {1}
+        assert get() == 2 and K._blas_thread_hold[0] == 0
+    finally:
+        sys.setswitchinterval(interval)
+        put(found)
+
+
 def test_iterate_linear_match_reference():
     # the in-place step keeps every bit of A @ z, for real and complex A
     rng = _rng(6)

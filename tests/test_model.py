@@ -754,11 +754,14 @@ def test_fit_holds_the_lifted_pairs_once():
         tracemalloc.stop()
     N = model.A.shape[0]
     lifted = ds.n_samples * N * 8  # every trajectory lifted once
-    # the TSQR holds one block of pairs below R, in one buffer that dtpqrt
-    # updates in place (np.linalg.qr, where numpy's LAPACK has no dtpqrt,
-    # copies the two once more); pairs stacked into X and X' would add two
+    # each of the TSQR's two streams holds one block of pairs below its R,
+    # in one buffer that dtpqrt updates in place (np.linalg.qr, where numpy's
+    # LAPACK has no dtpqrt, copies one stream's R and block once more, the
+    # streams taking their turns); pairs stacked into X and X' would add two
     # more lifted copies
-    copies = 1 if kl._kernels.lapack_tpqrt() is not None else 2
+    streams = kl.regression.TSQR_STREAMS
+    assert ds.n_samples - 20 > (streams - 1) * kl.regression.QR_CHUNK  # both streams run
+    copies = streams if kl._kernels.lapack_tpqrt() is not None else streams + 1
     step = copies * (2 * N + kl.regression.QR_CHUNK) * 2 * N * 8
     assert peak < 1.5 * lifted + step, (peak, lifted, step)
 

@@ -341,7 +341,9 @@ def test_pair_factor_is_independent_of_the_block_boundaries(m, monkeypatch):
     M = np.vstack(blocks).T
     gram = M.T @ M
     pairs = kl.SnapshotPairs.from_columns(blocks[0], blocks[2], U=blocks[1])
-    for chunk in (1, 2, 7, 64, m, 10_000):
+    # chunks of ceil(m / 3), ceil(m / 2) and m give 3, 2 and 1 blocks: two
+    # unequal streams, two streams of one block, and an empty stream 1
+    for chunk in (1, 2, 7, 64, -(-m // 3), -(-m // 2), m, 10_000):
         monkeypatch.setattr(kl.regression, "QR_CHUNK", chunk)
         parts = kl.regression._pair_factor(pairs, inputs=True)
         R = np.hstack(parts)
@@ -350,11 +352,14 @@ def test_pair_factor_is_independent_of_the_block_boundaries(m, monkeypatch):
         assert np.linalg.norm(R.T @ R - gram) <= 1e-12 * np.linalg.norm(gram), chunk
 
 
-# widths 9 and 36 take dtpqrt's narrow block size, 130 the wide one
+# widths 9 and 36 take dtpqrt's narrow block size, 130 the wide one; at
+# m = 257, chunks of 10,000, 129 and 100 give 1, 2 and 3 blocks (an empty
+# stream 1, equal streams, unequal ones)
 _TSQR_CASES = ([(m, chunk, 9) for m in (9, 12, 257) for chunk in (1, 7, 64)]
-               + [(257, 10_000, 9), (10_007, 64, 9), (10_007, 10_000, 9)]
+               + [(257, 10_000, 9), (257, 129, 9), (257, 100, 9), (10_007, 64, 9),
+                  (10_007, 10_000, 9)]
                + [(m, chunk, W) for W in (36, 130)
-                  for m, chunk in ((257, 7), (257, 10_000), (10_007, 64))])
+                  for m, chunk in ((257, 7), (257, 10_000), (257, 100), (10_007, 64))])
 
 
 @pytest.mark.parametrize("m,chunk,W", _TSQR_CASES, ids=[
@@ -399,6 +404,103 @@ def test_a_non_finite_pair_leaves_the_tsqr_r_non_finite(bad, m, chunk, pair, col
         mp.setattr(kl.regression, "QR_CHUNK", chunk)
         with pytest.raises(DataError, match=f"^snapshot pair {j} holds a non-finite value"):
             kl.regression._pair_factor(pairs, inputs=True)
+
+
+def test_tsqr_r_does_not_follow_the_blas_thread_count():
+    # 12,000 pairs of width 64 are three blocks, two in stream 0 and one in
+    # stream 1; the TSQR runs on one BLAS thread whatever the process's
+    # count, so R has the same bits at OPENBLAS_NUM_THREADS=1 and 2
+    src = os.path.dirname(os.path.dirname(kl.__file__))
+    code = (
+        "import hashlib, numpy as np, kooplift as kl\n"
+        "M = np.random.default_rng(7).normal(size=(12_000, 64))\n"
+        "pairs = kl.SnapshotPairs.from_columns(M[:, :31].T, M[:, 33:].T, U=M[:, 31:33].T)\n"
+        "R = np.hstack(kl.regression._pair_factor(pairs, inputs=True))\n"
+        "print(hashlib.sha256(R.tobytes()).hexdigest())\n"
+    )
+    digests = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, env=dict(os.environ, PYTHONPATH=src,
+                                                   OPENBLAS_NUM_THREADS=str(t))).stdout
+               for t in (1, 2)]
+    assert digests[0] == digests[1] and len(digests[0].strip()) == 64
+
+
+@pytest.fixture
+def two_blas_threads():
+    # a BLAS thread count of 2, also when the suite runs with
+    # OPENBLAS_NUM_THREADS=1, so a TSQR that left it at 1 shows; the
+    # process's own count is restored after
+    count = kl._kernels._blas_thread_count()
+    if count is None:
+        pytest.skip("numpy's BLAS library exports no thread-count routines")
+    get, put = count
+    found = get()
+    put(2)
+    try:
+        yield get
+    finally:
+        put(found)
+
+
+def _multi_block_dataset(bad=False):
+    x0 = np.random.default_rng(8).uniform(-1.0, 1.0, size=(4, 2))
+    trajs = list(kl.integrate_rk4_batch(kl.get_system("slow_manifold"), x0, 0.02, 60))
+    if bad:
+        trajs[2][5, 0] = np.nan
+    return kl.TrajectoryDataset(trajs, dt=0.02)
+
+
+def test_fits_leave_the_blas_thread_count_as_they_found_it(two_blas_threads, monkeypatch):
+    import threading
+
+    # 240 pairs in blocks of 50: both streams run, on two Python threads
+    monkeypatch.setattr(kl.regression, "QR_CHUNK", 50)
+    get = two_blas_threads
+    kl.fit(kl.Polynomial(3), "edmd", _multi_block_dataset())
+    assert get() == 2
+    with pytest.raises(DataError, match="regression stage: snapshot pair 124 holds a non-finite"):
+        kl.fit(kl.Polynomial(3), "edmd", _multi_block_dataset(bad=True))
+    assert get() == 2
+    # two fits at once, from two Python threads: the count each TSQR sets
+    # and restores is the one the first of them found
+    start = threading.Barrier(2)
+    models = []
+
+    def one_fit():
+        start.wait()
+        models.append(kl.fit(kl.Polynomial(3), "edmd", _multi_block_dataset()))
+
+    threads = [threading.Thread(target=one_fit) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert get() == 2 and len(models) == 2
+    np.testing.assert_array_equal(models[0].A, models[1].A)
+
+
+def test_tsqr_without_thread_count_routines_runs_the_streams_in_turn(two_blas_threads,
+                                                                      monkeypatch):
+    if kl._kernels.lapack_tpqrt() is None:
+        pytest.skip("numpy's LAPACK library exports no dtpqrt")
+    M = np.random.default_rng(9).normal(size=(12_000, 64))
+    pairs = kl.SnapshotPairs.from_columns(M[:, :31].T, M[:, 33:].T, U=M[:, 31:33].T)
+    in_parallel = kl.regression._in_parallel
+    calls = []
+    monkeypatch.setattr(kl.regression, "_in_parallel",
+                        lambda *a: calls.append(a) or in_parallel(*a))
+    threaded = np.hstack(kl.regression._pair_factor(pairs, inputs=True))
+    assert len(calls) == 1
+    # a numpy whose BLAS library cannot set its thread count runs the same
+    # streams one after the other on the calling thread, at the process's
+    # count, here set to one by hand: the same bits
+    get, put = kl._kernels._blas_thread_count()
+    monkeypatch.setattr(kl._kernels, "_blas_thread_count", lambda: None)
+    put(1)
+    in_turn = np.hstack(kl.regression._pair_factor(pairs, inputs=True))
+    assert len(calls) == 1 and get() == 1
+    np.testing.assert_array_equal(in_turn, threaded)
 
 
 def test_rank_out_matches_the_dense_projection():
