@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, check_real
+from .errors import ConfigError, DataError, check_real
 
 __all__ = [
     "TrajectoryDataset",
@@ -177,8 +177,13 @@ class SnapshotPairs:
         return cls(segments=((X.T, None if U is None else U.T, Xprime.T),))
 
     @property
+    def lengths(self) -> tuple:
+        """The pairs of each segment."""
+        return tuple(x.shape[0] for x, _, _ in self.segments)
+
+    @property
     def m(self) -> int:
-        return sum(x.shape[0] for x, _, _ in self.segments)
+        return sum(self.lengths)
 
     @property
     def n_features(self) -> int:
@@ -193,27 +198,24 @@ class SnapshotPairs:
     def dtype(self) -> np.dtype:
         return self.segments[0][0].dtype
 
+    def segment(self, i: int) -> tuple:
+        """Segment i, (X, U, Xprime)."""
+        return self.segments[i]
+
     def block_pieces(self, size: int):
         """Yield every pair in order, in blocks of `size` pairs (the last one
         shorter), each block as a list of its (X, U, Xprime) pieces: views of
-        the segments it covers, U None without inputs (`pair_blocks`). The
-        TSQR copies each block's pieces below its R, and the score pass
-        multiplies them where they lie.
+        the segments it covers, U None without inputs, cut where
+        `pair_blocks` cuts them. The score pass multiplies them where they
+        lie.
         """
-        return pair_blocks(self.segments, size)
+        return _block_pieces(self, size)
 
     def refuse_non_finite(self) -> None:
         """DataError naming the first pair that holds a NaN or an inf in X, U
         or Xprime; return if there is none. The segments are searched where
         they lie, without copying a pair."""
-        first = 0
-        for seg in self.segments:
-            finite = np.logical_and.reduce(
-                [np.isfinite(p).all(axis=1) for p in seg if p is not None])
-            if not finite.all():
-                j = first + int(np.argmin(finite))
-                raise DataError(f"snapshot pair {j} holds a non-finite value (NaN or inf)")
-            first += finite.shape[0]
+        _refuse_non_finite(self.segments)
 
     def stacked(self, part: str) -> Optional[np.ndarray]:
         """Part "X", "U" or "Xprime" of every pair as one (m, width) row
@@ -238,31 +240,59 @@ class SnapshotPairs:
         return self.stacked("Xprime").T
 
 
-def pair_blocks(segments, size: int):
-    """Yield the pairs of an iterable of (X, U, Xprime) segments in order, in
-    blocks of `size` pairs (the last one shorter), each block as a list of
-    its pieces: views of the segments it covers.
+def pair_blocks(lengths, size: int):
+    """Yield the blocks of `size` pairs (the last one shorter) over segments
+    of `lengths` pairs, in order, each block as a list of (segment, lo, hi):
+    the rows lo..hi-1 of that segment's pairs that it covers.
 
     Blocks start at multiples of `size` over all pairs, so a block that
-    crosses a segment boundary has one piece per segment it touches. This is
-    the one home of the block boundaries, for a tuple of segments and for a
-    stream of them alike: a segment is read when the block that reaches it
-    is cut, and is held after that only by the pieces of that block.
+    crosses a segment boundary has one entry per segment it touches. This is
+    the one home of the block boundaries: for built pairs and for a stream
+    alike, and for the readers of whole blocks (`block_pieces`) and the
+    TSQR's lanes, which look a block's segments up themselves.
     """
     block, filled = [], 0
-    for seg in segments:
-        lo, n = 0, seg[0].shape[0]
+    for i, n in enumerate(lengths):
+        lo = 0
         while lo < n:
             hi = min(lo + size - filled, n)
-            block.append(tuple(None if p is None else p[lo:hi] for p in seg))
+            block.append((i, lo, hi))
             filled += hi - lo
             lo = hi
             if filled == size:
                 yield block
                 block, filled = [], 0
-        del seg
     if block:
         yield block
+
+
+def _block_pieces(pairs, size: int):
+    """The blocks of `pair_blocks` over `pairs`, each as a list of its
+    (X, U, Xprime) pieces, views of the segments it covers. A segment is
+    fetched with `pairs.segment` when the block that first reaches it is
+    cut, and is held after that only until the next one is fetched, and by
+    the pieces of the blocks that cover it."""
+    held, seg = None, None
+    for block in pair_blocks(pairs.lengths, size):
+        pieces = []
+        for i, lo, hi in block:
+            if i != held:
+                held, seg = i, pairs.segment(i)
+            pieces.append(tuple(None if p is None else p[lo:hi] for p in seg))
+        yield pieces
+
+
+def _refuse_non_finite(segments) -> None:
+    """DataError naming the first pair of an iterable of segments that holds
+    a NaN or an inf, searched one segment at a time where it lies."""
+    first = 0
+    for seg in segments:
+        finite = np.logical_and.reduce(
+            [np.isfinite(p).all(axis=1) for p in seg if p is not None])
+        if not finite.all():
+            j = first + int(np.argmin(finite))
+            raise DataError(f"snapshot pair {j} holds a non-finite value (NaN or inf)")
+        first += finite.shape[0]
 
 
 def _lifted_segment(data: TrajectoryDataset, library, i: int) -> tuple:
@@ -278,17 +308,17 @@ def _lifted_segment(data: TrajectoryDataset, library, i: int) -> tuple:
                 f"trajectory {i} too short: {traj.shape[0]} samples lift to "
                 f"{Y.shape[0]} snapshot(s), need at least 2"
             )
+        if Y.shape[0] != traj.shape[0] - library.warm_up:
+            # the block plans of a `PairStream` are cut from the warm-up
+            raise ConfigError(
+                f"{library.kind} library lifted {traj.shape[0]} samples to {Y.shape[0]} "
+                f"snapshots, but its warm-up of {library.warm_up} samples says "
+                f"{traj.shape[0] - library.warm_up}"
+            )
     U = None
     if data.inputs is not None:
         U = data.inputs[i][traj.shape[0] - Y.shape[0] : -1]
     return Y[:-1], U, Y[1:]
-
-
-def _lifted_segments(data: TrajectoryDataset, library):
-    """Each trajectory's (X, U, Xprime) segment, as `build_snapshot_pairs`
-    describes it, lifted when it is asked for; the stream keeps no segment
-    it has handed out."""
-    return (_lifted_segment(data, library, i) for i in range(len(data.trajectories)))
 
 
 def build_snapshot_pairs(data: TrajectoryDataset, library=None) -> SnapshotPairs:
@@ -303,28 +333,64 @@ def build_snapshot_pairs(data: TrajectoryDataset, library=None) -> SnapshotPairs
     are present, are taken at the X timestamps, after the library's warm-up.
     `PairStream` hands out the same segments without holding them.
     """
-    return SnapshotPairs(segments=tuple(_lifted_segments(data, library)))
+    return SnapshotPairs(segments=tuple(
+        _lifted_segment(data, library, i) for i in range(len(data.trajectories))))
 
 
 @dataclass(frozen=True)
 class PairStream:
     """The snapshot pairs of `build_snapshot_pairs(data, library)`, read
-    without being held: `block_pieces` lifts each trajectory when the first
+    without being held.
+
+    Its shape is known before any lift: trajectory i of T_i samples gives
+    T_i - 1 - ``library.warm_up`` pairs (`lengths`), so the block plan
+    (`pair_blocks`) is cut up front, and a trajectory too short for two
+    lifted snapshots is refused when the stream is made, with the error
+    that lifting it raises. `segment(i)` lifts trajectory i, whole, each
+    time it is called. `block_pieces` lifts each trajectory when the first
     block that reaches it is cut, and drops it after its last piece has
     been read, so a pass over the stream holds the trajectories of one
-    block, not the lifted dataset. Its blocks are those of the built pairs,
-    piece for piece. `refuse_non_finite` lifts and pairs the data again,
-    which a caller does only on its error path.
+    block, not the lifted dataset; its blocks are those of the built pairs,
+    piece for piece. The explicit fits' TSQR lanes (`regression._pair_factor`)
+    fetch each trajectory with `segment` and share it between the lanes.
+    `refuse_non_finite` lifts and searches one trajectory at a time.
     """
 
     data: TrajectoryDataset
     library: object = None
 
+    def __post_init__(self):
+        for i, n in enumerate(self.lengths):
+            if n < 1:
+                _lifted_segment(self.data, self.library, i)  # raises why
+
+    @property
+    def lengths(self) -> tuple:
+        """The pairs of each trajectory."""
+        w = 0 if self.library is None else self.library.warm_up
+        return tuple(t.shape[0] - 1 - w for t in self.data.trajectories)
+
+    @property
+    def m(self) -> int:
+        return sum(self.lengths)
+
+    @property
+    def n_features(self) -> int:
+        return self.data.n_states if self.library is None else self.library.n_output
+
+    @property
+    def n_inputs(self) -> int:
+        return self.data.n_inputs
+
+    def segment(self, i: int) -> tuple:
+        """Trajectory i lifted, whole, and paired: (X, U, Xprime)."""
+        return _lifted_segment(self.data, self.library, i)
+
     def block_pieces(self, size: int):
-        return pair_blocks(_lifted_segments(self.data, self.library), size)
+        return _block_pieces(self, size)
 
     def refuse_non_finite(self) -> None:
-        build_snapshot_pairs(self.data, self.library).refuse_non_finite()
+        _refuse_non_finite(self.segment(i) for i in range(len(self.data.trajectories)))
 
 
 def validate_dataset(data: TrajectoryDataset) -> list:

@@ -1,12 +1,15 @@
 """The user-facing model: observables composed with a fitted operator.
 
-`fit` lifts each training trajectory once into snapshot pairs, runs the
-configured regression, fits the state reconstruction on the lifted pairs,
-and assembles an immutable KoopmanModel exposing prediction, simulation,
-spectral analytics, and validation scores. Kernel regression is one more
-regressor: it returns its own eigenfunction lift with the training pairs
-lifted through it from its Gram rows, and from there every kind runs the
-same code.
+`fit` runs the configured regression on the training trajectories'
+snapshot pairs, fits the state reconstruction, scores the modes, and
+assembles an immutable KoopmanModel exposing prediction, simulation,
+spectral analytics, and validation scores. The explicit fits never hold the
+lifted dataset: they read the pairs as a `PairStream`, whose trajectories
+the TSQR's lanes lift as their blocks reach them, and the score pass lifts
+them once more, one block's trajectories at a time, as validation does.
+Kernel regression is one more regressor: it pairs the raw states, returns
+its own eigenfunction lift with the training pairs lifted through it from
+its Gram rows, and from there every kind runs the same code.
 
 Multi-step simulation iterates in the lifted space and reconstructs each
 step; it never re-lifts, which would silently reintroduce nonlinearity.
@@ -497,9 +500,22 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
     """Fit a Koopman model: lift snapshot pairs and regress the operator.
 
     ``observables`` is an Observable library (None means identity);
-    ``regressor`` is a RegressorConfig or a kind string. Errors from the
-    submodules are re-raised with a stage label (lifting / regression /
-    reconstruction).
+    ``regressor`` is a RegressorConfig or a kind string.
+
+    The explicit fits (every kind but kdmd) pass the regression a
+    `PairStream`: each training trajectory is lifted, whole, once by the
+    TSQR (`regression._pair_factor`), whose two lanes lift the trajectories
+    their blocks reach and drop each after its last block, and once more by
+    the score pass, as `linearity_consistency` lifts it, so the training
+    scores are validation's bits. A library with no state columns is lifted
+    a third time, all at once, for its fitted reconstruction, and
+    trajectory 0 once more for ``z0_train``. kdmd pairs the raw states
+    with `build_snapshot_pairs`.
+
+    Errors from the submodules are re-raised with a stage label (lifting /
+    regression / reconstruction). A trajectory too short to lift is refused
+    in the lifting stage; a library's own failure to lift a trajectory
+    surfaces where the lift runs, for the explicit fits in the regression.
     """
     if isinstance(regressor, str):
         regressor = RegressorConfig(kind=regressor)
@@ -515,11 +531,16 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
     # a private copy: the caller's library is neither bound nor prepared here
     library = copy.deepcopy(_resolve_library(observables, regressor))
 
-    # lifting
+    # lifting: the explicit fits take their pairs as a stream, whose
+    # trajectories the TSQR's lanes lift; kdmd regresses on all raw states.
+    # A trajectory too short to lift is refused here, for either
     try:
         library.bind(data.n_states)
         library.prepare(np.vstack(data.trajectories))
-        pairs = build_snapshot_pairs(data, library)
+        if regression == "kdmd":
+            pairs = build_snapshot_pairs(data, library)
+        else:
+            pairs = PairStream(data, library)
     except KoopliftError as exc:
         raise _stage("lifting", exc) from exc
 
@@ -545,19 +566,24 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
         pairs = res.kernel_pairs
 
     # reconstruction: the lifted pairs and raw states are read, all at once,
-    # only where it is fitted
+    # only where it is fitted; an explicit fit lifts its pairs again here
     try:
         Z = None
         if library.state_indices is None:
-            Z = pairs.stacked("X").T
             if X_state is None:
+                Z = build_snapshot_pairs(data, library).stacked("X").T
                 X_state = build_snapshot_pairs(data).stacked("X")
+            else:
+                Z = pairs.stacked("X").T
         C = fit_reconstruction(library, Z, None if X_state is None else X_state.T)
     except KoopliftError as exc:
         raise _stage("reconstruction", exc) from exc
+    del Z  # not held through the score pass
 
+    # an explicit fit's scores lift the stream again, one block's trajectories
+    # at a time, as linearity_consistency does, so they are its bits
     scores, score_findings = _consistency_scores(res, pairs)
-    first_x = pairs.segments[0][0]  # X rows of the first trajectory
+    first_x = pairs.segment(0)[0]  # X rows of the first trajectory
     # the model is the one home of the fit's findings, and its KernelLift that
     # of kdmd's coefficients; the records keep neither
     eig = res.eigensystem

@@ -53,6 +53,9 @@ class Observable:
     """Base class for lifting maps."""
 
     kind: str = "base"
+    # samples a trajectory's lift consumes before its first snapshot: a
+    # trajectory of T samples lifts to T - warm_up snapshots
+    warm_up: int = 0
 
     def __init__(self):
         self.n_input: Optional[int] = None
@@ -127,7 +130,7 @@ class Observable:
         raise NotImplementedError
 
     def lift_trajectory(self, traj: np.ndarray) -> np.ndarray:
-        """Lift a time-ordered trajectory: (T, n) -> (T - warm-up, N).
+        """Lift a time-ordered trajectory: (T, n) -> (T - warm_up, N).
 
         Consecutive output rows are consecutive lifted snapshots; only
         libraries that need past samples (time delays) consume a warm-up.
@@ -220,7 +223,7 @@ class TimeDelay(Observable):
 
     The lifted vector is [x_k; x_{k-1}; ...; x_{k-d}] (most recent first),
     so a trajectory of T samples yields T - d lifted snapshots; the earliest
-    d samples are consumed as warm-up (no zero padding). Reconstruction
+    d samples are consumed as warm-up (`warm_up`, no zero padding). Reconstruction
     selects the leading state block.
     """
 
@@ -229,6 +232,10 @@ class TimeDelay(Observable):
     def __init__(self, delays: int):
         super().__init__()
         self.delays = check_int(delays, "delays", 0)
+
+    @property
+    def warm_up(self) -> int:
+        return self.delays
 
     @property
     def n_output(self) -> int:

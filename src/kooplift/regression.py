@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .data import Finding, SnapshotPairs, _FrozenRecord
+from .data import Finding, PairStream, SnapshotPairs, _FrozenRecord, pair_blocks
 from .errors import (ConfigError, DataError, RegressionError, call_with_options,
                      check_int, check_real)
 
@@ -251,11 +251,12 @@ def _check_pair_count(m: int) -> None:
         raise RegressionError(f"need at least 2 snapshot pairs, got m={m}")
 
 
-def _as_pairs(Z, Zprime, U=None, inputs: bool = False) -> SnapshotPairs:
+def _as_pairs(Z, Zprime, U=None, inputs: bool = False):
     """The snapshot pairs a fit regresses on: Z itself when it is a
-    `SnapshotPairs`, else the column matrices Z, Z' (N, m), with U (q, m)
-    for ``inputs``, checked and wrapped as one segment of views."""
-    if isinstance(Z, SnapshotPairs):
+    `SnapshotPairs` or a `PairStream`, else the column matrices Z, Z'
+    (N, m), with U (q, m) for ``inputs``, checked and wrapped as one segment
+    of views."""
+    if isinstance(Z, (SnapshotPairs, PairStream)):
         if Zprime is not None or U is not None:
             raise DataError("give SnapshotPairs alone, or the matrices Z and Zprime")
         _check_pair_count(Z.m)
@@ -275,10 +276,10 @@ def _as_pairs(Z, Zprime, U=None, inputs: bool = False) -> SnapshotPairs:
     return SnapshotPairs.from_columns(Z, Zp, U=U)
 
 
-def _pair_factor(pairs: SnapshotPairs, inputs: bool = False):
+def _pair_factor(pairs, inputs: bool = False):
     """The R factor of the snapshot pairs as rows, [X | U | X'] with U only
     for ``inputs``, returned as its column blocks R_X, R_U (None without
-    inputs) and R_X'.
+    inputs) and R_X'. ``pairs`` is a `SnapshotPairs` or a `PairStream`.
 
     With [X | U | X'] = Q R for one Q with orthonormal columns, each block
     B^T = R_B^T Q^T. So the SVD of B^T is that of R_B^T with right vectors
@@ -287,71 +288,82 @@ def _pair_factor(pairs: SnapshotPairs, inputs: bool = False):
     the regressions work on R_B, whose rows number at most the width W of
     [X | U | X'], and never on the m-long blocks.
 
-    R is accumulated over the blocks of QR_CHUNK pairs of
-    `SnapshotPairs.block_pieces` by a TSQR with a fixed reduction tree, so
-    no temporary holds all m pairs. Block i goes to stream i mod
-    TSQR_STREAMS, and each stream keeps its own R: each of its blocks is
-    copied once into the stream's rows of one column-major buffer, below
-    that R, and R is updated there in place to the R factor of [R; block] by
-    LAPACK's dtpqrt (`_kernels.lapack_tpqrt`), from R = 0. Then stream 0's R
-    is updated by stream 1's (upper triangular) R with one more dtpqrt.
-    Where numpy's LAPACK library has no dtpqrt, the same tree takes
-    R = np.linalg.qr([R; block]) from an empty R for each update, and
+    R is accumulated over the blocks of QR_CHUNK pairs that
+    `data.pair_blocks` cuts from the segment lengths, by a TSQR with a fixed
+    reduction tree, so no temporary holds all m pairs. Block i goes to
+    stream i mod TSQR_STREAMS, and each stream keeps its own R: each of its
+    blocks is copied once into the stream's rows of one column-major
+    buffer, below that R, and R is updated there in place to the R factor
+    of [R; block] by LAPACK's dtpqrt (`_kernels.lapack_tpqrt`), from R = 0.
+    Then stream 0's R is updated by stream 1's (upper triangular) R with one
+    more dtpqrt. Where numpy's LAPACK library has no dtpqrt, the same tree
+    takes R = np.linalg.qr([R; block]) from an empty R for each update, and
     np.linalg.qr([R_0; R_1]) for the merge. With one block, stream 1 is
-    empty: it allocates no rows, and there is no merge. For m < W, R's rows below the m-th are zero
-    but for rounding and are dropped, so R is (min(m, W), W) on either
-    route.
+    empty: it allocates no rows, and there is no merge. For m < W, R's rows
+    below the m-th are zero but for rounding and are dropped, so R is
+    (min(m, W), W) on either route.
+
+    The streams fetch the segments a block covers from one shared table
+    (`_SharedSegments`) with `pairs.segment`: from a `PairStream` that lifts
+    the trajectory, whole, once, by the first stream that reaches it, and
+    the table drops it once the last block that covers it has been copied.
+    The streams start their blocks in block order, so neither runs more
+    than a block ahead, and the table holds about the trajectories of one
+    block per stream, never the lifted dataset. A lift gives the same bits
+    on either stream, so R's bits are those of the built pairs.
 
     The TSQR runs on one BLAS thread (`_kernels.one_blas_thread`, a
     process-wide setting, restored after), so R's bits depend only on the
     pairs, W and QR_CHUNK, not on the BLAS thread count. Where that count
     can be set and dtpqrt loads, stream 1 runs on a Python thread of its
     own beside stream 0 on the caller's (ctypes releases the GIL inside
-    dtpqrt); otherwise the streams run one after the other on the caller's
-    thread, with the same arithmetic.
+    dtpqrt, and numpy inside its lifts' loops), and an exception raised on
+    it is re-raised on the caller's; otherwise the caller's thread runs the
+    blocks in order, each updating its stream's R, with the same arithmetic.
 
     A NaN or an inf in a pair leaves R non-finite, and only then are the
-    pairs searched, by `SnapshotPairs.refuse_non_finite`, which raises
-    DataError.
+    pairs searched, by their `refuse_non_finite`, which raises DataError.
     """
     N = pairs.n_features
     q = pairs.n_inputs if inputs else 0
     W = 2 * N + q
     tpqrt = _kernels.lapack_tpqrt()
-    blocks = list(pairs.block_pieces(QR_CHUNK))
-    n_streams = min(TSQR_STREAMS, len(blocks))
+    plan = list(pair_blocks(pairs.lengths, QR_CHUNK))
+    n_streams = min(TSQR_STREAMS, len(plan))
     # one column-major buffer, so each column of a block is filled, and read
     # by LAPACK, contiguously; stream s owns rows s h .. (s + 1) h: its R, zero
     # before its first block, then room for one block
     h = W + min(QR_CHUNK, pairs.m)
     S = np.zeros((n_streams * h, W), order="F")
     Rs = [np.empty((0, W))] * n_streams  # numpy's R of each stream, where there is no dtpqrt
+    segments = _SharedSegments(pairs, plan)
 
-    def stream(s):
+    def update(s, b):  # block b into stream s
         top = s * h + W  # the stream's first block row
-        R = Rs[s]
-        for pieces in blocks[s::TSQR_STREAMS]:
-            o = top
-            for X, U, Xp in pieces:
-                e = o + X.shape[0]
-                S[o:e, :N] = X
-                if q:
-                    S[o:e, N:N + q] = U
-                S[o:e, N + q:] = Xp
-                o = e
-            if tpqrt is not None:
-                tpqrt(S[top - W:top], S[top:o])
-            else:  # the rows of R right above the block
-                S[top - R.shape[0]:top] = R
-                R = np.linalg.qr(S[top - R.shape[0]:o], mode="r")
-        Rs[s] = R
+        o = top
+        for i, lo, hi in plan[b]:
+            X, U, Xp = segments.take(i)
+            e = o + hi - lo
+            S[o:e, :N] = X[lo:hi]
+            if q:
+                S[o:e, N:N + q] = U[lo:hi]
+            S[o:e, N + q:] = Xp[lo:hi]
+            o = e
+            del X, U, Xp  # not held through the update once the table drops them
+            segments.release(i)
+        if tpqrt is not None:
+            tpqrt(S[top - W:top], S[top:o])
+        else:  # the rows of R right above the block
+            R = Rs[s]
+            S[top - R.shape[0]:top] = R
+            Rs[s] = np.linalg.qr(S[top - R.shape[0]:o], mode="r")
 
     with _kernels.one_blas_thread() as one_thread:
         if one_thread and tpqrt is not None and n_streams > 1:
-            _in_parallel(stream, n_streams)
+            _in_parallel(_in_block_order(update, len(plan), n_streams), n_streams)
         else:
-            for s in range(n_streams):
-                stream(s)
+            for b in range(len(plan)):
+                update(b % n_streams, b)
         if tpqrt is not None:
             for s in range(1, n_streams):
                 tpqrt(S[:W], S[s * h:s * h + W])
@@ -361,6 +373,65 @@ def _pair_factor(pairs: SnapshotPairs, inputs: bool = False):
     if not np.isfinite(R).all():
         pairs.refuse_non_finite()
     return R[:, :N], (R[:, N:N + q] if q else None), R[:, N + q:]
+
+
+class _SharedSegments:
+    """The segments of `pairs` that the TSQR's streams are reading, by index.
+
+    `take(i)` returns segment i, fetched with `pairs.segment(i)` by the first
+    stream that asks for it, under a lock of its own, so two streams that
+    reach it at once fetch it once and different segments are fetched at
+    the same time. `release(i)` is called once for each block that covers
+    segment i, after that block is copied, and the last call drops it."""
+
+    def __init__(self, pairs, plan):
+        self.pairs = pairs
+        self.readers = [0] * len(pairs.lengths)  # blocks that have still to copy it
+        for block in plan:
+            for i, _, _ in block:
+                self.readers[i] += 1
+        self.locks = [threading.Lock() for _ in self.readers]
+        self.count = threading.Lock()
+        self.held = {}
+
+    def take(self, i):
+        with self.locks[i]:
+            if i not in self.held:
+                self.held[i] = self.pairs.segment(i)
+            return self.held[i]
+
+    def release(self, i):
+        with self.count:
+            self.readers[i] -= 1
+            if self.readers[i] == 0:
+                del self.held[i]
+
+
+def _in_block_order(update, n_blocks, n_streams):
+    """The work of stream s, for `_in_parallel`: update(s, b) for its blocks
+    b = s, s + n_streams, ..., each started only once block b - 1 has been
+    started by its stream. After a stream raises, the others start no more
+    blocks."""
+    turn = threading.Condition()
+    started = [0]  # blocks started so far, in block order; n_blocks + 1 after a failure
+
+    def stream(s):
+        try:
+            for b in range(s, n_blocks, n_streams):
+                with turn:
+                    turn.wait_for(lambda: started[0] >= b)
+                    if started[0] > n_blocks:
+                        return
+                    started[0] = b + 1
+                    turn.notify_all()
+                update(s, b)
+        except BaseException:
+            with turn:
+                started[0] = n_blocks + 1
+                turn.notify_all()
+            raise
+
+    return stream
 
 
 def _in_parallel(f, n):
@@ -434,8 +505,8 @@ def _lift_eigensystem(eig_red: EigenSystem, projection: np.ndarray) -> EigenSyst
 def fit_edmd(Z, Zprime=None, rank=None) -> RegressionResult:
     """SVD-based least-squares fit of Z' ~ A Z on lifted snapshot columns.
 
-    Z and Zprime are (N, m) matrices, or Z is a `SnapshotPairs` and Zprime
-    None. Fits the reduced operator over the leading left-singular basis of
+    Z and Zprime are (N, m) matrices, or Z is a `SnapshotPairs` or a
+    `PairStream` and Zprime None. Fits the reduced operator over the leading left-singular basis of
     Z and returns it in the full lifted space, with its eigensystem mapped
     there too, and both projected and exact SVD-DMD modes (the exact form is
     the default reported one; eigenvalues at zero fall back to the projected
@@ -478,7 +549,7 @@ def fit_edmdc(Z, Zprime=None, U=None, rank_in=None, rank_out=None) -> Regression
     """Controlled fit: Z' ~ A Z + B U via SVD of the stacked [Z; U].
 
     Z, Zprime (N, m) and U (q, m) are matrices, or Z is a `SnapshotPairs`
-    with inputs and the other two None. When rank_out is given and below N,
+    or a `PairStream` with inputs and the other two None. When rank_out is given and below N,
     a second SVD of Zprime compresses the state block; the eigensystem is
     always computed from A alone. Both SVDs and the residual are taken on
     the R factor of [Z^T | U^T | Z'^T]. No sample interval is taken:
@@ -737,6 +808,8 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(),
     Q). Before any m x m allocation, a fit whose arrays would not fit in
     physical memory raises ConfigError.
     """
+    if isinstance(Z, PairStream):  # the Gram matrix needs every state at once
+        raise DataError("kernel regression needs SnapshotPairs, not a PairStream")
     pairs = _as_pairs(Z, Zprime)
     m = pairs.m
     rank, _ = _parse_rank(rank, "kernel rank", cutoff=False)

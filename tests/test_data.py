@@ -256,6 +256,58 @@ def test_a_pair_stream_lifts_each_trajectory_when_a_block_reaches_it(monkeypatch
     assert seen == [[7], [7, 10], [7, 10], [7, 10, 5]]
 
 
+@pytest.mark.parametrize("library", [None, kl.Polynomial(2).bind(2), kl.TimeDelay(2).bind(2)],
+                         ids=["raw", "polynomial", "time-delay"])
+def test_a_pair_stream_knows_the_shape_of_the_built_pairs_before_any_lift(library,
+                                                                          monkeypatch):
+    built = kl.build_snapshot_pairs(_straddling_dataset(), library)
+    monkeypatch.setattr(kl.data, "_lifted_segment", None)  # any lift would raise
+    stream = kl.data.PairStream(_straddling_dataset(), library)
+    assert stream.lengths == built.lengths
+    assert (stream.m, stream.n_features, stream.n_inputs) == (
+        built.m, built.n_features, built.n_inputs)
+
+
+def test_a_pair_stream_refuses_a_short_trajectory_when_it_is_made():
+    ds = kl.TrajectoryDataset([np.zeros((6, 2)), np.zeros((3, 2))], dt=1.0)
+    with pytest.raises(kl.DataError, match=(
+            r"^trajectory 1 too short: 3 samples lift to 1 snapshot\(s\), need at least 2$")):
+        kl.data.PairStream(ds, kl.TimeDelay(2).bind(2))
+    with pytest.raises(kl.DataError, match=(
+            "^trajectory 1: trajectory with 3 samples is too short for 3 delays$")):
+        kl.data.PairStream(ds, kl.TimeDelay(3).bind(2))
+
+
+def test_a_library_that_lifts_against_its_warm_up_is_refused():
+    class Shedding(kl.Polynomial):  # drops a sample, but states no warm-up
+        def lift_trajectory(self, traj):
+            return super().lift_trajectory(traj[1:])
+
+    with pytest.raises(kl.ConfigError, match="lifted 7 samples to 6 snapshots, but its "
+                                             "warm-up of 0 samples says 7"):
+        kl.build_snapshot_pairs(_straddling_dataset(), Shedding(2).bind(2))
+
+
+def test_a_pair_stream_searches_one_trajectory_at_a_time(monkeypatch):
+    ds = _straddling_dataset()
+    trajs = [t.copy() for t in ds.trajectories]
+    trajs[1][4, 0] = np.nan  # pair 6 + 3 holds it as X', pair 6 + 4 as X
+    bad = kl.TrajectoryDataset(trajs, ds.dt, ds.inputs)
+    library = kl.Polynomial(2).bind(2)
+    with pytest.raises(kl.DataError) as built:
+        kl.build_snapshot_pairs(bad, library).refuse_non_finite()
+    lifted = []
+    lift = kl.Polynomial.lift_trajectory
+    monkeypatch.setattr(kl.Polynomial, "lift_trajectory",
+                        lambda self, traj: lifted.append(traj.shape[0]) or lift(self, traj))
+    with pytest.raises(kl.DataError) as streamed:
+        kl.data.PairStream(bad, library).refuse_non_finite()
+    assert str(streamed.value) == str(built.value) == (
+        "snapshot pair 9 holds a non-finite value (NaN or inf)")
+    # the search stops at the trajectory that holds the pair
+    assert lifted == [7, 10]
+
+
 def test_pair_matrices_assemble_on_demand():
     pairs = _straddling_pairs()
     assert pairs.X.shape == pairs.Xprime.shape == (2, 19) and pairs.U.shape == (1, 19)

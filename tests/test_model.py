@@ -66,6 +66,22 @@ def test_fit_stage_labels(slow_manifold_small):
         kl.fit(kl.RandomFourier(32, seed=0, include_state=False), "edmd", tiny)
 
 
+@pytest.mark.parametrize("kind", ["hdmd", "hdmdc"])
+def test_a_trajectory_too_short_to_lift_is_refused_in_the_lifting_stage(kind):
+    # the explicit fits stream their pairs, lifted inside the regression,
+    # yet the stream knows every lifted length up front
+    rng = np.random.default_rng(6)
+    trajs = [rng.normal(size=(30, 2)), rng.normal(size=(3, 2))]
+    inputs = [rng.normal(size=(T, 1)) for T in (30, 3)] if kind == "hdmdc" else None
+    data = kl.TrajectoryDataset(trajs, dt=0.1, inputs=inputs)
+    with pytest.raises(DataError, match=(r"^lifting stage: trajectory 1 too short: 3 samples "
+                                         r"lift to 1 snapshot\(s\), need at least 2$")):
+        kl.fit(kl.TimeDelay(2), kind, data)
+    with pytest.raises(DataError, match=("^lifting stage: trajectory 1: trajectory with 3 "
+                                         "samples is too short for 3 delays$")):
+        kl.fit(kl.TimeDelay(3), kind, data)
+
+
 def test_fit_input_consistency_checks(slow_manifold_small):
     with pytest.raises(ConfigError, match="requires input data"):
         kl.fit(kl.Identity(), "dmdc", slow_manifold_small)
@@ -740,11 +756,16 @@ def test_scores_over_blocks_across_trajectories_match_a_stacked_reference(monkey
     np.testing.assert_array_equal(model.linearity_consistency(ds)[0], model.training_scores)
 
 
-def test_fit_holds_the_lifted_pairs_once():
+def test_fit_holds_one_blocks_trajectories_per_lane_not_the_lifted_dataset(monkeypatch):
     import tracemalloc
 
-    x0 = np.random.default_rng(5).uniform(-1.0, 1.0, size=(20, 2))
-    trajs = kl.integrate_rk4_batch(kl.get_system("slow_manifold"), x0, 0.02, 1999)
+    # 40 trajectories of 999 pairs in TSQR and score blocks of 1,000: both
+    # TSQR lanes run, each lifting the trajectories its blocks reach
+    chunk = 1000
+    monkeypatch.setattr(kl.regression, "QR_CHUNK", chunk)
+    monkeypatch.setattr(kl.model, "SCORE_CHUNK", chunk)
+    x0 = np.random.default_rng(5).uniform(-1.0, 1.0, size=(40, 2))
+    trajs = kl.integrate_rk4_batch(kl.get_system("slow_manifold"), x0, 0.02, 999)
     ds = kl.TrajectoryDataset(list(trajs), dt=0.02)
     tracemalloc.start()
     try:
@@ -752,18 +773,26 @@ def test_fit_holds_the_lifted_pairs_once():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    N = model.A.shape[0]
-    lifted = ds.n_samples * N * 8  # every trajectory lifted once
-    # each of the TSQR's two streams holds one block of pairs below its R,
-    # in one buffer that dtpqrt updates in place (np.linalg.qr, where numpy's
-    # LAPACK has no dtpqrt, copies one stream's R and block once more, the
-    # streams taking their turns); pairs stacked into X and X' would add two
-    # more lifted copies
+    N, r = model.A.shape[0], len(model.eigenvalues)
+    W = 2 * N
+    lifted = ds.n_samples * N * 8  # the lifted dataset, which the fit never holds
+    trajectory = 1000 * N * 8
+    # the lanes' buffer: each lane's R and one block below it, updated in
+    # place by dtpqrt (np.linalg.qr, where numpy's LAPACK has no dtpqrt,
+    # copies one lane's R and block once more, the lanes taking turns)
     streams = kl.regression.TSQR_STREAMS
-    assert ds.n_samples - 20 > (streams - 1) * kl.regression.QR_CHUNK  # both streams run
     copies = streams if kl._kernels.lapack_tpqrt() is not None else streams + 1
-    step = copies * (2 * N + kl.regression.QR_CHUNK) * 2 * N * 8
-    assert peak < 1.5 * lifted + step, (peak, lifted, step)
+    buffers = copies * (W + chunk) * W * 8
+    # the trajectories that one block per lane reaches: the lanes start
+    # their blocks in block order, so theirs are two adjacent blocks, which
+    # reach at most 4 trajectories; a lift under way on each lane, whose
+    # RBF temporaries take about 3 trajectories more; R. The score pass
+    # after holds less: its buffers, at most 6 rows of a block per mode
+    # (see test_the_score_pass_holds_its_two_buffers_and_no_copy_of_the_pairs),
+    # and one block's trajectories
+    assert 6 * r * chunk * 8 + 3 * trajectory < buffers + 4 * trajectory
+    bound = buffers + (4 + streams * 3) * trajectory + W * W * 8 + 65536
+    assert peak < bound < lifted / 2, (peak, bound, lifted)
 
 
 def test_validation_holds_one_blocks_trajectories_not_the_lifted_dataset(monkeypatch):
@@ -1121,19 +1150,20 @@ def test_fitted_library_is_sealed(slow_manifold_small):
 # ---------------------------------------------------------------------------
 
 class _Counting:
-    """Counts the rows a library lifts. The counter lives in a list made in
-    __init__, because a fitted library is sealed against rebinding."""
+    """Counts the rows a library lifts. The counts live in a list made in
+    __init__, because a fitted library is sealed against rebinding, and are
+    appended, which two TSQR lanes may do at once."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._counter = [0]
+        self._counter = []
 
     @property
     def rows_lifted(self):
-        return self._counter[0]
+        return sum(self._counter)
 
     def lift_rows(self, X):
-        self._counter[0] += X.shape[0]
+        self._counter.append(X.shape[0])
         return super().lift_rows(X)
 
 
@@ -1145,16 +1175,25 @@ class _CountingFourier(_Counting, kl.RandomFourier):
     pass
 
 
-def test_fit_and_validation_lift_each_sample_once(slow_manifold_small):
-    # the Fourier library has no exact state embedding, so its reconstruction
-    # is fitted, on the same lift
-    for library in (_CountingPolynomial(2), _CountingFourier(16, include_state=False)):
+def test_each_pass_of_fit_and_validation_lifts_each_sample_once(slow_manifold_small,
+                                                                 monkeypatch):
+    # nine trajectories of 500 samples in TSQR blocks of 700 pairs: both
+    # lanes run, and most trajectories are covered by blocks of both, yet
+    # the lanes lift each sample once between them. The fit's score pass
+    # lifts each once more, as validation does, and trajectory 0 is lifted
+    # once more for z0_train. The Fourier library has no exact state
+    # embedding, so its reconstruction is fitted, on one more lift
+    monkeypatch.setattr(kl.regression, "QR_CHUNK", 700)
+    n = slow_manifold_small.n_samples
+    first = slow_manifold_small.trajectories[0].shape[0]
+    for library, passes in ((_CountingPolynomial(2), 2),
+                            (_CountingFourier(16, include_state=False), 3)):
         model = kl.fit(library, "edmd", slow_manifold_small)
         lib = model.observables  # fit lifts with its own copy of the library
-        assert lib.rows_lifted == slow_manifold_small.n_samples
-        lib._counter[0] = 0
+        assert lib.rows_lifted == passes * n + first
+        lib._counter.clear()
         model.linearity_consistency(slow_manifold_small)
-        assert lib.rows_lifted == slow_manifold_small.n_samples
+        assert lib.rows_lifted == n
 
 
 def test_kdmd_fit_pairs_the_data_once(monkeypatch):

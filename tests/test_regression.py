@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -493,7 +494,7 @@ def test_tsqr_without_thread_count_routines_runs_the_streams_in_turn(two_blas_th
     threaded = np.hstack(kl.regression._pair_factor(pairs, inputs=True))
     assert len(calls) == 1
     # a numpy whose BLAS library cannot set its thread count runs the same
-    # streams one after the other on the calling thread, at the process's
+    # streams' blocks in order on the calling thread, at the process's
     # count, here set to one by hand: the same bits
     get, put = kl._kernels._blas_thread_count()
     monkeypatch.setattr(kl._kernels, "_blas_thread_count", lambda: None)
@@ -501,6 +502,112 @@ def test_tsqr_without_thread_count_routines_runs_the_streams_in_turn(two_blas_th
     in_turn = np.hstack(kl.regression._pair_factor(pairs, inputs=True))
     assert len(calls) == 1 and get() == 1
     np.testing.assert_array_equal(in_turn, threaded)
+
+
+# the libraries a PairStream lifts for the TSQR, by name; the state has 2
+# coordinates. 300 Fourier features are as many as a GEMM's X @ W needs on
+# 2,000 states to round otherwise at one OpenBLAS thread than at two
+_STREAM_LIBRARIES = {
+    "identity": lambda: kl.Identity(),
+    "polynomial": lambda: kl.Polynomial(3),
+    "rbf": lambda: kl.RadialBasis("gauss", n_centers=7, seed=1),
+    "rff-state": lambda: kl.RandomFourier(300, sigma=0.8, seed=2),
+    "rff": lambda: kl.RandomFourier(300, sigma=0.8, seed=2, include_state=False),
+    "time-delay": lambda: kl.TimeDelay(3),
+    "concat": lambda: kl.Concat([kl.Polynomial(2), kl.RandomFourier(300, seed=5)]),
+}
+
+
+def _stream_dataset(controlled):
+    # trajectories shorter and longer than the 40-pair blocks below, so
+    # blocks straddle trajectories and trajectories span several blocks
+    rng = np.random.default_rng(31)
+    lengths = (13, 95, 7, 41, 120, 30)
+    trajs = [rng.uniform(-1.0, 1.0, size=(T, 2)) for T in lengths]
+    inputs = [rng.normal(size=(T, 1)) for T in lengths] if controlled else None
+    return kl.TrajectoryDataset(trajs, 0.1, inputs)
+
+
+def _streamed_and_built_factors(name, controlled):
+    data = _stream_dataset(controlled)
+    library = _STREAM_LIBRARIES[name]().bind(2)
+    library.prepare(np.vstack(data.trajectories))
+    return [np.hstack([p for p in kl.regression._pair_factor(pairs, inputs=controlled)
+                       if p is not None])
+            for pairs in (kl.data.PairStream(data, library),
+                          kl.build_snapshot_pairs(data, library))]
+
+
+@pytest.mark.parametrize("chunk", [40, 500, 10_000], ids=["many-blocks", "two-blocks",
+                                                          "one-block"])
+@pytest.mark.parametrize("controlled", [False, True], ids=["unforced", "controlled"])
+@pytest.mark.parametrize("name", list(_STREAM_LIBRARIES))
+def test_a_streamed_pair_factor_has_the_bits_of_the_built_pairs(name, controlled, chunk,
+                                                                 monkeypatch):
+    # the TSQR's lanes lift the trajectories a block covers themselves; R has
+    # the bits of the factor of the built pairs, for every block plan
+    monkeypatch.setattr(kl.regression, "QR_CHUNK", chunk)
+    streamed, built = _streamed_and_built_factors(name, controlled)
+    assert streamed.tobytes() == built.tobytes()
+
+
+def test_a_streamed_pair_factor_has_the_bits_of_the_built_pairs_at_one_and_two_blas_threads():
+    # the lanes lift on one BLAS thread and build_snapshot_pairs at the
+    # process's count: every library lifts a 2,000-state trajectory with the
+    # same bits at one BLAS thread as at the process's count, the streamed R
+    # equals the built one, and R is the same at both counts
+    src = os.path.dirname(os.path.dirname(kl.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
+    code = (
+        "import hashlib, numpy as np, kooplift as kl, test_regression as t\n"
+        "kl.regression.QR_CHUNK = 40\n"
+        "big = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2000, 2))\n"
+        "for name, make in t._STREAM_LIBRARIES.items():\n"
+        "    lib = make().bind(2)\n"
+        "    lib.prepare(big)\n"
+        "    here = lib.lift_trajectory(big)\n"
+        "    with kl._kernels.one_blas_thread():\n"
+        "        one = lib.lift_trajectory(big)\n"
+        "    print(name, 'lift', here.tobytes() == one.tobytes())\n"
+        "    for controlled in (False, True):\n"
+        "        streamed, built = t._streamed_and_built_factors(name, controlled)\n"
+        "        print(name, controlled, streamed.tobytes() == built.tobytes(),\n"
+        "              hashlib.sha256(streamed.tobytes()).hexdigest())\n"
+    )
+    outputs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, cwd=tests,
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]),
+                                       OPENBLAS_NUM_THREADS=str(t))).stdout
+               for t in (1, 2)]
+    for out in outputs:
+        lines = out.splitlines()
+        assert len(lines) == 3 * len(_STREAM_LIBRARIES)
+        assert all(line.split()[2] == "True" for line in lines), out
+    assert outputs[0] == outputs[1]
+
+
+def test_an_exception_in_lane_1s_lift_is_raised_on_the_caller(two_blas_threads, monkeypatch):
+    if kl._kernels.lapack_tpqrt() is None:
+        pytest.skip("numpy's LAPACK library exports no dtpqrt")
+    # blocks of 50 pairs over trajectories of 19: the trajectory of pairs
+    # 57-75 lies inside block 1, so lane 1, on its own Python thread, is the
+    # one lane that lifts it
+    monkeypatch.setattr(kl.regression, "QR_CHUNK", 50)
+    rng = np.random.default_rng(4)
+    data = kl.TrajectoryDataset([rng.normal(size=(20, 2)) for _ in range(12)], 0.1)
+    lifted_on = []
+
+    class Failing(kl.Polynomial):
+        def lift_trajectory(self, traj):
+            lifted_on.append(threading.current_thread())
+            if traj is data.trajectories[3]:
+                raise DataError("cannot lift this one")
+            return super().lift_trajectory(traj)
+
+    with pytest.raises(DataError, match="^regression stage: trajectory 3: cannot lift this one$"):
+        kl.fit(Failing(2), "edmd", data)
+    assert threading.main_thread() in lifted_on and len(set(lifted_on)) == 2
+    assert two_blas_threads() == 2
 
 
 def test_rank_out_matches_the_dense_projection():
@@ -839,6 +946,9 @@ def test_kdmd_reads_snapshot_pairs_like_the_other_regressions():
         kl.fit_edmd(pairs, pairs.Xprime)
     with pytest.raises(DataError, match=f"^{re.escape(str(refused.value))}$"):
         kl.fit_kdmd(pairs, pairs.Xprime)
+    # a stream holds no pairs, and the Gram matrix needs every state at once
+    with pytest.raises(DataError, match="needs SnapshotPairs, not a PairStream"):
+        kl.fit_kdmd(kl.data.PairStream(ds))
 
 
 def test_truncated_kdmd_falls_back_to_the_dense_solver(slow_manifold_pairs, monkeypatch):
