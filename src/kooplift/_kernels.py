@@ -189,14 +189,19 @@ def rbf_features(X, centers, kind, eps, ph_exp):
 def rff_features(X, W, b):
     """Random Fourier features sqrt(2/D) * cos(X @ W + b). X (m, n) -> (m, D).
 
-    X @ W is summed one coordinate at a time (`dot_products`), so a row's
-    bits depend only on its state: not on the other rows, the row slice or
-    the BLAS thread count, which a GEMM's rounding follows (a 5,000 x 2 by
-    2 x 300 product differed in the last bits between one and two OpenBLAS
-    threads, and between a whole lift and its row slices). The TSQR lanes
-    lift on one BLAS thread, and the score pass at the process's count."""
+    X @ W is taken by numpy's own sum-of-products loops (np.einsum without
+    optimize, never a BLAS) on a C-ordered X, so a row's bits depend only
+    on its state: not on the other rows, the row slice or the BLAS thread
+    count, which a GEMM's rounding follows (a 5,000 x 2 by 2 x 300 product
+    differed in the last bits between one and two OpenBLAS threads, and
+    between a whole lift and its row slices). The explicit fits lift a block
+    of rows at a time, their TSQR lanes on one BLAS thread. On 5,000 rows
+    the loops took about a GEMM's time up to 10 coordinates and up to 1.7x
+    it at 50; summed one coordinate at a time, as `dot_products` does, up
+    to 4.8x."""
     scale = math.sqrt(2.0 / W.shape[1])
-    return scale * np.cos(dot_products(X, W.T) + b[None, :])
+    XW = np.einsum("ij,jk->ik", np.ascontiguousarray(X), W, optimize=False)
+    return scale * np.cos(XW + b[None, :])
 
 
 def gram_matrix(X, Y, kind, sigma, offset, degree):

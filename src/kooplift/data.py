@@ -198,9 +198,9 @@ class SnapshotPairs:
     def dtype(self) -> np.dtype:
         return self.segments[0][0].dtype
 
-    def segment(self, i: int) -> tuple:
-        """Segment i, (X, U, Xprime)."""
-        return self.segments[i]
+    def rows(self, i: int, lo: int, hi: int) -> tuple:
+        """Pairs lo..hi-1 of segment i, (X, U, Xprime), as views."""
+        return tuple(None if p is None else p[lo:hi] for p in self.segments[i])
 
     def block_pieces(self, size: int):
         """Yield every pair in order, in blocks of `size` pairs (the last one
@@ -268,18 +268,11 @@ def pair_blocks(lengths, size: int):
 
 def _block_pieces(pairs, size: int):
     """The blocks of `pair_blocks` over `pairs`, each as a list of its
-    (X, U, Xprime) pieces, views of the segments it covers. A segment is
-    fetched with `pairs.segment` when the block that first reaches it is
-    cut, and is held after that only until the next one is fetched, and by
-    the pieces of the blocks that cover it."""
-    held, seg = None, None
+    (X, U, Xprime) pieces, fetched with `pairs.rows` when the block is cut:
+    views of the segments it covers, or, from a `PairStream`, the rows it
+    covers, lifted then."""
     for block in pair_blocks(pairs.lengths, size):
-        pieces = []
-        for i, lo, hi in block:
-            if i != held:
-                held, seg = i, pairs.segment(i)
-            pieces.append(tuple(None if p is None else p[lo:hi] for p in seg))
-        yield pieces
+        yield [pairs.rows(i, lo, hi) for i, lo, hi in block]
 
 
 def _refuse_non_finite(segments) -> None:
@@ -295,12 +288,18 @@ def _refuse_non_finite(segments) -> None:
         first += finite.shape[0]
 
 
-def _lifted_segment(data: TrajectoryDataset, library, i: int) -> tuple:
+def _lifted_segment(data: TrajectoryDataset, library, i: int, lo: int = 0,
+                    hi: Optional[int] = None) -> tuple:
+    """Pairs lo..hi-1 of trajectory i (hi None: all of them), (X, U, Xprime),
+    from the lift of its samples lo .. hi + warm-up alone."""
     traj = data.trajectories[i]
-    Y = traj
+    w = 0 if library is None else library.warm_up
+    if hi is None:
+        hi = traj.shape[0] - 1 - w
+    Y = window = traj[lo : hi + 1 + w]
     if library is not None:
         try:
-            Y = library.lift_trajectory(traj)
+            Y = library.lift_trajectory(window)
         except DataError as exc:
             raise DataError(f"trajectory {i}: {exc}") from None
         if Y.shape[0] < 2:
@@ -308,16 +307,15 @@ def _lifted_segment(data: TrajectoryDataset, library, i: int) -> tuple:
                 f"trajectory {i} too short: {traj.shape[0]} samples lift to "
                 f"{Y.shape[0]} snapshot(s), need at least 2"
             )
-        if Y.shape[0] != traj.shape[0] - library.warm_up:
+        if Y.shape[0] != window.shape[0] - w:
             # the block plans of a `PairStream` are cut from the warm-up
             raise ConfigError(
-                f"{library.kind} library lifted {traj.shape[0]} samples to {Y.shape[0]} "
-                f"snapshots, but its warm-up of {library.warm_up} samples says "
-                f"{traj.shape[0] - library.warm_up}"
+                f"{library.kind} library lifted {window.shape[0]} samples to {Y.shape[0]} "
+                f"snapshots, but its warm-up of {w} samples says {window.shape[0] - w}"
             )
     U = None
     if data.inputs is not None:
-        U = data.inputs[i][traj.shape[0] - Y.shape[0] : -1]
+        U = data.inputs[i][lo + w : hi + w]
     return Y[:-1], U, Y[1:]
 
 
@@ -346,14 +344,17 @@ class PairStream:
     T_i - 1 - ``library.warm_up`` pairs (`lengths`), so the block plan
     (`pair_blocks`) is cut up front, and a trajectory too short for two
     lifted snapshots is refused when the stream is made, with the error
-    that lifting it raises. `segment(i)` lifts trajectory i, whole, each
-    time it is called. `block_pieces` lifts each trajectory when the first
-    block that reaches it is cut, and drops it after its last piece has
-    been read, so a pass over the stream holds the trajectories of one
-    block, not the lifted dataset; its blocks are those of the built pairs,
-    piece for piece. The explicit fits' TSQR lanes (`regression._pair_factor`)
-    fetch each trajectory with `segment` and share it between the lanes.
-    `refuse_non_finite` lifts and searches one trajectory at a time.
+    that lifting it raises. `rows(i, lo, hi)` lifts the samples that pairs
+    lo..hi-1 of trajectory i need, and no others, each time it is called:
+    lifted snapshot k depends on samples k .. k + warm_up alone (see
+    `Observable.warm_up`). `block_pieces` lifts each piece of a block when
+    the block is cut, so a pass over the stream holds one block's rows,
+    whatever the trajectories' lengths; its blocks are those of the built
+    pairs, piece for piece, and, since every library of this package lifts
+    a row with the bits that a whole lift gives it, bit for bit. The
+    explicit fits' TSQR lanes (`regression._pair_factor`) fetch their
+    blocks' pieces with `rows` as well. `refuse_non_finite` lifts and
+    searches one trajectory at a time.
     """
 
     data: TrajectoryDataset
@@ -382,15 +383,16 @@ class PairStream:
     def n_inputs(self) -> int:
         return self.data.n_inputs
 
-    def segment(self, i: int) -> tuple:
-        """Trajectory i lifted, whole, and paired: (X, U, Xprime)."""
-        return _lifted_segment(self.data, self.library, i)
+    def rows(self, i: int, lo: int, hi: int) -> tuple:
+        """Pairs lo..hi-1 of trajectory i, (X, U, Xprime), lifted from its
+        samples lo .. hi + ``library.warm_up`` alone, each time it is called."""
+        return _lifted_segment(self.data, self.library, i, lo, hi)
 
     def block_pieces(self, size: int):
         return _block_pieces(self, size)
 
     def refuse_non_finite(self) -> None:
-        _refuse_non_finite(self.segment(i) for i in range(len(self.data.trajectories)))
+        _refuse_non_finite(self.rows(i, 0, n) for i, n in enumerate(self.lengths))
 
 
 def validate_dataset(data: TrajectoryDataset) -> list:

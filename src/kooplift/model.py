@@ -3,10 +3,11 @@
 `fit` runs the configured regression on the training trajectories'
 snapshot pairs, fits the state reconstruction, scores the modes, and
 assembles an immutable KoopmanModel exposing prediction, simulation,
-spectral analytics, and validation scores. The explicit fits never hold the
-lifted dataset: they read the pairs as a `PairStream`, whose trajectories
-the TSQR's lanes lift as their blocks reach them, and the score pass lifts
-them once more, one block's trajectories at a time, as validation does.
+spectral analytics, and validation scores. The explicit fits read the
+pairs as a `PairStream`: the TSQR's lanes lift each block's rows as they
+reach it, and the score pass lifts them once more, a block at a time, as
+validation does, so neither holds the lifted dataset, whatever the
+trajectories' lengths; only a fitted reconstruction holds its lifted X.
 Kernel regression is one more regressor: it pairs the raw states, returns
 its own eigenfunction lift with the training pairs lifted through it from
 its Gram rows, and from there every kind runs the same code.
@@ -462,10 +463,11 @@ class KoopmanModel(_FrozenRecord):
 
         Returns (scores, findings); 0 marks a perfect Koopman eigenfunction,
         NaN marks an eigenfunction that vanishes on the data. The pairs are
-        scored as a `PairStream`: each trajectory is lifted when the score
-        pass first reaches it and dropped after its last block, so the pass
-        holds one block's trajectories, never the lifted dataset, and it
-        scores the blocks that `fit` scored on the same data, bit for bit.
+        scored as a `PairStream`: each block's pieces are lifted when the
+        score pass reaches the block, so the pass holds one block's lifted
+        rows, whatever the trajectories' lengths, never the lifted dataset,
+        and it scores the blocks that `fit` scored on the same data, bit for
+        bit.
         """
         return _consistency_scores(self.regression, PairStream(data, self.observables))
 
@@ -503,14 +505,16 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
     ``regressor`` is a RegressorConfig or a kind string.
 
     The explicit fits (every kind but kdmd) pass the regression a
-    `PairStream`: each training trajectory is lifted, whole, once by the
-    TSQR (`regression._pair_factor`), whose two lanes lift the trajectories
-    their blocks reach and drop each after its last block, and once more by
-    the score pass, as `linearity_consistency` lifts it, so the training
-    scores are validation's bits. A library with no state columns is lifted
-    a third time, all at once, for its fitted reconstruction, and
-    trajectory 0 once more for ``z0_train``. kdmd pairs the raw states
-    with `build_snapshot_pairs`.
+    `PairStream`, and lift the training pairs a block at a time: once in the
+    TSQR (`regression._pair_factor`), whose two lanes each lift the rows of
+    their own blocks, on two threads at once (see `Observable`), and once
+    more in the score pass, as `linearity_consistency` lifts them, so the
+    training scores are validation's bits. Each holds one block's lifted
+    rows per lane, whatever the trajectories' lengths. A library with no
+    state columns is lifted a third time, block by block, into the one
+    array of lifted X that its fitted reconstruction reads, and the first
+    pair once more for ``z0_train``. kdmd pairs the raw states with
+    `build_snapshot_pairs`.
 
     Errors from the submodules are re-raised with a stage label (lifting /
     regression / reconstruction). A trajectory too short to lift is refused
@@ -566,12 +570,18 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
         pairs = res.kernel_pairs
 
     # reconstruction: the lifted pairs and raw states are read, all at once,
-    # only where it is fitted; an explicit fit lifts its pairs again here
+    # only where it is fitted; an explicit fit lifts its X into one array here
     try:
         Z = None
         if library.state_indices is None:
             if X_state is None:
-                Z = build_snapshot_pairs(data, library).stacked("X").T
+                Z = np.empty((pairs.m, pairs.n_features))
+                o = 0
+                for pieces in pairs.block_pieces(SCORE_CHUNK):
+                    for X, _, _ in pieces:
+                        Z[o:o + X.shape[0]] = X
+                        o += X.shape[0]
+                Z = Z.T
                 X_state = build_snapshot_pairs(data).stacked("X")
             else:
                 Z = pairs.stacked("X").T
@@ -580,10 +590,10 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
         raise _stage("reconstruction", exc) from exc
     del Z  # not held through the score pass
 
-    # an explicit fit's scores lift the stream again, one block's trajectories
-    # at a time, as linearity_consistency does, so they are its bits
+    # an explicit fit's scores lift the stream again, a block at a time, as
+    # linearity_consistency does, so they are its bits
     scores, score_findings = _consistency_scores(res, pairs)
-    first_x = pairs.segment(0)[0]  # X rows of the first trajectory
+    first_x = pairs.rows(0, 0, 1)[0]  # X row of the first pair
     # the model is the one home of the fit's findings, and its KernelLift that
     # of kdmd's coefficients; the records keep neither
     eig = res.eigensystem

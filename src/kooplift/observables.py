@@ -50,7 +50,16 @@ def _frozen(value):
 
 
 class Observable:
-    """Base class for lifting maps."""
+    """Base class for lifting maps.
+
+    The explicit fits lift their training trajectories a block of rows at a
+    time (`data.PairStream`), so `lift_trajectory` must lift snapshot k from
+    samples k .. k + warm_up alone. The fit's two TSQR lanes lift their
+    blocks at the same time, on two Python threads, so `lift_rows` and
+    `lift_trajectory` may run on two threads at once: a library that keeps
+    state while it lifts (a counter, a cache, a model that is not thread
+    safe) must guard it.
+    """
 
     kind: str = "base"
     # samples a trajectory's lift consumes before its first snapshot: a
@@ -464,7 +473,9 @@ class Custom(Observable):
 
     Output dimensions are probed once at bind time by evaluating each
     function at the origin. An empty function list reduces to the identity.
-    Custom libraries cannot be serialized.
+    Custom libraries cannot be serialized. An explicit fit calls the
+    functions from two threads at once (see `Observable`), one state at a
+    time.
     """
 
     kind = "custom"

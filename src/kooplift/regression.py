@@ -303,23 +303,23 @@ def _pair_factor(pairs, inputs: bool = False):
     below the m-th are zero but for rounding and are dropped, so R is
     (min(m, W), W) on either route.
 
-    The streams fetch the segments a block covers from one shared table
-    (`_SharedSegments`) with `pairs.segment`: from a `PairStream` that lifts
-    the trajectory, whole, once, by the first stream that reaches it, and
-    the table drops it once the last block that covers it has been copied.
-    The streams start their blocks in block order, so neither runs more
-    than a block ahead, and the table holds about the trajectories of one
-    block per stream, never the lifted dataset. A lift gives the same bits
-    on either stream, so R's bits are those of the built pairs.
+    Each stream fetches the pieces of its blocks itself, with `pairs.rows`:
+    from a `PairStream` that lifts the rows of the piece, and no others, so
+    a stream holds one block's lifted rows at a time, whatever the
+    trajectories' lengths, and never the lifted dataset. Every library of
+    the package lifts a row with the bits of a whole lift, on one BLAS
+    thread as on more, so R's bits are those of the built pairs.
 
     The TSQR runs on one BLAS thread (`_kernels.one_blas_thread`, a
     process-wide setting, restored after), so R's bits depend only on the
     pairs, W and QR_CHUNK, not on the BLAS thread count. Where that count
     can be set and dtpqrt loads, stream 1 runs on a Python thread of its
     own beside stream 0 on the caller's (ctypes releases the GIL inside
-    dtpqrt, and numpy inside its lifts' loops), and an exception raised on
-    it is re-raised on the caller's; otherwise the caller's thread runs the
-    blocks in order, each updating its stream's R, with the same arithmetic.
+    dtpqrt, and numpy inside its lifts' loops), so a library's
+    `lift_trajectory` may run on both threads at once, and an exception
+    raised on stream 1 is re-raised on the caller's; otherwise the streams
+    run one after the other on the caller's thread, with the same
+    arithmetic.
 
     A NaN or an inf in a pair leaves R non-finite, and only then are the
     pairs searched, by their `refuse_non_finite`, which raises DataError.
@@ -336,34 +336,34 @@ def _pair_factor(pairs, inputs: bool = False):
     h = W + min(QR_CHUNK, pairs.m)
     S = np.zeros((n_streams * h, W), order="F")
     Rs = [np.empty((0, W))] * n_streams  # numpy's R of each stream, where there is no dtpqrt
-    segments = _SharedSegments(pairs, plan)
 
-    def update(s, b):  # block b into stream s
+    def stream(s):
         top = s * h + W  # the stream's first block row
-        o = top
-        for i, lo, hi in plan[b]:
-            X, U, Xp = segments.take(i)
-            e = o + hi - lo
-            S[o:e, :N] = X[lo:hi]
-            if q:
-                S[o:e, N:N + q] = U[lo:hi]
-            S[o:e, N + q:] = Xp[lo:hi]
-            o = e
-            del X, U, Xp  # not held through the update once the table drops them
-            segments.release(i)
-        if tpqrt is not None:
-            tpqrt(S[top - W:top], S[top:o])
-        else:  # the rows of R right above the block
-            R = Rs[s]
-            S[top - R.shape[0]:top] = R
-            Rs[s] = np.linalg.qr(S[top - R.shape[0]:o], mode="r")
+        R = Rs[s]
+        for block in plan[s::TSQR_STREAMS]:
+            o = top
+            for i, lo, hi in block:
+                X, U, Xp = pairs.rows(i, lo, hi)
+                e = o + hi - lo
+                S[o:e, :N] = X
+                if q:
+                    S[o:e, N:N + q] = U
+                S[o:e, N + q:] = Xp
+                o = e
+            del X, U, Xp  # not held through the update
+            if tpqrt is not None:
+                tpqrt(S[top - W:top], S[top:o])
+            else:  # the rows of R right above the block
+                S[top - R.shape[0]:top] = R
+                R = np.linalg.qr(S[top - R.shape[0]:o], mode="r")
+        Rs[s] = R
 
     with _kernels.one_blas_thread() as one_thread:
         if one_thread and tpqrt is not None and n_streams > 1:
-            _in_parallel(_in_block_order(update, len(plan), n_streams), n_streams)
+            _in_parallel(stream, n_streams)
         else:
-            for b in range(len(plan)):
-                update(b % n_streams, b)
+            for s in range(n_streams):
+                stream(s)
         if tpqrt is not None:
             for s in range(1, n_streams):
                 tpqrt(S[:W], S[s * h:s * h + W])
@@ -373,65 +373,6 @@ def _pair_factor(pairs, inputs: bool = False):
     if not np.isfinite(R).all():
         pairs.refuse_non_finite()
     return R[:, :N], (R[:, N:N + q] if q else None), R[:, N + q:]
-
-
-class _SharedSegments:
-    """The segments of `pairs` that the TSQR's streams are reading, by index.
-
-    `take(i)` returns segment i, fetched with `pairs.segment(i)` by the first
-    stream that asks for it, under a lock of its own, so two streams that
-    reach it at once fetch it once and different segments are fetched at
-    the same time. `release(i)` is called once for each block that covers
-    segment i, after that block is copied, and the last call drops it."""
-
-    def __init__(self, pairs, plan):
-        self.pairs = pairs
-        self.readers = [0] * len(pairs.lengths)  # blocks that have still to copy it
-        for block in plan:
-            for i, _, _ in block:
-                self.readers[i] += 1
-        self.locks = [threading.Lock() for _ in self.readers]
-        self.count = threading.Lock()
-        self.held = {}
-
-    def take(self, i):
-        with self.locks[i]:
-            if i not in self.held:
-                self.held[i] = self.pairs.segment(i)
-            return self.held[i]
-
-    def release(self, i):
-        with self.count:
-            self.readers[i] -= 1
-            if self.readers[i] == 0:
-                del self.held[i]
-
-
-def _in_block_order(update, n_blocks, n_streams):
-    """The work of stream s, for `_in_parallel`: update(s, b) for its blocks
-    b = s, s + n_streams, ..., each started only once block b - 1 has been
-    started by its stream. After a stream raises, the others start no more
-    blocks."""
-    turn = threading.Condition()
-    started = [0]  # blocks started so far, in block order; n_blocks + 1 after a failure
-
-    def stream(s):
-        try:
-            for b in range(s, n_blocks, n_streams):
-                with turn:
-                    turn.wait_for(lambda: started[0] >= b)
-                    if started[0] > n_blocks:
-                        return
-                    started[0] = b + 1
-                    turn.notify_all()
-                update(s, b)
-        except BaseException:
-            with turn:
-                started[0] = n_blocks + 1
-                turn.notify_all()
-            raise
-
-    return stream
 
 
 def _in_parallel(f, n):
@@ -506,11 +447,11 @@ def fit_edmd(Z, Zprime=None, rank=None) -> RegressionResult:
     """SVD-based least-squares fit of Z' ~ A Z on lifted snapshot columns.
 
     Z and Zprime are (N, m) matrices, or Z is a `SnapshotPairs` or a
-    `PairStream` and Zprime None. Fits the reduced operator over the leading left-singular basis of
-    Z and returns it in the full lifted space, with its eigensystem mapped
-    there too, and both projected and exact SVD-DMD modes (the exact form is
-    the default reported one; eigenvalues at zero fall back to the projected
-    mode). Everything is computed from the R factor of [Z^T | Z'^T]. No
+    `PairStream` and Zprime None. Fits the reduced operator over the leading
+    left-singular basis of Z and returns it in the full lifted space, with
+    its eigensystem mapped there too, and both projected and exact SVD-DMD
+    modes (the exact form is the default reported one; eigenvalues at zero
+    fall back to the projected mode). Everything is computed from the R factor of [Z^T | Z'^T]. No
     sample interval is taken: `continuous_eigenvalues` maps the eigenvalues.
     """
     pairs = _as_pairs(Z, Zprime)
@@ -549,9 +490,9 @@ def fit_edmdc(Z, Zprime=None, U=None, rank_in=None, rank_out=None) -> Regression
     """Controlled fit: Z' ~ A Z + B U via SVD of the stacked [Z; U].
 
     Z, Zprime (N, m) and U (q, m) are matrices, or Z is a `SnapshotPairs`
-    or a `PairStream` with inputs and the other two None. When rank_out is given and below N,
-    a second SVD of Zprime compresses the state block; the eigensystem is
-    always computed from A alone. Both SVDs and the residual are taken on
+    or a `PairStream` with inputs and the other two None. When rank_out is
+    given and below N, a second SVD of Zprime compresses the state block;
+    the eigensystem is always computed from A alone. Both SVDs and the residual are taken on
     the R factor of [Z^T | U^T | Z'^T]. No sample interval is taken:
     `continuous_eigenvalues` maps the eigenvalues.
     """

@@ -251,9 +251,11 @@ def test_a_pair_stream_lifts_each_trajectory_when_a_block_reaches_it(monkeypatch
                         lambda self, traj: lifted.append(traj.shape[0]) or lift(self, traj))
     stream = kl.data.PairStream(_straddling_dataset(), kl.Polynomial(2).bind(2))
     # blocks of 5 pairs over trajectories of 6, 9 and 4 pairs: pairs 0-4,
-    # 5-9 (reaching the second trajectory), 10-14 and 15-18 (the third)
+    # 5-9 (reaching the second trajectory), 10-14 and 15-18 (the third).
+    # Each piece of a block lifts the samples of its own pairs, and no
+    # other: p pairs from p + 1 samples, when the block is cut
     seen = [list(lifted) for _ in stream.block_pieces(5)]
-    assert seen == [[7], [7, 10], [7, 10], [7, 10, 5]]
+    assert seen == [[6], [6, 2, 5], [6, 2, 5, 6], [6, 2, 5, 6, 5]]
 
 
 @pytest.mark.parametrize("library", [None, kl.Polynomial(2).bind(2), kl.TimeDelay(2).bind(2)],

@@ -163,17 +163,19 @@ def test_rff_features_match_reference():
                                rtol=1e-12, atol=1e-14)
 
 
-def test_rff_rows_keep_their_bits_in_any_slice_and_at_one_blas_thread():
+@pytest.mark.parametrize("n", [2, 10, 50])
+def test_rff_rows_keep_their_bits_in_any_slice_and_at_one_blas_thread(n):
     # a row's features depend only on its state: a GEMM's X @ W rounded the
-    # rows of this 5,000 x 2 by 2 x 300 product otherwise in row slices and
-    # at one OpenBLAS thread
+    # rows of a 5,000 x 2 by 2 x 300 product otherwise in row slices and at
+    # one OpenBLAS thread. A Fortran-ordered X lifts as its C-ordered copy
     rng = _rng(7)
-    X = rng.normal(size=(5000, 2))
-    W = rng.normal(size=(2, 300))
+    X = rng.normal(size=(5000, n))
+    W = rng.normal(size=(n, 300))
     b = rng.uniform(0, 2 * np.pi, size=300)
     whole = K.rff_features(X, W, b)
-    for lo, hi in ((0, 1), (17, 2500), (2500, 5000)):
+    for lo, hi in ((0, 1), (1, 2), (17, 2500), (2500, 5000)):
         np.testing.assert_array_equal(K.rff_features(X[lo:hi], W, b), whole[lo:hi])
+    np.testing.assert_array_equal(K.rff_features(np.asfortranarray(X), W, b), whole)
     with K.one_blas_thread():
         np.testing.assert_array_equal(K.rff_features(X, W, b), whole)
 

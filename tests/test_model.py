@@ -756,51 +756,61 @@ def test_scores_over_blocks_across_trajectories_match_a_stacked_reference(monkey
     np.testing.assert_array_equal(model.linearity_consistency(ds)[0], model.training_scores)
 
 
-def test_fit_holds_one_blocks_trajectories_per_lane_not_the_lifted_dataset(monkeypatch):
+@pytest.mark.parametrize("n_trajectories,steps", [(40, 999), (1, 39_999)],
+                         ids=["many-short-trajectories", "one-long-trajectory"])
+@pytest.mark.parametrize("stateless", [False, True], ids=["rbf", "rff-stateless"])
+def test_fit_holds_one_block_per_lane_not_the_lifted_dataset(n_trajectories, steps, stateless,
+                                                             monkeypatch):
     import tracemalloc
 
-    # 40 trajectories of 999 pairs in TSQR and score blocks of 1,000: both
-    # TSQR lanes run, each lifting the trajectories its blocks reach
+    # 39,960 pairs in TSQR and score blocks of 1,000: both TSQR lanes run,
+    # each lifting the rows of its own blocks, whether the blocks straddle
+    # 40 trajectories or cut one trajectory 40 times
     chunk = 1000
     monkeypatch.setattr(kl.regression, "QR_CHUNK", chunk)
     monkeypatch.setattr(kl.model, "SCORE_CHUNK", chunk)
-    x0 = np.random.default_rng(5).uniform(-1.0, 1.0, size=(40, 2))
-    trajs = kl.integrate_rk4_batch(kl.get_system("slow_manifold"), x0, 0.02, 999)
+    x0 = np.random.default_rng(5).uniform(-1.0, 1.0, size=(n_trajectories, 2))
+    trajs = kl.integrate_rk4_batch(kl.get_system("slow_manifold"), x0, 0.02, steps)
     ds = kl.TrajectoryDataset(list(trajs), dt=0.02)
+    library = (kl.RandomFourier(50, seed=0, include_state=False) if stateless
+               else kl.RadialBasis("gauss", n_centers=50, seed=0))
     tracemalloc.start()
     try:
-        model = kl.fit(kl.RadialBasis("gauss", n_centers=50, seed=0), "edmd", ds)
+        model = kl.fit(library, "edmd", ds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     N, r = model.A.shape[0], len(model.eigenvalues)
     W = 2 * N
-    lifted = ds.n_samples * N * 8  # the lifted dataset, which the fit never holds
-    trajectory = 1000 * N * 8
+    lifted = (ds.n_samples - n_trajectories) * N * 8  # every pair's lifted X
+    block = chunk * N * 8
     # the lanes' buffer: each lane's R and one block below it, updated in
     # place by dtpqrt (np.linalg.qr, where numpy's LAPACK has no dtpqrt,
     # copies one lane's R and block once more, the lanes taking turns)
     streams = kl.regression.TSQR_STREAMS
     copies = streams if kl._kernels.lapack_tpqrt() is not None else streams + 1
     buffers = copies * (W + chunk) * W * 8
-    # the trajectories that one block per lane reaches: the lanes start
-    # their blocks in block order, so theirs are two adjacent blocks, which
-    # reach at most 4 trajectories; a lift under way on each lane, whose
-    # RBF temporaries take about 3 trajectories more; R. The score pass
-    # after holds less: its buffers, at most 6 rows of a block per mode
-    # (see test_the_score_pass_holds_its_two_buffers_and_no_copy_of_the_pairs),
-    # and one block's trajectories
-    assert 6 * r * chunk * 8 + 3 * trajectory < buffers + 4 * trajectory
-    bound = buffers + (4 + streams * 3) * trajectory + W * W * 8 + 65536
-    assert peak < bound < lifted / 2, (peak, bound, lifted)
+    # a lift under way on each lane: the block's lifted rows and their
+    # temporaries, about 3 blocks; R. The score pass after holds less: its
+    # buffers, at most 6 rows of a block per mode (see
+    # test_the_score_pass_holds_its_two_buffers_and_no_copy_of_the_pairs),
+    # and one block with the temporaries of its lift
+    assert 6 * r * chunk * 8 + 3 * block < buffers + streams * 3 * block
+    held = buffers + streams * 3 * block + W * W * 8 + 65536
+    if stateless:
+        # the fitted reconstruction reads every lifted X at once: one copy,
+        # filled a block at a time
+        assert peak < lifted + held < 1.5 * lifted, (peak, held, lifted)
+    else:
+        assert peak < held < lifted / 2, (peak, held, lifted)
 
 
 def test_validation_holds_one_blocks_trajectories_not_the_lifted_dataset(monkeypatch):
     import tracemalloc
 
     # 40 trajectories of 999 pairs, scored in blocks of 1,000: a block
-    # reaches two trajectories, and the stream lifts each one when the first
-    # block that reaches it is cut
+    # reaches two trajectories, and the stream lifts the block's piece of
+    # each when the block is cut
     monkeypatch.setattr(kl.model, "SCORE_CHUNK", 1000)
     x0 = np.random.default_rng(5).uniform(-1.0, 1.0, size=(40, 2))
     trajs = kl.integrate_rk4_batch(kl.get_system("slow_manifold"), x0, 0.02, 999)
@@ -1175,25 +1185,32 @@ class _CountingFourier(_Counting, kl.RandomFourier):
     pass
 
 
-def test_each_pass_of_fit_and_validation_lifts_each_sample_once(slow_manifold_small,
-                                                                 monkeypatch):
+def test_each_pass_of_fit_and_validation_lifts_each_block_once(slow_manifold_small,
+                                                                monkeypatch):
     # nine trajectories of 500 samples in TSQR blocks of 700 pairs: both
-    # lanes run, and most trajectories are covered by blocks of both, yet
-    # the lanes lift each sample once between them. The fit's score pass
-    # lifts each once more, as validation does, and trajectory 0 is lifted
-    # once more for z0_train. The Fourier library has no exact state
-    # embedding, so its reconstruction is fitted, on one more lift
+    # lanes run, and most trajectories are cut by blocks of both, yet each
+    # piece of a block lifts only the samples of its own pairs, p + 1 for p
+    # pairs. The fit's score pass lifts its blocks once more, as validation
+    # does, and the first pair is lifted once more for z0_train. The Fourier
+    # library has no exact state embedding, so its reconstruction is
+    # fitted, on one more pass
     monkeypatch.setattr(kl.regression, "QR_CHUNK", 700)
-    n = slow_manifold_small.n_samples
-    first = slow_manifold_small.trajectories[0].shape[0]
-    for library, passes in ((_CountingPolynomial(2), 2),
-                            (_CountingFourier(16, include_state=False), 3)):
+    lengths = [t.shape[0] - 1 for t in slow_manifold_small.trajectories]
+
+    def lifted_rows(size):
+        return sum(hi - lo + 1 for block in kl.data.pair_blocks(lengths, size)
+                   for _, lo, hi in block)
+
+    tsqr, score = lifted_rows(700), lifted_rows(kl.model.SCORE_CHUNK)
+    assert tsqr - sum(lengths) == 15 and score - sum(lengths) == 9  # pieces
+    for library, passes in ((_CountingPolynomial(2), 1),
+                            (_CountingFourier(16, include_state=False), 2)):
         model = kl.fit(library, "edmd", slow_manifold_small)
         lib = model.observables  # fit lifts with its own copy of the library
-        assert lib.rows_lifted == passes * n + first
+        assert lib.rows_lifted == tsqr + passes * score + 2
         lib._counter.clear()
         model.linearity_consistency(slow_manifold_small)
-        assert lib.rows_lifted == n
+        assert lib.rows_lifted == score
 
 
 def test_kdmd_fit_pairs_the_data_once(monkeypatch):

@@ -494,7 +494,7 @@ def test_tsqr_without_thread_count_routines_runs_the_streams_in_turn(two_blas_th
     threaded = np.hstack(kl.regression._pair_factor(pairs, inputs=True))
     assert len(calls) == 1
     # a numpy whose BLAS library cannot set its thread count runs the same
-    # streams' blocks in order on the calling thread, at the process's
+    # streams one after the other on the calling thread, at the process's
     # count, here set to one by hand: the same bits
     get, put = kl._kernels._blas_thread_count()
     monkeypatch.setattr(kl._kernels, "_blas_thread_count", lambda: None)
@@ -591,7 +591,7 @@ def test_an_exception_in_lane_1s_lift_is_raised_on_the_caller(two_blas_threads, 
         pytest.skip("numpy's LAPACK library exports no dtpqrt")
     # blocks of 50 pairs over trajectories of 19: the trajectory of pairs
     # 57-75 lies inside block 1, so lane 1, on its own Python thread, is the
-    # one lane that lifts it
+    # one lane that lifts its samples
     monkeypatch.setattr(kl.regression, "QR_CHUNK", 50)
     rng = np.random.default_rng(4)
     data = kl.TrajectoryDataset([rng.normal(size=(20, 2)) for _ in range(12)], 0.1)
@@ -600,7 +600,7 @@ def test_an_exception_in_lane_1s_lift_is_raised_on_the_caller(two_blas_threads, 
     class Failing(kl.Polynomial):
         def lift_trajectory(self, traj):
             lifted_on.append(threading.current_thread())
-            if traj is data.trajectories[3]:
+            if np.shares_memory(traj, data.trajectories[3]):
                 raise DataError("cannot lift this one")
             return super().lift_trajectory(traj)
 
@@ -608,6 +608,25 @@ def test_an_exception_in_lane_1s_lift_is_raised_on_the_caller(two_blas_threads, 
         kl.fit(Failing(2), "edmd", data)
     assert threading.main_thread() in lifted_on and len(set(lifted_on)) == 2
     assert two_blas_threads() == 2
+
+
+def test_a_custom_librarys_functions_run_on_both_tsqr_lanes(two_blas_threads, monkeypatch):
+    if kl._kernels.lapack_tpqrt() is None:
+        pytest.skip("numpy's LAPACK library exports no dtpqrt")
+    # the lanes lift their own blocks on two Python threads at once, so a
+    # library's functions run on both (as the Observable docstring says)
+    monkeypatch.setattr(kl.regression, "QR_CHUNK", 50)
+    rng = np.random.default_rng(4)
+    data = kl.TrajectoryDataset([rng.normal(size=(20, 2)) for _ in range(12)], 0.1)
+    ran_on = []
+
+    def square(x):
+        ran_on.append(threading.current_thread())
+        return x * x
+
+    kl.fit(kl.Custom([square]), "edmd", data)
+    assert threading.main_thread() in ran_on and len(set(ran_on)) == 2
+    assert {t.name for t in ran_on} == {threading.main_thread().name, "kooplift-tsqr"}
 
 
 def test_rank_out_matches_the_dense_projection():
