@@ -1,9 +1,11 @@
 """Trajectory containers and snapshot-pair assembly.
 
 Trajectories are stored row-major in time (one row per sample), and so are
-snapshot pairs: one lifted array per trajectory, whose consecutive rows
-pair up. Consumers read the pairs in row blocks; the operator regressions
-write their algebra on column-per-snapshot matrices.
+snapshot pairs. Pairs are read one way, through `rows` (see `_Pairs`),
+whether a `PairStream` lifts them as they are read, as every fit and
+validation does, or a `SnapshotPairs` holds them; consumers read them in
+row blocks. The operator regressions write their algebra on
+column-per-snapshot matrices.
 """
 
 from __future__ import annotations
@@ -154,18 +156,77 @@ class TrajectoryDataset(_FrozenRecord):
         return sum(t.shape[0] for t in self.trajectories)
 
 
+class _Pairs:
+    """The one way snapshot pairs are read, for pairs held (`SnapshotPairs`)
+    and pairs lifted as they are read (`PairStream`) alike.
+
+    A pair type gives its shape, `lengths` (the pairs of each segment, one
+    segment per trajectory), `n_features` and `n_inputs`, and `rows(i, lo,
+    hi)`, the (X, U, Xprime) rows of pairs lo..hi-1 of segment i, U None
+    without inputs. Every reader here goes through `rows`: `block_pieces`
+    hands the pairs out in blocks, `stacked` copies a part of every pair
+    into one array, and `refuse_non_finite` finds the first pair holding a
+    NaN or an inf.
+    """
+
+    @property
+    def m(self) -> int:
+        return sum(self.lengths)
+
+    def block_pieces(self, size: int):
+        """Yield every pair in order, in blocks of `size` pairs (the last one
+        shorter), each block as a list of its (X, U, Xprime) pieces, cut
+        where `pair_blocks` cuts them and fetched with `rows` when the block
+        is reached: views of held segments, or the rows a stream lifts
+        then. The score pass multiplies them where they lie."""
+        for block in pair_blocks(self.lengths, size):
+            yield [self.rows(i, lo, hi) for i, lo, hi in block]
+
+    def refuse_non_finite(self) -> None:
+        """DataError naming the first pair that holds a NaN or an inf in X, U
+        or Xprime; return if there is none. One segment is read at a time,
+        where it lies: a stream lifts and searches one trajectory at a time."""
+        first = 0
+        for i, n in enumerate(self.lengths):
+            finite = np.logical_and.reduce(
+                [np.isfinite(p).all(axis=1) for p in self.rows(i, 0, n) if p is not None])
+            if not finite.all():
+                j = first + int(np.argmin(finite))
+                raise DataError(f"snapshot pair {j} holds a non-finite value (NaN or inf)")
+            first += n
+
+    def stacked(self, part: str, size: int) -> Optional[np.ndarray]:
+        """Part "X", "U" or "Xprime" of every pair, copied into one new (m,
+        width) row array a block of `size` pairs at a time, so a stream holds
+        one block's lifted rows beside it; None for U without inputs. For
+        consumers that need all pairs at once."""
+        k = ("X", "U", "Xprime").index(part)
+        if k == 1 and self.n_inputs == 0:
+            return None
+        out, o = None, 0
+        for pieces in self.block_pieces(size):
+            for piece in pieces:
+                rows = piece[k]
+                if out is None:  # kdmd's lifted pairs are complex
+                    out = np.empty((self.m, rows.shape[1]), dtype=rows.dtype)
+                out[o:o + rows.shape[0]] = rows
+                o += rows.shape[0]
+        return out
+
+
 @dataclass(frozen=True)
-class SnapshotPairs:
-    """One-step snapshot pairs, held as one segment per trajectory.
+class SnapshotPairs(_Pairs):
+    """One-step snapshot pairs held in memory, one segment per trajectory:
+    the column matrices given to the regressions (`from_columns`), kdmd's
+    eigenfunction-lifted training pairs, and `build_snapshot_pairs`.
 
     Each segment is a triple (X, U, Xprime) of row arrays, one row per pair:
     X and Xprime are (m_i, N), U is (m_i, q) or None. From a trajectory
     lifted into Y, X = Y[:-1] and Xprime = Y[1:] are two views of Y, so the
-    lifted data is held once. `block_pieces` hands the pairs out in order,
-    a block of rows at a time, as views, and `stacked` gives them all at
-    once; `refuse_non_finite` finds the first pair holding a NaN or an inf.
-    The column matrices `X`, `Xprime` (N x m) and `U` (q x m) are assembled
-    on demand, for callers outside the package.
+    lifted data is held once; `rows` hands out views. Pairs are read as
+    those of a `PairStream` are (see `_Pairs`). The column matrices `X`,
+    `Xprime` (N x m) and `U` (q x m) are assembled on demand, for callers
+    outside the package.
     """
 
     segments: tuple
@@ -182,10 +243,6 @@ class SnapshotPairs:
         return tuple(x.shape[0] for x, _, _ in self.segments)
 
     @property
-    def m(self) -> int:
-        return sum(self.lengths)
-
-    @property
     def n_features(self) -> int:
         return self.segments[0][0].shape[1]
 
@@ -194,50 +251,23 @@ class SnapshotPairs:
         u = self.segments[0][1]
         return 0 if u is None else u.shape[1]
 
-    @property
-    def dtype(self) -> np.dtype:
-        return self.segments[0][0].dtype
-
     def rows(self, i: int, lo: int, hi: int) -> tuple:
         """Pairs lo..hi-1 of segment i, (X, U, Xprime), as views."""
         return tuple(None if p is None else p[lo:hi] for p in self.segments[i])
 
-    def block_pieces(self, size: int):
-        """Yield every pair in order, in blocks of `size` pairs (the last one
-        shorter), each block as a list of its (X, U, Xprime) pieces: views of
-        the segments it covers, U None without inputs, cut where
-        `pair_blocks` cuts them. The score pass multiplies them where they
-        lie.
-        """
-        return _block_pieces(self, size)
-
-    def refuse_non_finite(self) -> None:
-        """DataError naming the first pair that holds a NaN or an inf in X, U
-        or Xprime; return if there is none. The segments are searched where
-        they lie, without copying a pair."""
-        _refuse_non_finite(self.segments)
-
-    def stacked(self, part: str) -> Optional[np.ndarray]:
-        """Part "X", "U" or "Xprime" of every pair as one (m, width) row
-        array: a view for one segment, else a copy. None for U without
-        inputs. For consumers that need all pairs at once."""
-        arrays = [s[("X", "U", "Xprime").index(part)] for s in self.segments]
-        if arrays[0] is None:
-            return None
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
+    # held pairs are views, so one block copies them as well as any
     @property
     def X(self) -> np.ndarray:
-        return self.stacked("X").T
+        return self.stacked("X", self.m).T
 
     @property
     def U(self) -> Optional[np.ndarray]:
-        U = self.stacked("U")
+        U = self.stacked("U", self.m)
         return None if U is None else U.T
 
     @property
     def Xprime(self) -> np.ndarray:
-        return self.stacked("Xprime").T
+        return self.stacked("Xprime", self.m).T
 
 
 def pair_blocks(lengths, size: int):
@@ -247,7 +277,7 @@ def pair_blocks(lengths, size: int):
 
     Blocks start at multiples of `size` over all pairs, so a block that
     crosses a segment boundary has one entry per segment it touches. This is
-    the one home of the block boundaries: for built pairs and for a stream
+    the one home of the block boundaries: for held pairs and for a stream
     alike, and for the readers of whole blocks (`block_pieces`) and the
     TSQR's lanes, which look a block's segments up themselves.
     """
@@ -266,36 +296,11 @@ def pair_blocks(lengths, size: int):
         yield block
 
 
-def _block_pieces(pairs, size: int):
-    """The blocks of `pair_blocks` over `pairs`, each as a list of its
-    (X, U, Xprime) pieces, fetched with `pairs.rows` when the block is cut:
-    views of the segments it covers, or, from a `PairStream`, the rows it
-    covers, lifted then."""
-    for block in pair_blocks(pairs.lengths, size):
-        yield [pairs.rows(i, lo, hi) for i, lo, hi in block]
-
-
-def _refuse_non_finite(segments) -> None:
-    """DataError naming the first pair of an iterable of segments that holds
-    a NaN or an inf, searched one segment at a time where it lies."""
-    first = 0
-    for seg in segments:
-        finite = np.logical_and.reduce(
-            [np.isfinite(p).all(axis=1) for p in seg if p is not None])
-        if not finite.all():
-            j = first + int(np.argmin(finite))
-            raise DataError(f"snapshot pair {j} holds a non-finite value (NaN or inf)")
-        first += finite.shape[0]
-
-
-def _lifted_segment(data: TrajectoryDataset, library, i: int, lo: int = 0,
-                    hi: Optional[int] = None) -> tuple:
-    """Pairs lo..hi-1 of trajectory i (hi None: all of them), (X, U, Xprime),
-    from the lift of its samples lo .. hi + warm-up alone."""
+def _lifted_segment(data: TrajectoryDataset, library, i: int, lo: int, hi: int) -> tuple:
+    """Pairs lo..hi-1 of trajectory i, (X, U, Xprime), from the lift of its
+    samples lo .. hi + warm-up alone."""
     traj = data.trajectories[i]
     w = 0 if library is None else library.warm_up
-    if hi is None:
-        hi = traj.shape[0] - 1 - w
     Y = window = traj[lo : hi + 1 + w]
     if library is not None:
         try:
@@ -319,42 +324,26 @@ def _lifted_segment(data: TrajectoryDataset, library, i: int, lo: int = 0,
     return Y[:-1], U, Y[1:]
 
 
-def build_snapshot_pairs(data: TrajectoryDataset, library=None) -> SnapshotPairs:
-    """Assemble one-step snapshot pairs from every trajectory.
-
-    With an Observable ``library`` each trajectory is lifted once, as a
-    whole, into Y with ``library.lift_trajectory``, and its pairs are
-    X = Y[:-1], X' = Y[1:], two views of the one lifted array; without one
-    the raw states are paired, as views of the dataset's arrays. Pairs
-    never straddle trajectory boundaries: each trajectory is one segment,
-    and segments keep trajectory order, rows time order. U rows, when inputs
-    are present, are taken at the X timestamps, after the library's warm-up.
-    `PairStream` hands out the same segments without holding them.
-    """
-    return SnapshotPairs(segments=tuple(
-        _lifted_segment(data, library, i) for i in range(len(data.trajectories))))
-
-
 @dataclass(frozen=True)
-class PairStream:
-    """The snapshot pairs of `build_snapshot_pairs(data, library)`, read
-    without being held.
+class PairStream(_Pairs):
+    """The snapshot pairs of a dataset, lifted through ``library`` (None:
+    the raw states) as they are read, never held.
 
-    Its shape is known before any lift: trajectory i of T_i samples gives
-    T_i - 1 - ``library.warm_up`` pairs (`lengths`), so the block plan
+    Every fit reads its training pairs as a stream, and validation its
+    pairs; `build_snapshot_pairs` holds a stream's rows. Its shape is known
+    before any lift: trajectory i of T_i samples gives T_i - 1 -
+    ``library.warm_up`` pairs (`lengths`), so the block plan
     (`pair_blocks`) is cut up front, and a trajectory too short for two
     lifted snapshots is refused when the stream is made, with the error
     that lifting it raises. `rows(i, lo, hi)` lifts the samples that pairs
     lo..hi-1 of trajectory i need, and no others, each time it is called:
     lifted snapshot k depends on samples k .. k + warm_up alone (see
-    `Observable.warm_up`). `block_pieces` lifts each piece of a block when
-    the block is cut, so a pass over the stream holds one block's rows,
-    whatever the trajectories' lengths; its blocks are those of the built
-    pairs, piece for piece, and, since every library of this package lifts
-    a row with the bits that a whole lift gives it, bit for bit. The
-    explicit fits' TSQR lanes (`regression._pair_factor`) fetch their
-    blocks' pieces with `rows` as well. `refuse_non_finite` lifts and
-    searches one trajectory at a time.
+    `Observable.warm_up`). So every reader of `_Pairs` holds one block's
+    lifted rows at a time, whatever the trajectories' lengths, and since
+    every library of this package lifts a row with the bits that a whole
+    lift gives it, it reads the held pairs' bits. The explicit fits' TSQR
+    lanes (`regression._pair_factor`) fetch their blocks' pieces with
+    `rows` as well.
     """
 
     data: TrajectoryDataset
@@ -363,17 +352,13 @@ class PairStream:
     def __post_init__(self):
         for i, n in enumerate(self.lengths):
             if n < 1:
-                _lifted_segment(self.data, self.library, i)  # raises why
+                _lifted_segment(self.data, self.library, i, 0, n)  # raises why
 
     @property
     def lengths(self) -> tuple:
         """The pairs of each trajectory."""
         w = 0 if self.library is None else self.library.warm_up
         return tuple(t.shape[0] - 1 - w for t in self.data.trajectories)
-
-    @property
-    def m(self) -> int:
-        return sum(self.lengths)
 
     @property
     def n_features(self) -> int:
@@ -388,11 +373,22 @@ class PairStream:
         samples lo .. hi + ``library.warm_up`` alone, each time it is called."""
         return _lifted_segment(self.data, self.library, i, lo, hi)
 
-    def block_pieces(self, size: int):
-        return _block_pieces(self, size)
 
-    def refuse_non_finite(self) -> None:
-        _refuse_non_finite(self.rows(i, 0, n) for i, n in enumerate(self.lengths))
+def build_snapshot_pairs(data: TrajectoryDataset, library=None) -> SnapshotPairs:
+    """The pairs of `PairStream(data, library)`, held: one segment per
+    trajectory, each from one lift of the whole trajectory.
+
+    With an Observable ``library`` a trajectory is lifted into Y with
+    ``library.lift_trajectory``, and its pairs are X = Y[:-1], X' = Y[1:],
+    two views of the one lifted array; without one the raw states are
+    paired, as views of the dataset's arrays. Pairs never straddle
+    trajectory boundaries, segments keep trajectory order and rows time
+    order. U rows, when inputs are present, are taken at the X timestamps,
+    after the library's warm-up.
+    """
+    stream = PairStream(data, library)
+    return SnapshotPairs(segments=tuple(
+        stream.rows(i, 0, n) for i, n in enumerate(stream.lengths)))
 
 
 def validate_dataset(data: TrajectoryDataset) -> list:

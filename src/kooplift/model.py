@@ -3,14 +3,14 @@
 `fit` runs the configured regression on the training trajectories'
 snapshot pairs, fits the state reconstruction, scores the modes, and
 assembles an immutable KoopmanModel exposing prediction, simulation,
-spectral analytics, and validation scores. The explicit fits read the
-pairs as a `PairStream`: the TSQR's lanes lift each block's rows as they
-reach it, and the score pass lifts them once more, a block at a time, as
-validation does, so neither holds the lifted dataset, whatever the
-trajectories' lengths; only a fitted reconstruction holds its lifted X.
-Kernel regression is one more regressor: it pairs the raw states, returns
-its own eigenfunction lift with the training pairs lifted through it from
-its Gram rows, and from there every kind runs the same code.
+spectral analytics, and validation scores. Every kind reads its training
+pairs as a `PairStream`: the explicit fits' TSQR lanes lift each block's
+rows as they reach it, and the score pass lifts them once more, a block at
+a time, as validation does, so neither holds the lifted dataset, whatever
+the trajectories' lengths; only a fitted reconstruction holds its lifted X.
+Kernel regression is one more regressor: it reads the raw states from the
+stream, returns its own eigenfunction lift with the training pairs lifted
+through it from its Gram rows, and from there every kind runs the same code.
 
 Multi-step simulation iterates in the lifted space and reconstructs each
 step; it never re-lifts, which would silently reintroduce nonlinearity.
@@ -195,9 +195,10 @@ def _consistency_scores(regression: RegressionResult, pairs):
     before the cancellation in that sum, which costs accuracy when the w_j
     are large. Pairs holding NaN or inf, in X, X' or an input, raise
     DataError; a mode whose sums overflow on finite pairs scores NaN with a
-    finding. ``pairs`` is a `SnapshotPairs` or a `PairStream`: the pass
-    reads them through `block_pieces` alone, and calls their
-    `refuse_non_finite` only on its error paths.
+    finding. ``pairs`` is any pair type, a `SnapshotPairs` (kdmd's
+    eigenfunction-lifted training pairs) or a `PairStream`: the pass reads
+    them through `block_pieces` alone, and calls their `refuse_non_finite`
+    only on its error paths.
     Returns (scores, findings)."""
     blocks = pairs.block_pieces(SCORE_CHUNK)
     pieces = next(blocks)  # the first block sets the pass's width and arithmetic
@@ -467,8 +468,12 @@ class KoopmanModel(_FrozenRecord):
         score pass reaches the block, so the pass holds one block's lifted
         rows, whatever the trajectories' lengths, never the lifted dataset,
         and it scores the blocks that `fit` scored on the same data, bit for
-        bit.
+        bit. A dataset whose input channels are not the model's q (an
+        unforced model's 0) is refused with DataError before any lift.
         """
+        if data.n_inputs != self.q:
+            raise DataError(f"dataset carries {data.n_inputs} input channel(s), "
+                            f"but the model takes {self.q}")
         return _consistency_scores(self.regression, PairStream(data, self.observables))
 
 
@@ -504,22 +509,25 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
     ``observables`` is an Observable library (None means identity);
     ``regressor`` is a RegressorConfig or a kind string.
 
-    The explicit fits (every kind but kdmd) pass the regression a
-    `PairStream`, and lift the training pairs a block at a time: once in the
+    Every kind passes its regression one `PairStream` of the training data.
+    The explicit fits lift the training pairs a block at a time: once in the
     TSQR (`regression._pair_factor`), whose two lanes each lift the rows of
     their own blocks, on two threads at once (see `Observable`), and once
     more in the score pass, as `linearity_consistency` lifts them, so the
     training scores are validation's bits. Each holds one block's lifted
-    rows per lane, whatever the trajectories' lengths. A library with no
-    state columns is lifted a third time, block by block, into the one
-    array of lifted X that its fitted reconstruction reads, and the first
-    pair once more for ``z0_train``. kdmd pairs the raw states with
-    `build_snapshot_pairs`.
+    rows per lane, whatever the trajectories' lengths. kdmd reads the raw
+    states from its stream and returns the pairs lifted through its
+    eigenfunctions, which its score pass reads. Where the reconstruction is
+    fitted (a library with no state columns, or kdmd's), the lifted X is
+    copied into one array by `stacked`, a block at a time (an explicit
+    fit's library lifts it a third time), beside the raw states of
+    `build_snapshot_pairs(data)`; the first pair is lifted once more for
+    ``z0_train``.
 
     Errors from the submodules are re-raised with a stage label (lifting /
     regression / reconstruction). A trajectory too short to lift is refused
     in the lifting stage; a library's own failure to lift a trajectory
-    surfaces where the lift runs, for the explicit fits in the regression.
+    surfaces where the lift runs, in the regression.
     """
     if isinstance(regressor, str):
         regressor = RegressorConfig(kind=regressor)
@@ -535,16 +543,12 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
     # a private copy: the caller's library is neither bound nor prepared here
     library = copy.deepcopy(_resolve_library(observables, regressor))
 
-    # lifting: the explicit fits take their pairs as a stream, whose
-    # trajectories the TSQR's lanes lift; kdmd regresses on all raw states.
-    # A trajectory too short to lift is refused here, for either
+    # lifting: every kind reads its pairs as a stream, lifted where a pass
+    # reads them; a trajectory too short to lift is refused here
     try:
         library.bind(data.n_states)
         library.prepare(np.vstack(data.trajectories))
-        if regression == "kdmd":
-            pairs = build_snapshot_pairs(data, library)
-        else:
-            pairs = PairStream(data, library)
+        pairs = PairStream(data, library)
     except KoopliftError as exc:
         raise _stage("lifting", exc) from exc
 
@@ -563,28 +567,19 @@ def fit(observables, regressor, data: TrajectoryDataset) -> KoopmanModel:
     if regression == "kdmd":
         # the model lifts through the fitted eigenfunctions from here on, and
         # fit_kdmd lifted the training pairs through them from its Gram rows;
-        # the rows of X are the centers and the fitted reconstruction's raw
-        # states
-        X_state = pairs.stacked("X")
+        # the raw states are the centers and the fitted reconstruction's
+        X_state = build_snapshot_pairs(data).stacked("X", SCORE_CHUNK)
         library = KernelLift(regressor.kernel, X_state, res.kernel_alpha)
         pairs = res.kernel_pairs
 
-    # reconstruction: the lifted pairs and raw states are read, all at once,
-    # only where it is fitted; an explicit fit lifts its X into one array here
+    # reconstruction: the lifted X and the raw states are read, all at once,
+    # only where it is fitted, each copied into one array a block at a time
     try:
         Z = None
         if library.state_indices is None:
+            Z = pairs.stacked("X", SCORE_CHUNK).T
             if X_state is None:
-                Z = np.empty((pairs.m, pairs.n_features))
-                o = 0
-                for pieces in pairs.block_pieces(SCORE_CHUNK):
-                    for X, _, _ in pieces:
-                        Z[o:o + X.shape[0]] = X
-                        o += X.shape[0]
-                Z = Z.T
-                X_state = build_snapshot_pairs(data).stacked("X")
-            else:
-                Z = pairs.stacked("X").T
+                X_state = build_snapshot_pairs(data).stacked("X", SCORE_CHUNK)
         C = fit_reconstruction(library, Z, None if X_state is None else X_state.T)
     except KoopliftError as exc:
         raise _stage("reconstruction", exc) from exc

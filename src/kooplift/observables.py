@@ -52,13 +52,13 @@ def _frozen(value):
 class Observable:
     """Base class for lifting maps.
 
-    The explicit fits lift their training trajectories a block of rows at a
-    time (`data.PairStream`), so `lift_trajectory` must lift snapshot k from
-    samples k .. k + warm_up alone. The fit's two TSQR lanes lift their
-    blocks at the same time, on two Python threads, so `lift_rows` and
-    `lift_trajectory` may run on two threads at once: a library that keeps
-    state while it lifts (a counter, a cache, a model that is not thread
-    safe) must guard it.
+    Fits and validation read their pairs as a `data.PairStream`, which
+    lifts a trajectory a block of rows at a time, so `lift_trajectory` must
+    lift snapshot k from samples k .. k + warm_up alone. An explicit fit's
+    two TSQR lanes lift their blocks at the same time, on two Python
+    threads, so `lift_rows` and `lift_trajectory` may run on two threads at
+    once: a library that keeps state while it lifts (a counter, a cache, a
+    model that is not thread safe) must guard it.
     """
 
     kind: str = "base"

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .data import Finding, PairStream, SnapshotPairs, _FrozenRecord, pair_blocks
+from .data import Finding, SnapshotPairs, _FrozenRecord, _Pairs, pair_blocks
 from .errors import (ConfigError, DataError, RegressionError, call_with_options,
                      check_int, check_real)
 
@@ -256,7 +256,7 @@ def _as_pairs(Z, Zprime, U=None, inputs: bool = False):
     `SnapshotPairs` or a `PairStream`, else the column matrices Z, Z'
     (N, m), with U (q, m) for ``inputs``, checked and wrapped as one segment
     of views."""
-    if isinstance(Z, (SnapshotPairs, PairStream)):
+    if isinstance(Z, _Pairs):
         if Zprime is not None or U is not None:
             raise DataError("give SnapshotPairs alone, or the matrices Z and Zprime")
         _check_pair_count(Z.m)
@@ -279,7 +279,8 @@ def _as_pairs(Z, Zprime, U=None, inputs: bool = False):
 def _pair_factor(pairs, inputs: bool = False):
     """The R factor of the snapshot pairs as rows, [X | U | X'] with U only
     for ``inputs``, returned as its column blocks R_X, R_U (None without
-    inputs) and R_X'. ``pairs`` is a `SnapshotPairs` or a `PairStream`.
+    inputs) and R_X'. ``pairs`` is any pair type (`data._Pairs`): a
+    `PairStream`, as `fit` gives, or held `SnapshotPairs`.
 
     With [X | U | X'] = Q R for one Q with orthonormal columns, each block
     B^T = R_B^T Q^T. So the SVD of B^T is that of R_B^T with right vectors
@@ -303,12 +304,12 @@ def _pair_factor(pairs, inputs: bool = False):
     below the m-th are zero but for rounding and are dropped, so R is
     (min(m, W), W) on either route.
 
-    Each stream fetches the pieces of its blocks itself, with `pairs.rows`:
-    from a `PairStream` that lifts the rows of the piece, and no others, so
-    a stream holds one block's lifted rows at a time, whatever the
-    trajectories' lengths, and never the lifted dataset. Every library of
-    the package lifts a row with the bits of a whole lift, on one BLAS
-    thread as on more, so R's bits are those of the built pairs.
+    Each stream fetches the pieces of its blocks itself, with `pairs.rows`,
+    the one pair reader: a `PairStream` lifts the rows of the piece, and no
+    others, so a stream holds one block's lifted rows at a time, whatever
+    the trajectories' lengths, and never the lifted dataset. Every library
+    of the package lifts a row with the bits of a whole lift, on one BLAS
+    thread as on more, so R's bits are those of the held pairs.
 
     The TSQR runs on one BLAS thread (`_kernels.one_blas_thread`, a
     process-wide setting, restored after), so R's bits depend only on the
@@ -699,10 +700,12 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(),
              rank=None) -> RegressionResult:
     """Kernel regression variant operating on Gram matrices.
 
-    Z and Zprime are (n, m) state matrices, or Z is a `SnapshotPairs` and
-    Zprime None, as for `fit_edmd`. Eigendecomposes the regularized operator
-    (G + reg_eps*m*I)^-1 T restricted to the principal eigenspace of G,
-    where G_ij = k(x_i, x_j) and T_ij = k(x'_i, x_j). Eigenfunctions are
+    Z and Zprime are (n, m) state matrices, or Z is a `SnapshotPairs` or a
+    `PairStream` (`fit` gives a stream of the raw states) and Zprime None,
+    as for `fit_edmd`; the states are copied out of the pairs a QR_CHUNK
+    block at a time. Eigendecomposes the regularized operator (G +
+    reg_eps*m*I)^-1 T restricted to the principal eigenspace of G, where
+    G_ij = k(x_i, x_j) and T_ij = k(x'_i, x_j). Eigenfunctions are
     phi_j(x) = sum_i alpha_ij k(x, x_i), scaled to unit norm over the
     training states; the operator on them is diag(lambda). The state
     reconstruction (and with it the Koopman modes) is fitted on the
@@ -749,20 +752,17 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(),
     Q). Before any m x m allocation, a fit whose arrays would not fit in
     physical memory raises ConfigError.
     """
-    if isinstance(Z, PairStream):  # the Gram matrix needs every state at once
-        raise DataError("kernel regression needs SnapshotPairs, not a PairStream")
     pairs = _as_pairs(Z, Zprime)
     m = pairs.m
     rank, _ = _parse_rank(rank, "kernel rank", cutoff=False)
     # refused here, not by the Gram matrix: a NaN trace reads as a zero G
     pairs.refuse_non_finite()
-    Xr = np.ascontiguousarray(pairs.stacked("X"))
-    Xpr = np.ascontiguousarray(pairs.stacked("Xprime"))
+    Xr, Xpr = pairs.stacked("X", QR_CHUNK), pairs.stacked("Xprime", QR_CHUNK)
     # row i of T is row i + 1 of G where x'_i is x_{i+1}, compared bit for bit
     shifted = np.zeros(m, dtype=bool)
     shifted[:-1] = (Xpr[:-1].view(np.int64) == Xr[1:].view(np.int64)).all(axis=1)
     ends = np.flatnonzero(~shifted)  # the rows of T that are evaluated
-    edges = np.cumsum([0, *(x.shape[0] for x, _, _ in pairs.segments)])
+    edges = np.cumsum([0, *pairs.lengths])
     trajectories = all(shifted[lo:hi - 1].all() for lo, hi in zip(edges, edges[1:]))
     G, s, Q, findings = _gram_eigenpairs(kernel, Xr, rank,
                                          ends.size if trajectories else 0)

@@ -244,6 +244,28 @@ def test_a_pair_stream_cuts_the_blocks_of_the_built_pairs(size):
                 assert p.strides == q.strides
 
 
+@pytest.mark.parametrize("size", [1, 5, 7, 100])
+@pytest.mark.parametrize("library", [None, kl.Polynomial(2).bind(2), kl.TimeDelay(2).bind(2)],
+                         ids=["raw", "polynomial", "time-delay"])
+@pytest.mark.parametrize("inputs", [True, False], ids=["inputs", "no-inputs"])
+def test_a_pair_stream_stacks_the_bits_of_the_built_pairs(library, size, inputs):
+    ds = _straddling_dataset()
+    if not inputs:
+        ds = kl.TrajectoryDataset(ds.trajectories, ds.dt)
+    built = kl.build_snapshot_pairs(ds, library)
+    stream = kl.data.PairStream(ds, library)
+    for part in ("X", "U", "Xprime"):
+        a, b = stream.stacked(part, size), built.stacked(part, size)
+        if part == "U" and not inputs:
+            assert a is None and b is None
+            continue
+        assert a.shape == (built.m, built.n_inputs if part == "U" else built.n_features)
+        assert a.flags.c_contiguous and not np.shares_memory(b, ds.trajectories[0])
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(b, np.concatenate(
+            [seg[("X", "U", "Xprime").index(part)] for seg in built.segments]))
+
+
 def test_a_pair_stream_lifts_each_trajectory_when_a_block_reaches_it(monkeypatch):
     lifted = []
     lift = kl.Polynomial.lift_trajectory

@@ -689,6 +689,34 @@ def test_non_finite_validation_inputs_are_refused(bad):
     np.testing.assert_array_equal(scores, model.training_scores)
 
 
+def test_validation_refuses_inputs_that_do_not_match_the_model():
+    # a dmdc model (q = 1) does not score data with 3 input channels
+    rng = np.random.default_rng(8)
+    trajs = [rng.normal(size=(30, 2)) for _ in range(3)]
+    model = kl.fit(None, "dmdc", kl.TrajectoryDataset(trajs, 0.1,
+                                                      [rng.normal(size=(30, 1))] * 3))
+    assert model.q == 1
+    wide = kl.TrajectoryDataset(trajs, 0.1, [rng.normal(size=(30, 3))] * 3)
+    with pytest.raises(DataError, match=r"^dataset carries 3 input channel\(s\), "
+                                        r"but the model takes 1$"):
+        model.linearity_consistency(wide)
+    with pytest.raises(DataError, match="carries 0 input channel"):
+        model.linearity_consistency(kl.TrajectoryDataset(trajs, 0.1))
+
+
+def test_an_unforced_model_refuses_inputs_before_reading_them(monkeypatch):
+    # an edmd model reads no input, so a NaN in one is not its finding: the
+    # inputs are refused as inputs, before any lift
+    data = make_slow_manifold_dataset(grid=2, t_end=1.0)
+    model = kl.fit(kl.Polynomial(2), "edmd", data)
+    inputs = [np.zeros((t.shape[0], 1)) for t in data.trajectories]
+    inputs[1][3, 0] = np.nan
+    monkeypatch.setattr(kl.data, "_lifted_segment", None)  # any lift would raise
+    with pytest.raises(DataError, match=r"^dataset carries 1 input channel\(s\), "
+                                        r"but the model takes 0$"):
+        model.linearity_consistency(kl.TrajectoryDataset(data.trajectories, data.dt, inputs))
+
+
 def test_an_overflow_in_the_score_pass_still_warns(slow_manifold_small):
     model = kl.fit(kl.Polynomial(2), "edmd", slow_manifold_small)
     # squares near the float limit: the lifted pairs are finite, the rows
@@ -910,7 +938,7 @@ def test_complex_score_blocks_keep_the_bits_of_a_copied_block(slow_manifold_smal
                    _short_slow_manifold(slow_manifold_small))
     pairs = kl.build_snapshot_pairs(_short_slow_manifold(slow_manifold_small),
                                     model.observables)
-    assert pairs.dtype.kind == "c" and len(pairs.segments) == 4
+    assert pairs.stacked("X", 7).dtype.kind == "c" and len(pairs.segments) == 4
     scores, copied = _scores_both_ways(model.regression, pairs, monkeypatch)
     np.testing.assert_array_equal(scores, copied)
     np.testing.assert_array_equal(scores, model.training_scores)
@@ -1214,18 +1242,25 @@ def test_each_pass_of_fit_and_validation_lifts_each_block_once(slow_manifold_sma
 
 
 def test_kdmd_fit_pairs_the_data_once(monkeypatch):
-    # the identity pairs it regresses on double as the reconstruction's raw
-    # states, and fit_kdmd hands back the pairs lifted through the
-    # eigenfunctions, so the KernelLift never pairs the data
-    calls = []
+    # fit_kdmd reads the raw states as every regression reads its pairs, from
+    # a stream, and hands back the pairs lifted through the eigenfunctions,
+    # so the KernelLift never pairs the data; the held raw pairs are built
+    # once, for the KernelLift's centers, which double as the
+    # reconstruction's raw states
+    calls, regressed = [], []
 
     def counting(data, library=None):
         calls.append(library)
         return kl.build_snapshot_pairs(data, library)
 
+    kdmd = kl.regression.fit_kdmd
     monkeypatch.setattr(kl.model, "build_snapshot_pairs", counting)
+    monkeypatch.setattr(kl.model, "fit_kdmd",
+                        lambda pairs, **kw: regressed.append(pairs) or kdmd(pairs, **kw))
     model = kl.fit(None, "kdmd", make_slow_manifold_dataset(grid=2, t_end=2.0))
-    assert [type(lib).__name__ for lib in calls] == ["Identity"]
+    assert calls == [None]
+    assert [type(p).__name__ for p in regressed] == ["PairStream"]
+    assert isinstance(regressed[0].library, kl.Identity)
     assert model.regression.kernel_alpha is None and model.regression.kernel_pairs is None
 
 

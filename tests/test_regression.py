@@ -948,8 +948,9 @@ def test_kdmd_refuses_a_zero_gram_matrix_before_either_solver(monkeypatch):
 
 def test_kdmd_reads_snapshot_pairs_like_the_other_regressions():
     # trajectories of 6, 9 and 4 pairs: the multi-segment pairs give the bits
-    # of the column-matrix call on the stacked pairs, and pairs with a second
-    # matrix are refused as fit_edmd refuses them
+    # of the column-matrix call on the stacked pairs and of a stream of the
+    # same trajectories, and pairs with a second matrix are refused as
+    # fit_edmd refuses them
     rng = np.random.default_rng(3)
     ds = kl.TrajectoryDataset([rng.uniform(-1.0, 1.0, (k, 2)) for k in (7, 10, 5)], dt=0.1)
     pairs = kl.build_snapshot_pairs(ds)
@@ -957,17 +958,20 @@ def test_kdmd_reads_snapshot_pairs_like_the_other_regressions():
     for kernel in (kl.KernelConfig(kind="gaussian", sigma=1.5, reg_eps=1e-10),
                    kl.KernelConfig(kind="polynomial", degree=3, reg_eps=1e-10)):
         res = kl.fit_kdmd(pairs, kernel=kernel)
-        ref = kl.fit_kdmd(pairs.X, pairs.Xprime, kernel)
-        for name in ("A", "kernel_alpha", "residual_fro", "residual_rel", "sigma_min", "m"):
-            np.testing.assert_array_equal(getattr(res, name), getattr(ref, name))
-        np.testing.assert_array_equal(res.eigensystem.lambdas, ref.eigensystem.lambdas)
+        for ref in (kl.fit_kdmd(pairs.X, pairs.Xprime, kernel),
+                    kl.fit_kdmd(kl.data.PairStream(ds), kernel=kernel)):
+            for name in ("A", "kernel_alpha", "residual_fro", "residual_rel", "sigma_min", "m"):
+                np.testing.assert_array_equal(getattr(res, name), getattr(ref, name))
+            np.testing.assert_array_equal(res.eigensystem.lambdas, ref.eigensystem.lambdas)
+        # the stream's segments are its trajectories, lifted as the held ones
+        assert len(ref.kernel_pairs.segments) == len(res.kernel_pairs.segments) == 3
+        for a, b in zip(res.kernel_pairs.segments, ref.kernel_pairs.segments):
+            for p, q in zip(a, b):
+                np.testing.assert_array_equal(p, q)
     with pytest.raises(DataError) as refused:
         kl.fit_edmd(pairs, pairs.Xprime)
     with pytest.raises(DataError, match=f"^{re.escape(str(refused.value))}$"):
         kl.fit_kdmd(pairs, pairs.Xprime)
-    # a stream holds no pairs, and the Gram matrix needs every state at once
-    with pytest.raises(DataError, match="needs SnapshotPairs, not a PairStream"):
-        kl.fit_kdmd(kl.data.PairStream(ds))
 
 
 def test_truncated_kdmd_falls_back_to_the_dense_solver(slow_manifold_pairs, monkeypatch):
