@@ -3,13 +3,16 @@ and linear iteration.
 
 All kernels are plain numpy and deterministic for fixed inputs, but for
 `lapack_tpqrt` and `blas_dsymv`, which call one LAPACK and one BLAS routine
-of the library numpy itself links, and `one_blas_thread`, which sets that
-library's thread count, all found by one loader (`_openblas`).
+of the library numpy itself links, found by one loader (`_openblas`), or a
+numpy function of the same contract where it exports none; so each caller
+runs one path. `one_blas_thread` sets that library's thread count, and
+`in_lanes` runs lanes at once where the count can be held at one.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import math
 import threading
@@ -270,22 +273,22 @@ def eigenfunction_lift(kernel_rows, n, plan):
     return Z.view(complex)
 
 
-def _openblas(name):
+def _openblas(name, restype, *argtypes):
     """The routine `name` of the OpenBLAS that numpy's wheel bundles, as a
-    ctypes function without types, or None where numpy's library does not
-    export it (a numpy built on MKL, Accelerate or a distro's OpenBLAS).
-    That library exports its LAPACKE and CBLAS entry points with 64-bit
-    integers, under a `scipy_` prefix and a `64_` suffix. Opening the loaded
-    library and looking up a symbol takes well under a millisecond, and the
-    loaders below cache what they build on it."""
-    import ctypes
-
+    ctypes function of `argtypes` returning `restype`, or None where numpy's
+    library does not export it (a numpy built on MKL, Accelerate or a
+    distro's OpenBLAS). That library exports its LAPACKE and CBLAS entry
+    points with 64-bit integers, under a `scipy_` prefix and a `64_` suffix.
+    Opening the loaded library and looking up a symbol takes well under a
+    millisecond, and the loaders below cache what they build on it."""
     from numpy.linalg import _umath_linalg
 
     try:
-        return getattr(ctypes.CDLL(_umath_linalg.__file__), name)
+        routine = getattr(ctypes.CDLL(_umath_linalg.__file__), name)
     except (OSError, AttributeError):
         return None
+    routine.restype, routine.argtypes = restype, argtypes
+    return routine
 
 
 @functools.cache
@@ -293,15 +296,9 @@ def _blas_thread_count():
     """(get, set) for the thread count of numpy's OpenBLAS, as ctypes
     functions get() -> int and set(int), or None where numpy's library does
     not export them (`_openblas`). Looked up on first use, and cached."""
-    import ctypes
-
-    get = _openblas("scipy_openblas_get_num_threads64_")
-    put = _openblas("scipy_openblas_set_num_threads64_")
-    if get is None or put is None:
-        return None
-    get.restype, get.argtypes = ctypes.c_int, ()
-    put.restype, put.argtypes = None, (ctypes.c_int,)
-    return get, put
+    get = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    put = _openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+    return None if get is None or put is None else (get, put)
 
 
 _blas_thread_lock = threading.Lock()
@@ -340,6 +337,36 @@ def one_blas_thread():
                 put(hold[1])
 
 
+def in_lanes(lane, n):
+    """lane(0), ..., lane(n - 1), each on one BLAS thread (`one_blas_thread`).
+    Where numpy's library lets its thread count be set, lane 0 runs on this
+    thread and the others at the same time on Python threads of their own,
+    and the first exception a lane raised is re-raised here once all have
+    finished. Elsewhere, where lanes on threads would oversubscribe the
+    cores, they run one after the other here, with the same arithmetic."""
+    raised = []
+
+    def run(i):
+        try:
+            lane(i)
+        except BaseException as exc:  # re-raised on the calling thread
+            raised.append(exc)
+
+    with one_blas_thread() as pinned:
+        workers = [threading.Thread(target=run, args=(i,), name="kooplift-tsqr")
+                   for i in range(1, n if pinned else 1)]
+        for worker in workers:
+            worker.start()
+        try:
+            for i in range(1 if pinned else n):
+                lane(i)
+        finally:
+            for worker in workers:
+                worker.join()
+    if raised:
+        raise raised[0]
+
+
 def tpqrt_nb(n):
     """The block size nb of `lapack_tpqrt`'s update of n columns: 4 up to
     TPQRT_NARROW columns and 16 above, never more than n."""
@@ -348,35 +375,30 @@ def tpqrt_nb(n):
 
 @functools.cache
 def lapack_tpqrt():
-    """The TSQR's update as a function tpqrt(R, B), or None where numpy's
-    LAPACK library does not export LAPACKE's `dtpqrt_work` (`_openblas`).
-    Looked up on first use, and cached.
+    """The TSQR's update as a function tpqrt(R, B), looked up on first use
+    and cached: LAPACK's dtpqrt (l = 0, nb = `tpqrt_nb(n)`) where numpy's
+    LAPACK library exports LAPACKE's `dtpqrt_work` (`_openblas`), else
+    `_numpy_tpqrt` (MKL, Accelerate, a distro's build).
 
-    tpqrt(R, B) overwrites the upper triangle of the (n, n) R with the R
-    factor of [R; B] for a (k, n) B, by LAPACK's dtpqrt (l = 0, nb =
-    `tpqrt_nb(n)`), in place: B is left holding Householder vectors and R's
-    strict lower triangle is not touched. Both are float64 views with unit
-    row stride (column-major), as rows of one Fortran-ordered buffer are.
-    The routine is the structured update of the communication-optimal TSQR
-    (Demmel, Grigori, Hoemmen & Langou, SISC 2012): it reads R as
-    triangular, where a QR of [R; B] would factor R's zeros again. It is
-    called through the library's `_work` entry point, which does not scan
-    its input for NaN: a NaN or an inf in B leaves R non-finite, as the
-    caller's check expects.
-
+    tpqrt(R, B) overwrites an upper triangular (n, n) R, zero below its
+    diagonal, with the R factor of [R; B] for a (k, n) B, in place. Both are
+    float64 views with unit row stride (column-major), as rows of one
+    Fortran-ordered buffer are. dtpqrt leaves B holding Householder vectors.
+    It is the structured update of the communication-optimal TSQR (Demmel,
+    Grigori, Hoemmen & Langou, SISC 2012): it reads R as triangular, where a
+    QR of [R; B] would factor R's zeros again. It is called through the
+    library's `_work` entry point, which does not scan its input for NaN: a
+    NaN or an inf in B leaves R non-finite, as the caller's check expects.
     Each call allocates its own T and workspace, and ctypes releases the GIL
     for the call, so two Python threads may update two disjoint (R, B) at
-    once, as the TSQR's two streams do. Its bits follow the BLAS thread
-    count, which the TSQR fixes at one (`one_blas_thread`).
+    once, as the TSQR's two lanes do. Its bits follow the BLAS thread count,
+    which the TSQR fixes at one (`one_blas_thread`).
     """
-    import ctypes
-
-    routine = _openblas("scipy_LAPACKE_dtpqrt_work64_")
-    if routine is None:
-        return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    routine.restype = i64
-    routine.argtypes = (ctypes.c_int, i64, i64, i64, i64, ptr, i64, ptr, i64, ptr, i64, ptr)
+    routine = _openblas("scipy_LAPACKE_dtpqrt_work64_", i64,
+                        ctypes.c_int, i64, i64, i64, i64, ptr, i64, ptr, i64, ptr, i64, ptr)
+    if routine is None:
+        return _numpy_tpqrt
     col_major = 102  # LAPACK_COL_MAJOR
 
     def tpqrt(R, B):
@@ -396,27 +418,36 @@ def lapack_tpqrt():
     return tpqrt
 
 
+def _numpy_tpqrt(R, B):
+    """`lapack_tpqrt`'s update as R = np.linalg.qr([R; B], mode="r"). Where
+    B's rows follow R's in one buffer, as a TSQR lane's block follows its R,
+    [R; B] is read as one strided view of it: stacked into a new array, an
+    RBF(50) fit in blocks of 1,000 peaked at 5.87 MB, not 4.25 MB."""
+    if B.strides == R.strides and B.ctypes.data == R.ctypes.data + R.shape[0] * R.strides[0]:
+        RB = np.lib.stride_tricks.as_strided(R, (R.shape[0] + B.shape[0], R.shape[1]))
+    else:
+        RB = np.concatenate([R, B])
+    R[...] = np.linalg.qr(RB, mode="r")
+
+
 @functools.cache
 def blas_dsymv():
     """The product of a symmetric matrix and a vector as a function
-    symv(G, x), or None where numpy's BLAS library does not export CBLAS's
-    `dsymv` (`_openblas`). Looked up on first use, and cached.
+    symv(G, x), looked up on first use and cached: CBLAS's `dsymv` where
+    numpy's BLAS library exports it (`_openblas`), else np.dot, the gemv of
+    G @ x, with its bits.
 
     symv(G, x) returns a new vector G @ x for an exactly symmetric, C-ordered
     (m, m) float64 G, as kernel Gram matrices are built, and a contiguous
-    float64 x of length m. BLAS's dsymv reads only G's upper triangle, half
-    of the memory that the gemv of G @ x reads, and rounds otherwise than
-    that gemv; for a fixed G, x and BLAS thread count it gives the same bits
-    on every call.
+    float64 x of length m. dsymv reads only G's upper triangle, half of the
+    memory that the gemv reads, and rounds otherwise; for a fixed G, x and
+    BLAS thread count it gives the same bits on every call.
     """
-    import ctypes
-
-    routine = _openblas("scipy_cblas_dsymv64_")
-    if routine is None:
-        return None
     i64, ptr, dbl = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    routine.restype = None
-    routine.argtypes = (ctypes.c_int, ctypes.c_int, i64, dbl, ptr, i64, ptr, i64, dbl, ptr, i64)
+    routine = _openblas("scipy_cblas_dsymv64_", None, ctypes.c_int, ctypes.c_int, i64, dbl,
+                        ptr, i64, ptr, i64, dbl, ptr, i64)
+    if routine is None:
+        return np.dot
     row_major, upper = 101, 121  # CblasRowMajor, CblasUpper
 
     def symv(G, x):

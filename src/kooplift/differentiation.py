@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import uniform_step
-from .errors import ConfigError, DataError, check_bool, check_int, check_real
+from .errors import ConfigError, DataError, _check_memory, check_bool, check_int, check_real
 
 __all__ = ["DifferentiationConfig", "differentiate", "METHODS"]
 
@@ -168,6 +168,8 @@ def differentiate(config: DifferentiationConfig, X, t) -> np.ndarray:
     elif method == "spline":
         dX = _spline(X, t, config.smoothing)
     else:
+        # a column's solve holds six m x m arrays: 48.0 MB at m = 1,000
+        _check_memory(6 * m * m * X.itemsize, f"total_variation on m={m} samples")
         dX = np.column_stack(
             [_tv_column(X[:, j], h, config.tv_lambda, config.tv_iters)
              for j in range(X.shape[1])]

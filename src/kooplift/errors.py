@@ -10,6 +10,7 @@ strictly, and a refused one raises DataError.
 
 import inspect
 import math
+import os
 from numbers import Integral, Real
 
 import numpy as np
@@ -52,6 +53,15 @@ def check_bool(value, name: str) -> bool:
     if isinstance(value, bool):
         return value
     raise ConfigError(f"{name} must be true or false, got {value!r}")
+
+
+def _check_memory(need: int, what: str) -> None:
+    """ConfigError, before `what` allocates its `need` bytes, if the machine's
+    physical memory holds fewer."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise ConfigError(f"{what} needs {need:,} bytes, more than the {have:,} bytes "
+                          "of physical memory")
 
 
 def model_number(value, name: str) -> float:

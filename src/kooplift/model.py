@@ -138,33 +138,30 @@ class ModeTable:
 
 
 def _real_rows(C, complex_data, n_real=0):
-    """A real matrix whose rows give [Re(C z); Im(C z)], applied to z, or to
-    [Re z; Im z] when z is complex. For a real z the imaginary rows of the
-    last n_real rows of C, which are zero, are left out."""
+    """A real matrix whose rows give [Re(C z); Im(C z)], applied to z, or,
+    when z is complex, to its float view (Re z_0, Im z_0, Re z_1, ...). For
+    a real z the imaginary rows of the last n_real rows of C, which are
+    zero, are left out."""
     if complex_data:
-        return np.block([[C.real, -C.imag], [C.imag, C.real]])
+        rows = np.block([[C.real, -C.imag], [C.imag, C.real]])
+        return rows.reshape(-1, 2, C.shape[1]).swapaxes(1, 2).reshape(rows.shape)
     return np.vstack([C.real, C.imag[:C.shape[0] - n_real]])
 
 
-def _phi_block(rows, pieces, part, out, buf):
+def _phi_block(rows, pieces, part, out):
     """rows applied to part `part` (0 for X, 2 for X') of one block's pairs,
     given as its pieces (`data.pair_blocks`), into the (rows, width) `out`.
-    Real pieces are multiplied where they lie, each into its columns of
-    `out`. Complex ones are written as [Re; Im] columns into `buf` first,
-    for one product on the block."""
+    Each piece is multiplied where it lies, into its columns of `out`, a
+    complex one through its float view (copied first only where its rows
+    are not contiguous, as `SnapshotPairs.from_columns` views are)."""
     o = 0
     for piece in pieces:
         Z = piece[part]
+        if Z.dtype.kind == "c":
+            Z = np.ascontiguousarray(Z).view(float)
         e = o + Z.shape[0]
-        if buf is None:
-            np.matmul(rows, Z.T, out=out[:, o:e])
-        else:
-            n = Z.shape[1]
-            buf[:n, o:e] = Z.real.T
-            buf[n:, o:e] = Z.imag.T
+        np.matmul(rows, Z.T, out=out[:, o:e])
         o = e
-    if buf is not None:
-        np.matmul(rows, buf[:, :o], out=out)
 
 
 def _consistency_scores(regression: RegressionResult, pairs):
@@ -176,10 +173,9 @@ def _consistency_scores(regression: RegressionResult, pairs):
     and imaginary parts of complex pairs); the squared norms of phi_j(X) and
     of the residual are summed over the blocks. The blocks are those of
     `data.pair_blocks`, and no pair is copied to score it: each
-    trajectory piece of a block of real pairs is multiplied where it lies,
-    into its columns of two (rows, SCORE_CHUNK) buffers that the pass
-    allocates once, and complex pairs are written once as [Re; Im] columns
-    into a third, for one product per block. A block of one piece has the
+    trajectory piece of a block is multiplied where it lies, into its
+    columns of two (rows, SCORE_CHUNK) buffers that the pass allocates once,
+    a complex piece through its float view. A block of one piece has the
     bits of its copy; for a block that straddles trajectories, a BLAS may
     round a column otherwise by where it sits in the product (OpenBLAS's edge
     kernels can, in the last bits), though on the four benchmark workloads
@@ -190,8 +186,10 @@ def _consistency_scores(regression: RegressionResult, pairs):
     mode with a real lambda_j and a real w_j has no imaginary row. The rows
     are the real rows of the complex modes, those of the real modes, then
     the imaginary rows of the complex modes; complex pairs score every mode
-    as complex. lambda_j is applied after the sum w_j^H z, as complex
-    arithmetic would: folding it into the rows first rounds lambda_j w_j
+    as complex, on their float view. kdmd's complex pairs meet only its
+    identity eigenvectors, so each of their sums has one nonzero term, whose
+    bits no order of summation moves. lambda_j is applied after the sum
+    w_j^H z, as complex arithmetic would: folding it into the rows first rounds lambda_j w_j
     before the cancellation in that sum, which costs accuracy when the w_j
     are large. Pairs holding NaN or inf, in X, X' or an input, raise
     DataError; a mode whose sums overflow on finite pairs scores NaN with a
@@ -216,13 +214,11 @@ def _consistency_scores(regression: RegressionResult, pairs):
     lr, li = lambdas.real[kept, None], lambdas.imag[kept[:c], None]
     num = np.zeros(k + c)
     den = np.zeros(k + c)
-    # the pass's buffers, allocated once: phi on X' and on X of a block, two
-    # scratch rows per complex mode for its residual, and complex pairs'
-    # [Re; Im] columns
+    # the pass's buffers, allocated once: phi on X' and on X of a block, and
+    # two scratch rows per complex mode for its residual
     width = sum(X.shape[0] for X, _, _ in pieces)
     P, Q = np.empty((k + c, width)), np.empty((k + c, width))
     S1, S2 = np.empty((c, width)), np.empty((c, width))
-    buf = np.empty((rows.shape[1], width)) if complex_data else None
     # NaN or inf pairs make the sums NaN, which the check below refuses; an
     # overflow of finite pairs still warns, and a sum it leaves NaN or inf
     # scores NaN with a finding
@@ -234,8 +230,8 @@ def _consistency_scores(regression: RegressionResult, pairs):
                 pairs.refuse_non_finite()
             w = sum(p[0].shape[0] for p in pieces)
             Pw, Qw, T1, T2 = P[:, :w], Q[:, :w], S1[:, :w], S2[:, :w]
-            _phi_block(rows, pieces, 2, Pw, buf)  # [Re; Im] phi(X')
-            _phi_block(rows, pieces, 0, Qw, buf)  # [Re; Im] phi(X)
+            _phi_block(rows, pieces, 2, Pw)  # [Re; Im] phi(X')
+            _phi_block(rows, pieces, 0, Qw)  # [Re; Im] phi(X)
             den += np.einsum("ij,ij->i", Qw, Qw)
             # P -= lambda phi(X): lr Re - li Im and lr Im + li Re for the
             # complex modes, lr phi for the real ones, each product rounded as

@@ -14,8 +14,6 @@ the default relative singular-value cutoff of 1e-10.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import Optional
@@ -24,8 +22,8 @@ import numpy as np
 
 from . import _kernels
 from .data import Finding, SnapshotPairs, _FrozenRecord, _Pairs, pair_blocks
-from .errors import (ConfigError, DataError, RegressionError, call_with_options,
-                     check_int, check_real)
+from .errors import (ConfigError, DataError, RegressionError, _check_memory,
+                     call_with_options, check_int, check_real)
 
 __all__ = [
     "EigenSystem",
@@ -295,14 +293,12 @@ def _pair_factor(pairs, inputs: bool = False):
     stream i mod TSQR_STREAMS, and each stream keeps its own R: each of its
     blocks is copied once into the stream's rows of one column-major
     buffer, below that R, and R is updated there in place to the R factor
-    of [R; block] by LAPACK's dtpqrt (`_kernels.lapack_tpqrt`), from R = 0.
-    Then stream 0's R is updated by stream 1's (upper triangular) R with one
-    more dtpqrt. Where numpy's LAPACK library has no dtpqrt, the same tree
-    takes R = np.linalg.qr([R; block]) from an empty R for each update, and
-    np.linalg.qr([R_0; R_1]) for the merge. With one block, stream 1 is
-    empty: it allocates no rows, and there is no merge. For m < W, R's rows
-    below the m-th are zero but for rounding and are dropped, so R is
-    (min(m, W), W) on either route.
+    of [R; block] by `_kernels.lapack_tpqrt` (LAPACK's dtpqrt, or
+    np.linalg.qr), from R = 0. One more update, of stream 0's R by stream
+    1's, merges them. The tree is the same on every platform; only the
+    update's bits differ. With one block, stream 1 is empty: it allocates
+    no rows, and there is no merge. For m < W, R's rows below the m-th are
+    zero but for rounding and are dropped, so R is (min(m, W), W).
 
     Each stream fetches the pieces of its blocks itself, with `pairs.rows`,
     the one pair reader: a `PairStream` lifts the rows of the piece, and no
@@ -313,14 +309,11 @@ def _pair_factor(pairs, inputs: bool = False):
 
     The TSQR runs on one BLAS thread (`_kernels.one_blas_thread`, a
     process-wide setting, restored after), so R's bits depend only on the
-    pairs, W and QR_CHUNK, not on the BLAS thread count. Where that count
-    can be set and dtpqrt loads, stream 1 runs on a Python thread of its
-    own beside stream 0 on the caller's (ctypes releases the GIL inside
-    dtpqrt, and numpy inside its lifts' loops), so a library's
-    `lift_trajectory` may run on both threads at once, and an exception
-    raised on stream 1 is re-raised on the caller's; otherwise the streams
-    run one after the other on the caller's thread, with the same
-    arithmetic.
+    pairs, W and QR_CHUNK, not on the BLAS thread count. The streams are
+    lanes of `_kernels.in_lanes`, which runs stream 1 on a Python thread of
+    its own beside stream 0 where that count can be set, so a library's
+    `lift_trajectory` may run on both threads at once, and re-raises an
+    exception of stream 1 on the caller's thread.
 
     A NaN or an inf in a pair leaves R non-finite, and only then are the
     pairs searched, by their `refuse_non_finite`, which raises DataError.
@@ -332,15 +325,13 @@ def _pair_factor(pairs, inputs: bool = False):
     plan = list(pair_blocks(pairs.lengths, QR_CHUNK))
     n_streams = min(TSQR_STREAMS, len(plan))
     # one column-major buffer, so each column of a block is filled, and read
-    # by LAPACK, contiguously; stream s owns rows s h .. (s + 1) h: its R, zero
-    # before its first block, then room for one block
+    # by the update, contiguously; stream s owns rows s h .. (s + 1) h: its R,
+    # zero before its first block, then room for one block
     h = W + min(QR_CHUNK, pairs.m)
     S = np.zeros((n_streams * h, W), order="F")
-    Rs = [np.empty((0, W))] * n_streams  # numpy's R of each stream, where there is no dtpqrt
 
     def stream(s):
         top = s * h + W  # the stream's first block row
-        R = Rs[s]
         for block in plan[s::TSQR_STREAMS]:
             o = top
             for i, lo, hi in block:
@@ -352,53 +343,16 @@ def _pair_factor(pairs, inputs: bool = False):
                 S[o:e, N + q:] = Xp
                 o = e
             del X, U, Xp  # not held through the update
-            if tpqrt is not None:
-                tpqrt(S[top - W:top], S[top:o])
-            else:  # the rows of R right above the block
-                S[top - R.shape[0]:top] = R
-                R = np.linalg.qr(S[top - R.shape[0]:o], mode="r")
-        Rs[s] = R
+            tpqrt(S[top - W:top], S[top:o])
 
-    with _kernels.one_blas_thread() as one_thread:
-        if one_thread and tpqrt is not None and n_streams > 1:
-            _in_parallel(stream, n_streams)
-        else:
-            for s in range(n_streams):
-                stream(s)
-        if tpqrt is not None:
-            for s in range(1, n_streams):
-                tpqrt(S[:W], S[s * h:s * h + W])
-            R = np.triu(S[:min(pairs.m, W)])
-        else:
-            R = Rs[0] if n_streams == 1 else np.linalg.qr(np.vstack(Rs), mode="r")
+    with _kernels.one_blas_thread():
+        _kernels.in_lanes(stream, n_streams)
+        for s in range(1, n_streams):
+            tpqrt(S[:W], S[s * h:s * h + W])
+        R = np.triu(S[:min(pairs.m, W)])
     if not np.isfinite(R).all():
         pairs.refuse_non_finite()
     return R[:, :N], (R[:, N:N + q] if q else None), R[:, N + q:]
-
-
-def _in_parallel(f, n):
-    """f(0) on this thread and f(1), ..., f(n - 1) on new Python threads, at
-    the same time; returns when all have finished, and re-raises the first
-    exception that any of them raised."""
-    raised = []
-
-    def run(i):
-        try:
-            f(i)
-        except BaseException as exc:  # re-raised on the calling thread
-            raised.append(exc)
-
-    workers = [threading.Thread(target=run, args=(i,), name="kooplift-tsqr")
-               for i in range(1, n)]
-    for worker in workers:
-        worker.start()
-    try:
-        f(0)
-    finally:
-        for worker in workers:
-            worker.join()
-    if raised:
-        raise raised[0]
 
 
 def _residual(E: np.ndarray, target: np.ndarray):
@@ -577,13 +531,8 @@ def _check_gram_memory(m: int, rows: int, held: int) -> None:
     eigensolver, beside G, the fit keeps `held` rows of T (the trajectory end
     rows of its training lift, at most m) and streams the other rows it
     evaluates in row blocks, never holding T whole."""
-    need = m * (m + max(rows, held)) * np.dtype(float).itemsize
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise ConfigError(
-            f"kernel regression on m={m} snapshot pairs needs {need:,} bytes for its "
-            f"Gram matrices, more than the {have:,} bytes of physical memory"
-        )
+    _check_memory(m * (m + max(rows, held)) * np.dtype(float).itemsize,
+                  f"kernel regression on m={m} snapshot pairs (its Gram matrices)")
 
 
 def _lanczos_cap(m: int, r: int) -> int:
@@ -604,11 +553,11 @@ def _lanczos(G: np.ndarray, r: int, tol: float):
     classical Gram-Schmidt), or None when they have not converged within
     `_lanczos_cap` steps (Parlett, The Symmetric Eigenvalue Problem, ch. 13).
 
-    A step multiplies G by the last basis vector once, by BLAS's dsymv
-    (`_kernels.blas_dsymv`), which reads only G's upper triangle: at m =
-    2,844 one product took 0.74 ms against 1.31 ms for the gemv of G @ v (2
-    BLAS threads; 1.35 against 2.61 ms on one). Where numpy's BLAS library
-    does not export dsymv, the step takes G @ v, with that gemv's bits. It
+    A step multiplies G by the last basis vector once, by the product
+    `_kernels.blas_dsymv` loads: BLAS's dsymv, which reads only G's upper
+    triangle (at m = 2,844 one product took 0.74 ms against 1.31 ms for the
+    gemv of G @ v, 2 BLAS threads; 1.35 against 2.61 ms on one), or, where
+    numpy's BLAS library does not export dsymv, that gemv, with its bits. It
     starts from a fixed vector, so repeated solves are bit-identical at one
     BLAS thread count. A check after step k >= r takes the eigenpairs
     (theta, y) of the k x k tridiagonal T_k = V_k^T G V_k and accepts the
@@ -634,7 +583,7 @@ def _lanczos(G: np.ndarray, r: int, tol: float):
     symv = _kernels.blas_dsymv()
     check = r  # the step after which the next check runs
     for k in range(cap):
-        w = G @ V[k] if symv is None else symv(G, V[k])
+        w = symv(G, V[k])
         Vk = V[:k + 1]
         h = Vk @ w
         w -= h @ Vk
@@ -715,7 +664,7 @@ def fit_kdmd(Z, Zprime=None, kernel: KernelConfig = KernelConfig(),
 
     The principal eigenspace of G comes from `_gram_eigenpairs`: the
     leading r eigenpairs by a Lanczos iteration on numpy's BLAS (`_lanczos`,
-    its products with G by dsymv) for an integer rank r <= m /
+    its products by `_kernels.blas_dsymv`) for an integer rank r <= m /
     LANCZOS_RATIO (16), else the whole spectrum by a dense eigh, which
     rank=None needs for the numerical rank. A Lanczos iteration that does
     not converge gives way to the dense eigh, and the result records a

@@ -171,9 +171,10 @@ def model_from_dict(d: dict) -> KoopmanModel:
     file repeats (n, q, the metadata's rank and n_features, the array shapes,
     an exact-embedding C, mus, use_exact_modes) is refused unless it agrees
     with its home: the observables, B, the eigenvalues with dt, or
-    modes_exact. So is a spectrum that is not A's, and a regressor label
-    whose kind `fit` never gives the observables. Unknown metadata keys are
-    not read."""
+    modes_exact. So is a spectrum that is not A's, a regressor label whose
+    kind `fit` never gives the observables, and a kdmd model whose
+    eigenvectors are not the identity. Unknown metadata keys are not
+    read."""
     if not isinstance(d, dict):
         raise DataError("model file must contain a JSON object")
     version = d.get("schema_version")
@@ -251,7 +252,7 @@ def model_from_dict(d: dict) -> KoopmanModel:
     if use_exact is not (modes_exact is not None):
         raise _malformed(f"use_exact_modes is {use_exact!r}, but the model has "
                          f"{'no modes_exact' if modes_exact is None else 'modes_exact'}")
-    _, controlled, fitted = _KINDS[regressor]
+    regression, controlled, fitted = _KINDS[regressor]
     if controlled != (B is not None):
         raise _malformed(f"regressor {regressor!r} is "
                          f"{'controlled' if controlled else 'unforced'}, but the model "
@@ -265,6 +266,11 @@ def model_from_dict(d: dict) -> KoopmanModel:
         "modes_exact": (modes_exact, (N, r)), "mus": (mus, (r,)),
         "z0_train": (z0, (N,)), "training_scores": (scores, (r,)),
     })
+    if regression == "kdmd":
+        # fit_kdmd's eigenvectors; others would move no prediction to show them
+        for name in ("W_right", "W_left"):
+            if not np.array_equal(getattr(eig, name), np.eye(r)):
+                raise _malformed(f"{name} of a kdmd model is not the identity")
     _check_spectrum(A, eig)
     _check_continuous(mus, eig.lambdas, dt)
     return KoopmanModel(observables=obs, regression=res, C=_reconstruction(obs, C),

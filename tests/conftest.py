@@ -39,3 +39,23 @@ def slow_manifold_small():
 @pytest.fixture(scope="session")
 def slow_manifold_poly_model(slow_manifold_small):
     return kl.fit(kl.Polynomial(2), "edmd", slow_manifold_small)
+
+
+def numpy_route(monkeypatch, loader):
+    """Patch the `_kernels` loader named `loader` to return what it returns
+    where numpy's library exports none of the routines it looks for: its
+    numpy function, which is returned here too."""
+    with monkeypatch.context() as m:
+        m.setattr(kl._kernels, "_openblas", lambda *args: None)
+        fallback = getattr(kl._kernels, loader).__wrapped__()
+    monkeypatch.setattr(kl._kernels, loader, lambda: fallback)
+    return fallback
+
+
+@pytest.fixture(params=["library", "numpy"])
+def tsqr_update(request, monkeypatch):
+    """The TSQR's update: the one numpy's own library gives here, then the
+    numpy update that a library without dtpqrt gets."""
+    if request.param == "numpy":
+        return numpy_route(monkeypatch, "lapack_tpqrt")
+    return kl._kernels.lapack_tpqrt()

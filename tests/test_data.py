@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import kooplift as kl
 
+from conftest import numpy_route
+
 
 def test_build_pairs_shift_by_one():
     ds = kl.TrajectoryDataset([np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])], dt=1.0)
@@ -341,17 +343,15 @@ def test_pair_matrices_assemble_on_demand():
     assert single.m == 19 and len(single.segments) == 1
 
 
-def test_tsqr_blocks_across_trajectories_match_a_stacked_reference(monkeypatch):
-    tpqrt = kl._kernels.lapack_tpqrt()
-    if tpqrt is None:
-        pytest.skip("numpy's LAPACK library exports no dtpqrt")
+def test_tsqr_blocks_across_trajectories_match_a_stacked_reference(tsqr_update, monkeypatch):
+    tpqrt = tsqr_update
     monkeypatch.setattr(kl.regression, "QR_CHUNK", 7)
     pairs = _straddling_pairs(kl.Polynomial(2).bind(2))
     RX, RU, RXp = kl.regression._pair_factor(pairs, inputs=True)
     # the TSQR's tree written out on the stacked rows [X | U | X']: block i
     # of 7 rows, copied into an array of its own, updates the R of stream
-    # i mod 2 by dtpqrt, from R = 0, so the 19 pairs give stream 0 blocks 0
-    # and 2 and stream 1 block 1; then stream 1's R updates stream 0's
+    # i mod 2, from R = 0, so the 19 pairs give stream 0 blocks 0 and 2 and
+    # stream 1 block 1; then stream 1's R updates stream 0's
     M = np.hstack([pairs.X.T, pairs.U.T, pairs.Xprime.T])
     W = M.shape[1]
     Rs = [np.zeros((W, W), order="F") for _ in range(2)]
@@ -364,14 +364,15 @@ def test_tsqr_blocks_across_trajectories_match_a_stacked_reference(monkeypatch):
 
 def test_tsqr_without_dtpqrt_keeps_numpys_qr_bits(monkeypatch):
     # a numpy whose LAPACK library has no dtpqrt runs the same tree on
-    # np.linalg.qr: each stream's R = qr([R; block]) from an empty R, then
-    # R = qr([R_0; R_1]), written out here on the stacked rows
-    monkeypatch.setattr(kl._kernels, "lapack_tpqrt", lambda: None)
+    # np.linalg.qr: each stream's R = qr([R; block]) from R = 0, so its first
+    # update factors [0; block], then R = qr([R_0; R_1]), written out here on
+    # the stacked rows
+    numpy_route(monkeypatch, "lapack_tpqrt")
     monkeypatch.setattr(kl.regression, "QR_CHUNK", 7)
     pairs = _straddling_pairs(kl.Polynomial(2).bind(2))
     RX, RU, RXp = kl.regression._pair_factor(pairs, inputs=True)
     M = np.hstack([pairs.X.T, pairs.U.T, pairs.Xprime.T])
-    Rs = [np.empty((0, M.shape[1]))] * 2
+    Rs = [np.zeros((M.shape[1], M.shape[1]))] * 2
     for i, a in enumerate(range(0, M.shape[0], 7)):
         Rs[i % 2] = np.linalg.qr(np.asfortranarray(np.vstack([Rs[i % 2], M[a:a + 7]])),
                                  mode="r")

@@ -47,6 +47,37 @@ def test_total_variation_on_noiseless_ramp():
     np.testing.assert_allclose(d, 1.0, atol=1e-3)
 
 
+def test_total_variation_refuses_more_memory_than_the_machine_has(monkeypatch):
+    import os
+    import tracemalloc
+
+    # its solve holds six m x m float64 arrays at once, 192 MB at m = 2,000:
+    # with the physical memory read as less, it is refused before any is
+    # allocated; with exactly enough, it runs
+    m = 2000
+    t = np.arange(m) * 0.01
+    sysconf = os.sysconf
+
+    def memory(pages):
+        monkeypatch.setattr(os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES"
+                            else sysconf(name))
+
+    page = sysconf("SC_PAGE_SIZE")
+    memory((6 * m * m * 8 - 1) // page)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"^total_variation on m=2000 samples .* "
+                                              "more than the .* bytes of physical memory"):
+            kl.differentiate(cfg("total_variation"), np.sin(t), t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m * 8 / 10, peak
+    m = 40
+    memory(-(-6 * m * m * 8 // page))
+    kl.differentiate(cfg("total_variation", tv_iters=2), t[:m], t[:m])
+
+
 def test_total_variation_recovers_piecewise_constant_slope():
     # |.|_1 regularization keeps the derivative nearly piecewise constant
     t = np.linspace(0.0, 2.0, 80)

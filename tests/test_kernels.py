@@ -312,7 +312,7 @@ def test_dsymv_reads_only_the_upper_triangle_of_a_c_ordered_g(m):
     # product is that of the symmetric G, to rounding, and a G or an x that
     # is not C-ordered is refused rather than read wrong
     symv = K.blas_dsymv()
-    if symv is None:
+    if symv is np.dot:
         pytest.skip("numpy's BLAS library exports no dsymv")
     rng = _rng(m)
     A = rng.normal(size=(m, m))
@@ -326,6 +326,41 @@ def test_dsymv_reads_only_the_upper_triangle_of_a_c_ordered_g(m):
         for bad in ((np.asfortranarray(G), x), (G[::-1, ::-1], x), (G, np.repeat(x, 2)[::2])):
             with pytest.raises(ValueError, match="^symv takes"):
                 symv(*bad)
+
+
+def test_the_loaders_fall_back_to_numpy_functions(monkeypatch):
+    # where numpy's library exports none of the routines, each loader returns
+    # a numpy function with the same contract, so its callers run one path
+    monkeypatch.setattr(K, "_openblas", lambda *args: None)
+    assert K._blas_thread_count.__wrapped__() is None
+    assert K.lapack_tpqrt.__wrapped__() is K._numpy_tpqrt
+    assert K.blas_dsymv.__wrapped__() is np.dot
+
+
+@pytest.mark.parametrize("below", [True, False], ids=["block-below-r", "block-apart"])
+def test_both_tsqr_updates_factor_r_over_the_block_in_place(below):
+    # tpqrt(R, B) makes the upper triangular R the R factor of [R; B], for a
+    # B whose rows follow R's in one buffer (the numpy update reads the two
+    # as one strided view) and for one apart; the numpy update has the bits
+    # of np.linalg.qr of the stacked rows, dtpqrt those up to row signs and
+    # rounding
+    rng = _rng(11)
+    n, k = 7, 12
+    S = np.zeros((n + k, n), order="F")
+    S[:n] = np.triu(rng.normal(size=(n, n)))
+    S[n:] = rng.normal(size=(k, n))
+    ref = np.linalg.qr(S, mode="r")
+    for tpqrt in (K.lapack_tpqrt(), K._numpy_tpqrt):
+        T = S.copy(order="F")
+        R, B = T[:n], (T[n:] if below else T[n:].copy(order="F"))
+        tpqrt(R, B)
+        assert not np.tril(R, -1).any()
+        if tpqrt is K._numpy_tpqrt:
+            np.testing.assert_array_equal(R, ref)
+            np.testing.assert_array_equal(B, S[n:])
+        signs = np.sign(np.diag(R)) * np.sign(np.diag(ref))
+        np.testing.assert_allclose(signs[:, None] * R, ref, rtol=0,
+                                   atol=16 * np.finfo(float).eps * np.linalg.norm(S, 2))
 
 
 # ---------------------------------------------------------------------------

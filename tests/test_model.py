@@ -788,7 +788,7 @@ def test_scores_over_blocks_across_trajectories_match_a_stacked_reference(monkey
                          ids=["many-short-trajectories", "one-long-trajectory"])
 @pytest.mark.parametrize("stateless", [False, True], ids=["rbf", "rff-stateless"])
 def test_fit_holds_one_block_per_lane_not_the_lifted_dataset(n_trajectories, steps, stateless,
-                                                             monkeypatch):
+                                                             tsqr_update, monkeypatch):
     import tracemalloc
 
     # 39,960 pairs in TSQR and score blocks of 1,000: both TSQR lanes run,
@@ -813,10 +813,10 @@ def test_fit_holds_one_block_per_lane_not_the_lifted_dataset(n_trajectories, ste
     lifted = (ds.n_samples - n_trajectories) * N * 8  # every pair's lifted X
     block = chunk * N * 8
     # the lanes' buffer: each lane's R and one block below it, updated in
-    # place by dtpqrt (np.linalg.qr, where numpy's LAPACK has no dtpqrt,
-    # copies one lane's R and block once more, the lanes taking turns)
+    # place by dtpqrt (the numpy update, where numpy's LAPACK has no dtpqrt,
+    # copies a lane's R and block once more while it updates them)
     streams = kl.regression.TSQR_STREAMS
-    copies = streams if kl._kernels.lapack_tpqrt() is not None else streams + 1
+    copies = streams if tsqr_update is not kl._kernels._numpy_tpqrt else streams + 1
     buffers = copies * (W + chunk) * W * 8
     # a lift under way on each lane: the block's lifted rows and their
     # temporaries, about 3 blocks; R. The score pass after holds less: its

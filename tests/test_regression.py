@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import kooplift as kl
 from kooplift.errors import ConfigError, DataError, RegressionError
 
-from conftest import make_slow_manifold_dataset
+from conftest import make_slow_manifold_dataset, numpy_route
 
 RNG = np.random.default_rng(2024)
 
@@ -365,11 +365,11 @@ _TSQR_CASES = ([(m, chunk, 9) for m in (9, 12, 257) for chunk in (1, 7, 64)]
 
 @pytest.mark.parametrize("m,chunk,W", _TSQR_CASES, ids=[
     f"{m}-{chunk}" + (f"-W{W}" if W != 9 else "") for m, chunk, W in _TSQR_CASES])
-def test_tsqr_matches_numpys_qr_up_to_row_signs(m, chunk, W, monkeypatch):
+def test_tsqr_matches_numpys_qr_up_to_row_signs(m, chunk, W, tsqr_update, monkeypatch):
     # pairs of full column rank with singular values in [1, 2]: their R
     # factor is unique up to the signs of its rows and well conditioned, so
     # the blocked update and one np.linalg.qr of the stacked rows agree to
-    # rounding, stated here as 16 eps ||M||_2
+    # rounding, stated here as 16 eps ||M||_2, on either update
     assert kl._kernels.tpqrt_nb(W) == (16 if W == 130 else 4)
     rng = np.random.default_rng(m + chunk + W - 9)
     M = (_orthonormal(rng, m, W) * rng.uniform(1.0, 2.0, W)) @ _orthonormal(rng, W, W).T
@@ -483,25 +483,57 @@ def test_fits_leave_the_blas_thread_count_as_they_found_it(two_blas_threads, mon
 
 def test_tsqr_without_thread_count_routines_runs_the_streams_in_turn(two_blas_threads,
                                                                       monkeypatch):
-    if kl._kernels.lapack_tpqrt() is None:
-        pytest.skip("numpy's LAPACK library exports no dtpqrt")
     M = np.random.default_rng(9).normal(size=(12_000, 64))
     pairs = kl.SnapshotPairs.from_columns(M[:, :31].T, M[:, 33:].T, U=M[:, 31:33].T)
-    in_parallel = kl.regression._in_parallel
-    calls = []
-    monkeypatch.setattr(kl.regression, "_in_parallel",
-                        lambda *a: calls.append(a) or in_parallel(*a))
+    rows = kl.SnapshotPairs.rows
+    read_on = []
+    monkeypatch.setattr(kl.SnapshotPairs, "rows", lambda self, *block: (
+        read_on.append(threading.current_thread()) or rows(self, *block)))
     threaded = np.hstack(kl.regression._pair_factor(pairs, inputs=True))
-    assert len(calls) == 1
+    assert len(set(read_on)) == 2
     # a numpy whose BLAS library cannot set its thread count runs the same
     # streams one after the other on the calling thread, at the process's
     # count, here set to one by hand: the same bits
     get, put = kl._kernels._blas_thread_count()
     monkeypatch.setattr(kl._kernels, "_blas_thread_count", lambda: None)
     put(1)
+    read_on.clear()
     in_turn = np.hstack(kl.regression._pair_factor(pairs, inputs=True))
-    assert len(calls) == 1 and get() == 1
+    assert set(read_on) == {threading.main_thread()} and get() == 1
     np.testing.assert_array_equal(in_turn, threaded)
+
+
+@pytest.mark.parametrize("kind", ["dmd", "edmd", "hdmd", "dmdc", "edmdc", "hdmdc"])
+def test_every_explicit_kind_fits_alike_on_both_tsqr_updates(kind, monkeypatch):
+    # 240 pairs in blocks of 50: both lanes and the merge run, on dtpqrt and
+    # on the numpy update. R agrees to 16 eps ||M||_2 (see
+    # test_tsqr_matches_numpys_qr_up_to_row_signs), and each eigenvalue to
+    # that bound carried by its condition number, 16 eps kappa_j ||A||_2;
+    # on each update, validation has the bits of the fit's own scores
+    monkeypatch.setattr(kl.regression, "QR_CHUNK", 50)
+    rng = np.random.default_rng(8)
+    x0 = rng.uniform(-1.0, 1.0, size=(4, 2))
+    if kind.endswith("c"):
+        U = rng.uniform(-1.0, 1.0, size=(4, 60, 1))
+        trajs = kl.integrate_rk4_batch(kl.get_system("vdp_osc"), x0, 0.05, 60, U)
+        data = kl.TrajectoryDataset(list(trajs), 0.05, [np.vstack([u, u[-1:]]) for u in U])
+    else:
+        data = _multi_block_dataset()
+    library = kl.Polynomial(2) if kind.startswith("e") else None
+    config = kl.RegressorConfig(kind=kind, delays=2 if kind.startswith("h") else 0)
+    models = []
+    for update in ("library", "numpy"):
+        with monkeypatch.context() as m:
+            if update == "numpy":
+                numpy_route(m, "lapack_tpqrt")
+            model = kl.fit(library, config, data)
+            np.testing.assert_array_equal(model.linearity_consistency(data)[0],
+                                          model.training_scores)
+        models.append(model)
+    es = models[0].regression.eigensystem
+    kappa = np.linalg.norm(es.W_left, axis=0) * np.linalg.norm(es.W_right, axis=0)
+    bound = 16 * np.finfo(float).eps * kappa * np.linalg.norm(models[0].A, 2)
+    assert np.all(np.abs(models[1].eigenvalues - models[0].eigenvalues) <= bound)
 
 
 # the libraries a PairStream lifts for the TSQR, by name; the state has 2
@@ -587,8 +619,6 @@ def test_a_streamed_pair_factor_has_the_bits_of_the_built_pairs_at_one_and_two_b
 
 
 def test_an_exception_in_lane_1s_lift_is_raised_on_the_caller(two_blas_threads, monkeypatch):
-    if kl._kernels.lapack_tpqrt() is None:
-        pytest.skip("numpy's LAPACK library exports no dtpqrt")
     # blocks of 50 pairs over trajectories of 19: the trajectory of pairs
     # 57-75 lies inside block 1, so lane 1, on its own Python thread, is the
     # one lane that lifts its samples
@@ -611,8 +641,6 @@ def test_an_exception_in_lane_1s_lift_is_raised_on_the_caller(two_blas_threads, 
 
 
 def test_a_custom_librarys_functions_run_on_both_tsqr_lanes(two_blas_threads, monkeypatch):
-    if kl._kernels.lapack_tpqrt() is None:
-        pytest.skip("numpy's LAPACK library exports no dtpqrt")
     # the lanes lift their own blocks on two Python threads at once, so a
     # library's functions run on both (as the Observable docstring says)
     monkeypatch.setattr(kl.regression, "QR_CHUNK", 50)
@@ -838,13 +866,14 @@ def _spied_lanczos(G, r):
 
 
 def test_lanczos_without_dsymv_keeps_the_gemv_bits(monkeypatch):
-    # a numpy whose BLAS library has no dsymv multiplies by G @ v: the
-    # solve has the bits of the iteration written out here on that product,
-    # run for as many steps as the solve took
+    # a numpy whose BLAS library has no dsymv multiplies by the product its
+    # loader gives there, the gemv of G @ v: the solve has the bits of the
+    # iteration written out here on that product, run for as many steps as
+    # the solve took
     Xr = np.random.default_rng(5).uniform(-1.0, 1.0, (400, 2))
     G = kl.KernelConfig(kind="gaussian", sigma=0.5).gram(Xr, Xr)
     r = 8
-    monkeypatch.setattr(kl._kernels, "blas_dsymv", lambda: None)
+    numpy_route(monkeypatch, "blas_dsymv")
     (s, Q), sizes = _spied_lanczos(G, r)
     K = sizes[-1]
     cap = kl.regression._lanczos_cap(400, r)
@@ -871,7 +900,7 @@ def test_lanczos_without_dsymv_keeps_the_gemv_bits(monkeypatch):
 def test_lanczos_on_dsymv_repeats_its_bits():
     # the docstring's determinism: two solves of one G, at one BLAS thread
     # count, give the same bits, also on the dsymv product
-    if kl._kernels.blas_dsymv() is None:
+    if kl._kernels.blas_dsymv() is np.dot:
         pytest.skip("numpy's BLAS library exports no dsymv")
     Xr = np.random.default_rng(6).uniform(-1.0, 1.0, (900, 2))
     G = kl.KernelConfig(kind="gaussian", sigma=0.3).gram(Xr, Xr)

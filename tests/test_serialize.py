@@ -511,6 +511,26 @@ def test_copies_that_disagree_with_their_home_are_refused(copy_models, base, whe
         model_from_dict(d)
 
 
+@pytest.mark.parametrize("name", ["W_right", "W_left"])
+def test_a_kdmd_file_whose_eigenvectors_are_not_the_identity_is_refused(name):
+    # fit_kdmd's eigenvectors are always I. Loaded, the two entries edited
+    # here in W_left move the first eigenfunction at (0.3, -0.5) from 0.0797
+    # to 0.0717 and the first mode amplitude from 0.1181 to 0.1063, and
+    # leave predict as it was, so nothing else would show them
+    path = os.path.join(os.path.dirname(__file__), "data", "model_kdmd_gauss.json")
+    with open(path) as fh:
+        d = json.load(fh)
+    model_from_dict(copy.deepcopy(d))
+    tampered = copy.deepcopy(d)
+    W = tampered["eigen"][name]
+    r = W["shape"][0]
+    W["data"][0] = [0.9, 0.0]
+    W["data"][r + 1] = [1.0, 0.2]
+    with pytest.raises(DataError, match=f"malformed model file: {name} of a kdmd model "
+                                        "is not the identity"):
+        model_from_dict(tampered)
+
+
 def test_continuous_eigenvalues_are_refused_unless_derived_from_lambda_and_dt():
     # eigenvalues 0.5 and 0: ln(0.5)/dt and -inf
     A = np.diag([0.5, 0.0])
